@@ -1,6 +1,14 @@
 GO ?= go
+GOFMT ?= gofmt
 
-.PHONY: build test vet race check-race oracle oracle-long bench bench-compare golden smoke check
+.PHONY: fmt build test vet race check-race oracle oracle-long bench bench-compare golden smoke check
+
+# Fail when gofmt would reformat any Go file: gofmt -l prints the name of
+# every such file. Hidden directories (.git, tsperf's .bench_build caches)
+# are skipped.
+fmt:
+	@out="$$(find . -path '*/.*' -prune -o -name '*.go' -print | xargs $(GOFMT) -l)"; \
+	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -95,4 +103,4 @@ smoke:
 # CI entry point: everything that must be green before merging. Perf-
 # sensitive changes should additionally run `make bench-compare` against
 # the committed BENCH_* baselines (see the bench-compare target above).
-check: build vet test check-race oracle
+check: fmt build vet test check-race oracle

@@ -248,7 +248,7 @@ func BenchmarkAblationLBKeoghPruning(b *testing.B) {
 	b.Run("lbkeogh", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, q := range d.Test {
-				elastic.NNSearchDTW(q, d.Train, 10)
+				NNSearchDTW(q, d.Train, 10)
 			}
 		}
 	})

@@ -44,11 +44,12 @@ func main() {
 			(elapsed / time.Duration(len(d.Test))).Round(time.Microsecond))
 	}
 
-	// DTW search with LB_Keogh pruning: the classic way to make the O(m^2)
-	// measure usable for search. The library precomputes each query's
-	// envelope once and skips every candidate whose lower bound cannot
-	// beat the best distance so far.
-	fmt.Println("\nDTW(10%) search with LB_Keogh pruning:")
+	// DTW search with lower-bound pruning: the classic way to make the
+	// O(m^2) measure usable for search. The search engine prepares every
+	// series' envelope once, skips each candidate whose LB_Kim/LB_Keogh
+	// cascade cannot beat the best distance so far, and abandons the DTW
+	// of the rest once it passes that distance.
+	fmt.Println("\nDTW(10%) search with LB_Kim/LB_Keogh pruning:")
 	pruned, total, correct := 0, 0, 0
 	start := time.Now()
 	for qi, q := range d.Test {

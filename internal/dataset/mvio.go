@@ -161,7 +161,7 @@ func LoadMVUCR(dir, name string) (*multivariate.Dataset, error) {
 			name, train[0].Channels(), test[0].Channels())
 	}
 	return &multivariate.Dataset{
-		Name: name,
+		Name:  name,
 		Train: train, TrainLabels: trainLabels,
 		Test: test, TestLabels: testLabels,
 	}, nil

@@ -1,101 +1,15 @@
 package elastic
 
-import (
-	"math"
-	"sync"
+import "repro/internal/measure"
 
-	"repro/internal/measure"
-)
-
-// This file implements the UCR-suite-style pruning machinery for DTW: a
-// pooled two-row DP with per-row early abandoning (measure.EarlyAbandoning)
-// and a cascading lower bound — O(1) LB_Kim, then O(m) LB_Keogh against a
-// precomputed Lemire envelope, then the reversed LB_Keogh — exposed through
-// measure.LowerBounded. The search engine (internal/search) drives the
-// cascade; everything here is also usable standalone.
-
-// dtwScratch is the reusable two-row DP state. A sync.Pool keeps steady
-// state allocation-free without threading buffers through the Measure
-// interface.
-type dtwScratch struct {
-	prev, cur []float64
-}
-
-var dtwPool = sync.Pool{New: func() any { return new(dtwScratch) }}
-
-// DistanceUpTo implements measure.EarlyAbandoning: banded DTW that stops
-// as soon as an entire DP row reaches cutoff. Every warping path crosses
-// every row and cell costs are non-negative, so the minimum of a row lower
-// bounds the final distance; when it reaches cutoff the computation is
-// abandoned and that row minimum (a certified lower bound >= cutoff) is
-// returned. With cutoff = +Inf this is exactly Distance.
-func (d DTW) DistanceUpTo(x, y []float64, cutoff float64) float64 {
-	measure.CheckSameLength(x, y)
-	m := len(x)
-	if m == 0 {
-		return 0
-	}
-	w := windowSize(d.DeltaPercent, m)
-	inf := math.Inf(1)
-
-	s := dtwPool.Get().(*dtwScratch)
-	if cap(s.prev) < m+1 {
-		s.prev = make([]float64, m+1)
-		s.cur = make([]float64, m+1)
-	}
-	prev, cur := s.prev[:m+1], s.cur[:m+1]
-	for j := range prev {
-		prev[j] = inf
-	}
-	prev[0] = 0
-	for i := 1; i <= m; i++ {
-		lo := i - w
-		if lo < 1 {
-			lo = 1
-		}
-		hi := i + w
-		if hi > m {
-			hi = m
-		}
-		// The band advances by at most one cell per row, so only its
-		// fringe needs re-initializing: cur[lo-1] feeds this row's first
-		// deletion and cur[hi+1] feeds the next row's insertion. The old
-		// full-row wipe made banded DTW O(m^2) regardless of band width.
-		cur[lo-1] = inf
-		if hi < m {
-			cur[hi+1] = inf
-		}
-		rowMin := inf
-		for j := lo; j <= hi; j++ {
-			c := x[i-1] - y[j-1]
-			best := prev[j-1] // diagonal
-			if prev[j] < best {
-				best = prev[j] // insertion
-			}
-			if cur[j-1] < best {
-				best = cur[j-1] // deletion
-			}
-			v := c*c + best
-			cur[j] = v
-			if v < rowMin {
-				rowMin = v
-			}
-		}
-		if rowMin >= cutoff {
-			s.prev, s.cur = prev, cur
-			dtwPool.Put(s)
-			return rowMin
-		}
-		prev, cur = cur, prev
-	}
-	res := prev[m]
-	s.prev, s.cur = prev, cur
-	dtwPool.Put(s)
-	return res
-}
+// This file implements the UCR-suite-style lower-bound cascade for DTW —
+// O(1) LB_Kim, then O(m) LB_Keogh against a precomputed Lemire envelope,
+// then the reversed LB_Keogh — exposed through measure.LowerBounded. The
+// search engine (internal/search) drives the cascade and pairs it with
+// DTW's early-abandoning DistanceUpTo.
 
 // dtwContext is DTW's measure.BoundContext: the Lemire min/max envelope of
-// a series for the band width windowSize(DeltaPercent, m), plus the
+// a series for the band width WindowSize(DeltaPercent, m), plus the
 // monotonic-deque scratch needed to refill it without allocating.
 type dtwContext struct {
 	deltaPercent int
@@ -112,7 +26,7 @@ func (d DTW) NewBoundContext(m int) measure.BoundContext {
 }
 
 func (c *dtwContext) grow(m int) {
-	c.w = windowSize(c.deltaPercent, m)
+	c.w = WindowSize(c.deltaPercent, m)
 	if cap(c.upper) < m {
 		c.upper = make([]float64, m)
 		c.lower = make([]float64, m)
@@ -168,6 +82,15 @@ func fillEnvelope(upper, lower, y []float64, w int, maxDq, minDq []int) {
 		upper[i] = y[maxDq[maxH]]
 		lower[i] = y[minDq[minH]]
 	}
+}
+
+// envelope returns the upper and lower envelopes of y for half-width w in
+// fresh buffers: fillEnvelope for one-off bounds.
+func envelope(y []float64, w int) (upper, lower []float64) {
+	m := len(y)
+	upper, lower = make([]float64, m), make([]float64, m)
+	fillEnvelope(upper, lower, y, w, make([]int, m), make([]int, m))
+	return upper, lower
 }
 
 // LowerBound implements measure.LowerBounded with the classic cascade:

@@ -77,12 +77,12 @@ func TestLemireEnvelopeMatchesNaive(t *testing.T) {
 			if w < 0 {
 				continue
 			}
-			e := NewEnvelope(y, w)
+			upper, lower := envelope(y, w)
 			wantU, wantL := naiveEnvelope(y, w)
 			for i := 0; i < m; i++ {
-				if e.Upper[i] != wantU[i] || e.Lower[i] != wantL[i] {
+				if upper[i] != wantU[i] || lower[i] != wantL[i] {
 					t.Fatalf("%s w=%d i=%d: got (%g, %g), want (%g, %g)",
-						name, w, i, e.Lower[i], e.Upper[i], wantL[i], wantU[i])
+						name, w, i, lower[i], upper[i], wantL[i], wantU[i])
 				}
 			}
 		}
@@ -95,14 +95,14 @@ func TestLemireEnvelopeConstantSeriesDegenerate(t *testing.T) {
 		y[i] = -3.25
 	}
 	for _, w := range []int{0, 5, 50, 100} {
-		e := NewEnvelope(y, w)
+		upper, lower := envelope(y, w)
 		for i := range y {
-			if e.Upper[i] != -3.25 || e.Lower[i] != -3.25 {
+			if upper[i] != -3.25 || lower[i] != -3.25 {
 				t.Fatalf("w=%d i=%d: constant series envelope must collapse to the value", w, i)
 			}
 		}
 		// LB_Keogh of the series against its own envelope must be zero.
-		if lb := e.LBKeogh(y); lb != 0 {
+		if lb := lbKeoghEnvelope(y, upper, lower, math.Inf(1)); lb != 0 {
 			t.Fatalf("w=%d: self LB_Keogh = %g, want 0", w, lb)
 		}
 	}
@@ -196,17 +196,17 @@ func TestBoundContextRefillAcrossLengths(t *testing.T) {
 	short := randomSeries(5, 32)
 	long := randomSeries(6, 128)
 	c.Fill(long) // must grow
-	want := NewEnvelope(long, windowSize(10, 128))
+	wantU, wantL := envelope(long, WindowSize(10, 128))
 	ctx := c.(*dtwContext)
 	for i := range long {
-		if ctx.upper[i] != want.Upper[i] || ctx.lower[i] != want.Lower[i] {
+		if ctx.upper[i] != wantU[i] || ctx.lower[i] != wantL[i] {
 			t.Fatalf("grown context envelope mismatch at %d", i)
 		}
 	}
 	c.Fill(short) // must shrink back
-	want = NewEnvelope(short, windowSize(10, 32))
+	wantU, wantL = envelope(short, WindowSize(10, 32))
 	for i := range short {
-		if ctx.upper[i] != want.Upper[i] || ctx.lower[i] != want.Lower[i] {
+		if ctx.upper[i] != wantU[i] || ctx.lower[i] != wantL[i] {
 			t.Fatalf("shrunk context envelope mismatch at %d", i)
 		}
 	}

@@ -11,58 +11,19 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/measure"
 )
 
-// RowScratch pools the two DP rows shared by the scalar elastic
-// recurrences (LCSS, EDR, ERP, MSM, TWE, Swale), so warm Distance calls
-// are allocation-free like DTW's dtwPool path. Contents are unspecified on
-// Get; every recurrence fully initializes the cells it reads. The type is
-// exported through BorrowRows/Release so other DP layers (the multivariate
-// dependent recurrences) share the same pool instead of growing their own.
-type RowScratch struct{ prev, cur []float64 }
-
-var rowPool = sync.Pool{New: func() any { return new(RowScratch) }}
-
-// BorrowRows returns a pooled scratch holder and its two rows resized to
-// n. The rows arrive dirty; callers must initialize every cell they read
-// and hand the (possibly swapped) rows back via Release.
-func BorrowRows(n int) (*RowScratch, []float64, []float64) {
-	s := rowPool.Get().(*RowScratch)
-	if cap(s.prev) < n {
-		s.prev = make([]float64, n)
-		s.cur = make([]float64, n)
-	}
-	return s, s.prev[:n], s.cur[:n]
-}
-
-// Release returns the rows to the pool. Two-row DPs swap prev and cur as
-// they advance, so the final slices are passed back rather than assumed.
-func (s *RowScratch) Release(prev, cur []float64) {
-	s.prev, s.cur = prev, cur
-	rowPool.Put(s)
-}
-
-// getRows and release are the package-internal spellings, kept so the
-// recurrences in this file read unchanged.
-func getRows(n int) (*RowScratch, []float64, []float64) { return BorrowRows(n) }
-
-func (s *RowScratch) release(prev, cur []float64) { s.Release(prev, cur) }
-
-// windowSize converts a Sakoe-Chiba window expressed as a percentage of the
+// WindowSize converts a Sakoe-Chiba window expressed as a percentage of the
 // series length (the paper's convention: delta = 10 means 10% of m;
-// delta >= 100 means an unconstrained band) into an absolute band width.
-func windowSize(deltaPercent int, m int) int {
+// delta >= 100 means an unconstrained band) into an absolute band width of
+// at least 1.
+func WindowSize(deltaPercent int, m int) int {
 	if deltaPercent >= 100 {
 		return m
 	}
-	w := deltaPercent * m / 100
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return max(deltaPercent*m/100, 1)
 }
 
 // DTW is Dynamic Time Warping with a Sakoe-Chiba band. DeltaPercent is the
@@ -82,28 +43,82 @@ func (d DTW) Name() string { return fmt.Sprintf("dtw[d=%d]", d.DeltaPercent) }
 // bitwise.
 func (d DTW) Symmetric() bool { return true }
 
-// Distance implements measure.Measure. Long series on multi-core machines
-// route through the blocked wavefront engine (bitwise-identical, see
-// DistanceWavefront); everything else takes the scalar two-row DP.
-func (d DTW) Distance(x, y []float64) float64 {
-	if wavefrontEligible(len(x)) {
-		if v, err := d.DistanceWavefront(context.Background(), x, y); err == nil {
-			return v
+func (d DTW) dp(x, y []float64) DP[dtwRows] {
+	measure.CheckSameLength(x, y)
+	m := len(x)
+	return DP[dtwRows]{R: m, C: m, W: WindowSize(d.DeltaPercent, m), OOB: math.Inf(1), Rows: dtwRows{x: x, y: y}}
+}
+
+// Distance implements measure.Measure.
+func (d DTW) Distance(x, y []float64) float64 { return d.dp(x, y).distance() }
+
+// DistanceUpTo implements measure.EarlyAbandoning: banded DTW on the serial
+// path, abandoned as soon as an entire DP row reaches cutoff. Every warping
+// path crosses every row and cell costs are non-negative, so the row
+// minimum (a certified lower bound >= cutoff) is returned. With cutoff =
+// +Inf this is the serial Distance.
+func (d DTW) DistanceUpTo(x, y []float64, cutoff float64) float64 {
+	v, _ := d.dp(x, y).Serial(nil, cutoff)
+	return v
+}
+
+// DistanceWavefront computes DTW on the blocked wavefront path (see
+// DP.Wavefront); Distance takes it for long series on multi-core machines,
+// and this method pins it for tests and benchmarks.
+func (d DTW) DistanceWavefront(ctx context.Context, x, y []float64) (float64, error) {
+	return d.dp(x, y).Wavefront(ctx)
+}
+
+// UnbandedDTW is DTW without a band between series of any lengths, 0 when
+// either is empty. Run with a NaN cutoff, it never abandons, so on
+// non-finite input it evaluates through rows that Distance stops at. The
+// DTW-based embeddings align with it.
+func UnbandedDTW(x, y []float64) float64 {
+	if len(x) == 0 || len(y) == 0 {
+		return 0
+	}
+	v, _ := DP[dtwRows]{R: len(x), C: len(y), Rows: dtwRows{x: x, y: y}}.Serial(nil, math.NaN())
+	return v
+}
+
+type dtwRows struct {
+	InfBoundary
+	x, y []float64
+}
+
+func (r dtwRows) Row(i, j0, j1 int, prev, cur []float64) float64 {
+	xi := r.x[i-1]
+	rowMin := math.Inf(1)
+	for j := j0; j <= j1; j++ {
+		k := j - j0 + 1
+		c := xi - r.y[j-1]
+		best := prev[k-1] // diagonal
+		if prev[k] < best {
+			best = prev[k] // insertion
+		}
+		if cur[k-1] < best {
+			best = cur[k-1] // deletion
+		}
+		v := c*c + best
+		cur[k] = v
+		if v < rowMin {
+			rowMin = v
 		}
 	}
-	return d.DistanceUpTo(x, y, math.Inf(1))
+	return rowMin
 }
 
 // LBKeogh returns the LB_Keogh lower bound of DTW(x, y) for a band of
 // absolute half-width w: the squared exceedance of x outside the upper and
 // lower envelopes of y. It never exceeds the corresponding DTW value. The
 // envelope is built in O(m) with Lemire's streaming min/max; callers that
-// evaluate many bounds against the same series should precompute an
-// Envelope (or use the search engine, which does) instead of rebuilding it
-// per call.
+// evaluate many bounds against the same series should use the search
+// engine, which prepares each envelope once, instead of rebuilding it per
+// call.
 func LBKeogh(x, y []float64, w int) float64 {
 	measure.CheckSameLength(x, y)
-	return NewEnvelope(y, w).LBKeogh(x)
+	upper, lower := envelope(y, w)
+	return lbKeoghEnvelope(x, upper, lower, math.Inf(1))
 }
 
 // LCSS is the Longest Common Subsequence distance: points match when they
@@ -120,56 +135,55 @@ func (l LCSS) Name() string { return fmt.Sprintf("lcss[d=%d,e=%g]", l.DeltaPerce
 // Symmetric implements measure.Symmetric.
 func (l LCSS) Symmetric() bool { return true }
 
-// Distance implements measure.Measure. Long series on multi-core machines
-// route through the blocked wavefront engine (bitwise-identical).
-func (l LCSS) Distance(x, y []float64) float64 {
-	if wavefrontEligible(len(x)) {
-		if v, err := l.DistanceWavefront(context.Background(), x, y); err == nil {
-			return v
-		}
-	}
+func (l LCSS) dp(x, y []float64) DP[lcssRows] {
 	measure.CheckSameLength(x, y)
 	m := len(x)
-	if m == 0 {
+	return DP[lcssRows]{R: m, C: m, W: WindowSize(l.DeltaPercent, m), Rows: lcssRows{l, x, y}}
+}
+
+// Distance implements measure.Measure.
+func (l LCSS) Distance(x, y []float64) float64 {
+	p := l.dp(x, y)
+	if p.R == 0 {
 		return 0
 	}
-	w := windowSize(l.DeltaPercent, m)
-	s, prev, cur := getRows(m + 1)
-	// Row 0 of the DP is all zeros; pooled rows arrive dirty, so clear it
-	// (the in-band loop plus fringe clearing covers every later read).
-	for j := range prev {
-		prev[j] = 0
+	return 1 - p.distance()/float64(p.R)
+}
+
+// DistanceWavefront computes LCSS on the blocked wavefront path.
+func (l LCSS) DistanceWavefront(ctx context.Context, x, y []float64) (float64, error) {
+	p := l.dp(x, y)
+	v, err := p.Wavefront(ctx)
+	if err != nil || p.R == 0 {
+		return 0, err
 	}
-	for i := 1; i <= m; i++ {
-		lo := i - w
-		if lo < 1 {
-			lo = 1
+	return 1 - v/float64(p.R), nil
+}
+
+// lcssRows counts the longest common subsequence; out-of-band cells (OOB
+// 0) count no matches.
+type lcssRows struct {
+	LCSS
+	x, y []float64
+}
+
+func (r lcssRows) Boundary(top, left []float64) float64 {
+	fill(top, 0)
+	fill(left, 0)
+	return 0
+}
+
+func (r lcssRows) Row(i, j0, j1 int, prev, cur []float64) float64 {
+	xi := r.x[i-1]
+	for j := j0; j <= j1; j++ {
+		k := j - j0 + 1
+		if math.Abs(xi-r.y[j-1]) <= r.Epsilon {
+			cur[k] = prev[k-1] + 1
+		} else {
+			cur[k] = math.Max(prev[k], cur[k-1])
 		}
-		hi := i + w
-		if hi > m {
-			hi = m
-		}
-		// Out-of-band cells count as zero matches. The band only ever
-		// advances by one cell per row, so clearing its fringe — cur[lo-1]
-		// (read as the deletion predecessor) and cur[hi+1] (read as the
-		// next row's insertion predecessor) — replaces the former
-		// full-row wipe that made banded LCSS O(m^2) regardless of band.
-		cur[lo-1] = 0
-		if hi < m {
-			cur[hi+1] = 0
-		}
-		for j := lo; j <= hi; j++ {
-			if math.Abs(x[i-1]-y[j-1]) <= l.Epsilon {
-				cur[j] = prev[j-1] + 1
-			} else {
-				cur[j] = math.Max(prev[j], cur[j-1])
-			}
-		}
-		prev, cur = cur, prev
 	}
-	res := 1 - prev[m]/float64(m)
-	s.release(prev, cur)
-	return res
+	return math.Inf(-1)
 }
 
 // EDR is the Edit Distance on Real sequence: a unit-cost edit distance
@@ -186,41 +200,51 @@ func (e EDR) Name() string { return fmt.Sprintf("edr[e=%g]", e.Epsilon) }
 // Symmetric implements measure.Symmetric.
 func (e EDR) Symmetric() bool { return true }
 
-// Distance implements measure.Measure. Long series on multi-core machines
-// route through the blocked wavefront engine (bitwise-identical).
-func (e EDR) Distance(x, y []float64) float64 {
-	if wavefrontEligible(len(x)) {
-		if v, err := e.DistanceWavefront(context.Background(), x, y); err == nil {
-			return v
-		}
-	}
+func (e EDR) dp(x, y []float64) DP[edrRows] {
 	measure.CheckSameLength(x, y)
-	m := len(x)
-	s, prev, cur := getRows(m + 1)
-	for j := 0; j <= m; j++ {
-		prev[j] = float64(j)
+	return DP[edrRows]{R: len(x), C: len(x), Rows: edrRows{e, x, y}}
+}
+
+// Distance implements measure.Measure.
+func (e EDR) Distance(x, y []float64) float64 { return e.dp(x, y).distance() }
+
+// DistanceWavefront computes EDR on the blocked wavefront path.
+func (e EDR) DistanceWavefront(ctx context.Context, x, y []float64) (float64, error) {
+	return e.dp(x, y).Wavefront(ctx)
+}
+
+type edrRows struct {
+	EDR
+	x, y []float64
+}
+
+// Boundary: deleting a prefix costs its length.
+func (r edrRows) Boundary(top, left []float64) float64 {
+	for t := range top {
+		top[t] = float64(t + 1)
 	}
-	for i := 1; i <= m; i++ {
-		cur[0] = float64(i)
-		for j := 1; j <= m; j++ {
-			subCost := 1.0
-			if math.Abs(x[i-1]-y[j-1]) <= e.Epsilon {
-				subCost = 0
-			}
-			best := prev[j-1] + subCost
-			if v := prev[j] + 1; v < best {
-				best = v
-			}
-			if v := cur[j-1] + 1; v < best {
-				best = v
-			}
-			cur[j] = best
+	copy(left, top)
+	return 0
+}
+
+func (r edrRows) Row(i, j0, j1 int, prev, cur []float64) float64 {
+	xi := r.x[i-1]
+	for j := j0; j <= j1; j++ {
+		k := j - j0 + 1
+		subCost := 1.0
+		if math.Abs(xi-r.y[j-1]) <= r.Epsilon {
+			subCost = 0
 		}
-		prev, cur = cur, prev
+		best := prev[k-1] + subCost
+		if v := prev[k] + 1; v < best {
+			best = v
+		}
+		if v := cur[k-1] + 1; v < best {
+			best = v
+		}
+		cur[k] = best
 	}
-	res := prev[m]
-	s.release(prev, cur)
-	return res
+	return math.Inf(-1)
 }
 
 // ERP is the Edit distance with Real Penalty: gaps are penalized by the
@@ -237,34 +261,47 @@ func (e ERP) Name() string { return "erp" }
 // Symmetric implements measure.Symmetric.
 func (e ERP) Symmetric() bool { return true }
 
-// Distance implements measure.Measure. Long series on multi-core machines
-// route through the blocked wavefront engine (bitwise-identical).
-func (e ERP) Distance(x, y []float64) float64 {
-	if wavefrontEligible(len(x)) {
-		if v, err := e.DistanceWavefront(context.Background(), x, y); err == nil {
-			return v
-		}
-	}
+func (e ERP) dp(x, y []float64) DP[erpRows] {
 	measure.CheckSameLength(x, y)
-	m := len(x)
-	s, prev, cur := getRows(m + 1)
-	prev[0] = 0
-	for j := 1; j <= m; j++ {
-		prev[j] = prev[j-1] + math.Abs(y[j-1]-e.G)
+	return DP[erpRows]{R: len(x), C: len(x), Rows: erpRows{e, x, y}}
+}
+
+// Distance implements measure.Measure.
+func (e ERP) Distance(x, y []float64) float64 { return e.dp(x, y).distance() }
+
+// DistanceWavefront computes ERP on the blocked wavefront path.
+func (e ERP) DistanceWavefront(ctx context.Context, x, y []float64) (float64, error) {
+	return e.dp(x, y).Wavefront(ctx)
+}
+
+type erpRows struct {
+	ERP
+	x, y []float64
+}
+
+// Boundary: deleting a prefix costs its running gap penalty.
+func (r erpRows) Boundary(top, left []float64) float64 {
+	sy, sx := 0.0, 0.0
+	for t := range top { // square: len(left) == len(top)
+		sy += math.Abs(r.y[t] - r.G)
+		sx += math.Abs(r.x[t] - r.G)
+		top[t], left[t] = sy, sx
 	}
-	for i := 1; i <= m; i++ {
-		cur[0] = prev[0] + math.Abs(x[i-1]-e.G)
-		for j := 1; j <= m; j++ {
-			match := prev[j-1] + math.Abs(x[i-1]-y[j-1])
-			gapX := prev[j] + math.Abs(x[i-1]-e.G)
-			gapY := cur[j-1] + math.Abs(y[j-1]-e.G)
-			cur[j] = math.Min(match, math.Min(gapX, gapY))
-		}
-		prev, cur = cur, prev
+	return 0
+}
+
+func (r erpRows) Row(i, j0, j1 int, prev, cur []float64) float64 {
+	xi := r.x[i-1]
+	gx := math.Abs(xi - r.G)
+	for j := j0; j <= j1; j++ {
+		k := j - j0 + 1
+		yj := r.y[j-1]
+		match := prev[k-1] + math.Abs(xi-yj)
+		gapX := prev[k] + gx
+		gapY := cur[k-1] + math.Abs(yj-r.G)
+		cur[k] = math.Min(match, math.Min(gapX, gapY))
 	}
-	res := prev[m]
-	s.release(prev, cur)
-	return res
+	return math.Inf(-1)
 }
 
 // MSM is the Move-Split-Merge distance (Stefan, Athitsos, Das 2013): an
@@ -290,37 +327,53 @@ func (m MSM) msmCost(newPoint, a, b float64) float64 {
 	return m.C + math.Min(math.Abs(newPoint-a), math.Abs(newPoint-b))
 }
 
-// Distance implements measure.Measure. Long series on multi-core machines
-// route through the blocked wavefront engine (bitwise-identical).
-func (m MSM) Distance(x, y []float64) float64 {
-	if wavefrontEligible(len(x)) {
-		if v, err := m.DistanceWavefront(context.Background(), x, y); err == nil {
-			return v
-		}
-	}
+// dp is MSM's n-by-n cost matrix over (x[i], y[j]), i, j in [0, n): its
+// first row and column are recurrence-defined, so they form the boundary
+// and the (n-1)-by-(n-1) interior is the DP.
+func (m MSM) dp(x, y []float64) DP[msmRows] {
 	measure.CheckSameLength(x, y)
-	n := len(x)
-	if n == 0 {
+	n := max(len(x)-1, 0)
+	return DP[msmRows]{R: n, C: n, Rows: msmRows{m, x, y}}
+}
+
+// Distance implements measure.Measure.
+func (m MSM) Distance(x, y []float64) float64 { return m.dp(x, y).distance() }
+
+// DistanceWavefront computes MSM on the blocked wavefront path.
+func (m MSM) DistanceWavefront(ctx context.Context, x, y []float64) (float64, error) {
+	return m.dp(x, y).Wavefront(ctx)
+}
+
+type msmRows struct {
+	MSM
+	x, y []float64
+}
+
+func (r msmRows) Boundary(top, left []float64) float64 {
+	if len(r.x) == 0 {
 		return 0
 	}
-	s, prev, cur := getRows(n)
-	prev[0] = math.Abs(x[0] - y[0])
-	for j := 1; j < n; j++ {
-		prev[j] = prev[j-1] + m.msmCost(y[j], x[0], y[j-1])
+	corner := math.Abs(r.x[0] - r.y[0])
+	st, sl := corner, corner
+	for t := range top { // square: len(left) == len(top)
+		st += r.msmCost(r.y[t+1], r.x[0], r.y[t])
+		sl += r.msmCost(r.x[t+1], r.x[t], r.y[0])
+		top[t], left[t] = st, sl
 	}
-	for i := 1; i < n; i++ {
-		cur[0] = prev[0] + m.msmCost(x[i], x[i-1], y[0])
-		for j := 1; j < n; j++ {
-			move := prev[j-1] + math.Abs(x[i]-y[j])
-			split := prev[j] + m.msmCost(x[i], x[i-1], y[j])
-			merge := cur[j-1] + m.msmCost(y[j], x[i], y[j-1])
-			cur[j] = math.Min(move, math.Min(split, merge))
-		}
-		prev, cur = cur, prev
+	return corner
+}
+
+func (r msmRows) Row(i, j0, j1 int, prev, cur []float64) float64 {
+	xi, xim := r.x[i], r.x[i-1]
+	for j := j0; j <= j1; j++ {
+		k := j - j0 + 1
+		yj := r.y[j]
+		move := prev[k-1] + math.Abs(xi-yj)
+		split := prev[k] + r.msmCost(xi, xim, yj)
+		merge := cur[k-1] + r.msmCost(yj, xi, r.y[j-1])
+		cur[k] = math.Min(move, math.Min(split, merge))
 	}
-	res := prev[n-1]
-	s.release(prev, cur)
-	return res
+	return math.Inf(-1)
 }
 
 // TWE is the Time Warp Edit distance (Marteau 2009): an elastic metric
@@ -338,55 +391,52 @@ func (t TWE) Name() string { return fmt.Sprintf("twe[l=%g,n=%g]", t.Lambda, t.Nu
 // Symmetric implements measure.Symmetric.
 func (t TWE) Symmetric() bool { return true }
 
-// Distance implements measure.Measure. Long series on multi-core machines
-// route through the blocked wavefront engine (bitwise-identical).
-func (t TWE) Distance(x, y []float64) float64 {
-	if wavefrontEligible(len(x)) {
-		if v, err := t.DistanceWavefront(context.Background(), x, y); err == nil {
-			return v
-		}
-	}
+func (t TWE) dp(x, y []float64) DP[tweRows] {
 	measure.CheckSameLength(x, y)
-	m := len(x)
-	if m == 0 {
-		return 0
+	return DP[tweRows]{R: len(x), C: len(x), Rows: tweRows{TWE: t, x: x, y: y}}
+}
+
+// Distance implements measure.Measure.
+func (t TWE) Distance(x, y []float64) float64 { return t.dp(x, y).distance() }
+
+// DistanceWavefront computes TWE on the blocked wavefront path.
+func (t TWE) DistanceWavefront(ctx context.Context, x, y []float64) (float64, error) {
+	return t.dp(x, y).Wavefront(ctx)
+}
+
+type tweRows struct {
+	InfBoundary
+	TWE
+	x, y []float64
+}
+
+// Row follows the reference treatment, which pads both series with a
+// leading zero sample at time 0; the pad is realized by index arithmetic
+// (xi/xim, yj/yjm) instead of copies, so calls stay allocation-free.
+func (r tweRows) Row(i, j0, j1 int, prev, cur []float64) float64 {
+	xi := r.x[i-1] // xp[i]
+	xim := 0.0     // xp[i-1]: the pad sample when i == 1
+	if i > 1 {
+		xim = r.x[i-2]
 	}
-	// The reference treatment pads both series with a leading zero sample at
-	// time 0; the pad is realized by index arithmetic (xi/xim, yj/yjm below)
-	// instead of copies, so warm calls stay allocation-free.
-	inf := math.Inf(1)
-	s, prev, cur := getRows(m + 1)
-	for j := range prev {
-		prev[j] = inf
-	}
-	prev[0] = 0
-	for i := 1; i <= m; i++ {
-		cur[0] = inf // only column 0 is read before being written
-		xi := x[i-1] // xp[i]
-		xim := 0.0   // xp[i-1]: the pad sample when i == 1
-		if i > 1 {
-			xim = x[i-2]
+	axd := math.Abs(xi - xim)
+	for j := j0; j <= j1; j++ {
+		k := j - j0 + 1
+		yj := r.y[j-1]
+		yjm := 0.0
+		if j > 1 {
+			yjm = r.y[j-2]
 		}
-		for j := 1; j <= m; j++ {
-			yj := y[j-1]
-			yjm := 0.0
-			if j > 1 {
-				yjm = y[j-2]
-			}
-			// Delete in x: advance i only.
-			delA := prev[j] + math.Abs(xi-xim) + t.Nu + t.Lambda
-			// Delete in y: advance j only.
-			delB := cur[j-1] + math.Abs(yj-yjm) + t.Nu + t.Lambda
-			// Match: advance both, with stiffness on the time difference.
-			match := prev[j-1] + math.Abs(xi-yj) + math.Abs(xim-yjm) +
-				2*t.Nu*math.Abs(float64(i-j))
-			cur[j] = math.Min(match, math.Min(delA, delB))
-		}
-		prev, cur = cur, prev
+		// Delete in x: advance i only.
+		delA := prev[k] + axd + r.Nu + r.Lambda
+		// Delete in y: advance j only.
+		delB := cur[k-1] + math.Abs(yj-yjm) + r.Nu + r.Lambda
+		// Match: advance both, with stiffness on the time difference.
+		match := prev[k-1] + math.Abs(xi-yj) + math.Abs(xim-yjm) +
+			2*r.Nu*math.Abs(float64(i-j))
+		cur[k] = math.Min(match, math.Min(delA, delB))
 	}
-	res := prev[m]
-	s.release(prev, cur)
-	return res
+	return math.Inf(-1)
 }
 
 // Swale is the Sequence Weighted Alignment model (Morse & Patel 2007): a
@@ -407,25 +457,35 @@ func (s Swale) Symmetric() bool { return true }
 // Distance implements measure.Measure.
 func (s Swale) Distance(x, y []float64) float64 {
 	measure.CheckSameLength(x, y)
-	m := len(x)
-	sc, prev, cur := getRows(m + 1)
-	for j := 0; j <= m; j++ {
-		prev[j] = -s.P * float64(j)
+	v, _ := DP[swaleRows]{R: len(x), C: len(x), Rows: swaleRows{s, x, y}}.Serial(nil, math.Inf(1))
+	return -v
+}
+
+type swaleRows struct {
+	Swale
+	x, y []float64
+}
+
+// Boundary: every gap before the first match costs P.
+func (r swaleRows) Boundary(top, left []float64) float64 {
+	for t := range top {
+		top[t] = -r.P * float64(t+1)
 	}
-	for i := 1; i <= m; i++ {
-		cur[0] = -s.P * float64(i)
-		for j := 1; j <= m; j++ {
-			if math.Abs(x[i-1]-y[j-1]) <= s.Epsilon {
-				cur[j] = prev[j-1] + s.R
-			} else {
-				cur[j] = math.Max(prev[j], cur[j-1]) - s.P
-			}
+	copy(left, top)
+	return -r.P * float64(0)
+}
+
+func (r swaleRows) Row(i, j0, j1 int, prev, cur []float64) float64 {
+	xi := r.x[i-1]
+	for j := j0; j <= j1; j++ {
+		k := j - j0 + 1
+		if math.Abs(xi-r.y[j-1]) <= r.Epsilon {
+			cur[k] = prev[k-1] + r.R
+		} else {
+			cur[k] = math.Max(prev[k], cur[k-1]) - r.P
 		}
-		prev, cur = cur, prev
 	}
-	res := -prev[m]
-	sc.release(prev, cur)
-	return res
+	return math.Inf(-1)
 }
 
 // All returns one representative instance of each of the 7 elastic

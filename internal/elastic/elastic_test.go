@@ -127,7 +127,7 @@ func TestLBKeoghIsLowerBound(t *testing.T) {
 		x := randSeries(rng, n)
 		y := randSeries(rng, n)
 		wPct := 5 + rng.Intn(20)
-		w := windowSize(wPct, n)
+		w := WindowSize(wPct, n)
 		lb := LBKeogh(x, y, w)
 		dtw := DTW{DeltaPercent: wPct}.Distance(x, y)
 		return lb <= dtw+1e-9
@@ -435,13 +435,13 @@ func TestLengthMismatchPanics(t *testing.T) {
 }
 
 func TestWindowSize(t *testing.T) {
-	if windowSize(100, 50) != 50 {
+	if WindowSize(100, 50) != 50 {
 		t.Error("delta=100 must give full window")
 	}
-	if windowSize(10, 100) != 10 {
+	if WindowSize(10, 100) != 10 {
 		t.Error("delta=10 of 100 must give 10")
 	}
-	if windowSize(1, 10) != 1 {
+	if WindowSize(1, 10) != 1 {
 		t.Error("window must be at least 1")
 	}
 }
@@ -476,5 +476,29 @@ func BenchmarkMSM(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Distance(x, y)
+	}
+}
+
+// TestUnbandedDTW: on equal-length finite input UnbandedDTW is bitwise the
+// unconstrained Distance; it also aligns unequal lengths, and where a NaN
+// row makes Distance stop at +Inf it evaluates through to NaN.
+func TestUnbandedDTW(t *testing.T) {
+	x, y := randomSeries(41, 50), randomSeries(42, 50)
+	if got, want := UnbandedDTW(x, y), (DTW{DeltaPercent: 100}).Distance(x, y); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("UnbandedDTW %v != DTW(100) %v", got, want)
+	}
+	if d := UnbandedDTW(x, y[:20]); math.IsNaN(d) || math.IsInf(d, 0) {
+		t.Fatalf("unequal lengths: %v", d)
+	}
+	if d := UnbandedDTW(nil, y); d != 0 {
+		t.Fatalf("empty side: %v, want 0", d)
+	}
+	xn := append([]float64(nil), x...)
+	xn[10] = math.NaN()
+	if d := (DTW{DeltaPercent: 100}).Distance(xn, y); !math.IsInf(d, 1) {
+		t.Fatalf("Distance on a NaN row = %v, want +Inf", d)
+	}
+	if d := UnbandedDTW(xn, y); !math.IsNaN(d) {
+		t.Fatalf("UnbandedDTW on a NaN row = %v, want NaN", d)
 	}
 }

@@ -9,9 +9,7 @@ import (
 
 // This file implements the elastic-measure extensions Section 7 of the
 // paper surveys but excludes from its core evaluation (DDTW, WDTW, CID) —
-// provided here as the paper's suggested future-work territory — and the
-// precomputed-envelope form of LB_Keogh that makes pruned 1-NN search
-// practical.
+// provided here as the paper's suggested future-work territory.
 
 // DDTW is Derivative DTW (Keogh & Pazzani / Górecki & Łuczak): DTW applied
 // to the first-order derivative estimate of each series, aligning on shape
@@ -96,9 +94,6 @@ func (w WDTW) Symmetric() bool { return true }
 func (w WDTW) Distance(x, y []float64) float64 {
 	measure.CheckSameLength(x, y)
 	m := len(x)
-	if m == 0 {
-		return 0
-	}
 	wmax := w.WMax
 	if wmax == 0 {
 		wmax = 1
@@ -109,34 +104,34 @@ func (w WDTW) Distance(x, y []float64) float64 {
 	for a := range weights {
 		weights[a] = wmax / (1 + math.Exp(-w.G*(float64(a)-mid)))
 	}
-	inf := math.Inf(1)
-	prev := make([]float64, m+1)
-	cur := make([]float64, m+1)
-	for j := range prev {
-		prev[j] = inf
-	}
-	prev[0] = 0
-	for i := 1; i <= m; i++ {
-		cur[0] = inf
-		for j := 1; j <= m; j++ {
-			diff := x[i-1] - y[j-1]
-			phase := i - j
-			if phase < 0 {
-				phase = -phase
-			}
-			c := weights[phase] * diff * diff
-			best := prev[j-1]
-			if prev[j] < best {
-				best = prev[j]
-			}
-			if cur[j-1] < best {
-				best = cur[j-1]
-			}
-			cur[j] = c + best
+	v, _ := DP[wdtwRows]{R: m, C: m, Rows: wdtwRows{weights: weights, x: x, y: y}}.Serial(nil, math.Inf(1))
+	return v
+}
+
+type wdtwRows struct {
+	InfBoundary
+	weights, x, y []float64
+}
+
+func (r wdtwRows) Row(i, j0, j1 int, prev, cur []float64) float64 {
+	for j := j0; j <= j1; j++ {
+		k := j - j0 + 1
+		diff := r.x[i-1] - r.y[j-1]
+		phase := i - j
+		if phase < 0 {
+			phase = -phase
 		}
-		prev, cur = cur, prev
+		c := r.weights[phase] * diff * diff
+		best := prev[k-1]
+		if prev[k] < best {
+			best = prev[k]
+		}
+		if cur[k-1] < best {
+			best = cur[k-1]
+		}
+		cur[k] = best + c
 	}
-	return prev[m]
+	return math.Inf(-1)
 }
 
 // CID wraps any base measure with the Complexity-Invariant correction of
@@ -178,66 +173,4 @@ func (c CID) Distance(x, y []float64) float64 {
 		return math.Inf(1) // flat vs complex: maximally dissimilar
 	}
 	return base * hi / lo
-}
-
-// Envelope holds the precomputed upper and lower running envelopes of a
-// series for a Sakoe-Chiba band of absolute half-width W, enabling
-// LB_Keogh evaluations in O(m) per query without rescanning windows.
-type Envelope struct {
-	Upper, Lower []float64
-	W            int
-}
-
-// NewEnvelope builds the envelope of y in O(m) using Lemire's monotonic
-// deques (shared with DTW's bound context; see bounds.go).
-func NewEnvelope(y []float64, w int) *Envelope {
-	m := len(y)
-	e := &Envelope{Upper: make([]float64, m), Lower: make([]float64, m), W: w}
-	fillEnvelope(e.Upper, e.Lower, y, w, make([]int, m), make([]int, m))
-	return e
-}
-
-// LBKeogh returns the LB_Keogh lower bound of DTW(x, y) against the
-// precomputed envelope of y, in O(m). Equivalent to the package-level
-// LBKeogh for the same band width.
-func (e *Envelope) LBKeogh(x []float64) float64 {
-	if len(x) != len(e.Upper) {
-		panic(fmt.Sprintf("elastic: envelope length %d, query length %d", len(e.Upper), len(x)))
-	}
-	var s float64
-	for i, v := range x {
-		switch {
-		case v > e.Upper[i]:
-			d := v - e.Upper[i]
-			s += d * d
-		case v < e.Lower[i]:
-			d := e.Lower[i] - v
-			s += d * d
-		}
-	}
-	return s
-}
-
-// NNSearchDTW runs 1-NN search of query against refs under DTW with the
-// given band percentage, pruning candidates whose LB_Keogh (against the
-// precomputed query envelope) cannot beat the best distance so far. It
-// returns the index of the nearest reference, its DTW distance, and the
-// number of full DTW computations avoided. Envelope-based pruning uses the
-// query's envelope, exploiting LB_Keogh(y, env(x)) <= DTW(x, y).
-func NNSearchDTW(query []float64, refs [][]float64, deltaPercent int) (best int, bestDist float64, pruned int) {
-	w := windowSize(deltaPercent, len(query))
-	env := NewEnvelope(query, w)
-	dtw := DTW{DeltaPercent: deltaPercent}
-	best = -1
-	for i, r := range refs {
-		if best >= 0 && env.LBKeogh(r) >= bestDist {
-			pruned++
-			continue
-		}
-		d := dtw.Distance(query, r)
-		if best == -1 || d < bestDist {
-			best, bestDist = i, d
-		}
-	}
-	return best, bestDist, pruned
 }

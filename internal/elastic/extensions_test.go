@@ -148,14 +148,14 @@ func TestEnvelopeMatchesBruteForce(t *testing.T) {
 		m := 5 + rng.Intn(60)
 		w := rng.Intn(m)
 		y := randSeries(rng, m)
-		env := NewEnvelope(y, w)
+		upper, lower := envelope(y, w)
 		for i := 0; i < m; i++ {
 			lo, hi := math.Inf(1), math.Inf(-1)
 			for j := max(0, i-w); j <= min(m-1, i+w); j++ {
 				lo = math.Min(lo, y[j])
 				hi = math.Max(hi, y[j])
 			}
-			if env.Lower[i] != lo || env.Upper[i] != hi {
+			if lower[i] != lo || upper[i] != hi {
 				return false
 			}
 		}
@@ -171,96 +171,43 @@ func TestEnvelopeLBKeoghMatchesDirect(t *testing.T) {
 	x := randSeries(rng, 80)
 	y := randSeries(rng, 80)
 	w := 8
-	env := NewEnvelope(y, w)
-	direct := LBKeogh(x, y, w)
-	fast := env.LBKeogh(x)
+	upper, lower := envelope(y, w)
+	direct := naiveLBKeogh(x, y, w)
+	fast := lbKeoghEnvelope(x, upper, lower, math.Inf(1))
 	if math.Abs(direct-fast) > 1e-12 {
 		t.Fatalf("envelope LB %g != direct %g", fast, direct)
+	}
+	// An abandoned evaluation stops at a partial sum that has reached the
+	// cutoff and never exceeds the full bound.
+	if part := lbKeoghEnvelope(x, upper, lower, fast/2); part < fast/2 || part > fast {
+		t.Fatalf("abandoned LB %g outside [%g, %g]", part, fast/2, fast)
 	}
 }
 
 func TestEnvelopeLBKeoghLengthMismatchPanics(t *testing.T) {
-	env := NewEnvelope([]float64{1, 2, 3}, 1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	env.LBKeogh([]float64{1, 2})
-}
-
-func TestNNSearchDTWCorrectAndPrunes(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	// References: clusters around two prototypes so pruning has traction.
-	proto1 := make([]float64, 64)
-	proto2 := make([]float64, 64)
-	for i := range proto1 {
-		proto1[i] = math.Sin(2 * math.Pi * float64(i) / 16)
-		proto2[i] = math.Sin(2*math.Pi*float64(i)/16+math.Pi) * 3
-	}
-	refs := make([][]float64, 40)
-	for i := range refs {
-		base := proto1
-		if i%2 == 1 {
-			base = proto2
-		}
-		r := make([]float64, 64)
-		for j := range r {
-			r[j] = base[j] + 0.1*rng.NormFloat64()
-		}
-		refs[i] = r
-	}
-	query := make([]float64, 64)
-	for j := range query {
-		query[j] = proto1[j] + 0.05*rng.NormFloat64()
-	}
-	best, bestDist, pruned := NNSearchDTW(query, refs, 10)
-	// Verify against exhaustive search.
-	dtw := DTW{DeltaPercent: 10}
-	wantBest, wantDist := -1, 0.0
-	for i, r := range refs {
-		d := dtw.Distance(query, r)
-		if wantBest == -1 || d < wantDist {
-			wantBest, wantDist = i, d
-		}
-	}
-	if best != wantBest || math.Abs(bestDist-wantDist) > 1e-9 {
-		t.Fatalf("NN search found %d (%g), want %d (%g)", best, bestDist, wantBest, wantDist)
-	}
-	if pruned == 0 {
-		t.Error("expected some pruning on clustered references")
-	}
+	LBKeogh([]float64{1, 2}, []float64{1, 2, 3}, 1)
 }
 
 func TestLBKeoghEnvelopeBoundsDTW(t *testing.T) {
-	// The pruning in NNSearchDTW relies on LB_Keogh(r, env(q)) <= DTW(q, r).
+	// The search cascade relies on LB_Keogh(r, env(q)) <= DTW(q, r).
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m := 8 + rng.Intn(40)
 		q := randSeries(rng, m)
 		r := randSeries(rng, m)
 		pct := 5 + rng.Intn(20)
-		w := windowSize(pct, m)
-		env := NewEnvelope(q, w)
-		return env.LBKeogh(r) <= DTW{DeltaPercent: pct}.Distance(q, r)+1e-9
+		w := WindowSize(pct, m)
+		upper, lower := envelope(q, w)
+		return lbKeoghEnvelope(r, upper, lower, math.Inf(1)) <= DTW{DeltaPercent: pct}.Distance(q, r)+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func TestDDBlendEndpoints(t *testing.T) {

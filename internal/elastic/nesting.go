@@ -9,7 +9,7 @@ import "repro/internal/measure"
 //
 // Nesting proofs (sketched; DESIGN.md has the full argument):
 //
-//   - DTW: windowSize is monotone nondecreasing in DeltaPercent for every
+//   - DTW: WindowSize is monotone nondecreasing in DeltaPercent for every
 //     length, and widening the Sakoe-Chiba band only adds warping paths, so
 //     the DP minimum can only decrease. The floating-point DP preserves
 //     this exactly: by induction over cells, every wide-band cell value is

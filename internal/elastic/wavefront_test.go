@@ -6,8 +6,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
+
+	"repro/internal/measure"
 )
 
 // wavefronter is the surface shared by the six blocked elastic measures.
@@ -67,26 +70,65 @@ func wfSeries(rng *rand.Rand, n int) []float64 {
 	return s
 }
 
-// TestWavefrontBitwiseScalar is the exactness property test of the issue:
-// the blocked wavefront path must be bitwise-identical to the scalar DP for
-// every Table-4 grid point, across lengths that exercise single-block,
-// ragged-edge, and multi-diagonal schedules.
+// wfPairs returns the finite pair (x, y) plus copies planting NaN, +Inf and
+// -Inf in x, and +Inf in both series (so inf-inf turns a cell NaN).
+func wfPairs(rng *rand.Rand, n int) [][2][]float64 {
+	x, y := wfSeries(rng, n), wfSeries(rng, n)
+	pairs := [][2][]float64{{x, y}}
+	plant := func(s []float64, v float64) []float64 {
+		c := append([]float64(nil), s...)
+		c[rng.Intn(n)] = v
+		return c
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		pairs = append(pairs, [2][]float64{plant(x, v), y})
+	}
+	return append(pairs, [2][]float64{plant(x, math.Inf(1)), plant(y, math.Inf(1))})
+}
+
+func allFinite(s []float64) bool {
+	for _, v := range s {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestWavefrontBitwiseScalar is the exactness property test of the blocked
+// route: for every Table-4 grid point, across block edges, lengths that
+// exercise single-block, ragged-edge and multi-diagonal schedules, and
+// worker counts, the wavefront must be bitwise-identical to the serial DP on
+// finite input. On NaN and ±Inf input the serial DTW can stop at an
+// all-+Inf row that the wavefront evaluates through, so there the two must
+// agree after measure.Sanitize (the oracle's rule). Passing at GOMAXPROCS 1
+// and 4 checks that the blocked result does not depend on the worker count.
 func TestWavefrontBitwiseScalar(t *testing.T) {
 	defer func(b int) { wfBlock = b }(wfBlock)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(61))
-	for _, block := range []int{8, 256} {
-		wfBlock = block
-		for _, n := range []int{1, 2, 3, 7, 8, 9, 33, 64} {
-			x, y := wfSeries(rng, n), wfSeries(rng, n)
-			for _, m := range table4Wavefronters() {
-				want := m.Distance(x, y)
-				got, err := m.DistanceWavefront(context.Background(), x, y)
-				if err != nil {
-					t.Fatalf("%s block=%d n=%d: %v", m.Name(), block, n, err)
-				}
-				if math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("%s block=%d n=%d: wavefront %v != scalar %v",
-						m.Name(), block, n, got, want)
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, block := range []int{4, 8, 256} {
+			wfBlock = block
+			for _, n := range []int{1, 2, 3, 7, 8, 9, 33, 64} {
+				for _, pair := range wfPairs(rng, n) {
+					x, y := pair[0], pair[1]
+					finite := allFinite(x) && allFinite(y)
+					for _, m := range table4Wavefronters() {
+						want := m.Distance(x, y)
+						got, err := m.DistanceWavefront(context.Background(), x, y)
+						if err != nil {
+							t.Fatalf("%s procs=%d block=%d n=%d: %v", m.Name(), procs, block, n, err)
+						}
+						if !finite {
+							got, want = measure.Sanitize(got), measure.Sanitize(want)
+						}
+						if math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("%s procs=%d block=%d n=%d finite=%v: wavefront %v != serial %v",
+								m.Name(), procs, block, n, finite, got, want)
+						}
+					}
 				}
 			}
 		}
@@ -150,9 +192,8 @@ func TestWavefrontCancelDuringRun(t *testing.T) {
 	}
 }
 
-// TestElasticDistanceAllocFree pins the satellite fix: every scalar elastic
-// Distance runs allocation-free once the row pool is warm (DTW already did
-// through dtwPool; MSM and TWE used to allocate fresh rows per call).
+// TestElasticDistanceAllocFree: every serial elastic Distance runs
+// allocation-free once the driver's row pool is warm.
 func TestElasticDistanceAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under -race; allocation counts are meaningless")
@@ -174,15 +215,17 @@ func TestElasticDistanceAllocFree(t *testing.T) {
 	}
 }
 
-// Benchmarks for the scalar-vs-wavefront crossover; make bench records them
-// into BENCH_hotloops.json.
+// Benchmarks for the serial-vs-wavefront crossover that sets
+// wavefrontMinSpan; make bench records them into BENCH_hotloops.json. DTW
+// runs a 10% band (205, 409 and 819 cells wide at n=1024, 2048 and 4096);
+// MSM is unbanded.
 func benchSeries(n int) ([]float64, []float64) {
 	rng := rand.New(rand.NewSource(3))
 	return wfSeries(rng, n), wfSeries(rng, n)
 }
 
 func BenchmarkHotloopsDTWScalar(b *testing.B) {
-	for _, n := range []int{1024, 4096} {
+	for _, n := range []int{1024, 2048, 4096} {
 		x, y := benchSeries(n)
 		d := DTW{DeltaPercent: 10}
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -195,7 +238,7 @@ func BenchmarkHotloopsDTWScalar(b *testing.B) {
 }
 
 func BenchmarkHotloopsDTWWavefront(b *testing.B) {
-	for _, n := range []int{1024, 4096} {
+	for _, n := range []int{1024, 2048, 4096} {
 		x, y := benchSeries(n)
 		d := DTW{DeltaPercent: 10}
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -207,6 +250,30 @@ func BenchmarkHotloopsDTWWavefront(b *testing.B) {
 			}
 		})
 	}
+}
+
+func BenchmarkHotloopsMSMScalar(b *testing.B) {
+	x, y := benchSeries(1024)
+	p := MSM{C: 0.5}.dp(x, y)
+	b.Run("n=1024", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			p.Serial(nil, math.Inf(1))
+		}
+	})
+}
+
+func BenchmarkHotloopsMSMWavefront(b *testing.B) {
+	x, y := benchSeries(1024)
+	m := MSM{C: 0.5}
+	b.Run("n=1024", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := m.DistanceWavefront(context.Background(), x, y); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func BenchmarkHotloopsMSMDistance(b *testing.B) {

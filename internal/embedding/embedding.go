@@ -18,8 +18,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
+	"repro/internal/elastic"
 	"repro/internal/kernel"
 	"repro/internal/kshape"
 	"repro/internal/linalg"
@@ -315,77 +315,11 @@ func (r *RWS) Transform(x []float64) []float64 {
 	}
 	out := make([]float64, len(r.series))
 	scale := 1 / math.Sqrt(float64(len(r.series)))
-	sc := dtwPool.Get().(*dtwScratch)
 	for i, w := range r.series {
-		d := dtwUnconstrainedTo(x, w, sc)
+		d := elastic.UnbandedDTW(x, w)
 		out[i] = scale * math.Exp(-d/float64(len(x)))
 	}
-	dtwPool.Put(sc)
 	return out
-}
-
-// dtwScratch holds the two DP rows of the unconstrained DTW recursion so
-// the ~Dim alignments of one Transform call (and the Dim^2/2 of one Fit)
-// reuse a single pair of buffers instead of allocating per alignment.
-type dtwScratch struct {
-	prev, cur []float64
-}
-
-// row returns the scratch rows sized for n+1 columns, growing them only
-// when a longer series than any before arrives.
-func (s *dtwScratch) rows(n int) ([]float64, []float64) {
-	if cap(s.prev) < n+1 {
-		s.prev = make([]float64, n+1)
-		s.cur = make([]float64, n+1)
-	}
-	return s.prev[:n+1], s.cur[:n+1]
-}
-
-// dtwPool shares scratch across the concurrent Transform calls of the
-// evaluation layer's per-series preparation; scratch is never held across
-// a Get/Put window, so pool reuse cannot alias live buffers.
-var dtwPool = sync.Pool{New: func() any { return new(dtwScratch) }}
-
-// dtwUnconstrained is a banded-free DTW over series of different lengths
-// with squared point costs, used to align against short random series and
-// landmark prototypes.
-func dtwUnconstrained(x, y []float64) float64 {
-	sc := dtwPool.Get().(*dtwScratch)
-	d := dtwUnconstrainedTo(x, y, sc)
-	dtwPool.Put(sc)
-	return d
-}
-
-// dtwUnconstrainedTo is dtwUnconstrained on caller-provided scratch. The
-// recursion is unchanged — identical operations in identical order — so
-// pooling the rows does not move a single bit of the result.
-func dtwUnconstrainedTo(x, y []float64, sc *dtwScratch) float64 {
-	m, n := len(x), len(y)
-	if m == 0 || n == 0 {
-		return 0
-	}
-	inf := math.Inf(1)
-	prev, cur := sc.rows(n)
-	for j := range prev {
-		prev[j] = inf
-	}
-	prev[0] = 0
-	for i := 1; i <= m; i++ {
-		cur[0] = inf
-		for j := 1; j <= n; j++ {
-			c := x[i-1] - y[j-1]
-			best := prev[j-1]
-			if prev[j] < best {
-				best = prev[j]
-			}
-			if cur[j-1] < best {
-				best = cur[j-1]
-			}
-			cur[j] = c*c + best
-		}
-		prev, cur = cur, prev
-	}
-	return prev[n]
 }
 
 //
@@ -430,9 +364,9 @@ func (s *SPIRAL) FitCtx(ctx context.Context, train [][]float64) error {
 	s.landmarks = sampleLandmarks(train, dim, s.Seed)
 	d := len(s.landmarks)
 	// Squared DTW distances between landmarks: the upper-triangle pairs
-	// are independent, so they are dispatched in parallel with one DTW
-	// scratch per worker; each pair's recursion is untouched, so the
-	// matrix is bitwise the one the serial double loop produced.
+	// are independent, so they are dispatched in parallel; each pair's
+	// recursion is untouched, so the matrix is bitwise the one the serial
+	// double loop produced.
 	sq := linalg.NewMatrix(d, d)
 	type pair struct{ i, j int }
 	pairs := make([]pair, 0, d*(d-1)/2)
@@ -442,10 +376,9 @@ func (s *SPIRAL) FitCtx(ctx context.Context, train [][]float64) error {
 		}
 	}
 	workers := par.Workers(len(pairs))
-	scratch := make([]dtwScratch, workers)
 	if err := par.ForShardCtx(ctx, len(pairs), workers, func(worker, t int) {
 		p := pairs[t]
-		v := dtwUnconstrainedTo(s.landmarks[p.i], s.landmarks[p.j], &scratch[worker])
+		v := elastic.UnbandedDTW(s.landmarks[p.i], s.landmarks[p.j])
 		sq.Set(p.i, p.j, v)
 		sq.Set(p.j, p.i, v)
 	}); err != nil {
@@ -497,11 +430,9 @@ func (s *SPIRAL) Transform(x []float64) []float64 {
 	}
 	d := len(s.landmarks)
 	delta := make([]float64, d)
-	sc := dtwPool.Get().(*dtwScratch)
 	for i, l := range s.landmarks {
-		delta[i] = dtwUnconstrainedTo(x, l, sc) - s.colMean[i]
+		delta[i] = elastic.UnbandedDTW(x, l) - s.colMean[i]
 	}
-	dtwPool.Put(sc)
 	z := make([]float64, s.proj.Cols)
 	for r, dv := range delta {
 		if dv == 0 {

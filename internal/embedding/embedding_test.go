@@ -300,11 +300,11 @@ func TestFitPanicsOnEmptyTrain(t *testing.T) {
 func TestDTWUnconstrainedUnequalLengths(t *testing.T) {
 	x := []float64{0, 1, 2, 1, 0}
 	y := []float64{0, 2, 0}
-	d := dtwUnconstrained(x, y)
+	d := elastic.UnbandedDTW(x, y)
 	if math.IsInf(d, 0) || math.IsNaN(d) {
 		t.Fatalf("dtwUnconstrained = %g", d)
 	}
-	if dSelf := dtwUnconstrained(x, x); dSelf != 0 {
+	if dSelf := elastic.UnbandedDTW(x, x); dSelf != 0 {
 		t.Fatalf("dtwUnconstrained(x,x) = %g", dSelf)
 	}
 }

@@ -1,15 +1,16 @@
 package multivariate
 
 // Dependent generalizations of the elastic measures: one warping path over
-// vector-valued points. The DPs run over the m-by-n cost matrix — the two
-// series may differ in length, exactly as in the univariate definitions —
-// with the rolling two-row layout borrowed from the internal/elastic row
-// pool, so warm calls are allocation-free. Point costs reduce to the
-// univariate costs at one channel (squared difference for DTW, absolute
-// difference for ERP and MSM), and every recurrence replicates its
-// univariate counterpart's operation order, so at d=1 the dependent
-// measures are bitwise identical to internal/elastic — the oracle harness
-// pins this.
+// vector-valued points. Each measure supplies only its boundary and its
+// vector-cost row function; the DPs run over the m-by-n cost matrix — the
+// two series may differ in length, exactly as in the univariate
+// definitions — on the serial path of the internal/elastic DP driver,
+// which owns the pooled rows, band, abandoning and ctx polling, so warm
+// calls are allocation-free. Point costs reduce to the univariate costs at
+// one channel (squared difference for DTW, absolute difference for ERP and
+// MSM) and each row function combines them in its univariate counterpart's
+// operation order, so at d=1 the dependent measures are bitwise identical
+// to internal/elastic — the oracle harness pins this.
 
 import (
 	"context"
@@ -18,36 +19,6 @@ import (
 
 	"repro/internal/elastic"
 )
-
-// ctxCheckRows is how many DP rows run between cooperative cancellation
-// checks on the DistanceCtx routes.
-const ctxCheckRows = 64
-
-// bandWidth converts a Sakoe-Chiba window percentage into an absolute band
-// half-width for an m-by-n DP: the univariate convention applied to the
-// longer series, widened to |m-n| so the (m, n) corner stays reachable.
-// At m == n it reduces exactly to the univariate window.
-func bandWidth(deltaPercent, m, n int) int {
-	longest := m
-	if n > longest {
-		longest = n
-	}
-	w := longest
-	if deltaPercent < 100 {
-		w = deltaPercent * longest / 100
-		if w < 1 {
-			w = 1
-		}
-	}
-	diff := m - n
-	if diff < 0 {
-		diff = -diff
-	}
-	if w < diff {
-		w = diff
-	}
-	return w
-}
 
 // sqDist is the squared Euclidean distance between two d-dimensional
 // points; at d=1 it performs exactly the univariate (x-y)^2.
@@ -74,8 +45,9 @@ func l1Dist(a, b []float64) float64 {
 // vector-valued points (DTW-D): the point cost is the squared Euclidean
 // distance between the two d-dimensional samples. DeltaPercent is the
 // Sakoe-Chiba band, as in the univariate DTW. Unequal-length pairs run the
-// m-by-n banded DP; when exactly one series is empty the distance is +Inf
-// (no alignment exists), and two empty series are at distance 0.
+// m-by-n banded DP; when exactly one series is empty only the +Inf DP
+// boundary remains, so the distance is +Inf (no alignment exists), and two
+// empty series are at distance 0.
 type DTWDependent struct {
 	DeltaPercent int
 }
@@ -88,94 +60,57 @@ func (d DTWDependent) Name() string { return fmt.Sprintf("mv-dtw-d[d=%d]", d.Del
 func (d DTWDependent) Symmetric() bool { return true }
 
 // Distance implements Measure.
-func (d DTWDependent) Distance(x, y Series) float64 {
-	return d.distance(nil, x, y, math.Inf(1))
-}
+func (d DTWDependent) Distance(x, y Series) float64 { return d.DistanceUpTo(x, y, math.Inf(1)) }
 
 // DistanceUpTo implements EarlyAbandoning with the univariate DTW
 // contract: banded DP abandoned once an entire row reaches cutoff, the row
 // minimum being a certified lower bound.
 func (d DTWDependent) DistanceUpTo(x, y Series, cutoff float64) float64 {
-	return d.distance(nil, x, y, cutoff)
-}
-
-// DistanceCtx implements ContextMeasure, checking ctx every ctxCheckRows
-// DP rows.
-func (d DTWDependent) DistanceCtx(ctx context.Context, x, y Series) (float64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	return d.distanceErr(ctx, x, y, math.Inf(1))
-}
-
-func (d DTWDependent) distance(ctx context.Context, x, y Series, cutoff float64) float64 {
-	v, _ := d.distanceErr(ctx, x, y, cutoff)
+	v, _ := d.distanceErr(nil, x, y, cutoff)
 	return v
+}
+
+// DistanceCtx implements ContextMeasure.
+func (d DTWDependent) DistanceCtx(ctx context.Context, x, y Series) (float64, error) {
+	return d.distanceErr(ctx, x, y, math.Inf(1))
 }
 
 func (d DTWDependent) distanceErr(ctx context.Context, x, y Series, cutoff float64) (float64, error) {
 	checkChannels(x, y)
+	// The band is the univariate window of the longer series, widened to
+	// |m-n| so the (m, n) corner stays reachable; at m == n it is exactly
+	// the univariate window.
 	m, n := len(x), len(y)
-	if m == 0 && n == 0 {
-		return 0, nil
+	w := max(elastic.WindowSize(d.DeltaPercent, max(m, n)), m-n, n-m)
+	return elastic.DP[dtwRows]{R: m, C: n, W: w, OOB: math.Inf(1), Rows: dtwRows{x: x, y: y}}.Serial(ctx, cutoff)
+}
+
+type dtwRows struct {
+	elastic.InfBoundary
+	x, y Series
+}
+
+// Row returns the row minimum, DTW's certified lower bound.
+func (r dtwRows) Row(i, j0, j1 int, prev, cur []float64) float64 {
+	xi := r.x[i-1]
+	rowMin := math.Inf(1)
+	for j := j0; j <= j1; j++ {
+		k := j - j0 + 1
+		c := sqDist(xi, r.y[j-1])
+		best := prev[k-1] // diagonal
+		if prev[k] < best {
+			best = prev[k] // insertion
+		}
+		if cur[k-1] < best {
+			best = cur[k-1] // deletion
+		}
+		v := c + best
+		cur[k] = v
+		if v < rowMin {
+			rowMin = v
+		}
 	}
-	if m == 0 || n == 0 {
-		return math.Inf(1), nil
-	}
-	w := bandWidth(d.DeltaPercent, m, n)
-	inf := math.Inf(1)
-	s, prev, cur := elastic.BorrowRows(n + 1)
-	for j := range prev {
-		prev[j] = inf
-	}
-	prev[0] = 0
-	for i := 1; i <= m; i++ {
-		if ctx != nil && i%ctxCheckRows == 0 {
-			if err := ctx.Err(); err != nil {
-				s.Release(prev, cur)
-				return 0, err
-			}
-		}
-		lo := i - w
-		if lo < 1 {
-			lo = 1
-		}
-		hi := i + w
-		if hi > n {
-			hi = n
-		}
-		// The band advances by at most one cell per row, so only its fringe
-		// needs re-initializing (the univariate fringe-clearing pattern).
-		cur[lo-1] = inf
-		if hi < n {
-			cur[hi+1] = inf
-		}
-		rowMin := inf
-		xi := x[i-1]
-		for j := lo; j <= hi; j++ {
-			c := sqDist(xi, y[j-1])
-			best := prev[j-1] // diagonal
-			if prev[j] < best {
-				best = prev[j] // insertion
-			}
-			if cur[j-1] < best {
-				best = cur[j-1] // deletion
-			}
-			v := c + best
-			cur[j] = v
-			if v < rowMin {
-				rowMin = v
-			}
-		}
-		if rowMin >= cutoff {
-			s.Release(prev, cur)
-			return rowMin, nil
-		}
-		prev, cur = cur, prev
-	}
-	res := prev[n]
-	s.Release(prev, cur)
-	return res, nil
+	return rowMin
 }
 
 // ERPDependent is multivariate ERP with vector-valued points: gaps are
@@ -207,48 +142,48 @@ func (e ERPDependent) gapCost(p []float64) float64 {
 
 // Distance implements Measure.
 func (e ERPDependent) Distance(x, y Series) float64 {
-	v, _ := e.distanceErr(nil, x, y)
+	v, _ := e.DistanceCtx(context.Background(), x, y)
 	return v
 }
 
 // DistanceCtx implements ContextMeasure.
 func (e ERPDependent) DistanceCtx(ctx context.Context, x, y Series) (float64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	return e.distanceErr(ctx, x, y)
+	checkChannels(x, y)
+	return elastic.DP[erpRows]{R: len(x), C: len(y), Rows: erpRows{e, x, y}}.Serial(ctx, math.Inf(1))
 }
 
-func (e ERPDependent) distanceErr(ctx context.Context, x, y Series) (float64, error) {
-	checkChannels(x, y)
-	m, n := len(x), len(y)
-	s, prev, cur := elastic.BorrowRows(n + 1)
-	prev[0] = 0
-	for j := 1; j <= n; j++ {
-		prev[j] = prev[j-1] + e.gapCost(y[j-1])
+type erpRows struct {
+	ERPDependent
+	x, y Series
+}
+
+// Boundary: deleting a prefix costs its running gap penalty.
+func (r erpRows) Boundary(top, left []float64) float64 {
+	s := 0.0
+	for t := range top {
+		s += r.gapCost(r.y[t])
+		top[t] = s
 	}
-	for i := 1; i <= m; i++ {
-		if ctx != nil && i%ctxCheckRows == 0 {
-			if err := ctx.Err(); err != nil {
-				s.Release(prev, cur)
-				return 0, err
-			}
-		}
-		xi := x[i-1]
-		gx := e.gapCost(xi)
-		cur[0] = prev[0] + gx
-		for j := 1; j <= n; j++ {
-			yj := y[j-1]
-			match := prev[j-1] + l1Dist(xi, yj)
-			gapX := prev[j] + gx
-			gapY := cur[j-1] + e.gapCost(yj)
-			cur[j] = math.Min(match, math.Min(gapX, gapY))
-		}
-		prev, cur = cur, prev
+	s = 0
+	for t := range left {
+		s += r.gapCost(r.x[t])
+		left[t] = s
 	}
-	res := prev[n]
-	s.Release(prev, cur)
-	return res, nil
+	return 0
+}
+
+func (r erpRows) Row(i, j0, j1 int, prev, cur []float64) float64 {
+	xi := r.x[i-1]
+	gx := r.gapCost(xi)
+	for j := j0; j <= j1; j++ {
+		k := j - j0 + 1
+		yj := r.y[j-1]
+		match := prev[k-1] + l1Dist(xi, yj)
+		gapX := prev[k] + gx
+		gapY := cur[k-1] + r.gapCost(yj)
+		cur[k] = math.Min(match, math.Min(gapX, gapY))
+	}
+	return math.Inf(-1)
 }
 
 // MSMDependent is multivariate Move-Split-Merge with vector-valued points:
@@ -287,19 +222,12 @@ func (m MSMDependent) msmCost(p, a, b []float64) float64 {
 
 // Distance implements Measure.
 func (m MSMDependent) Distance(x, y Series) float64 {
-	v, _ := m.distanceErr(nil, x, y)
+	v, _ := m.DistanceCtx(context.Background(), x, y)
 	return v
 }
 
 // DistanceCtx implements ContextMeasure.
 func (m MSMDependent) DistanceCtx(ctx context.Context, x, y Series) (float64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	return m.distanceErr(ctx, x, y)
-}
-
-func (m MSMDependent) distanceErr(ctx context.Context, x, y Series) (float64, error) {
 	checkChannels(x, y)
 	mm, n := len(x), len(y)
 	if mm == 0 && n == 0 {
@@ -308,30 +236,40 @@ func (m MSMDependent) distanceErr(ctx context.Context, x, y Series) (float64, er
 	if mm == 0 || n == 0 {
 		return math.Inf(1), nil
 	}
-	s, prev, cur := elastic.BorrowRows(n)
-	prev[0] = l1Dist(x[0], y[0])
-	for j := 1; j < n; j++ {
-		prev[j] = prev[j-1] + m.msmCost(y[j], x[0], y[j-1])
+	return elastic.DP[msmRows]{R: mm - 1, C: n - 1, Rows: msmRows{m, x, y}}.Serial(ctx, math.Inf(1))
+}
+
+// msmRows runs MSM's interior over (x[i], y[j]), i, j >= 1; the
+// recurrence-defined first row and column are its boundary.
+type msmRows struct {
+	MSMDependent
+	x, y Series
+}
+
+func (r msmRows) Boundary(top, left []float64) float64 {
+	corner := l1Dist(r.x[0], r.y[0])
+	s := corner
+	for t := range top {
+		s += r.msmCost(r.y[t+1], r.x[0], r.y[t])
+		top[t] = s
 	}
-	for i := 1; i < mm; i++ {
-		if ctx != nil && i%ctxCheckRows == 0 {
-			if err := ctx.Err(); err != nil {
-				s.Release(prev, cur)
-				return 0, err
-			}
-		}
-		xi, xim := x[i], x[i-1]
-		cur[0] = prev[0] + m.msmCost(xi, xim, y[0])
-		for j := 1; j < n; j++ {
-			yj := y[j]
-			move := prev[j-1] + l1Dist(xi, yj)
-			split := prev[j] + m.msmCost(xi, xim, yj)
-			merge := cur[j-1] + m.msmCost(yj, xi, y[j-1])
-			cur[j] = math.Min(move, math.Min(split, merge))
-		}
-		prev, cur = cur, prev
+	s = corner
+	for t := range left {
+		s += r.msmCost(r.x[t+1], r.x[t], r.y[0])
+		left[t] = s
 	}
-	res := prev[n-1]
-	s.Release(prev, cur)
-	return res, nil
+	return corner
+}
+
+func (r msmRows) Row(i, j0, j1 int, prev, cur []float64) float64 {
+	xi, xim := r.x[i], r.x[i-1]
+	for j := j0; j <= j1; j++ {
+		k := j - j0 + 1
+		yj := r.y[j]
+		move := prev[k-1] + l1Dist(xi, yj)
+		split := prev[k] + r.msmCost(xi, xim, yj)
+		merge := cur[k-1] + r.msmCost(yj, xi, r.y[j-1])
+		cur[k] = math.Min(move, math.Min(split, merge))
+	}
+	return math.Inf(-1)
 }

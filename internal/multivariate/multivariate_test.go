@@ -285,3 +285,36 @@ func TestGenerateMVPanicsOnBadConfig(t *testing.T) {
 	}()
 	Generate(GenConfig{Length: 4, Channels: 0, NumClasses: 1, TrainSize: 0, TestSize: 0})
 }
+
+// TestDependentEmptySides pins what the elastic DP boundaries give when a
+// side is empty: two empty series are at distance 0, DTW-D, MSM-D and
+// soft-DTW put exactly one empty side at +Inf (no alignment exists), and
+// ERP-D charges the other side's cumulative gap penalty.
+func TestDependentEmptySides(t *testing.T) {
+	x := Series{{1, -2}, {0.5, 3}, {-1, 1}}
+	inf := math.Inf(1)
+	for _, c := range []struct {
+		m                 Measure
+		both, left, right float64
+	}{
+		{DTWDependent{DeltaPercent: 10}, 0, inf, inf},
+		{DTWDependent{DeltaPercent: 100}, 0, inf, inf},
+		{MSMDependent{C: 0.5}, 0, inf, inf},
+		{SoftDTW{Gamma: 1}, 0, inf, inf},
+		{SoftDTW{Gamma: 0.1, Normalize: true}, 0, inf, inf},
+		{ERPDependent{G: 0.5}, 0, 7.5, 7.5},
+	} {
+		for _, got := range []struct {
+			name    string
+			v, want float64
+		}{
+			{"both empty", c.m.Distance(nil, nil), c.both},
+			{"x empty", c.m.Distance(nil, x), c.left},
+			{"y empty", c.m.Distance(x, nil), c.right},
+		} {
+			if got.v != got.want {
+				t.Errorf("%s %s: got %v, want %v", c.m.Name(), got.name, got.v, got.want)
+			}
+		}
+	}
+}

@@ -52,29 +52,19 @@ func softMin3(a, b, c, gamma float64) float64 {
 
 // Distance implements Measure.
 func (s SoftDTW) Distance(x, y Series) float64 {
-	v, _ := s.distanceErr(nil, x, y)
+	v, _ := s.DistanceCtx(context.Background(), x, y)
 	return v
 }
 
 // DistanceCtx implements ContextMeasure.
 func (s SoftDTW) DistanceCtx(ctx context.Context, x, y Series) (float64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	return s.distanceErr(ctx, x, y)
-}
-
-func (s SoftDTW) distanceErr(ctx context.Context, x, y Series) (float64, error) {
 	checkChannels(x, y)
 	if !(s.Gamma > 0) {
 		panic(fmt.Sprintf("multivariate: soft-DTW gamma %g must be > 0", s.Gamma))
 	}
-	if !s.Normalize {
-		return s.raw(ctx, x, y)
-	}
 	xy, err := s.raw(ctx, x, y)
-	if err != nil {
-		return 0, err
+	if err != nil || !s.Normalize {
+		return xy, err
 	}
 	xx, err := s.raw(ctx, x, x)
 	if err != nil {
@@ -87,36 +77,25 @@ func (s SoftDTW) distanceErr(ctx context.Context, x, y Series) (float64, error) 
 	return math.Abs(xy - 0.5*(xx+yy)), nil
 }
 
+// raw is the unnormalized soft-DTW value; an empty side leaves only the
+// +Inf DP boundary, so it is +Inf against a non-empty series and 0 between
+// two empty ones.
 func (s SoftDTW) raw(ctx context.Context, x, y Series) (float64, error) {
-	m, n := len(x), len(y)
-	if m == 0 && n == 0 {
-		return 0, nil
+	return elastic.DP[softRows]{R: len(x), C: len(y), Rows: softRows{x: x, y: y, gamma: s.Gamma}}.Serial(ctx, math.Inf(1))
+}
+
+type softRows struct {
+	elastic.InfBoundary
+	x, y  Series
+	gamma float64
+}
+
+func (r softRows) Row(i, j0, j1 int, prev, cur []float64) float64 {
+	xi := r.x[i-1]
+	for j := j0; j <= j1; j++ {
+		k := j - j0 + 1
+		cost := sqDist(xi, r.y[j-1])
+		cur[k] = cost + softMin3(prev[k-1], prev[k], cur[k-1], r.gamma)
 	}
-	if m == 0 || n == 0 {
-		return math.Inf(1), nil
-	}
-	inf := math.Inf(1)
-	sc, prev, cur := elastic.BorrowRows(n + 1)
-	for j := range prev {
-		prev[j] = inf
-	}
-	prev[0] = 0
-	for i := 1; i <= m; i++ {
-		if ctx != nil && i%ctxCheckRows == 0 {
-			if err := ctx.Err(); err != nil {
-				sc.Release(prev, cur)
-				return 0, err
-			}
-		}
-		cur[0] = inf
-		xi := x[i-1]
-		for j := 1; j <= n; j++ {
-			cost := sqDist(xi, y[j-1])
-			cur[j] = cost + softMin3(prev[j-1], prev[j], cur[j-1], s.Gamma)
-		}
-		prev, cur = cur, prev
-	}
-	res := prev[n]
-	sc.Release(prev, cur)
-	return res, nil
+	return math.Inf(-1)
 }

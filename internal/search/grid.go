@@ -56,8 +56,8 @@ import (
 // GridStats counts the work of a grid evaluation beyond the per-pair
 // counters of Stats.
 type GridStats struct {
-	Candidates int   // grid candidates evaluated
-	Waves      int   // warm-start dependency depth of the schedule
+	Candidates   int   // grid candidates evaluated
+	Waves        int   // warm-start dependency depth of the schedule
 	Rows         int64 // leave-one-out rows evaluated (candidates x series)
 	WarmRows     int64 // rows primed with a finite warm-start cutoff
 	Repaired     int64 // warm rows re-scanned cold (unachievable bound)

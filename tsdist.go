@@ -252,11 +252,15 @@ func Swale(epsilon, p, r float64) Measure { return elastic.Swale{Epsilon: epsilo
 // half-width w (used for pruning).
 func LBKeogh(x, y []float64, w int) float64 { return elastic.LBKeogh(x, y, w) }
 
-// NNSearchDTW runs LB_Keogh-pruned 1-NN search of query against refs under
-// DTW with the given band percentage, returning the nearest index, its
-// distance, and the number of full DTW computations pruned.
+// NNSearchDTW runs pruned 1-NN search of query against refs under DTW with
+// the given band percentage on the search engine, returning the nearest
+// index (-1 when refs is empty), its distance, and the number of candidates
+// pruned. pruned is the engine's Stats.LBPruned: it counts every candidate
+// the full lower-bound cascade (LB_Kim, LB_Keogh against each envelope, and
+// the reversed LB_Keogh) rejected without a DTW computation.
 func NNSearchDTW(query []float64, refs [][]float64, deltaPercent int) (best int, dist float64, pruned int) {
-	return elastic.NNSearchDTW(query, refs, deltaPercent)
+	res := search.OneNN(elastic.DTW{DeltaPercent: deltaPercent}, [][]float64{query}, refs)
+	return res.Indices[0], res.Distances[0], int(res.Stats.LBPruned)
 }
 
 // SearchResult holds per-query nearest-neighbor indices and distances from

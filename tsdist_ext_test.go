@@ -231,3 +231,46 @@ func TestFacadeISAX(t *testing.T) {
 		t.Fatalf("size = %d", ix.Size())
 	}
 }
+
+func TestNNSearchDTWCorrectAndPrunes(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	// References: clusters around two prototypes so pruning has traction.
+	proto1 := make([]float64, 64)
+	proto2 := make([]float64, 64)
+	for i := range proto1 {
+		proto1[i] = math.Sin(2 * math.Pi * float64(i) / 16)
+		proto2[i] = math.Sin(2*math.Pi*float64(i)/16+math.Pi) * 3
+	}
+	refs := make([][]float64, 40)
+	for i := range refs {
+		base := proto1
+		if i%2 == 1 {
+			base = proto2
+		}
+		r := make([]float64, 64)
+		for j := range r {
+			r[j] = base[j] + 0.1*rng.NormFloat64()
+		}
+		refs[i] = r
+	}
+	query := make([]float64, 64)
+	for j := range query {
+		query[j] = proto1[j] + 0.05*rng.NormFloat64()
+	}
+	best, bestDist, pruned := NNSearchDTW(query, refs, 10)
+	// Verify against exhaustive search.
+	dtw := DTW(10)
+	wantBest, wantDist := -1, 0.0
+	for i, r := range refs {
+		d := dtw.Distance(query, r)
+		if wantBest == -1 || d < wantDist {
+			wantBest, wantDist = i, d
+		}
+	}
+	if best != wantBest || math.Abs(bestDist-wantDist) > 1e-9 {
+		t.Fatalf("NN search found %d (%g), want %d (%g)", best, bestDist, wantBest, wantDist)
+	}
+	if pruned == 0 {
+		t.Error("expected some pruning on clustered references")
+	}
+}
