@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: fmt build test vet race check-race oracle oracle-long bench bench-compare golden smoke check
+.PHONY: fmt build test vet race check-race oracle oracle-long bench bench-compare perf golden smoke check
 
 # Fail when gofmt would reformat any Go file: gofmt -l prints the name of
 # every such file. Hidden directories (.git, tsperf's .bench_build caches)
@@ -88,6 +88,13 @@ bench-compare:
 	$(GO) run ./cmd/benchcompare -old BENCH_index.json -new /tmp/bench_new_index.json -threshold 35
 	$(GO) test -bench BenchmarkMultivariate -count=3 -benchmem ./internal/multivariate | $(GO) run ./cmd/benchjson -o /tmp/bench_new_multivariate.json
 	$(GO) run ./cmd/benchcompare -old BENCH_multivariate.json -new /tmp/bench_new_multivariate.json -threshold 35
+
+# End-to-end benchmark (cmd/tsperf, declared by BENCHMARK.json): builds
+# tsperf from source under cmd/tsperf/.bench_build and runs it in the
+# foreground; a full run takes minutes. Pass flags through PERF_FLAGS, e.g.
+#   make perf PERF_FLAGS='--workload query-warm --scale smoke'
+perf:
+	bash cmd/tsperf/run.sh $(PERF_FLAGS)
 
 # Regenerate the golden experiment outputs after an intentional change to
 # a measure, engine, or renderer; commit the resulting diff.

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -62,6 +63,8 @@ func main() {
 		os.Exit(2)
 	}
 
+	// The eval paths below run under context.Background, which never
+	// cancels, so their error results are always nil.
 	switch {
 	case entry.Category == core.Embedding:
 		e, err := core.NewEmbedder(entry.Name, *seed)
@@ -72,18 +75,18 @@ func main() {
 		nd := eval.Normalize(d, n)
 		e.Fit(nd.Train)
 		m := embedding.Measure{E: e}
-		acc := eval.TestAccuracy(m, nd, nil)
+		acc, _ := eval.TestAccuracyCtx(context.Background(), m, nd, nil)
 		fmt.Printf("dataset=%s measure=%s protocol=fit/train accuracy=%.4f\n", d.Name, m.Name(), acc)
 	case *supervised:
 		if len(entry.Grid.Candidates) == 0 {
 			fmt.Fprintf(os.Stderr, "tsclassify: %s is parameter-free; drop -supervised\n", entry.Name)
 			os.Exit(2)
 		}
-		acc, chosen := eval.SupervisedAccuracy(entry.Grid, d, n)
+		acc, chosen, _ := eval.SupervisedAccuracyCtx(context.Background(), entry.Grid, d, n)
 		fmt.Printf("dataset=%s measure=%s protocol=loocv chosen=%s accuracy=%.4f\n",
 			d.Name, entry.Name, chosen.Name(), acc)
 	default:
-		acc := eval.TestAccuracy(entry.Measure, d, n)
+		acc, _ := eval.TestAccuracyCtx(context.Background(), entry.Measure, d, n)
 		fmt.Printf("dataset=%s measure=%s protocol=fixed accuracy=%.4f\n", d.Name, entry.Measure.Name(), acc)
 	}
 }

@@ -13,7 +13,7 @@
 // small to benefit from approximation.
 //
 // The package sits below internal/corpus (snapshots own a fitted Index
-// per measure) and internal/search (OneNNApprox/KNNApprox drive Queriers
+// per measure) and internal/search (KNNApproxSnapshotCtx drives Queriers
 // in parallel); it must not import either.
 package ann
 
@@ -107,8 +107,9 @@ type Stats struct {
 // ExactState carries per-reference prepared state adopted from a corpus
 // snapshot so the index shares rather than recomputes it: Bounds[i] is a
 // filled bound context for reference i (nil slice when the measure is
-// not LowerBounded), Prep[i] its prepared state (nil slice when not
-// Stateful).
+// not LowerBounded or the caller holds none), Prep[i] its prepared state
+// (nil slice when not Stateful or not held). The zero value builds
+// everything inline.
 type ExactState struct {
 	Bounds []measure.BoundContext
 	Prep   []any
@@ -134,28 +135,14 @@ type Index struct {
 	prep     []any                  // per-ref, when stateful != nil
 }
 
-// Build constructs the index; see BuildCtx.
-func Build(refs [][]float64, m measure.Measure, cfg Config) *Index {
-	ix, err := BuildCtx(context.Background(), refs, m, cfg)
-	if err != nil {
-		panic(fmt.Sprintf("ann: Build: impossible error %v", err))
-	}
-	return ix
-}
-
 // BuildCtx fits the GRAIL embedder on the corpus, transforms every
-// series in parallel, and indexes the representations; ctx is observed
-// by the fit, the transform fan-out, and the tree build. An empty corpus
-// builds an empty index whose searches return no neighbors.
-func BuildCtx(ctx context.Context, refs [][]float64, m measure.Measure, cfg Config) (*Index, error) {
-	return BuildPreparedCtx(ctx, refs, m, cfg, ExactState{})
-}
-
-// BuildPreparedCtx is BuildCtx adopting already-computed exact state
-// (bound contexts, prepared states) from a corpus snapshot instead of
-// rebuilding it. Either slice may be nil; a non-nil slice must have one
-// entry per reference.
-func BuildPreparedCtx(ctx context.Context, refs [][]float64, m measure.Measure, cfg Config, st ExactState) (*Index, error) {
+// series in parallel, and indexes the representations; ctx is observed by
+// the fit, the transform fan-out, and the tree build. The exact re-rank
+// state is adopted from st when provided (a corpus snapshot's bound
+// contexts and prepared states) instead of being rebuilt: either slice may
+// be nil, and a non-nil slice must have one entry per reference. An empty
+// corpus builds an empty index whose searches return no neighbors.
+func BuildCtx(ctx context.Context, refs [][]float64, m measure.Measure, cfg Config, st ExactState) (*Index, error) {
 	ix := &Index{m: m, refs: refs, cfg: cfg}
 	ix.lb, _ = m.(measure.LowerBounded)
 	ix.ea, _ = m.(measure.EarlyAbandoning)

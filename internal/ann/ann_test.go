@@ -61,7 +61,7 @@ func TestFallbackIsExact(t *testing.T) {
 		kernel.SINK{Gamma: 5},
 		lockstep.Euclidean(),
 	} {
-		ix := Build(refs, m, Config{Seed: 3})
+		ix := build(t, refs, m, Config{Seed: 3})
 		qr := ix.NewQuerier()
 		for trial := 0; trial < 6; trial++ {
 			q := refs[rng.Intn(len(refs))]
@@ -94,7 +94,7 @@ func TestFallbackIsExact(t *testing.T) {
 func TestApproxRecall(t *testing.T) {
 	refs := testCorpus(256, 64, 4)
 	m := kernel.SINK{Gamma: 5}
-	ix := Build(refs, m, Config{Candidates: 24, Seed: 5})
+	ix := build(t, refs, m, Config{Candidates: 24, Seed: 5})
 	qr := ix.NewQuerier()
 	queries := dataset.Generate(dataset.Config{
 		Name: "q", Family: dataset.FamilyHarmonic,
@@ -132,7 +132,7 @@ func TestApproxRecall(t *testing.T) {
 func TestKNNDistancesAreExact(t *testing.T) {
 	refs := testCorpus(128, 64, 7)
 	m := elastic.DTW{DeltaPercent: 10}
-	ix := Build(refs, m, Config{Candidates: 16, Seed: 8})
+	ix := build(t, refs, m, Config{Candidates: 16, Seed: 8})
 	qr := ix.NewQuerier()
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 10; trial++ {
@@ -155,13 +155,23 @@ func TestKNNDistancesAreExact(t *testing.T) {
 	}
 }
 
+// build is BuildCtx over a background context with no adopted state.
+func build(tb testing.TB, refs [][]float64, m measure.Measure, cfg Config) *Index {
+	tb.Helper()
+	ix, err := BuildCtx(context.Background(), refs, m, cfg, ExactState{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ix
+}
+
 // TestBuildPreparedAdoptsState checks that an index built from adopted
 // snapshot state answers identically to one that built its own.
 func TestBuildPreparedAdoptsState(t *testing.T) {
 	refs := testCorpus(64, 64, 10)
 	m := elastic.DTW{DeltaPercent: 10}
 	cfg := Config{Candidates: 12, Seed: 11}
-	own := Build(refs, m, cfg)
+	own := build(t, refs, m, cfg)
 
 	lb := measure.LowerBounded(m)
 	bounds := make([]measure.BoundContext, len(refs))
@@ -169,7 +179,7 @@ func TestBuildPreparedAdoptsState(t *testing.T) {
 		bounds[i] = lb.NewBoundContext(len(r))
 		bounds[i].Fill(r)
 	}
-	adopted, err := BuildPreparedCtx(context.Background(), refs, m, cfg, ExactState{Bounds: bounds})
+	adopted, err := BuildCtx(context.Background(), refs, m, cfg, ExactState{Bounds: bounds})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,14 +199,14 @@ func TestBuildPreparedAdoptsState(t *testing.T) {
 func TestBuildCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := BuildCtx(ctx, testCorpus(64, 64, 13), lockstep.Euclidean(), Config{}); err == nil {
+	if _, err := BuildCtx(ctx, testCorpus(64, 64, 13), lockstep.Euclidean(), Config{}, ExactState{}); err == nil {
 		t.Fatal("cancelled build returned nil error")
 	}
 }
 
 // TestEmptyAndDegenerate covers the empty corpus and k > n.
 func TestEmptyAndDegenerate(t *testing.T) {
-	ix := Build(nil, lockstep.Euclidean(), Config{})
+	ix := build(t, nil, lockstep.Euclidean(), Config{})
 	qr := ix.NewQuerier()
 	if best, d, _ := qr.OneNN([]float64{1, 2}); best != -1 || !math.IsInf(d, 1) {
 		t.Fatalf("empty index NN = (%d, %g)", best, d)
@@ -205,7 +215,7 @@ func TestEmptyAndDegenerate(t *testing.T) {
 		t.Fatalf("empty index KNN returned %d neighbors", len(nbs))
 	}
 	refs := testCorpus(8, 32, 14)
-	ix = Build(refs, lockstep.Euclidean(), Config{Seed: 15})
+	ix = build(t, refs, lockstep.Euclidean(), Config{Seed: 15})
 	nbs, _ := ix.NewQuerier().KNN(refs[0], 100)
 	if len(nbs) != 8 {
 		t.Fatalf("k > n returned %d neighbors, want 8", len(nbs))
@@ -218,7 +228,7 @@ func TestEmptyAndDegenerate(t *testing.T) {
 func TestConcurrentQueriers(t *testing.T) {
 	refs := testCorpus(200, 64, 16)
 	m := elastic.DTW{DeltaPercent: 10}
-	ix := Build(refs, m, Config{Candidates: 16, Seed: 17})
+	ix := build(t, refs, m, Config{Candidates: 16, Seed: 17})
 	want := make([]float64, 16)
 	base := ix.NewQuerier()
 	for i := range want {

@@ -37,7 +37,7 @@ func benchSetup(b *testing.B) {
 		benchState.refs = d.Train
 		benchState.queries = d.Test
 		benchState.m = elastic.DTW{DeltaPercent: 10}
-		benchState.ix = Build(benchState.refs, benchState.m, Config{Seed: 2})
+		benchState.ix = build(b, benchState.refs, benchState.m, Config{Seed: 2})
 		benchState.qr = benchState.ix.NewQuerier()
 	})
 	b.ReportAllocs()

@@ -35,7 +35,7 @@ func BenchmarkSnapshotQuery(b *testing.B) {
 		query := d.Test[:1]
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			search.OneNN(m, query, d.Train)
+			search.OneNNCtx(context.Background(), m, query, d.Train)
 		}
 	})
 	b.Run("onenn-sink/warm", func(b *testing.B) {
@@ -45,7 +45,7 @@ func BenchmarkSnapshotQuery(b *testing.B) {
 		snap := corpus.Build(d.Train, corpus.Options{Measures: []measure.Measure{m}})
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			search.OneNNSnapshot(m, query, d.Train, snap)
+			search.OneNNSnapshotCtx(context.Background(), m, query, d.Train, snap)
 		}
 	})
 	b.Run("tuning-sink/cold", func(b *testing.B) {
@@ -53,7 +53,7 @@ func BenchmarkSnapshotQuery(b *testing.B) {
 		g := eval.Thin(eval.SINKGrid(), 2)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			eval.TuneSupervised(g, d.Train, d.TrainLabels)
+			eval.TuneSupervisedCtx(context.Background(), g, d.Train, d.TrainLabels, nil)
 		}
 	})
 	b.Run("tuning-sink/warm", func(b *testing.B) {
@@ -71,7 +71,7 @@ func BenchmarkSnapshotQuery(b *testing.B) {
 			// the cache key; keep that cost inside the timed loop.
 			k := corpus.Key{FP: corpus.FingerprintOf(d.Train), Measure: g.Name, Band: "tuned/stride=2"}
 			cache.GetOrBuildCtx(ctx, k, func(ctx context.Context) (any, error) {
-				m, acc, err := eval.TuneSupervisedSnapshotCtx(ctx, g, d.Train, d.TrainLabels, snap)
+				m, acc, _, err := eval.TuneSupervisedCtx(ctx, g, d.Train, d.TrainLabels, snap)
 				if err != nil {
 					return nil, err
 				}

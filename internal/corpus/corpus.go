@@ -10,12 +10,13 @@
 //
 // A Snapshot is built once, in parallel, under a cancellable context, and
 // is immutable afterwards: every accessor returns state that is only ever
-// read. The search and eval layers accept a snapshot through their
-// *SnapshotCtx entry points and produce results bitwise identical to their
-// inline-preparation paths — the snapshot changes where per-series state
-// comes from, never what is computed from it. A nil snapshot (or one that
-// does not cover the series at hand) falls back to inline preparation, so
-// existing callers and goldens are untouched.
+// read. Every search and eval path that reuses per-series state takes a
+// snapshot as an optional argument (search.OneNNSnapshotCtx,
+// search.LeaveOneOutGridCtx, search.KNNApproxSnapshotCtx, eval.MatrixCtx,
+// eval.TuneSupervisedCtx) and produces results bitwise identical to inline
+// preparation — the snapshot changes where per-series state comes from,
+// never what is computed from it. A nil snapshot (or one that does not
+// cover the series at hand) prepares everything inline.
 //
 // Snapshots are identified by a content Fingerprint (series count, total
 // points, FNV-1a hash over lengths and raw float bits) so the Cache in
@@ -124,9 +125,8 @@ type Options struct {
 	// the builder materializes the state the search engine needs:
 	// filled bound contexts for LowerBounded measures, prepared states
 	// for Stateful ones (specialized from one shared family core for
-	// GridStateful families, aliased verbatim across PreparationSharing
-	// families), and the GridStateful cores themselves for the tuning
-	// engine. Duplicate names build once.
+	// GridStateful families), and the GridStateful cores themselves for
+	// the tuning engine. Duplicate names build once.
 	Measures []measure.Measure
 	// PAASegments lists PAA resolutions to precompute per series.
 	PAASegments []int
@@ -144,13 +144,6 @@ type Options struct {
 type coreFamily struct {
 	rep   measure.Measure
 	cores []any
-}
-
-// sharedPrep is one plain-Stateful preparation usable verbatim across a
-// PreparationSharing family, anchored by the measure that built it.
-type sharedPrep struct {
-	owner measure.Stateful
-	prep  []any
 }
 
 // Hits counts prepared-state lookups served by a snapshot, by section.
@@ -179,7 +172,6 @@ type Snapshot struct {
 	prep   map[string][]any                  // measure name -> per-series prepared state
 	bounds map[string][]measure.BoundContext // measure name -> per-series filled contexts
 	fams   []coreFamily                      // GridStateful family cores
-	shares []sharedPrep                      // verbatim-sharable Prepare outputs
 	paa    map[int][][]float64               // segments -> per-series PAA words
 	sax    map[SAXSpec][][]int               // spec -> per-series SAX words
 	annIdx map[string]*ann.Index             // measure name -> approximate index
@@ -249,30 +241,12 @@ func BuildCtx(ctx context.Context, series [][]float64, opts Options) (*Snapshot,
 				return nil, err
 			}
 			s.prep[name] = prep
-		case measure.PreparationSharing:
-			aliased := false
-			for _, prev := range s.shares {
-				if mm.SharesPreparation(prev.owner) {
-					s.prep[name] = prev.prep
-					aliased = true
-					break
-				}
-			}
-			if !aliased {
-				prep, err := prepareAll(ctx, mm, series)
-				if err != nil {
-					return nil, err
-				}
-				s.prep[name] = prep
-				s.shares = append(s.shares, sharedPrep{owner: mm, prep: prep})
-			}
 		case measure.Stateful:
 			prep, err := prepareAll(ctx, mm, series)
 			if err != nil {
 				return nil, err
 			}
 			s.prep[name] = prep
-			s.shares = append(s.shares, sharedPrep{owner: mm, prep: prep})
 		}
 	}
 
@@ -315,7 +289,7 @@ func BuildCtx(ctx context.Context, series [][]float64, opts Options) (*Snapshot,
 			continue
 		}
 		st := ann.ExactState{Bounds: s.bounds[name], Prep: s.prep[name]}
-		ix, err := ann.BuildPreparedCtx(ctx, series, spec.Measure, spec.Config, st)
+		ix, err := ann.BuildCtx(ctx, series, spec.Measure, spec.Config, st)
 		if err != nil {
 			return nil, err
 		}
@@ -390,32 +364,20 @@ func (s *Snapshot) Covers(series [][]float64) bool {
 	return true
 }
 
-// Prepared returns the per-series Stateful prepared states valid for m —
-// stored under m's own name, or shared verbatim from a PreparationSharing
-// family member built for the same corpus — or nil when the snapshot holds
-// none. A non-nil return counts one hit per series.
+// Prepared returns the per-series Stateful prepared states stored under
+// m's name, or nil when the snapshot holds none. A family member's states
+// are never substituted: they are candidate-dependent (only the
+// GridStateful core is shared; see PreparedStates). A non-nil return
+// counts one hit per series.
 func (s *Snapshot) Prepared(m measure.Measure) []any {
 	if s == nil {
 		return nil
 	}
-	if p := s.prep[m.Name()]; p != nil {
+	p := s.prep[m.Name()]
+	if p != nil {
 		s.hitPrepared.Add(int64(len(p)))
-		return p
 	}
-	// GridStateful measures must not adopt a family member's full Prepare
-	// state: it is candidate-dependent (only the grid core is shared).
-	if _, grid := m.(measure.GridStateful); grid {
-		return nil
-	}
-	if ps, ok := m.(measure.PreparationSharing); ok {
-		for _, sh := range s.shares {
-			if ps.SharesPreparation(sh.owner) {
-				s.hitPrepared.Add(int64(len(sh.prep)))
-				return sh.prep
-			}
-		}
-	}
-	return nil
+	return p
 }
 
 // PreparedStates returns per-series prepared states for m from whatever

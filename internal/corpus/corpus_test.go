@@ -304,7 +304,10 @@ func TestSnapshotANNIndex(t *testing.T) {
 	}
 	// The snapshot-built index must answer identically to a standalone
 	// build over the same corpus and config.
-	own := ann.Build(series, dtw, ann.Config{Candidates: 8, Seed: 1})
+	own, err := ann.BuildCtx(context.Background(), series, dtw, ann.Config{Candidates: 8, Seed: 1}, ann.ExactState{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	qa, qb := ix.NewQuerier(), own.NewQuerier()
 	for trial := 0; trial < 6; trial++ {
 		q := series[trial*7]

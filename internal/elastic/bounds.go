@@ -103,8 +103,10 @@ func envelope(y []float64, w int) (upper, lower []float64) {
 //
 // The bounds are combined by max (their index sets overlap, so they cannot
 // be summed). cx and cy must be contexts produced by NewBoundContext and
-// filled with x and y respectively.
+// filled with x and y respectively. Like Distance, it panics when x and y
+// differ in length.
 func (d DTW) LowerBound(x, y []float64, cx, cy measure.BoundContext, cutoff float64) float64 {
+	measure.CheckSameLength(x, y)
 	m := len(x)
 	if m == 0 {
 		return 0

@@ -5,10 +5,14 @@
 // the parameter grids of Table 4, and the per-dataset evaluation pipeline
 // combining a normalization method with a distance measure.
 //
-// The accuracy entry points (TestAccuracy, SupervisedAccuracy) run on the
-// pruned matrix-free engine of internal/search; Matrix remains the
-// exhaustive reference used by the runtime experiments and the exactness
-// property tests. Both paths produce identical neighbors, including ties.
+// Each operation has one path, taking a context and, where per-series
+// state can be reused, an optional corpus snapshot (nil prepares inline):
+// MatrixCtx, TuneSupervisedCtx, TestAccuracyCtx and SupervisedAccuracyCtx.
+// Matrix and TuneSupervisedDetailedCtx are one-line wrappers kept for the
+// end-to-end benchmark. The accuracy paths run on the pruned matrix-free
+// engine of internal/search; MatrixCtx remains the exhaustive reference
+// used by the runtime experiments and the exactness property tests. Both
+// produce identical neighbors, including ties.
 package eval
 
 import (
@@ -24,28 +28,25 @@ import (
 	"repro/internal/search"
 )
 
-// Matrix computes the dissimilarity matrix E with E[i][j] =
+// Matrix is MatrixCtx over a background context without a snapshot.
+func Matrix(m measure.Measure, queries, refs [][]float64) [][]float64 {
+	e, _ := MatrixCtx(context.Background(), m, queries, refs, nil)
+	return e
+}
+
+// MatrixCtx computes the dissimilarity matrix E with E[i][j] =
 // d(queries[i], refs[j]). Rows are computed in parallel across all CPUs.
 // NaN distances are sanitized to +Inf so undefined measures rank last.
 // When the measure implements measure.Stateful, each series is prepared
 // exactly once; when it is exactly symmetric and the matrix is square over
 // the same series, only the upper triangle is computed and mirrored.
-func Matrix(m measure.Measure, queries, refs [][]float64) [][]float64 {
-	e, _ := MatrixCtx(context.Background(), m, queries, refs)
-	return e
-}
-
-// MatrixCtx is Matrix honoring cancellation at the row-chunk (or engine
-// tile) granularity of internal/par: on a non-nil error the returned
-// matrix is partially filled and must be discarded. An uncancelled call is
-// bitwise-identical to Matrix.
-func MatrixCtx(ctx context.Context, m measure.Measure, queries, refs [][]float64) ([][]float64, error) {
-	return matrixCtx(ctx, m, queries, refs, nil)
-}
-
-// matrixCtx is the shared matrix core: snap, when non-nil, serves prepared
-// states for whichever side it covers; everything else is computed inline.
-func matrixCtx(ctx context.Context, m measure.Measure, queries, refs [][]float64, snap *corpus.Snapshot) ([][]float64, error) {
+//
+// snap is optional: when it covers either side it serves that side's
+// prepared states, bitwise interchangeable with inline preparation; nil
+// prepares everything inline. Cancellation is observed at the row-chunk
+// (or engine tile) granularity of internal/par: on a non-nil error the
+// returned matrix is partially filled and must be discarded.
+func MatrixCtx(ctx context.Context, m measure.Measure, queries, refs [][]float64, snap *corpus.Snapshot) ([][]float64, error) {
 	n, p := len(queries), len(refs)
 	e := make([][]float64, n)
 	if n == 0 {
@@ -61,18 +62,13 @@ func matrixCtx(ctx context.Context, m measure.Measure, queries, refs [][]float64
 
 	// Bulk fast path: a measure backed by an all-pairs engine fills the
 	// square self-matrix wholesale (bitwise-identical to the per-pair loop
-	// by the SelfMatrixer contract); only the NaN sanitization pass remains
-	// on this side. Checked before the Stateful dispatch so per-series
-	// preparation is not duplicated.
-	if bm, ok := m.(measure.SelfMatrixer); ok && sameSeries(queries, refs) {
-		accepted := false
-		if cm, ok := m.(measure.ContextSelfMatrixer); ok {
-			var err error
-			if accepted, err = cm.SelfMatrixCtx(ctx, queries, e); err != nil {
-				return e, err
-			}
-		} else {
-			accepted = bm.SelfMatrix(queries, e)
+	// by the ContextSelfMatrixer contract); only the NaN sanitization pass
+	// remains on this side. Checked before the Stateful dispatch so
+	// per-series preparation is not duplicated.
+	if cm, ok := m.(measure.ContextSelfMatrixer); ok && sameSeries(queries, refs) {
+		accepted, err := cm.SelfMatrixCtx(ctx, queries, e)
+		if err != nil {
+			return e, err
 		}
 		if accepted {
 			if err := par.ForCtx(ctx, n, workers, func(i int) {
@@ -306,50 +302,26 @@ type Grid struct {
 	Candidates []measure.Measure
 }
 
-// TuneSupervised returns the grid candidate maximizing leave-one-out
-// accuracy on the training split, together with that accuracy. The whole
-// grid is scored in one pass of the tuning engine (search.LeaveOneOutGrid),
-// which shares per-series preparation across candidates and warm-starts
-// nested candidates from each other's results; the selection — including
-// the grid-order tie-break — is identical to running each candidate
-// independently. It panics on an empty grid.
-func TuneSupervised(g Grid, train [][]float64, labels []int) (measure.Measure, float64) {
-	m, acc, _ := TuneSupervisedDetailed(g, train, labels)
-	return m, acc
-}
-
-// TuneSupervisedCtx is TuneSupervised honoring cancellation; on a non-nil
-// error the returned measure and accuracy are meaningless.
-func TuneSupervisedCtx(ctx context.Context, g Grid, train [][]float64, labels []int) (measure.Measure, float64, error) {
-	m, acc, _, err := TuneSupervisedDetailedCtx(ctx, g, train, labels)
-	return m, acc, err
-}
-
-// TuneSupervisedDetailed is TuneSupervised exposing the engine's sweep
-// statistics (preparation sharing, warm-start pruning, wave structure) for
-// the tuning ablation experiment.
-func TuneSupervisedDetailed(g Grid, train [][]float64, labels []int) (measure.Measure, float64, search.GridStats) {
-	m, acc, st, _ := TuneSupervisedDetailedCtx(context.Background(), g, train, labels)
-	return m, acc, st
-}
-
-// TuneSupervisedDetailedCtx is TuneSupervisedDetailed honoring
-// cancellation; on a non-nil error the selection is meaningless (the sweep
-// stopped mid-grid) and only the error should be consulted.
-func TuneSupervisedDetailedCtx(ctx context.Context, g Grid, train [][]float64, labels []int) (measure.Measure, float64, search.GridStats, error) {
-	return tuneSupervisedCtx(ctx, g, train, labels, nil)
-}
-
-// tuneSupervisedCtx is the shared tuning core: snap, when non-nil and
-// covering train, feeds the grid engine's per-series state.
-func tuneSupervisedCtx(ctx context.Context, g Grid, train [][]float64, labels []int, snap *corpus.Snapshot) (measure.Measure, float64, search.GridStats, error) {
+// TuneSupervisedCtx returns the grid candidate maximizing leave-one-out
+// accuracy on the training split, together with that accuracy and the
+// engine's sweep statistics (preparation sharing, warm-start pruning, wave
+// structure). The whole grid is scored in one pass of the tuning engine
+// (search.LeaveOneOutGridCtx), which shares per-series preparation across
+// candidates and warm-starts nested candidates from each other's results;
+// the selection — including the grid-order tie-break — is identical to
+// running each candidate independently. snap is optional: when it covers
+// train it feeds the engine's per-series state, and GridStats.PrepSnapshot
+// reports how many states it served. On a non-nil error the selection is
+// meaningless (the sweep stopped mid-grid) and only the error should be
+// consulted. It panics on an empty grid.
+func TuneSupervisedCtx(ctx context.Context, g Grid, train [][]float64, labels []int, snap *corpus.Snapshot) (measure.Measure, float64, search.GridStats, error) {
 	if len(g.Candidates) == 0 {
 		panic(fmt.Sprintf("eval: empty grid %q", g.Name))
 	}
 	if len(train) != len(labels) {
 		panic(fmt.Sprintf("eval: %d training series, %d labels", len(train), len(labels)))
 	}
-	gr, err := search.LeaveOneOutGridSnapshotCtx(ctx, g.Candidates, train, snap)
+	gr, err := search.LeaveOneOutGridCtx(ctx, g.Candidates, train, snap)
 	if err != nil {
 		return g.Candidates[0], 0, gr.Stats, err
 	}
@@ -362,6 +334,11 @@ func tuneSupervisedCtx(ctx context.Context, g Grid, train [][]float64, labels []
 		}
 	}
 	return g.Candidates[bestIdx], bestAcc, gr.Stats, nil
+}
+
+// TuneSupervisedDetailedCtx is TuneSupervisedCtx without a snapshot.
+func TuneSupervisedDetailedCtx(ctx context.Context, g Grid, train [][]float64, labels []int) (measure.Measure, float64, search.GridStats, error) {
+	return TuneSupervisedCtx(ctx, g, train, labels, nil)
 }
 
 // Normalize applies the normalizer to every series of both splits,
@@ -386,17 +363,11 @@ func Normalize(d *dataset.Dataset, n norm.Normalizer) *dataset.Dataset {
 	return out
 }
 
-// TestAccuracy evaluates a fixed measure on a dataset: the 1-NN test
+// TestAccuracyCtx evaluates a fixed measure on a dataset: the 1-NN test
 // accuracy, after applying the normalizer (which may be nil for
 // pre-normalized data). Neighbors come from the pruned search engine; no
-// test-by-train matrix is materialized.
-func TestAccuracy(m measure.Measure, d *dataset.Dataset, n norm.Normalizer) float64 {
-	acc, _ := TestAccuracyCtx(context.Background(), m, d, n)
-	return acc
-}
-
-// TestAccuracyCtx is TestAccuracy honoring cancellation; on a non-nil
-// error the accuracy is meaningless.
+// test-by-train matrix is materialized. On a non-nil error the accuracy is
+// meaningless.
 func TestAccuracyCtx(ctx context.Context, m measure.Measure, d *dataset.Dataset, n norm.Normalizer) (float64, error) {
 	nd := Normalize(d, n)
 	res, err := search.OneNNCtx(ctx, m, nd.Test, nd.Train)
@@ -406,19 +377,13 @@ func TestAccuracyCtx(ctx context.Context, m measure.Measure, d *dataset.Dataset,
 	return AccuracyFromNeighbors(res.Indices, nd.TestLabels, nd.TrainLabels), nil
 }
 
-// SupervisedAccuracy tunes the grid on the training split (leave-one-out)
-// and reports the 1-NN test accuracy of the selected candidate, returning
-// the accuracy and the chosen measure.
-func SupervisedAccuracy(g Grid, d *dataset.Dataset, n norm.Normalizer) (float64, measure.Measure) {
-	acc, chosen, _ := SupervisedAccuracyCtx(context.Background(), g, d, n)
-	return acc, chosen
-}
-
-// SupervisedAccuracyCtx is SupervisedAccuracy honoring cancellation; on a
-// non-nil error the accuracy and measure are meaningless.
+// SupervisedAccuracyCtx tunes the grid on the training split
+// (leave-one-out) and reports the 1-NN test accuracy of the selected
+// candidate, returning the accuracy and the chosen measure. On a non-nil
+// error the accuracy and measure are meaningless.
 func SupervisedAccuracyCtx(ctx context.Context, g Grid, d *dataset.Dataset, n norm.Normalizer) (float64, measure.Measure, error) {
 	nd := Normalize(d, n)
-	chosen, _, err := TuneSupervisedCtx(ctx, g, nd.Train, nd.TrainLabels)
+	chosen, _, _, err := TuneSupervisedCtx(ctx, g, nd.Train, nd.TrainLabels, nil)
 	if err != nil {
 		return 0, nil, err
 	}

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -149,7 +150,7 @@ func TestTuneSupervisedPicksBestCandidate(t *testing.T) {
 	// neighbor) and ED; ED should win on a structured dataset.
 	zero := measure.New("zero", func(_, _ []float64) float64 { return 0 })
 	g := Grid{Name: "test", Candidates: []measure.Measure{zero, lockstep.Euclidean()}}
-	chosen, acc := TuneSupervised(g, d.Train, d.TrainLabels)
+	chosen, acc, _, _ := TuneSupervisedCtx(context.Background(), g, d.Train, d.TrainLabels, nil)
 	if chosen.Name() != "euclidean" {
 		t.Fatalf("chose %s (acc %g), want euclidean", chosen.Name(), acc)
 	}
@@ -162,7 +163,7 @@ func TestTuneSupervisedTieKeepsGridOrder(t *testing.T) {
 	a := measure.New("a", func(x, y []float64) float64 { return lockstep.Euclidean().Distance(x, y) })
 	b := measure.New("b", func(x, y []float64) float64 { return lockstep.Euclidean().Distance(x, y) })
 	d := toyDataset()
-	chosen, _ := TuneSupervised(Grid{Name: "tie", Candidates: []measure.Measure{a, b}}, d.Train, d.TrainLabels)
+	chosen, _, _, _ := TuneSupervisedCtx(context.Background(), Grid{Name: "tie", Candidates: []measure.Measure{a, b}}, d.Train, d.TrainLabels, nil)
 	if chosen.Name() != "a" {
 		t.Fatalf("tie broke to %s, want first candidate", chosen.Name())
 	}
@@ -174,7 +175,7 @@ func TestTuneSupervisedEmptyGridPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	TuneSupervised(Grid{Name: "empty"}, [][]float64{{1}}, []int{1})
+	TuneSupervisedCtx(context.Background(), Grid{Name: "empty"}, [][]float64{{1}}, []int{1}, nil)
 }
 
 func TestNormalizeAppliesToBothSplits(t *testing.T) {
@@ -211,7 +212,10 @@ func TestNormalizeAppliesToBothSplits(t *testing.T) {
 
 func TestTestAccuracyBeatsChanceOnStructuredData(t *testing.T) {
 	d := toyDataset()
-	acc := TestAccuracy(lockstep.Euclidean(), d, norm.ZScore())
+	acc, err := TestAccuracyCtx(context.Background(), lockstep.Euclidean(), d, norm.ZScore())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if acc <= 0.5 {
 		t.Fatalf("ED accuracy %g on a 2-class harmonic dataset, want > 0.5", acc)
 	}
@@ -220,7 +224,10 @@ func TestTestAccuracyBeatsChanceOnStructuredData(t *testing.T) {
 func TestSupervisedAccuracyRuns(t *testing.T) {
 	d := toyDataset()
 	g := Thin(DTWGrid(), 8)
-	acc, chosen := SupervisedAccuracy(g, d, nil)
+	acc, chosen, err := SupervisedAccuracyCtx(context.Background(), g, d, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if acc < 0 || acc > 1 {
 		t.Fatalf("accuracy %g out of range", acc)
 	}
@@ -381,9 +388,9 @@ func TestMatrixSelfMatrixerBulkPathMatchesGeneric(t *testing.T) {
 	series[1][5] = math.NaN()
 	series[2][0] = math.Inf(1)
 	s := kernel.SINK{Gamma: 5}
-	// The Func wrapper hides SelfMatrixer, forcing the generic per-pair
-	// path; the direct call takes the GramEngine bulk path. The two must
-	// agree bitwise (after shared NaN sanitization).
+	// The Func wrapper hides ContextSelfMatrixer, forcing the generic
+	// per-pair path; the direct call takes the GramEngine bulk path. The two
+	// must agree bitwise (after shared NaN sanitization).
 	generic := Matrix(measure.New("sink-opaque", s.Distance), series, series)
 	bulk := Matrix(s, series, series)
 	for i := range series {

@@ -38,10 +38,11 @@ func (r PruningRow) Speedup() float64 {
 
 // PruningAblation quantifies what the UCR-suite machinery buys: for each
 // DTW band it runs 1-NN inference over the whole archive twice — once
-// through eval.Matrix (exhaustive) and once through search.OneNN (LB_Kim +
-// LB_Keogh cascade + early-abandoning DP) — and reports wall-clock, work
-// counters, and both accuracies. The Identical flag asserts the engine's
-// exactness on this archive; it failing would be a bug, not a trade-off.
+// through eval.MatrixCtx (exhaustive) and once through search.OneNNCtx
+// (LB_Kim + LB_Keogh cascade + early-abandoning DP) — and reports
+// wall-clock, work counters, and both accuracies. The Identical flag
+// asserts the engine's exactness on this archive; it failing would be a
+// bug, not a trade-off.
 func PruningAblation(opts Options) []PruningRow {
 	rows, _ := PruningAblationCtx(context.Background(), opts, nil)
 	return rows
@@ -60,7 +61,7 @@ func PruningAblationCtx(ctx context.Context, opts Options, rep run.Reporter) ([]
 		var accExact, accPruned float64
 		for _, d := range opts.Archive {
 			start := time.Now()
-			e, err := eval.MatrixCtx(ctx, m, d.Test, d.Train)
+			e, err := eval.MatrixCtx(ctx, m, d.Test, d.Train, nil)
 			if err != nil {
 				return rows, err
 			}

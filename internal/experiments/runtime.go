@@ -76,7 +76,7 @@ func Figure9Ctx(ctx context.Context, opts Options, rep run.Reporter) ([]RuntimeP
 				}
 				neighbors = res.Indices
 			} else {
-				mat, err := eval.MatrixCtx(ctx, e.m, d.Test, d.Train)
+				mat, err := eval.MatrixCtx(ctx, e.m, d.Test, d.Train, nil)
 				if err != nil {
 					return points, err
 				}
@@ -198,7 +198,7 @@ func Figure10Ctx(ctx context.Context, opts Options, rep run.Reporter, maxTrain i
 				continue
 			}
 			sub := d.SubsetTrain(n)
-			e, err := eval.MatrixCtx(ctx, m, sub.Test, sub.Train)
+			e, err := eval.MatrixCtx(ctx, m, sub.Test, sub.Train, nil)
 			if err != nil {
 				return out, err
 			}

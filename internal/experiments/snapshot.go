@@ -138,7 +138,7 @@ func snapshotTuning(ctx context.Context, opts Options, name string, g eval.Grid)
 		var coldRes tuned
 		start := time.Now()
 		for r := 0; r < snapshotRequests; r++ {
-			m, acc, err := eval.TuneSupervisedCtx(ctx, g, d.Train, d.TrainLabels)
+			m, acc, _, err := eval.TuneSupervisedCtx(ctx, g, d.Train, d.TrainLabels, nil)
 			if err != nil {
 				return row, err
 			}
@@ -154,7 +154,7 @@ func snapshotTuning(ctx context.Context, opts Options, name string, g eval.Grid)
 		key := corpus.Key{FP: snap.Fingerprint(), Measure: g.Name, Band: fmt.Sprintf("tuned/stride=%d", opts.GridStride)}
 		for r := 0; r < snapshotRequests; r++ {
 			v, err := cache.GetOrBuildCtx(ctx, key, func(ctx context.Context) (any, error) {
-				m, acc, err := eval.TuneSupervisedSnapshotCtx(ctx, g, d.Train, d.TrainLabels, snap)
+				m, acc, _, err := eval.TuneSupervisedCtx(ctx, g, d.Train, d.TrainLabels, snap)
 				if err != nil {
 					return nil, err
 				}

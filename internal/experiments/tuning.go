@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/eval"
+	"repro/internal/measure"
 	"repro/internal/run"
 	"repro/internal/search"
 )
@@ -63,11 +64,11 @@ func TuningAblationCtx(ctx context.Context, opts Options, rep run.Reporter) ([]T
 			start := time.Now()
 			naiveIdx, naiveAcc := 0, -1.0
 			for i, cand := range g.Candidates {
-				res, err := search.LeaveOneOutCtx(ctx, cand, d.Train)
+				gr, err := search.LeaveOneOutGridCtx(ctx, []measure.Measure{cand}, d.Train, nil)
 				if err != nil {
 					return rows, err
 				}
-				acc := eval.AccuracyFromNeighbors(res.Indices, d.TrainLabels, d.TrainLabels)
+				acc := eval.AccuracyFromNeighbors(gr.PerCandidate[0].Indices, d.TrainLabels, d.TrainLabels)
 				if acc > naiveAcc {
 					naiveAcc, naiveIdx = acc, i
 				}

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"runtime"
@@ -198,24 +199,25 @@ func TestSINKSelfMatrix(t *testing.T) {
 	for i := range rows {
 		rows[i] = make([]float64, len(series))
 	}
-	if !s.SelfMatrix(series, rows) {
-		t.Fatal("SelfMatrix declined equal-length input")
+	ctx := context.Background()
+	if ok, err := s.SelfMatrixCtx(ctx, series, rows); err != nil || !ok {
+		t.Fatalf("SelfMatrixCtx declined equal-length input (err %v)", err)
 	}
 	want := naiveDistanceMatrix(s, series)
 	for i := range want {
 		for j := range want[i] {
 			if !sameValue(rows[i][j], want[i][j]) {
-				t.Fatalf("SelfMatrix[%d][%d] = %v, want %v", i, j, rows[i][j], want[i][j])
+				t.Fatalf("SelfMatrixCtx[%d][%d] = %v, want %v", i, j, rows[i][j], want[i][j])
 			}
 		}
 	}
-	if s.SelfMatrix([][]float64{{1, 2}, {3}}, rows) {
-		t.Fatal("SelfMatrix must decline ragged input")
+	if ok, _ := s.SelfMatrixCtx(ctx, [][]float64{{1, 2}, {3}}, rows); ok {
+		t.Fatal("SelfMatrixCtx must decline ragged input")
 	}
-	if s.SelfMatrix(nil, nil) {
-		t.Fatal("SelfMatrix must decline the empty set")
+	if ok, _ := s.SelfMatrixCtx(ctx, nil, nil); ok {
+		t.Fatal("SelfMatrixCtx must decline the empty set")
 	}
-	var _ measure.SelfMatrixer = s
+	var _ measure.ContextSelfMatrixer = s
 }
 
 // TestGramEngineSteadyStateAllocs pins the pooled-scratch claim: after the

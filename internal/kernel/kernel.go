@@ -155,19 +155,14 @@ func (s SINK) Distance(x, y []float64) float64 {
 	return s.PreparedDistance(s.Prepare(x), s.Prepare(y))
 }
 
-// SelfMatrix implements measure.SelfMatrixer: square self-dissimilarity
-// matrices are filled by the batched GramEngine — one spectrum per series,
-// one inverse FFT per pair, tiled parallel fill — with values bitwise
-// identical to the per-pair prepared path. Ragged input declines the fast
-// path so the caller's pairwise loop reproduces the usual length panic.
-func (s SINK) SelfMatrix(series [][]float64, rows [][]float64) bool {
-	ok, _ := s.SelfMatrixCtx(context.Background(), series, rows)
-	return ok
-}
-
-// SelfMatrixCtx implements measure.ContextSelfMatrixer: the engine's
-// preparation and tiled fill observe ctx at chunk granularity; on a
-// non-nil error rows are partial and must be discarded.
+// SelfMatrixCtx implements measure.ContextSelfMatrixer: square
+// self-dissimilarity matrices are filled by the batched GramEngine — one
+// spectrum per series, one inverse FFT per pair, tiled parallel fill — with
+// values bitwise identical to the per-pair prepared path. Ragged input
+// declines the fast path so the caller's pairwise loop reproduces the usual
+// length panic. The engine's preparation and tiled fill observe ctx at
+// chunk granularity; on a non-nil error rows are partial and must be
+// discarded.
 func (s SINK) SelfMatrixCtx(ctx context.Context, series [][]float64, rows [][]float64) (bool, error) {
 	if len(series) == 0 {
 		return false, nil

@@ -111,31 +111,22 @@ type LowerBounded interface {
 	LowerBound(x, y []float64, cx, cy BoundContext, cutoff float64) float64
 }
 
-// SelfMatrixer is an optional bulk fast path: measures backed by an
-// all-pairs engine (batched spectra, pooled scratch, tiled parallel fill)
-// implement it, and the evaluation layer hands the whole square
+// ContextSelfMatrixer is an optional bulk fast path: measures backed by
+// an all-pairs engine (batched spectra, pooled scratch, tiled parallel
+// fill) implement it, and the evaluation layer hands the whole square
 // self-dissimilarity matrix to the engine instead of looping over pairs.
 // The contract is bitwise: rows[i][j] must hold exactly the value the
 // per-pair path (PreparedDistance over Prepare states, or Distance) would
 // produce, before NaN sanitization — the caller sanitizes. A false return
 // means the engine declined (e.g. ragged input) and the caller must fall
-// back; rows content is then unspecified and will be overwritten.
-type SelfMatrixer interface {
-	Measure
-	// SelfMatrix fills rows (len(series) square) with all raw pairwise
-	// distances over series, returning false to decline.
-	SelfMatrix(series [][]float64, rows [][]float64) bool
-}
-
-// ContextSelfMatrixer is SelfMatrixer with cooperative cancellation: the
+// back; rows content is then unspecified and will be overwritten. The
 // engine observes ctx at its dispatch-chunk granularity and returns
 // ctx.Err() with rows partially filled (the caller must discard them).
-// The declined/accepted contract and the bitwise requirement on success
-// match SelfMatrix exactly.
 type ContextSelfMatrixer interface {
-	SelfMatrixer
-	// SelfMatrixCtx is SelfMatrix honoring ctx; on a non-nil error the
-	// accepted return is meaningless and rows are partial.
+	Measure
+	// SelfMatrixCtx fills rows (len(series) square) with all raw pairwise
+	// distances over series, returning false to decline; on a non-nil
+	// error the accepted return is meaningless and rows are partial.
 	SelfMatrixCtx(ctx context.Context, series [][]float64, rows [][]float64) (bool, error)
 }
 
@@ -143,12 +134,12 @@ type ContextSelfMatrixer interface {
 // the search and evaluation layers hand one query and a whole panel of
 // candidate series to the engine in a single call, letting it fuse
 // per-candidate accumulators, hoist bounds checks, and unroll across
-// candidates. The contract is bitwise, mirroring SelfMatrixer: on success
-// out[k] must hold exactly the value the per-pair Distance would produce,
-// before NaN sanitization — the caller sanitizes. A false return means the
-// engine declined (e.g. a candidate's length differs from the query's) and
-// the caller must fall back to the per-pair path; out content is then
-// unspecified and will be overwritten.
+// candidates. The contract is bitwise, mirroring ContextSelfMatrixer: on
+// success out[k] must hold exactly the value the per-pair Distance would
+// produce, before NaN sanitization — the caller sanitizes. A false return
+// means the engine declined (e.g. a candidate's length differs from the
+// query's) and the caller must fall back to the per-pair path; out content
+// is then unspecified and will be overwritten.
 type PanelEvaluator interface {
 	Measure
 	// PanelDistances fills out[k] = Distance(q, panel[k]) for every k in
@@ -164,25 +155,15 @@ type PanelEvaluator interface {
 	PanelDistancesUpTo(q []float64, panel [][]float64, cutoff float64, out []float64) bool
 }
 
-// PreparationSharing is an optional declaration for Stateful measures whose
-// Prepare output does not depend on the measure's parameters within a
-// family: SharesPreparation(other) reports that state prepared by other can
-// be passed verbatim to this measure's PreparedDistance. The grid tuning
-// engine (internal/search) uses it to prepare each series once for a whole
-// parameter sweep instead of once per candidate.
-type PreparationSharing interface {
-	Stateful
-	// SharesPreparation reports whether other's prepared (or grid-prepared)
-	// per-series state is valid for this measure.
-	SharesPreparation(other Measure) bool
-}
-
-// GridStateful extends preparation sharing to families whose full Prepare
-// state is candidate-dependent but built around an expensive
-// candidate-independent core (an FFT spectrum, a self cross-correlation, a
-// norm). GridPrepare computes the shared core once per series;
-// CandidateState cheaply specializes it into this candidate's Stateful
-// prepared state (the input of PreparedDistance). The contract is bitwise:
+// GridStateful is an optional declaration for Stateful families whose
+// per-series state is built around an expensive candidate-independent core
+// (an FFT spectrum, a self cross-correlation, a norm). GridPrepare computes
+// the shared core once per series; CandidateState cheaply specializes it
+// into this candidate's Stateful prepared state (the input of
+// PreparedDistance). The grid tuning engine (internal/search) uses it to
+// prepare each series once for a whole parameter sweep instead of once per
+// candidate; a family whose Prepare output does not depend on the
+// parameters declares an identity CandidateState. The contract is bitwise:
 // CandidateState(GridPrepare(x)) must yield PreparedDistance results
 // identical to Prepare(x), so the grid engine stays exact.
 type GridStateful interface {

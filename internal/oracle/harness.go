@@ -179,11 +179,6 @@ func CheckPair(r *Report, p Pair, in Input) {
 					"Prepare=%v CandidateState(GridPrepare)=%v", direct, viaGrid)
 			}
 		})
-	} else if ps, ok := p.M.(measure.PreparationSharing); ok {
-		r.Checks++
-		if !ps.SharesPreparation(p.M) {
-			r.add(name, in.Name, "gridstate", "SharesPreparation(self) = false")
-		}
 	}
 
 	// EarlyAbandoning: with an infinite cutoff, and with any cutoff the
@@ -269,25 +264,46 @@ func CheckPair(r *Report, p Pair, in Input) {
 
 // CheckPanicsOnMismatch verifies the documented contract that equal-length
 // measures reject mismatched series lengths by panicking rather than
-// reading out of bounds or returning garbage.
+// reading out of bounds or returning garbage — on every route the search
+// engines call (Distance, the wavefront, DistanceUpTo and the lower-bound
+// cascade), the pruned routes in both argument orders. They run with a
+// zero cutoff, at which a route may stop after its first step, so the
+// length check must come before any early exit.
 func CheckPanicsOnMismatch(r *Report, m measure.Measure) {
 	r.Checks++
 	x := []float64{1, 2, 3, 4}
 	y := []float64{1, 2}
-	mustPanic := func(route string, f func()) {
+	mustPanic := func(route string, a, b []float64, f func(a, b []float64)) {
 		panicked := false
 		func() {
 			defer func() { panicked = recover() != nil }()
-			f()
+			f(a, b)
 		}()
 		if !panicked {
-			r.add(m.Name(), "mismatched-lengths", "panic", "%s(len 4, len 2) did not panic", route)
+			r.add(m.Name(), "mismatched-lengths", "panic", "%s(len %d, len %d) did not panic", route, len(a), len(b))
 		}
 	}
-	mustPanic("Distance", func() { m.Distance(x, y) })
+	mustPanic("Distance", x, y, func(a, b []float64) { m.Distance(a, b) })
 	if wf, ok := m.(wavefronter); ok {
 		r.Checks++
-		mustPanic("DistanceWavefront", func() { wf.DistanceWavefront(context.Background(), x, y) })
+		mustPanic("DistanceWavefront", x, y, func(a, b []float64) { wf.DistanceWavefront(context.Background(), a, b) })
+	}
+	if ea, ok := m.(measure.EarlyAbandoning); ok {
+		r.Checks++
+		upTo := func(a, b []float64) { ea.DistanceUpTo(a, b, 0) }
+		mustPanic("DistanceUpTo", x, y, upTo)
+		mustPanic("DistanceUpTo", y, x, upTo)
+	}
+	if lb, ok := m.(measure.LowerBounded); ok {
+		r.Checks++
+		bound := func(a, b []float64) {
+			ca, cb := lb.NewBoundContext(len(a)), lb.NewBoundContext(len(b))
+			ca.Fill(a)
+			cb.Fill(b)
+			lb.LowerBound(a, b, ca, cb, 0)
+		}
+		mustPanic("LowerBound", x, y, bound)
+		mustPanic("LowerBound", y, x, bound)
 	}
 }
 
@@ -386,7 +402,7 @@ func CheckEngines(r *Report, m measure.Measure, queries, refs [][]float64) {
 	name := m.Name()
 	call(r, name, "engine", "OneNN", func() {
 		r.Checks++
-		got := search.OneNN(m, queries, refs)
+		got, _ := search.OneNNCtx(context.Background(), m, queries, refs)
 		e := eval.Matrix(m, queries, refs)
 		want := eval.Neighbors(e)
 		for i := range want {

@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"context"
 	"flag"
 	"math"
 	"testing"
@@ -100,7 +101,7 @@ func TestOracleTieBreakingDuplicates(t *testing.T) {
 		if len(r.Discrepancies) > 0 {
 			t.Errorf("%s:\n%s", m.Name(), r)
 		}
-		got := search.OneNN(m, queries, refs)
+		got, _ := search.OneNNCtx(context.Background(), m, queries, refs)
 		if got.Indices[1] != 0 {
 			t.Errorf("%s: duplicate query resolved to %d, want lowest index 0", m.Name(), got.Indices[1])
 		}

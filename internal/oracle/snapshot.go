@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"context"
 	"fmt"
 
 	csnap "repro/internal/corpus"
@@ -9,18 +10,19 @@ import (
 	"repro/internal/search"
 )
 
-// This file adds the snapshot differential route: every snapshot-backed
-// entry point (search.OneNNSnapshot, search.LeaveOneOutSnapshot,
-// eval.MatrixSnapshot, eval/search grid tuning) must be bitwise identical
-// to its build-inline counterpart — the snapshot only changes where
-// per-series state comes from, never what is computed. Any divergence,
-// including on NaN/Inf-poisoned or constant series, is a real bug in the
-// prepared-state layer.
+// This file adds the snapshot differential route: every path that takes
+// an optional snapshot (search.OneNNSnapshotCtx, search.LeaveOneOutGridCtx
+// over one candidate and over a grid, eval.MatrixCtx) must be bitwise
+// identical with the snapshot and without it — the snapshot only changes
+// where per-series state comes from, never what is computed. Any
+// divergence, including on NaN/Inf-poisoned or constant series, is a real
+// bug in the prepared-state layer.
 
 // CheckSnapshot compares snapshot-backed 1-NN, leave-one-out, and matrix
 // evaluation against the inline paths for one measure over one input set.
 func CheckSnapshot(r *Report, m measure.Measure, queries, refs [][]float64, input string) {
 	name := m.Name()
+	ctx := context.Background()
 	var snap *csnap.Snapshot
 	if !call(r, name, input, "snapshot-build", func() {
 		snap = csnap.Build(refs, csnap.Options{Measures: []measure.Measure{m}})
@@ -29,8 +31,8 @@ func CheckSnapshot(r *Report, m measure.Measure, queries, refs [][]float64, inpu
 	}
 	call(r, name, input, "snapshot", func() {
 		r.Checks++
-		got := search.OneNNSnapshot(m, queries, refs, snap)
-		want := search.OneNN(m, queries, refs)
+		got, _ := search.OneNNSnapshotCtx(ctx, m, queries, refs, snap)
+		want, _ := search.OneNNSnapshotCtx(ctx, m, queries, refs, nil)
 		for i := range want.Indices {
 			if got.Indices[i] != want.Indices[i] {
 				r.add(name, fmt.Sprintf("%s/onenn/query=%d", input, i), "snapshot",
@@ -45,8 +47,10 @@ func CheckSnapshot(r *Report, m measure.Measure, queries, refs [][]float64, inpu
 	})
 	call(r, name, input, "snapshot", func() {
 		r.Checks++
-		got := search.LeaveOneOutSnapshot(m, refs, snap)
-		want := search.LeaveOneOut(m, refs)
+		cands := []measure.Measure{m}
+		gotG, _ := search.LeaveOneOutGridCtx(ctx, cands, refs, snap)
+		wantG, _ := search.LeaveOneOutGridCtx(ctx, cands, refs, nil)
+		got, want := gotG.PerCandidate[0], wantG.PerCandidate[0]
 		for i := range want.Indices {
 			if got.Indices[i] != want.Indices[i] {
 				r.add(name, fmt.Sprintf("%s/loo/row=%d", input, i), "snapshot",
@@ -61,8 +65,8 @@ func CheckSnapshot(r *Report, m measure.Measure, queries, refs [][]float64, inpu
 	})
 	call(r, name, input, "snapshot", func() {
 		r.Checks++
-		got := eval.MatrixSnapshot(m, queries, refs, snap)
-		want := eval.Matrix(m, queries, refs)
+		got, _ := eval.MatrixCtx(ctx, m, queries, refs, snap)
+		want, _ := eval.MatrixCtx(ctx, m, queries, refs, nil)
 		for i := range want {
 			for j := range want[i] {
 				if !sameValue(got[i][j], want[i][j]) {
@@ -79,6 +83,7 @@ func CheckSnapshot(r *Report, m measure.Measure, queries, refs [][]float64, inpu
 // bitwise for every candidate in the grid.
 func CheckSnapshotGrid(r *Report, g eval.Grid, train [][]float64, input string) {
 	name := g.Name
+	ctx := context.Background()
 	var snap *csnap.Snapshot
 	if !call(r, name, input, "snapshot-build", func() {
 		snap = csnap.Build(train, csnap.Options{Measures: g.Candidates})
@@ -87,8 +92,8 @@ func CheckSnapshotGrid(r *Report, g eval.Grid, train [][]float64, input string) 
 	}
 	call(r, name, input, "snapshot", func() {
 		r.Checks++
-		got := search.LeaveOneOutGridSnapshot(g.Candidates, train, snap)
-		want := search.LeaveOneOutGrid(g.Candidates, train)
+		got, _ := search.LeaveOneOutGridCtx(ctx, g.Candidates, train, snap)
+		want, _ := search.LeaveOneOutGridCtx(ctx, g.Candidates, train, nil)
 		for c := range want.PerCandidate {
 			gi, wi := got.PerCandidate[c].Indices, want.PerCandidate[c].Indices
 			gd, wd := got.PerCandidate[c].Distances, want.PerCandidate[c].Distances

@@ -11,12 +11,13 @@ import (
 )
 
 // This file exposes the approximate retrieval engine of internal/ann
-// through the search package's result shapes: OneNNApprox/KNNApprox run
+// through the search package's result shapes: KNNApproxSnapshotCtx runs
 // GRAIL embed–index–rerank queries in parallel, one ann.Querier per
-// worker, and report the aggregate approximate-search work alongside the
-// familiar Result. The candidate budget (ann.Config.Candidates) is the
-// recall knob; budgets covering the corpus run the exact lower-bound
-// fallback, making the result identical to exact search.
+// worker, and reports the aggregate approximate-search work alongside the
+// familiar Result; 1-NN is k = 1. The candidate budget
+// (ann.Config.Candidates) is the recall knob; budgets covering the corpus
+// run the exact lower-bound fallback, making the result identical to exact
+// search.
 
 // ApproxStats aggregates ann.Stats across the queries of one call.
 type ApproxStats struct {
@@ -41,92 +42,41 @@ func (a *ApproxStats) add(s ann.Stats) {
 type ApproxResult struct {
 	Indices   []int
 	Distances []float64
-	// Neighbors holds the per-query top-k lists for KNNApprox calls;
-	// OneNNApprox leaves it nil.
+	// Neighbors holds the per-query top-k lists when k > 1; 1-NN searches
+	// leave it nil.
 	Neighbors [][]ann.Neighbor
 	Stats     ApproxStats
 }
 
-// OneNNApprox is OneNNApproxCtx over a background context.
-func OneNNApprox(m measure.Measure, queries, refs [][]float64, cfg ann.Config) ApproxResult {
-	res, _ := OneNNApproxCtx(context.Background(), m, queries, refs, cfg)
-	return res
-}
-
-// OneNNApproxCtx builds an ANN index over refs and answers every query
-// approximately, in parallel with one ann.Querier per worker. The build
-// and the query fan-out both observe ctx.
-func OneNNApproxCtx(ctx context.Context, m measure.Measure, queries, refs [][]float64, cfg ann.Config) (ApproxResult, error) {
-	ix, err := ann.BuildCtx(ctx, refs, m, cfg)
-	if err != nil {
-		return ApproxResult{}, err
-	}
-	return approxAllCtx(ctx, ix, queries, 1)
-}
-
-// KNNApprox is KNNApproxCtx over a background context.
-func KNNApprox(m measure.Measure, queries, refs [][]float64, k int, cfg ann.Config) ApproxResult {
-	res, _ := KNNApproxCtx(context.Background(), m, queries, refs, k, cfg)
-	return res
-}
-
-// KNNApproxCtx answers every query with its approximate k nearest
+// KNNApproxSnapshotCtx answers every query with its approximate k nearest
 // references; Neighbors[i] holds query i's top-k sorted by (exact
-// distance, index), and Indices/Distances mirror the rank-1 entries.
-func KNNApproxCtx(ctx context.Context, m measure.Measure, queries, refs [][]float64, k int, cfg ann.Config) (ApproxResult, error) {
-	ix, err := ann.BuildCtx(ctx, refs, m, cfg)
-	if err != nil {
-		return ApproxResult{}, err
+// distance, index) when k > 1, and Indices/Distances mirror the rank-1
+// entries. snap is optional: when it covers refs and holds a fitted ANN
+// index for m — the warm path — queries pay only transform + tree descent
+// + c exact re-ranks. Otherwise the index is built inline, adopting
+// whatever exact-side state (bound contexts, prepared states) the snapshot
+// does hold. The build and the query fan-out both observe ctx.
+func KNNApproxSnapshotCtx(ctx context.Context, m measure.Measure, queries, refs [][]float64, k int, cfg ann.Config, snap *corpus.Snapshot) (ApproxResult, error) {
+	if !snap.Covers(refs) {
+		snap = nil
+	}
+	ix := snap.ANNIndex(m)
+	if ix == nil {
+		prep, err := snap.PreparedStates(ctx, m)
+		if err != nil {
+			return ApproxResult{}, err
+		}
+		st := ann.ExactState{Bounds: snap.BoundContexts(m), Prep: prep}
+		if ix, err = ann.BuildCtx(ctx, refs, m, cfg, st); err != nil {
+			return ApproxResult{}, err
+		}
 	}
 	return approxAllCtx(ctx, ix, queries, k)
 }
 
-// OneNNApproxSnapshot is OneNNApproxSnapshotCtx over a background context.
-func OneNNApproxSnapshot(m measure.Measure, queries, refs [][]float64, cfg ann.Config, snap *corpus.Snapshot) ApproxResult {
-	res, _ := OneNNApproxSnapshotCtx(context.Background(), m, queries, refs, cfg, snap)
-	return res
-}
-
-// OneNNApproxSnapshotCtx serves the fitted ANN index from the snapshot
-// when it covers refs and holds one for m — the warm path: queries pay
-// only transform + tree descent + c exact re-ranks. Anything missing
-// falls back to an inline build, adopting whatever exact-side state the
-// snapshot does hold.
+// OneNNApproxSnapshotCtx is KNNApproxSnapshotCtx with k = 1.
 func OneNNApproxSnapshotCtx(ctx context.Context, m measure.Measure, queries, refs [][]float64, cfg ann.Config, snap *corpus.Snapshot) (ApproxResult, error) {
-	if snap.Covers(refs) {
-		if ix := snap.ANNIndex(m); ix != nil {
-			return approxAllCtx(ctx, ix, queries, 1)
-		}
-		st := ann.ExactState{Bounds: snap.BoundContexts(m)}
-		if prep, err := snap.PreparedStates(ctx, m); err != nil {
-			return ApproxResult{}, err
-		} else if prep != nil {
-			st.Prep = prep
-		}
-		ix, err := ann.BuildPreparedCtx(ctx, refs, m, cfg, st)
-		if err != nil {
-			return ApproxResult{}, err
-		}
-		return approxAllCtx(ctx, ix, queries, 1)
-	}
-	return OneNNApproxCtx(ctx, m, queries, refs, cfg)
-}
-
-// KNNApproxSnapshot is KNNApproxSnapshotCtx over a background context.
-func KNNApproxSnapshot(m measure.Measure, queries, refs [][]float64, k int, cfg ann.Config, snap *corpus.Snapshot) ApproxResult {
-	res, _ := KNNApproxSnapshotCtx(context.Background(), m, queries, refs, k, cfg, snap)
-	return res
-}
-
-// KNNApproxSnapshotCtx is KNNApproxCtx serving the fitted ANN index from
-// the snapshot when possible; see OneNNApproxSnapshotCtx.
-func KNNApproxSnapshotCtx(ctx context.Context, m measure.Measure, queries, refs [][]float64, k int, cfg ann.Config, snap *corpus.Snapshot) (ApproxResult, error) {
-	if snap.Covers(refs) {
-		if ix := snap.ANNIndex(m); ix != nil {
-			return approxAllCtx(ctx, ix, queries, k)
-		}
-	}
-	return KNNApproxCtx(ctx, m, queries, refs, k, cfg)
+	return KNNApproxSnapshotCtx(ctx, m, queries, refs, 1, cfg, snap)
 }
 
 // approxAllCtx fans the queries across workers, one ann.Querier each.

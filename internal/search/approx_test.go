@@ -10,6 +10,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/dataset"
 	"repro/internal/elastic"
+	"repro/internal/measure"
 	"repro/internal/search"
 )
 
@@ -29,8 +30,11 @@ func approxData(t *testing.T, n, q int) (refs, queries [][]float64) {
 func TestOneNNApproxFallbackMatchesExact(t *testing.T) {
 	refs, queries := approxData(t, 40, 16)
 	m := elastic.DTW{DeltaPercent: 10}
-	approx := search.OneNNApprox(m, queries, refs, ann.Config{Candidates: len(refs), Seed: 1})
-	exact := search.OneNN(m, queries, refs)
+	approx, err := search.OneNNApproxSnapshotCtx(context.Background(), m, queries, refs, ann.Config{Candidates: len(refs), Seed: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact := oneNN(m, queries, refs)
 	if approx.Stats.Fallbacks != int64(len(queries)) {
 		t.Fatalf("fallbacks %d, want %d", approx.Stats.Fallbacks, len(queries))
 	}
@@ -48,8 +52,11 @@ func TestOneNNApproxFallbackMatchesExact(t *testing.T) {
 func TestOneNNApproxNeverBeatsExact(t *testing.T) {
 	refs, queries := approxData(t, 160, 24)
 	m := elastic.DTW{DeltaPercent: 10}
-	approx := search.OneNNApprox(m, queries, refs, ann.Config{Candidates: 12, Seed: 2})
-	exact := search.OneNN(m, queries, refs)
+	approx, err := search.OneNNApproxSnapshotCtx(context.Background(), m, queries, refs, ann.Config{Candidates: 12, Seed: 2}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact := oneNN(m, queries, refs)
 	if approx.Stats.Fallbacks != 0 {
 		t.Fatalf("budget 12 over n=160 must not fall back (%d did)", approx.Stats.Fallbacks)
 	}
@@ -71,7 +78,10 @@ func TestOneNNApproxNeverBeatsExact(t *testing.T) {
 func TestKNNApproxShape(t *testing.T) {
 	refs, queries := approxData(t, 80, 8)
 	m := elastic.DTW{DeltaPercent: 10}
-	res := search.KNNApprox(m, queries, refs, 5, ann.Config{Candidates: 16, Seed: 3})
+	res, err := search.KNNApproxSnapshotCtx(context.Background(), m, queries, refs, 5, ann.Config{Candidates: 16, Seed: 3}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Neighbors) != len(queries) {
 		t.Fatalf("%d neighbor lists for %d queries", len(res.Neighbors), len(queries))
 	}
@@ -98,8 +108,15 @@ func TestOneNNApproxSnapshotWarmPath(t *testing.T) {
 	m := elastic.DTW{DeltaPercent: 10}
 	cfg := ann.Config{Candidates: 12, Seed: 4}
 	snap := corpus.Build(refs, corpus.Options{ANN: []corpus.ANNSpec{{Measure: m, Config: cfg}}})
-	warm := search.OneNNApproxSnapshot(m, queries, refs, cfg, snap)
-	cold := search.OneNNApprox(m, queries, refs, cfg)
+	ctx := context.Background()
+	warm, err := search.OneNNApproxSnapshotCtx(ctx, m, queries, refs, cfg, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := search.OneNNApproxSnapshotCtx(ctx, m, queries, refs, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range queries {
 		if warm.Indices[i] != cold.Indices[i] || warm.Distances[i] != cold.Distances[i] {
 			t.Fatalf("query %d: warm (%d, %g) != cold (%d, %g)",
@@ -117,10 +134,47 @@ func TestOneNNApproxSnapshotWarmPath(t *testing.T) {
 		other[i] = s
 	}
 	foreign := corpus.Build(other, corpus.Options{ANN: []corpus.ANNSpec{{Measure: m, Config: cfg}}})
-	res := search.OneNNApproxSnapshot(m, queries, refs, cfg, foreign)
+	res, err := search.OneNNApproxSnapshotCtx(ctx, m, queries, refs, cfg, foreign)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range queries {
 		if res.Indices[i] != cold.Indices[i] || res.Distances[i] != cold.Distances[i] {
 			t.Fatalf("query %d: foreign-snapshot result diverges from cold build", i)
+		}
+	}
+}
+
+// TestKNNApproxSnapshotAdoptsExactState checks that a top-k search over a
+// snapshot holding no ANN index still adopts the exact-side state the
+// snapshot does hold: every reference's filled bound context is served
+// once to the inline build, and the answers match a snapshot-free search.
+func TestKNNApproxSnapshotAdoptsExactState(t *testing.T) {
+	refs, queries := approxData(t, 48, 6)
+	m := elastic.DTW{DeltaPercent: 10}
+	cfg := ann.Config{Candidates: 12, Seed: 6}
+	snap := corpus.Build(refs, corpus.Options{Measures: []measure.Measure{m}})
+	ctx := context.Background()
+	before := snap.Hits().Bounds
+	got, err := search.KNNApproxSnapshotCtx(ctx, m, queries, refs, 3, cfg, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if served := snap.Hits().Bounds - before; served != int64(len(refs)) {
+		t.Fatalf("snapshot served %d bound contexts, want %d", served, len(refs))
+	}
+	want, err := search.KNNApproxSnapshotCtx(ctx, m, queries, refs, 3, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range queries {
+		if len(got.Neighbors[i]) != len(want.Neighbors[i]) {
+			t.Fatalf("query %d: %d neighbors with the snapshot, %d without", i, len(got.Neighbors[i]), len(want.Neighbors[i]))
+		}
+		for r, nb := range want.Neighbors[i] {
+			if got.Neighbors[i][r] != nb {
+				t.Fatalf("query %d rank %d: snapshot %+v, inline %+v", i, r, got.Neighbors[i][r], nb)
+			}
 		}
 	}
 }
@@ -131,7 +185,7 @@ func TestOneNNApproxCancellation(t *testing.T) {
 	refs, queries := approxData(t, 64, 8)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := search.OneNNApproxCtx(ctx, elastic.DTW{DeltaPercent: 10}, queries, refs, ann.Config{}); err == nil {
+	if _, err := search.OneNNApproxSnapshotCtx(ctx, elastic.DTW{DeltaPercent: 10}, queries, refs, ann.Config{}, nil); err == nil {
 		t.Fatal("cancelled approximate search returned nil error")
 	}
 }
@@ -139,13 +193,20 @@ func TestOneNNApproxCancellation(t *testing.T) {
 // TestOneNNApproxEmpty covers degenerate inputs at the search layer.
 func TestOneNNApproxEmpty(t *testing.T) {
 	_, queries := approxData(t, 8, 4)
-	res := search.OneNNApprox(elastic.DTW{DeltaPercent: 10}, queries, nil, ann.Config{})
+	ctx := context.Background()
+	res, err := search.OneNNApproxSnapshotCtx(ctx, elastic.DTW{DeltaPercent: 10}, queries, nil, ann.Config{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range queries {
 		if res.Indices[i] != -1 || !math.IsInf(res.Distances[i], 1) {
 			t.Fatalf("query %d over empty refs = (%d, %g)", i, res.Indices[i], res.Distances[i])
 		}
 	}
-	empty := search.OneNNApprox(elastic.DTW{DeltaPercent: 10}, nil, queries, ann.Config{})
+	empty, err := search.OneNNApproxSnapshotCtx(ctx, elastic.DTW{DeltaPercent: 10}, nil, queries, ann.Config{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(empty.Indices) != 0 {
 		t.Fatalf("no queries produced %d results", len(empty.Indices))
 	}

@@ -1,6 +1,7 @@
 package search_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -105,7 +106,7 @@ func tuneByMatrix(g eval.Grid, train [][]float64, labels []int) (int, float64) {
 //     allocations, full train-by-train matrices);
 //   - matrix: today's DTW kernel but still through exhaustive symmetric
 //     matrices;
-//   - pruned: eval.TuneSupervised on the search engine (symmetric pair
+//   - pruned: eval.TuneSupervisedCtx on the search engine (symmetric pair
 //     halving + LB_Kim/LB_Keogh cascade + early-abandoning DP).
 //
 // All three select the same candidate with the same accuracy (see
@@ -127,7 +128,7 @@ func BenchmarkSupervisedDTWTuning(b *testing.B) {
 	b.Run("pruned", func(b *testing.B) {
 		g := eval.DTWGrid()
 		for i := 0; i < b.N; i++ {
-			eval.TuneSupervised(g, d.Train, d.TrainLabels)
+			eval.TuneSupervisedCtx(context.Background(), g, d.Train, d.TrainLabels, nil)
 		}
 	})
 }
@@ -168,7 +169,7 @@ func BenchmarkGridTuning(b *testing.B) {
 		g := eval.DTWGrid()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			eval.TuneSupervised(g, d.Train, d.TrainLabels)
+			eval.TuneSupervisedCtx(context.Background(), g, d.Train, d.TrainLabels, nil)
 		}
 	})
 	b.Run("sink/percandidate", func(b *testing.B) {
@@ -182,7 +183,7 @@ func BenchmarkGridTuning(b *testing.B) {
 		g := eval.SINKGrid()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			eval.TuneSupervised(g, sinkTrain, sinkLabels)
+			eval.TuneSupervisedCtx(context.Background(), g, sinkTrain, sinkLabels, nil)
 		}
 	})
 }
@@ -194,7 +195,7 @@ func TestTuningPathsAgree(t *testing.T) {
 	d := benchDataset()
 	baseIdx, baseAcc := tuneByMatrix(baselineGrid(), d.Train, d.TrainLabels)
 	matIdx, matAcc := tuneByMatrix(eval.DTWGrid(), d.Train, d.TrainLabels)
-	chosen, acc := eval.TuneSupervised(eval.DTWGrid(), d.Train, d.TrainLabels)
+	chosen, acc, _, _ := eval.TuneSupervisedCtx(context.Background(), eval.DTWGrid(), d.Train, d.TrainLabels, nil)
 	if baseIdx != matIdx || baseAcc != matAcc {
 		t.Fatalf("baseline picked %d (%g), matrix picked %d (%g)", baseIdx, baseAcc, matIdx, matAcc)
 	}
@@ -209,7 +210,10 @@ func TestTuningPathsAgree(t *testing.T) {
 // deques, and DP rows are all reused.
 func BenchmarkQuerierQuery(b *testing.B) {
 	d := benchDataset()
-	ix := search.NewIndex(elastic.DTW{DeltaPercent: 10}, d.Train)
+	ix, err := search.NewIndexSnapshotCtx(context.Background(), elastic.DTW{DeltaPercent: 10}, d.Train, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
 	q := ix.Querier()
 	// Warm the DP-scratch pool and the querier's bound context.
 	for _, x := range d.Test {
@@ -234,7 +238,7 @@ func BenchmarkOneNNInference(b *testing.B) {
 	})
 	b.Run("pruned", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = search.OneNN(m, d.Test, d.Train)
+			_ = oneNN(m, d.Test, d.Train)
 		}
 	})
 }

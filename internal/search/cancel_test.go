@@ -72,7 +72,7 @@ func TestLeaveOneOutGridCtxCancelsPromptly(t *testing.T) {
 		cancellingMeasure{calls: &calls, trigger: -1, cancel: func() {}},
 		cancellingMeasure{calls: &calls, trigger: -1, cancel: func() {}},
 	}
-	_, err := search.LeaveOneOutGridCtx(ctx, cands, train)
+	_, err := search.LeaveOneOutGridCtx(ctx, cands, train, nil)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -81,7 +81,10 @@ func TestLeaveOneOutGridCtxCancelsPromptly(t *testing.T) {
 	}
 }
 
-// TestLeaveOneOutCtxCancelsPromptly is the single-candidate analogue.
+// TestLeaveOneOutCtxCancelsPromptly is the single-candidate analogue:
+// leave-one-out is the grid engine over one candidate, so a cancelled run
+// also follows the grid's rule and returns a zero Result, never a
+// half-scanned one.
 func TestLeaveOneOutCtxCancelsPromptly(t *testing.T) {
 	train := cancelTrain()
 	n := int64(len(train))
@@ -91,17 +94,21 @@ func TestLeaveOneOutCtxCancelsPromptly(t *testing.T) {
 	defer cancel()
 	var calls atomic.Int64
 	m := cancellingMeasure{calls: &calls, trigger: 5, cancel: cancel}
-	_, err := search.LeaveOneOutCtx(ctx, m, train)
+	gr, err := search.LeaveOneOutGridCtx(ctx, []measure.Measure{m}, train, nil)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if got := calls.Load(); got >= full/2 {
 		t.Errorf("cancelled leave-one-out ran %d of %d distance calls", got, full)
 	}
+	if r := gr.PerCandidate[0]; r.Indices != nil || r.Distances != nil || r.Stats != (search.Stats{}) {
+		t.Errorf("cancelled leave-one-out returned a non-zero Result: %+v", r)
+	}
 }
 
-// TestGridCtxUncancelledMatchesPlain pins the wrapper contract: an
-// uncancelled Ctx run is bit-identical to the plain call.
+// TestGridCtxUncancelledMatchesPlain pins the cancellation plumbing: a run
+// under a live (cancellable, never cancelled) context is bit-identical to
+// the plain LeaveOneOut of each candidate, which runs without one.
 func TestGridCtxUncancelledMatchesPlain(t *testing.T) {
 	train := cancelTrain()
 	var calls atomic.Int64
@@ -116,13 +123,14 @@ func TestGridCtxUncancelledMatchesPlain(t *testing.T) {
 			return math.Sqrt(s)
 		}),
 	}
-	want := search.LeaveOneOutGrid(cands, train)
-	got, err := search.LeaveOneOutGridCtx(context.Background(), cands, train)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	got, err := search.LeaveOneOutGridCtx(ctx, cands, train, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k := range want.PerCandidate {
-		w, g := want.PerCandidate[k], got.PerCandidate[k]
+	for k, cand := range cands {
+		w, g := search.LeaveOneOut(cand, train), got.PerCandidate[k]
 		for i := range w.Indices {
 			if g.Indices[i] != w.Indices[i] || g.Distances[i] != w.Distances[i] {
 				t.Fatalf("candidate %d row %d: ctx path (%d, %v) differs from plain (%d, %v)",

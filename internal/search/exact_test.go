@@ -26,7 +26,7 @@ func TestPrunedSearchExactAcrossElasticGrids(t *testing.T) {
 		g = eval.Thin(g, stride)
 		for _, cand := range g.Candidates {
 			for _, d := range archive {
-				res := search.OneNN(cand, d.Test, d.Train)
+				res := oneNN(cand, d.Test, d.Train)
 				want := eval.Neighbors(eval.Matrix(cand, d.Test, d.Train))
 				for i := range want {
 					if res.Indices[i] != want[i] {

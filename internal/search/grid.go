@@ -14,15 +14,16 @@ import (
 
 // This file implements the grid tuning engine: leave-one-out 1-NN
 // evaluation of an entire parameter grid in one pass, instead of one
-// independent LeaveOneOut per candidate. Three optimizations stack:
+// independent leave-one-out scan per candidate. It is also the only
+// leave-one-out path: LeaveOneOut is the engine over a single candidate.
+// Three optimizations stack:
 //
-//  1. Shared preparation. Candidates declaring measure.GridStateful (or
-//     measure.PreparationSharing) form families whose per-series state is
-//     computed once for the whole sweep — e.g. one FFT spectrum and self
-//     cross-correlation per series across all SINK gammas. Candidates
-//     declaring measure.BoundSharing (DTW bands) rebind one arena of
-//     envelope buffers across the sweep instead of allocating per
-//     candidate.
+//  1. Shared preparation. Candidates declaring measure.GridStateful form
+//     families whose per-series state is computed once for the whole
+//     sweep — e.g. one FFT spectrum and self cross-correlation per series
+//     across all SINK gammas. Candidates declaring measure.BoundSharing
+//     (DTW bands) rebind one arena of envelope buffers across the sweep
+//     instead of allocating per candidate.
 //
 //  2. Warm-start pruning. Candidates declaring measure.NestedBounds are
 //     linked to a dominating candidate evaluated earlier (e.g. the
@@ -68,19 +69,6 @@ type GridStats struct {
 	WarmSearch   Stats // pair counters restricted to warm-primed candidates
 }
 
-func (g *GridStats) add(o GridStats) {
-	g.Candidates += o.Candidates
-	g.Waves += o.Waves
-	g.Rows += o.Rows
-	g.WarmRows += o.WarmRows
-	g.Repaired += o.Repaired
-	g.PrepTotal += o.PrepTotal
-	g.PrepShared += o.PrepShared
-	g.PrepSnapshot += o.PrepSnapshot
-	g.Search.add(o.Search)
-	g.WarmSearch.add(o.WarmSearch)
-}
-
 // SharedPrepRate is the fraction of per-series preparations served by a
 // family-shared preparation (0 when the grid has no stateful candidates).
 func (g GridStats) SharedPrepRate() float64 {
@@ -108,10 +96,10 @@ type GridResult struct {
 	Stats        GridStats
 }
 
-// TuneIndex holds a parameter grid prepared for one-pass leave-one-out
+// tuneIndex holds a parameter grid prepared for one-pass leave-one-out
 // evaluation over a fixed training set: warm-start links between nested
 // candidates, preparation-sharing families, and the bound-context arena.
-type TuneIndex struct {
+type tuneIndex struct {
 	cands    []measure.Measure
 	train    [][]float64
 	warmFrom []int // dominating candidate whose results prime this one, or -1
@@ -125,27 +113,25 @@ type TuneIndex struct {
 
 	// snap optionally serves per-series state (family cores, prepared
 	// states, bound contexts, finiteness) instead of computing it inline;
-	// set by NewTuneIndexSnapshot only when the snapshot covers train.
-	// Snapshot state is read-only: it is never rebound, refilled, or
-	// donated to the bound arena.
+	// nil unless the snapshot covers train. Snapshot state is read-only: it
+	// is never rebound, refilled, or donated to the bound arena.
 	snap *corpus.Snapshot
 }
 
-// gridFamily is a preparation-sharing group: candidates whose per-series
-// state derives from one shared computation.
+// gridFamily is a preparation-sharing group: GridStateful candidates whose
+// per-series state derives from one shared core.
 type gridFamily struct {
 	rep     int // first member, whose declarations anchor the family
 	members int
-	grid    bool // GridStateful (shared core + CandidateState) vs verbatim
 }
 
-// NewTuneIndex analyzes the grid's structure: warm-start links via
+// newTuneIndex analyzes the grid's structure: warm-start links via
 // measure.NestedBounds (each candidate linked to the latest earlier
 // candidate that dominates it — the tightest bound in a
 // monotone-ordered grid), and preparation families via
-// measure.GridStateful / measure.PreparationSharing.
-func NewTuneIndex(cands []measure.Measure, train [][]float64) *TuneIndex {
-	ti := &TuneIndex{
+// measure.GridStateful. snap is kept only when it covers train.
+func newTuneIndex(cands []measure.Measure, train [][]float64, snap *corpus.Snapshot) *tuneIndex {
+	ti := &tuneIndex{
 		cands:    cands,
 		train:    train,
 		warmFrom: make([]int, len(cands)),
@@ -153,6 +139,9 @@ func NewTuneIndex(cands []measure.Measure, train [][]float64) *TuneIndex {
 		famOf:    make([]int, len(cands)),
 		bottom:   findBottom(cands, train),
 		covered:  make([]bool, len(cands)),
+	}
+	if snap.Covers(train) {
+		ti.snap = snap
 	}
 	var bottomNB measure.NestedBounds
 	if ti.bottom >= 0 {
@@ -183,9 +172,7 @@ func NewTuneIndex(cands []measure.Measure, train [][]float64) *TuneIndex {
 			}
 		}
 		if gs, ok := m.(measure.GridStateful); ok {
-			ti.joinFamily(k, true, func(rep measure.Measure) bool { return gs.SharesPreparation(rep) })
-		} else if ps, ok := m.(measure.PreparationSharing); ok {
-			ti.joinFamily(k, false, func(rep measure.Measure) bool { return ps.SharesPreparation(rep) })
+			ti.joinFamily(k, gs)
 		}
 	}
 	return ti
@@ -265,46 +252,39 @@ func probeDistanceCost(m measure.Measure, x, y []float64) float64 {
 	return best
 }
 
-// joinFamily adds candidate k to the first matching preparation family, or
-// founds a new one.
-func (ti *TuneIndex) joinFamily(k int, grid bool, shares func(rep measure.Measure) bool) {
+// joinFamily adds GridStateful candidate k to the first family whose
+// representative shares its preparation, or founds a new one.
+func (ti *tuneIndex) joinFamily(k int, gs measure.GridStateful) {
 	for fi := range ti.families {
 		f := &ti.families[fi]
-		if f.grid == grid && shares(ti.cands[f.rep]) {
+		if gs.SharesPreparation(ti.cands[f.rep]) {
 			f.members++
 			ti.famOf[k] = fi
 			return
 		}
 	}
-	ti.families = append(ti.families, gridFamily{rep: k, members: 1, grid: grid})
+	ti.families = append(ti.families, gridFamily{rep: k, members: 1})
 	ti.famOf[k] = len(ti.families) - 1
 }
 
-// LeaveOneOutGrid evaluates every candidate's leave-one-out 1-NN result in
-// one pass. Each per-candidate Result — neighbor indices, distances, and
-// tie-breaks — is bit-identical to LeaveOneOut on that candidate alone.
-func LeaveOneOutGrid(cands []measure.Measure, train [][]float64) GridResult {
-	return NewTuneIndex(cands, train).Evaluate()
+// LeaveOneOutGridCtx evaluates every candidate's leave-one-out 1-NN result
+// in one pass; a single candidate is plain leave-one-out. Each
+// per-candidate Result — neighbor indices, distances, and tie-breaks — is
+// identical to exhaustive evaluation of that candidate alone. snap is
+// optional: when it covers train it serves family cores, prepared states,
+// bound contexts, and finiteness flags, with bitwise-identical results.
+//
+// A cancelled sweep stops within one dispatch chunk per worker and returns
+// ctx.Err() with a partially-filled GridResult: candidates from completed
+// waves hold exact results, the rest hold zero Results. A cancelled
+// single-candidate leave-one-out therefore returns a zero Result.
+func LeaveOneOutGridCtx(ctx context.Context, cands []measure.Measure, train [][]float64, snap *corpus.Snapshot) (GridResult, error) {
+	return newTuneIndex(cands, train, snap).evaluate(ctx)
 }
 
-// LeaveOneOutGridCtx is LeaveOneOutGrid honoring cancellation: a cancelled
-// sweep stops within one dispatch chunk per worker and returns ctx.Err()
-// with the partially-filled GridResult (candidates from completed waves
-// hold exact results; the rest hold zero Results).
-func LeaveOneOutGridCtx(ctx context.Context, cands []measure.Measure, train [][]float64) (GridResult, error) {
-	return NewTuneIndex(cands, train).EvaluateCtx(ctx)
-}
-
-// Evaluate runs the full grid schedule: family preparations, then each
+// evaluate runs the full grid schedule: family preparations, then each
 // warm-start wave through one pooled dispatch.
-func (ti *TuneIndex) Evaluate() GridResult {
-	res, _ := ti.EvaluateCtx(context.Background())
-	return res
-}
-
-// EvaluateCtx is Evaluate honoring cancellation; see LeaveOneOutGridCtx
-// for the partial-result contract.
-func (ti *TuneIndex) EvaluateCtx(ctx context.Context) (GridResult, error) {
+func (ti *tuneIndex) evaluate(ctx context.Context) (GridResult, error) {
 	res := GridResult{PerCandidate: make([]Result, len(ti.cands))}
 	st := &res.Stats
 	st.Candidates = len(ti.cands)
@@ -363,47 +343,31 @@ func (ti *TuneIndex) EvaluateCtx(ctx context.Context) (GridResult, error) {
 	return res, nil
 }
 
-// prepareFamilies computes the shared per-series state of every family
+// prepareFamilies computes the shared per-series cores of every family
 // with at least two members (a singleton gains nothing over the plain
 // Stateful path).
-func (ti *TuneIndex) prepareFamilies(ctx context.Context, st *GridStats) (map[int][]any, error) {
+func (ti *tuneIndex) prepareFamilies(ctx context.Context, st *GridStats) (map[int][]any, error) {
 	out := map[int][]any{}
 	n := len(ti.train)
 	for fi, f := range ti.families {
 		if f.members < 2 {
 			continue
 		}
-		// The snapshot's family cores (or verbatim prepared states) replace
-		// the inline computation wholesale: the builder produced them with
-		// the same GridPrepare/Prepare calls this loop would run.
-		if ti.snap != nil {
-			if f.grid {
-				if cores := ti.snap.GridCores(ti.cands[f.rep]); cores != nil {
-					out[fi] = cores
-					st.PrepShared += int64(f.members-1) * int64(n)
-					st.PrepSnapshot += int64(n)
-					continue
-				}
-			} else if prep := ti.snap.Prepared(ti.cands[f.rep]); prep != nil {
-				out[fi] = prep
-				st.PrepShared += int64(f.members-1) * int64(n)
-				st.PrepSnapshot += int64(n)
-				continue
-			}
+		// The snapshot's family cores replace the inline computation
+		// wholesale: the builder produced them with the same GridPrepare
+		// calls this loop would run.
+		if cores := ti.snap.GridCores(ti.cands[f.rep]); cores != nil {
+			out[fi] = cores
+			st.PrepShared += int64(f.members-1) * int64(n)
+			st.PrepSnapshot += int64(n)
+			continue
 		}
-		states := make([]any, n)
-		var err error
-		if f.grid {
-			gs := ti.cands[f.rep].(measure.GridStateful)
-			err = par.ForCtx(ctx, n, par.Workers(n), func(i int) { states[i] = gs.GridPrepare(ti.train[i]) })
-		} else {
-			sm := ti.cands[f.rep].(measure.Stateful)
-			err = par.ForCtx(ctx, n, par.Workers(n), func(i int) { states[i] = sm.Prepare(ti.train[i]) })
-		}
-		if err != nil {
+		gs := ti.cands[f.rep].(measure.GridStateful)
+		cores := make([]any, n)
+		if err := par.ForCtx(ctx, n, par.Workers(n), func(i int) { cores[i] = gs.GridPrepare(ti.train[i]) }); err != nil {
 			return out, err
 		}
-		out[fi] = states
+		out[fi] = cores
 		st.PrepShared += int64(f.members-1) * int64(n)
 	}
 	return out, nil
@@ -425,7 +389,7 @@ func allFinite(x []float64) bool {
 // recorded value there is exact and ties resolve to the lowest index
 // either way. The matrix then serves as the per-pair lower bound of every
 // other candidate.
-func (ti *TuneIndex) evaluateBottom(ctx context.Context, r *Result, st *GridStats) error {
+func (ti *tuneIndex) evaluateBottom(ctx context.Context, r *Result, st *GridStats) error {
 	m := ti.cands[ti.bottom]
 	n := len(ti.train)
 	ti.pairD = make([]float64, n*n)
@@ -457,6 +421,7 @@ func (ti *TuneIndex) evaluateBottom(ctx context.Context, r *Result, st *GridStat
 		}
 		r.Indices[i], r.Distances[i] = best, bestDist
 	}); err != nil {
+		*r = Result{}
 		return err
 	}
 	pairs := int64(n) * int64(n-1) / 2
@@ -513,16 +478,12 @@ type candEval struct {
 	finite []bool    // per-series finiteness (pairD precondition)
 	n      int
 
-	// Halved path.
-	lb       measure.LowerBounded
-	ea       measure.EarlyAbandoning
-	ctxs     []measure.BoundContext
-	entry    *arenaEntry // non-nil when ctxs came from the arena
-	bs       measure.BoundSharing
-	snapCtxs bool // ctxs are snapshot-owned: pre-filled, read-only, never arena-donated
-
-	// Scan path.
-	ix *Index
+	// ix holds the candidate's fast paths and per-series state: the
+	// Querier's index on the scan path, the bound contexts (ix.rctx) of
+	// the pair scan on the halved path.
+	ix    *Index
+	entry *arenaEntry // non-nil when ix.rctx came from the arena
+	bs    measure.BoundSharing
 }
 
 // looLocal is one worker's private view of one halved candidate: row
@@ -540,7 +501,7 @@ type looLocal struct {
 // wave's candidates are left as zero Results (partial worker-local scans
 // are never merged — a half-scanned row would not be exact) and the
 // context error is returned.
-func (ti *TuneIndex) evaluateWave(ctx context.Context, wave []int, shared map[int][]any, arena *boundArena, out []Result, st *GridStats) error {
+func (ti *tuneIndex) evaluateWave(ctx context.Context, wave []int, shared map[int][]any, arena *boundArena, out []Result, st *GridStats) error {
 	n := len(ti.train)
 	evals := make([]*candEval, len(wave))
 	for w, k := range wave {
@@ -551,50 +512,33 @@ func (ti *TuneIndex) evaluateWave(ctx context.Context, wave []int, shared map[in
 		if ti.pairD != nil && ti.covered[k] {
 			ce.pairD, ce.finite = ti.pairD, ti.finite
 		}
-		ce.lb, _ = ce.m.(measure.LowerBounded)
-		ce.ea, _ = ce.m.(measure.EarlyAbandoning)
-		if ce.halved {
-			if ce.lb != nil {
-				// Snapshot-owned contexts are already filled for this exact
-				// candidate; adopting them skips the setup pool entirely. They
-				// must never enter the arena: a later candidate would rebind
-				// (mutate) them, corrupting the immutable snapshot.
-				if ti.snap != nil {
-					if sctxs := ti.snap.BoundContexts(ce.m); sctxs != nil {
-						ce.ctxs = sctxs
-						ce.snapCtxs = true
-						st.PrepSnapshot += int64(n)
-					}
-				}
-				if !ce.snapCtxs {
-					ce.bs, _ = ce.m.(measure.BoundSharing)
-					if ce.bs != nil {
-						ce.entry = arena.checkout(ce.bs)
-					}
-					if ce.entry != nil {
-						ce.ctxs = ce.entry.ctxs
-					} else {
-						ce.ctxs = make([]measure.BoundContext, n)
-					}
+		// Snapshot-owned state arrives filled and read-only. It must never
+		// enter the arena: a later candidate would rebind (mutate) it,
+		// corrupting the immutable snapshot.
+		ce.ix = newIndex(ce.m, ti.train, ti.snap)
+		switch {
+		case ce.ix.prefilled:
+			st.PrepSnapshot += int64(n)
+		case ce.halved && ce.ix.rctx != nil:
+			if ce.bs, _ = ce.m.(measure.BoundSharing); ce.bs != nil {
+				if ce.entry = arena.checkout(ce.bs); ce.entry != nil {
+					ce.ix.rctx = ce.entry.ctxs
 				}
 			}
-		} else {
-			ce.ix = ti.newScanIndex(ce.m, shared)
-			if ce.ix.prefilled {
-				st.PrepSnapshot += int64(n)
-			}
+		}
+		if !ce.halved {
 			// Pre-size the result so scan workers can write rows directly.
 			out[k] = Result{Indices: make([]int, n), Distances: make([]float64, n)}
 		}
 		evals[w] = ce
 	}
 
-	// Per-series setup pool: bound-context fills for every candidate that
-	// needs them, flattened across the wave. Snapshot-served candidates
-	// need none.
+	// Per-series setup pool: bound-context and preparation fills for every
+	// candidate that needs them, flattened across the wave.
+	// Snapshot-served candidates need none.
 	var setupCands []*candEval
 	for _, ce := range evals {
-		if (ce.halved && ce.lb != nil && !ce.snapCtxs) || (ce.ix != nil && ce.ix.needsSetup()) {
+		if ce.ix.needsSetup() {
 			setupCands = append(setupCands, ce)
 		}
 	}
@@ -605,6 +549,7 @@ func (ti *TuneIndex) evaluateWave(ctx context.Context, wave []int, shared map[in
 			i := item % n
 			ce.setupSeries(ti.train, i, shared[ti.famOf[ce.k]])
 		}); err != nil {
+			clearWave(evals, out)
 			return err
 		}
 	}
@@ -663,12 +608,8 @@ func (ti *TuneIndex) evaluateWave(ctx context.Context, wave []int, shared map[in
 
 	if scanErr != nil {
 		// Do not merge: worker locals may hold rows whose scan was cut
-		// short mid-candidate. Scan-path rows already written to out are
-		// exact but incomplete; zero the wave so callers see all-or-nothing
-		// per candidate.
-		for _, ce := range evals {
-			out[ce.k] = Result{}
-		}
+		// short mid-candidate.
+		clearWave(evals, out)
 		return scanErr
 	}
 
@@ -697,81 +638,31 @@ func (ti *TuneIndex) evaluateWave(ctx context.Context, wave []int, shared map[in
 		}
 		if ce.entry != nil {
 			arena.checkin(ce.entry, ce.m, false)
-		} else if ce.bs != nil && ce.ctxs != nil && !ce.snapCtxs {
-			arena.checkin(&arenaEntry{ctxs: ce.ctxs}, ce.m, true)
+		} else if ce.bs != nil {
+			arena.checkin(&arenaEntry{ctxs: ce.ix.rctx}, ce.m, true)
 		}
 	}
 	return nil
 }
 
-// newScanIndex builds the Index of a scan-path candidate without its
-// internal parallel preparation (the wave's setup pool runs it), wiring
-// family-shared preparations when available and adopting snapshot state —
-// which arrives already filled — when the tune index carries one.
-func (ti *TuneIndex) newScanIndex(m measure.Measure, shared map[int][]any) *Index {
-	ix := &Index{m: m, refs: ti.train}
-	if ea, ok := m.(measure.EarlyAbandoning); ok {
-		ix.ea = ea
+// clearWave zeroes the Results of a cancelled wave: scan-path rows already
+// written to out are exact but incomplete, so callers see all-or-nothing
+// per candidate.
+func clearWave(evals []*candEval, out []Result) {
+	for _, ce := range evals {
+		out[ce.k] = Result{}
 	}
-	if lb, ok := m.(measure.LowerBounded); ok {
-		ix.lb = lb
-		if ti.snap != nil {
-			if sctxs := ti.snap.BoundContexts(m); sctxs != nil {
-				ix.rctx = sctxs
-				ix.prefilled = true
-				return ix
-			}
-		}
-		ix.rctx = make([]measure.BoundContext, len(ti.train))
-	} else if sm, ok := m.(measure.Stateful); ok {
-		ix.sm = sm
-		if ti.snap != nil {
-			if prep := ti.snap.Prepared(m); prep != nil {
-				ix.rprep = prep
-				ix.prefilled = true
-				return ix
-			}
-		}
-		ix.rprep = make([]any, len(ti.train))
-	}
-	return ix
 }
 
-// needsSetup reports whether the index still requires per-series fills;
-// snapshot-prefilled state needs none (and must not be overwritten).
-func (ix *Index) needsSetup() bool {
-	return !ix.prefilled && (ix.rctx != nil || ix.rprep != nil)
-}
-
-// setupSeries performs candidate setup for series i: a bound-context fill
-// (fresh or rebound) on the halved path, or a context/preparation fill on
-// the scan path — served from the family's shared state when possible.
+// setupSeries performs candidate setup for series i: an arena-held bound
+// context is rebound in place; anything else is the index's fill —
+// specialized from the family's shared core when there is one.
 func (ce *candEval) setupSeries(train [][]float64, i int, famShared []any) {
-	x := train[i]
-	switch {
-	case ce.halved && ce.lb != nil:
-		if ce.entry != nil {
-			ce.ctxs[i] = ce.bs.RebindBoundContext(ce.ctxs[i], x)
-		} else {
-			c := ce.lb.NewBoundContext(len(x))
-			c.Fill(x)
-			ce.ctxs[i] = c
-		}
-	case ce.ix != nil && ce.ix.rctx != nil:
-		c := ce.ix.lb.NewBoundContext(len(x))
-		c.Fill(x)
-		ce.ix.rctx[i] = c
-	case ce.ix != nil && ce.ix.rprep != nil:
-		if famShared != nil {
-			if gs, ok := ce.m.(measure.GridStateful); ok {
-				ce.ix.rprep[i] = gs.CandidateState(famShared[i])
-			} else {
-				ce.ix.rprep[i] = famShared[i]
-			}
-		} else {
-			ce.ix.rprep[i] = ce.ix.sm.Prepare(x)
-		}
+	if ce.entry != nil {
+		ce.ix.rctx[i] = ce.bs.RebindBoundContext(ce.ix.rctx[i], train[i])
+		return
 	}
+	ce.ix.fill(i, famShared)
 }
 
 // newLooLocal builds a worker's private incumbent arrays, priming rows
@@ -801,14 +692,21 @@ func newLooLocal(n int, warm []float64) *looLocal {
 }
 
 // scanHalvedRows runs rows [lo, hi) of the halved pair scan for one
-// candidate into the worker's locals. The logic extends looHalved with
-// primed cutoffs: a row may carry a finite cutoff before any incumbent
-// exists, in which case recording still requires d < cutoff — which
-// certifies d is exact (DistanceUpTo only abandons at or above its
-// cutoff). Unprimed incumbent-less rows keep the original first-candidate
-// semantics through an infinite cutoff.
+// candidate into the worker's locals, evaluating each unordered pair once.
+// Pair (i, j) is examined with the cutoff max(best_i, best_j), so a pruned
+// or abandoned computation certifies that neither row can improve. Within
+// a worker, contributions to any row arrive in increasing candidate order
+// (rows are dispatched in increasing order and row i's own scan ascends),
+// and mergeHalved takes the lexicographic (distance, index) minimum across
+// workers — together this reproduces exhaustive first-lowest-index
+// tie-breaking exactly. A primed row may carry a finite cutoff before any
+// incumbent exists, in which case recording still requires d < cutoff —
+// which certifies d is exact (DistanceUpTo only abandons at or above its
+// cutoff). Unprimed incumbent-less rows record their first candidate,
+// whose infinite cutoff makes d exact.
 func (ce *candEval) scanHalvedRows(train [][]float64, l *looLocal, lo, hi int) {
 	n := len(train)
+	lb, ea, ctxs := ce.ix.lb, ce.ix.ea, ce.ix.rctx
 	for i := lo; i < hi; i++ {
 		xi := train[i]
 		var pairRow []float64
@@ -829,16 +727,16 @@ func (ce *candEval) scanHalvedRows(train [][]float64, l *looLocal, lo, hi int) {
 				l.stats.PairLB++
 				continue
 			}
-			if ce.lb != nil && finite {
-				if lbv := ce.lb.LowerBound(xi, train[j], ce.ctxs[i], ce.ctxs[j], cutoff); lbv >= cutoff {
+			if lb != nil && finite {
+				if lbv := lb.LowerBound(xi, train[j], ctxs[i], ctxs[j], cutoff); lbv >= cutoff {
 					l.stats.LBPruned++
 					continue
 				}
 			}
 			l.stats.FullDist++
 			var d float64
-			if ce.ea != nil {
-				d = measure.Sanitize(ce.ea.DistanceUpTo(xi, train[j], cutoff))
+			if ea != nil {
+				d = measure.Sanitize(ea.DistanceUpTo(xi, train[j], cutoff))
 			} else {
 				d = measure.Sanitize(ce.m.Distance(xi, train[j]))
 			}
@@ -859,7 +757,7 @@ func (ce *candEval) scanHalvedRows(train [][]float64, l *looLocal, lo, hi int) {
 // Result, repairing any row no worker resolved — which happens only when a
 // primed cutoff proved unachievable (a violated domination declaration,
 // possible on non-finite inputs) — with an exact cold scan.
-func (ti *TuneIndex) mergeHalved(ce *candEval, locals [][]*looLocal, w int, r *Result, st *GridStats) {
+func (ti *tuneIndex) mergeHalved(ce *candEval, locals [][]*looLocal, w int, r *Result, st *GridStats) {
 	n := len(ti.train)
 	r.Indices = make([]int, n)
 	r.Distances = make([]float64, n)

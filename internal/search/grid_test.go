@@ -1,12 +1,15 @@
 package search_test
 
 import (
+	"context"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/elastic"
 	"repro/internal/eval"
+	"repro/internal/lockstep"
 	"repro/internal/measure"
 	"repro/internal/search"
 )
@@ -30,7 +33,7 @@ func TestLeaveOneOutGridMatchesPerCandidate(t *testing.T) {
 	for _, g := range eval.Grids() {
 		g = eval.Thin(g, stride)
 		for _, d := range archive {
-			gr := search.LeaveOneOutGrid(g.Candidates, d.Train)
+			gr := looGrid(g.Candidates, d.Train, nil)
 			if len(gr.PerCandidate) != len(g.Candidates) {
 				t.Fatalf("%s on %s: %d results for %d candidates",
 					g.Name, d.Name, len(gr.PerCandidate), len(g.Candidates))
@@ -52,7 +55,7 @@ func TestLeaveOneOutGridMatchesPerCandidate(t *testing.T) {
 }
 
 // TestTuneSupervisedMatchesNaiveSelection checks the full selection path:
-// TuneSupervised on the engine must pick the same candidate with the same
+// TuneSupervisedCtx on the engine must pick the same candidate with the same
 // accuracy as the naive per-candidate loop, for every grid family.
 func TestTuneSupervisedMatchesNaiveSelection(t *testing.T) {
 	archive := dataset.GenerateArchive(dataset.ArchiveOptions{
@@ -65,7 +68,7 @@ func TestTuneSupervisedMatchesNaiveSelection(t *testing.T) {
 	for _, g := range eval.Grids() {
 		g = eval.Thin(g, stride)
 		for _, d := range archive {
-			gotM, gotAcc := eval.TuneSupervised(g, d.Train, d.TrainLabels)
+			gotM, gotAcc, _, _ := eval.TuneSupervisedCtx(context.Background(), g, d.Train, d.TrainLabels, nil)
 			wantIdx, wantAcc := 0, -1.0
 			for i, cand := range g.Candidates {
 				res := search.LeaveOneOut(cand, d.Train)
@@ -98,7 +101,7 @@ func TestGridEngineDegenerateInputs(t *testing.T) {
 		{0, 0, 0, 0, 0, 0, 0, 0},
 	}
 	g := eval.DTWGrid()
-	gr := search.LeaveOneOutGrid(g.Candidates, train)
+	gr := looGrid(g.Candidates, train, nil)
 	for k, cand := range g.Candidates {
 		want := search.LeaveOneOut(cand, train)
 		got := gr.PerCandidate[k]
@@ -120,13 +123,13 @@ func TestGridStatsCounters(t *testing.T) {
 	})
 	train := archive[0].Train
 
-	sink := search.LeaveOneOutGrid(eval.SINKGrid().Candidates, train).Stats
+	sink := looGrid(eval.SINKGrid().Candidates, train, nil).Stats
 	if sink.PrepShared == 0 || sink.SharedPrepRate() < 0.9 {
 		t.Errorf("SINK sweep shared %d/%d preparations, want ~all",
 			sink.PrepShared, sink.PrepTotal)
 	}
 
-	dtw := search.LeaveOneOutGrid(eval.DTWGrid().Candidates, train).Stats
+	dtw := looGrid(eval.DTWGrid().Candidates, train, nil).Stats
 	if dtw.Waves < 2 {
 		t.Errorf("DTW band grid ran in %d waves, want warm-start chain", dtw.Waves)
 	}
@@ -141,10 +144,11 @@ func TestGridStatsCounters(t *testing.T) {
 	}
 }
 
-// sharedPrepFake is a Stateful measure declaring PreparationSharing (the
-// verbatim fallback: no GridPrepare/CandidateState), used to exercise the
-// engine's generic family path. Scale only multiplies the final value, so
-// prepared state (the series itself) is parameter-independent.
+// sharedPrepFake is a GridStateful family whose Prepare output does not
+// depend on the parameter: GridPrepare is Prepare and CandidateState is
+// the identity, the declaration for state shared verbatim. Scale only
+// multiplies the final value, so prepared state (the series itself) is
+// parameter-independent.
 type sharedPrepFake struct {
 	Scale float64
 }
@@ -172,10 +176,13 @@ func (f sharedPrepFake) SharesPreparation(other measure.Measure) bool {
 	return ok
 }
 
-// TestPreparationSharingFallback drives a grid of PreparationSharing (but
-// not GridStateful) candidates through the engine: the shared Prepare
-// results must be reused verbatim, with results identical to per-candidate
-// evaluation.
+func (f sharedPrepFake) GridPrepare(x []float64) any { return f.Prepare(x) }
+
+func (f sharedPrepFake) CandidateState(shared any) any { return shared }
+
+// TestPreparationSharingFallback drives a grid of identity-CandidateState
+// GridStateful candidates through the engine: the shared preparations must
+// be reused verbatim, with results identical to per-candidate evaluation.
 func TestPreparationSharingFallback(t *testing.T) {
 	archive := dataset.GenerateArchive(dataset.ArchiveOptions{
 		Seed: 9, Count: 1, MaxLength: 32, MaxTrain: 12, MaxTest: 4,
@@ -186,7 +193,7 @@ func TestPreparationSharingFallback(t *testing.T) {
 		sharedPrepFake{Scale: 2},
 		sharedPrepFake{Scale: 0.5},
 	}
-	gr := search.LeaveOneOutGrid(cands, train)
+	gr := looGrid(cands, train, nil)
 	if gr.Stats.PrepShared != int64(2*len(train)) {
 		t.Errorf("shared %d preparations, want %d", gr.Stats.PrepShared, 2*len(train))
 	}
@@ -235,6 +242,57 @@ func TestNestingDeclarations(t *testing.T) {
 					t.Fatalf("%s(%d,%d)=%v exceeds %s=%v: nesting violated",
 						p.wide.Name(), i, j, dw, p.narrow.Name(), dn)
 				}
+			}
+		}
+	}
+}
+
+// panelCounter wraps a lock-step PanelEvaluator and counts its batched
+// calls. It declares no symmetry, so leave-one-out runs it through the
+// grid engine's scan path (one Index per candidate) rather than the halved
+// pair scan.
+type panelCounter struct {
+	pe    measure.PanelEvaluator
+	calls *atomic.Int64
+}
+
+func (c panelCounter) Name() string { return c.pe.Name() }
+
+func (c panelCounter) Distance(x, y []float64) float64 { return c.pe.Distance(x, y) }
+
+func (c panelCounter) PanelDistances(q []float64, panel [][]float64, out []float64) bool {
+	c.calls.Add(1)
+	return c.pe.PanelDistances(q, panel, out)
+}
+
+func (c panelCounter) PanelDistancesUpTo(q []float64, panel [][]float64, cutoff float64, out []float64) bool {
+	c.calls.Add(1)
+	return c.pe.PanelDistancesUpTo(q, panel, cutoff, out)
+}
+
+// TestGridScanCandidatesUsePanels checks that the grid engine's scan
+// candidates run on the batched panel kernels, as a standalone 1-NN index
+// does, with neighbors identical to exhaustive matrix evaluation.
+func TestGridScanCandidatesUsePanels(t *testing.T) {
+	train := randomSet(31, 40, 48)
+	var calls atomic.Int64
+	inner := []measure.PanelEvaluator{lockstep.Euclidean(), lockstep.Manhattan()}
+	cands := make([]measure.Measure, len(inner))
+	for k, pe := range inner {
+		cands[k] = panelCounter{pe: pe, calls: &calls}
+	}
+	gr, err := search.LeaveOneOutGridCtx(context.Background(), cands, train, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls.Load() == 0 {
+		t.Fatal("grid scan candidates never called the panel kernels")
+	}
+	for k, pe := range inner {
+		want := eval.LeaveOneOutNeighbors(eval.Matrix(pe, train, train))
+		for i, w := range want {
+			if got := gr.PerCandidate[k].Indices[i]; got != w {
+				t.Fatalf("%s row %d: grid neighbor %d, matrix neighbor %d", pe.Name(), i, got, w)
 			}
 		}
 	}

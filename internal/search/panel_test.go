@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -58,7 +59,7 @@ func TestPanelSearchMatchesBruteForce(t *testing.T) {
 	queries := panelTestData(rng, 9, 70)
 	queries[3] = append([]float64(nil), refs[12]...) // zero-distance hit
 	for _, m := range panelMeasures() {
-		res := OneNN(m, queries, refs)
+		res, _ := OneNNCtx(context.Background(), m, queries, refs)
 		if got := res.Stats.Pairs; got != int64(len(queries)*len(refs)) {
 			t.Errorf("%s: Pairs = %d, want %d", m.Name(), got, len(queries)*len(refs))
 		}
@@ -98,7 +99,7 @@ func TestPanelSearchNaNData(t *testing.T) {
 	refs[0][3] = math.NaN() // poisons every distance against ref 0
 	q := panelTestData(rng, 1, 40)[0]
 	for _, m := range panelMeasures() {
-		res := OneNN(m, [][]float64{q}, refs)
+		res, _ := OneNNCtx(context.Background(), m, [][]float64{q}, refs)
 		wi, wd := bruteForce1NN(m, q, refs, -1)
 		if res.Indices[0] != wi || math.Float64bits(res.Distances[0]) != math.Float64bits(wd) {
 			t.Fatalf("%s: got (%d, %v), want (%d, %v)", m.Name(), res.Indices[0], res.Distances[0], wi, wd)

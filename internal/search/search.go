@@ -13,18 +13,21 @@
 // evaluation. Lower bounds only skip candidates that provably cannot beat
 // the incumbent, and abandoned computations only certify d >= cutoff.
 //
-// Every entry point has a context-aware variant (OneNNCtx, LeaveOneOutCtx,
-// LeaveOneOutGridCtx) that observes cancellation at the dispatch chunk
-// granularity of internal/par and returns ctx.Err() together with whatever
-// partial per-query results were completed; the plain variants are thin
-// wrappers over a background context and remain bitwise-identical to their
-// pre-context behavior.
+// Each operation has one path, taking a context and an optional
+// corpus.Snapshot (nil prepares per-series state inline):
+// OneNNSnapshotCtx for 1-NN, LeaveOneOutGridCtx for leave-one-out over one
+// or more grid candidates, and KNNApproxSnapshotCtx for approximate
+// retrieval. NewIndexSnapshotCtx is the one Index constructor. OneNNCtx,
+// LeaveOneOut and OneNNApproxSnapshotCtx are one-line wrappers over those
+// paths. Every path observes cancellation at the dispatch chunk
+// granularity of internal/par.
 package search
 
 import (
 	"context"
 	"math"
 
+	"repro/internal/corpus"
 	"repro/internal/measure"
 	"repro/internal/par"
 )
@@ -46,11 +49,13 @@ func (s *Stats) add(o Stats) {
 	s.FullDist += o.FullDist
 }
 
-// Result is the outcome of OneNN or LeaveOneOut: per-query nearest
-// reference indices (-1 when there are no candidates) and their sanitized
-// distances, plus aggregate work counters. When the context-aware variants
-// return an error, rows whose chunk never ran hold the zero values (index
-// 0, distance 0) — the caller must treat the whole Result as partial.
+// Result is the outcome of a 1-NN or leave-one-out search: per-query
+// nearest reference indices (-1 when there are no candidates) and their
+// sanitized distances, plus aggregate work counters. When a 1-NN search
+// returns an error, rows whose chunk never ran hold the zero values (index
+// 0, distance 0) — the caller must treat the whole Result as partial. A
+// cancelled leave-one-out returns a zero Result instead (see
+// LeaveOneOutGridCtx).
 type Result struct {
 	Indices   []int
 	Distances []float64
@@ -59,8 +64,11 @@ type Result struct {
 
 // Index holds a reference set prepared for repeated pruned 1-NN queries:
 // lower-bound contexts (envelopes) or stateful preparations are computed
-// once per reference. An Index is immutable after construction and safe
-// for concurrent use through per-goroutine Queriers.
+// once per reference, or adopted from a corpus snapshot. An Index is
+// immutable after construction and safe for concurrent use through
+// per-goroutine Queriers. NewIndexSnapshotCtx builds one from newIndex and
+// fill; the grid engine wires every candidate through the same pair,
+// filling them in its own setup pool.
 type Index struct {
 	m     measure.Measure
 	refs  [][]float64
@@ -71,9 +79,9 @@ type Index struct {
 	rctx  []measure.BoundContext
 	rprep []any
 	// prefilled marks rctx/rprep as adopted from a corpus.Snapshot: already
-	// filled, owned by the snapshot, and strictly read-only — the grid
-	// engine's setup pool must skip them and its envelope arena must never
-	// rebind them.
+	// filled, owned by the snapshot, and strictly read-only — no setup pool
+	// may fill them and the grid engine's envelope arena must never rebind
+	// them.
 	prefilled bool
 }
 
@@ -83,45 +91,55 @@ type Index struct {
 // refreshes frequently.
 const panelChunk = 32
 
-// NewIndex prepares refs for searching under m. Per-reference state is
-// computed in parallel. When the measure is LowerBounded the cascade path
-// is used; otherwise a Stateful measure's prepared fast path; otherwise
-// plain Distance calls (with early abandoning when available).
-func NewIndex(m measure.Measure, refs [][]float64) *Index {
-	ix, _ := NewIndexCtx(context.Background(), m, refs)
-	return ix
-}
-
-// NewIndexCtx is NewIndex honoring cancellation during the parallel
-// per-reference preparation; on a non-nil error the index is unusable.
-func NewIndexCtx(ctx context.Context, m measure.Measure, refs [][]float64) (*Index, error) {
+// newIndex wires m's fast paths over refs: the lower-bound cascade when
+// the measure is LowerBounded, otherwise a Stateful measure's prepared
+// fast path, otherwise plain Distance calls (batched through the panel
+// kernels and early abandoning when available). Per-reference state comes
+// from snap when it holds state for m; snap must cover refs or be nil.
+// State it does not serve is allocated here and filled by fill.
+func newIndex(m measure.Measure, refs [][]float64, snap *corpus.Snapshot) *Index {
 	ix := &Index{m: m, refs: refs}
-	if ea, ok := m.(measure.EarlyAbandoning); ok {
-		ix.ea = ea
-	}
-	if pe, ok := m.(measure.PanelEvaluator); ok {
-		ix.pe = pe
-	}
+	ix.ea, _ = m.(measure.EarlyAbandoning)
+	ix.pe, _ = m.(measure.PanelEvaluator)
 	if lb, ok := m.(measure.LowerBounded); ok {
 		ix.lb = lb
-		ix.rctx = make([]measure.BoundContext, len(refs))
-		if err := par.ForCtx(ctx, len(refs), par.Workers(len(refs)), func(i int) {
-			c := lb.NewBoundContext(len(refs[i]))
-			c.Fill(refs[i])
-			ix.rctx[i] = c
-		}); err != nil {
-			return nil, err
+		if ix.rctx = snap.BoundContexts(m); ix.rctx != nil {
+			ix.prefilled = true
+		} else {
+			ix.rctx = make([]measure.BoundContext, len(refs))
 		}
 	} else if sm, ok := m.(measure.Stateful); ok {
 		ix.sm = sm
-		ix.rprep = make([]any, len(refs))
-		if err := par.ForCtx(ctx, len(refs), par.Workers(len(refs)), func(i int) {
-			ix.rprep[i] = sm.Prepare(refs[i])
-		}); err != nil {
-			return nil, err
+		if ix.rprep = snap.Prepared(m); ix.rprep != nil {
+			ix.prefilled = true
+		} else {
+			ix.rprep = make([]any, len(refs))
 		}
 	}
-	return ix, nil
+	return ix
+}
+
+// needsSetup reports whether the index still requires per-reference fills;
+// snapshot-prefilled state needs none (and must not be overwritten).
+func (ix *Index) needsSetup() bool {
+	return !ix.prefilled && (ix.rctx != nil || ix.rprep != nil)
+}
+
+// fill prepares reference i: a bound-context fill, or a prepared state —
+// specialized from the GridStateful family core famShared[i] when the
+// caller holds one, else computed by Prepare.
+func (ix *Index) fill(i int, famShared []any) {
+	x := ix.refs[i]
+	switch {
+	case ix.rctx != nil:
+		c := ix.lb.NewBoundContext(len(x))
+		c.Fill(x)
+		ix.rctx[i] = c
+	case famShared != nil:
+		ix.rprep[i] = ix.m.(measure.GridStateful).CandidateState(famShared[i])
+	case ix.rprep != nil:
+		ix.rprep[i] = ix.sm.Prepare(x)
+	}
 }
 
 // Querier runs queries against an Index, owning the per-worker reusable
@@ -275,29 +293,14 @@ func (q *Querier) search(x []float64, skip int) (int, float64) {
 	return best, bestDist
 }
 
-// OneNN finds, in parallel, the nearest reference of every query — the
-// matrix-free replacement for eval.Matrix + argmin. Neighbors are
-// identical to exhaustive evaluation, including tie-breaking.
-func OneNN(m measure.Measure, queries, refs [][]float64) Result {
-	res, _ := OneNNCtx(context.Background(), m, queries, refs)
-	return res
-}
-
-// OneNNCtx is OneNN honoring cancellation: a cancelled search stops within
-// one dispatch chunk per worker and returns ctx.Err() alongside the
-// partial Result.
+// OneNNCtx is OneNNSnapshotCtx without a snapshot.
 func OneNNCtx(ctx context.Context, m measure.Measure, queries, refs [][]float64) (Result, error) {
-	ix, err := NewIndexCtx(ctx, m, refs)
-	if err != nil {
-		return Result{}, err
-	}
-	return searchAllCtx(ctx, ix, queries, false)
+	return OneNNSnapshotCtx(ctx, m, queries, refs, nil)
 }
 
 // searchAllCtx runs per-query searches across workers, each with its own
-// Querier; skipDiag excludes reference i from query i (queries and refs
-// must then be the same slice).
-func searchAllCtx(ctx context.Context, ix *Index, queries [][]float64, skipDiag bool) (Result, error) {
+// Querier.
+func searchAllCtx(ctx context.Context, ix *Index, queries [][]float64) (Result, error) {
 	n := len(queries)
 	res := Result{Indices: make([]int, n), Distances: make([]float64, n)}
 	workers := par.Workers(n)
@@ -308,11 +311,7 @@ func searchAllCtx(ctx context.Context, ix *Index, queries [][]float64, skipDiag 
 			q = ix.Querier()
 			queriers[w] = q
 		}
-		skip := -1
-		if skipDiag {
-			skip = i
-		}
-		res.Indices[i], res.Distances[i] = q.search(queries[i], skip)
+		res.Indices[i], res.Distances[i] = q.search(queries[i], -1)
 	})
 	for _, q := range queriers {
 		if q != nil {
@@ -323,25 +322,13 @@ func searchAllCtx(ctx context.Context, ix *Index, queries [][]float64, skipDiag 
 }
 
 // LeaveOneOut finds each training series' nearest other training series —
-// the matrix-free criterion of supervised parameter tuning. Exactly
-// symmetric measures take the halved path evaluating each unordered pair
-// once; results are identical to exhaustive evaluation either way.
+// the matrix-free criterion of supervised parameter tuning. It is
+// LeaveOneOutGridCtx over the single candidate m, without a snapshot or
+// cancellation: exactly symmetric measures evaluate each unordered pair
+// once, and results are identical to exhaustive evaluation either way.
 func LeaveOneOut(m measure.Measure, train [][]float64) Result {
-	res, _ := LeaveOneOutCtx(context.Background(), m, train)
-	return res
-}
-
-// LeaveOneOutCtx is LeaveOneOut honoring cancellation; see OneNNCtx for
-// the partial-result contract.
-func LeaveOneOutCtx(ctx context.Context, m measure.Measure, train [][]float64) (Result, error) {
-	if halvedEligible(m) {
-		return looHalvedCtx(ctx, m, train)
-	}
-	ix, err := NewIndexCtx(ctx, m, train)
-	if err != nil {
-		return Result{}, err
-	}
-	return searchAllCtx(ctx, ix, train, true)
+	gr, _ := LeaveOneOutGridCtx(context.Background(), []measure.Measure{m}, train, nil)
+	return gr.PerCandidate[0]
 }
 
 // halvedEligible reports whether leave-one-out evaluation of m takes the
@@ -352,107 +339,4 @@ func halvedEligible(m measure.Measure) bool {
 	_, stateful := m.(measure.Stateful)
 	_, bounded := m.(measure.LowerBounded)
 	return measure.IsSymmetric(m) && (bounded || !stateful)
-}
-
-// looHalvedCtx evaluates each unordered training pair once. Every worker
-// keeps private best arrays; pair (i, j) is examined with the cutoff
-// max(best_i, best_j), so a pruned or abandoned computation certifies that
-// neither row can improve. Within a worker, contributions to any row
-// arrive in increasing candidate order (rows are dispatched in increasing
-// order and row i's own scan ascends), and the final cross-worker merge
-// takes the lexicographic (distance, index) minimum — together this
-// reproduces exhaustive first-lowest-index tie-breaking exactly.
-func looHalvedCtx(ctx context.Context, m measure.Measure, train [][]float64) (Result, error) {
-	return looHalvedPrepared(ctx, m, train, nil)
-}
-
-// looHalvedPrepared is looHalvedCtx over prebuilt reference bound contexts
-// (e.g. a corpus snapshot's); nil ctxs fall back to the inline fill. The
-// contexts are only ever read by the scan — never Fill'd or rebound — so
-// sharing them across workers and across calls is safe.
-func looHalvedPrepared(ctx context.Context, m measure.Measure, train [][]float64, ctxs []measure.BoundContext) (Result, error) {
-	n := len(train)
-	lb, _ := m.(measure.LowerBounded)
-	ea, _ := m.(measure.EarlyAbandoning)
-	if lb != nil && ctxs == nil {
-		ctxs = make([]measure.BoundContext, n)
-		if err := par.ForCtx(ctx, n, par.Workers(n), func(i int) {
-			c := lb.NewBoundContext(len(train[i]))
-			c.Fill(train[i])
-			ctxs[i] = c
-		}); err != nil {
-			return Result{}, err
-		}
-	}
-	workers := par.Workers(n)
-	type local struct {
-		dist  []float64
-		idx   []int
-		stats Stats
-	}
-	locals := make([]*local, workers)
-	err := par.ForShardCtx(ctx, n, workers, func(w, i int) {
-		l := locals[w]
-		if l == nil {
-			l = &local{dist: make([]float64, n), idx: make([]int, n)}
-			for k := range l.dist {
-				l.dist[k] = math.Inf(1)
-				l.idx[k] = -1
-			}
-			locals[w] = l
-		}
-		xi := train[i]
-		for j := i + 1; j < n; j++ {
-			cutoff := l.dist[i]
-			if l.dist[j] > cutoff {
-				cutoff = l.dist[j]
-			}
-			l.stats.Pairs++
-			// With an infinite cutoff nothing can be pruned or abandoned
-			// (and rows without an incumbent must record their first
-			// candidate exactly), so skip the bound.
-			finite := !math.IsInf(cutoff, 1)
-			if lb != nil && finite {
-				if lbv := lb.LowerBound(xi, train[j], ctxs[i], ctxs[j], cutoff); lbv >= cutoff {
-					l.stats.LBPruned++
-					continue
-				}
-			}
-			l.stats.FullDist++
-			var d float64
-			if ea != nil {
-				d = measure.Sanitize(ea.DistanceUpTo(xi, train[j], cutoff))
-			} else {
-				d = measure.Sanitize(m.Distance(xi, train[j]))
-			}
-			// d is exact whenever it is recorded: an abandoned value is
-			// >= cutoff >= both incumbents, failing both strict updates,
-			// and a missing incumbent forces an infinite cutoff (exact).
-			if l.idx[i] == -1 || d < l.dist[i] {
-				l.dist[i], l.idx[i] = d, j
-			}
-			if l.idx[j] == -1 || d < l.dist[j] {
-				l.dist[j], l.idx[j] = d, i
-			}
-		}
-	})
-	res := Result{Indices: make([]int, n), Distances: make([]float64, n)}
-	for i := 0; i < n; i++ {
-		bd, bi := math.Inf(1), -1
-		for _, l := range locals {
-			if l == nil || l.idx[i] == -1 {
-				continue
-			}
-			if bi == -1 || l.dist[i] < bd || (l.dist[i] == bd && l.idx[i] < bi) {
-				bd, bi = l.dist[i], l.idx[i]
-			}
-		}
-		res.Indices[i], res.Distances[i] = bi, bd
-	}
-	for _, l := range locals {
-		if l != nil {
-			res.Stats.add(l.stats)
-		}
-	}
-	return res, err
 }

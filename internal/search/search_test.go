@@ -1,10 +1,12 @@
 package search_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/corpus"
 	"repro/internal/elastic"
 	"repro/internal/lockstep"
 	"repro/internal/measure"
@@ -22,6 +24,18 @@ func randomSet(seed int64, n, m int) [][]float64 {
 		}
 	}
 	return set
+}
+
+// oneNN is OneNNCtx over a background context.
+func oneNN(m measure.Measure, queries, refs [][]float64) search.Result {
+	res, _ := search.OneNNCtx(context.Background(), m, queries, refs)
+	return res
+}
+
+// looGrid is LeaveOneOutGridCtx over a background context.
+func looGrid(cands []measure.Measure, train [][]float64, snap *corpus.Snapshot) search.GridResult {
+	gr, _ := search.LeaveOneOutGridCtx(context.Background(), cands, train, snap)
+	return gr
 }
 
 // brute is the exhaustive reference: argmin over sanitized distances with
@@ -48,7 +62,7 @@ func TestOneNNMatchesBruteForce(t *testing.T) {
 		elastic.MSM{C: 0.5},           // plain symmetric
 		lockstep.Euclidean(),          // plain
 	} {
-		res := search.OneNN(m, queries, refs)
+		res := oneNN(m, queries, refs)
 		for i, x := range queries {
 			wantIdx, wantDist := brute(m, x, refs, -1)
 			if res.Indices[i] != wantIdx || res.Distances[i] != wantDist {
@@ -69,7 +83,7 @@ func TestOneNNTieBreaksToLowestIndex(t *testing.T) {
 	queries := randomSet(4, 5, 32)
 	queries = append(queries, append([]float64(nil), base...))
 	for _, m := range []measure.Measure{elastic.DTW{DeltaPercent: 100}, elastic.ERP{G: 0}} {
-		res := search.OneNN(m, queries, refs)
+		res := oneNN(m, queries, refs)
 		for i := range queries {
 			if res.Indices[i] != 0 {
 				t.Fatalf("%s query %d: tie must resolve to index 0, got %d", m.Name(), i, res.Indices[i])
@@ -133,7 +147,7 @@ func TestStatefulMeasureUsesPreparedPath(t *testing.T) {
 	if _, ok := measure.Measure(m).(measure.Stateful); !ok {
 		t.Skip("SBD is not Stateful in this build")
 	}
-	res := search.OneNN(m, queries, refs)
+	res := oneNN(m, queries, refs)
 	for i, x := range queries {
 		wantIdx, wantDist := brute(m, x, refs, -1)
 		if res.Indices[i] != wantIdx {
@@ -156,10 +170,10 @@ func TestStatefulMeasureUsesPreparedPath(t *testing.T) {
 
 func TestEmptyInputs(t *testing.T) {
 	d := elastic.DTW{DeltaPercent: 10}
-	if res := search.OneNN(d, nil, randomSet(9, 3, 16)); len(res.Indices) != 0 {
+	if res := oneNN(d, nil, randomSet(9, 3, 16)); len(res.Indices) != 0 {
 		t.Fatal("no queries must yield no results")
 	}
-	res := search.OneNN(d, randomSet(10, 2, 16), nil)
+	res := oneNN(d, randomSet(10, 2, 16), nil)
 	for i := range res.Indices {
 		if res.Indices[i] != -1 || !math.IsInf(res.Distances[i], 1) {
 			t.Fatalf("empty reference set: got (%d, %g), want (-1, +Inf)", res.Indices[i], res.Distances[i])
@@ -187,7 +201,7 @@ func TestPruningActuallyPrunes(t *testing.T) {
 			queries[i][j] += 0.001 * rng.NormFloat64()
 		}
 	}
-	res := search.OneNN(elastic.DTW{DeltaPercent: 5}, queries, refs)
+	res := oneNN(elastic.DTW{DeltaPercent: 5}, queries, refs)
 	if res.Stats.LBPruned == 0 {
 		t.Fatal("narrow-band DTW over random series should prune at least one candidate")
 	}
@@ -200,7 +214,10 @@ func TestPruningActuallyPrunes(t *testing.T) {
 func TestQuerierReuseAcrossQueries(t *testing.T) {
 	refs := randomSet(14, 25, 64)
 	queries := randomSet(15, 12, 64)
-	ix := search.NewIndex(elastic.DTW{DeltaPercent: 10}, refs)
+	ix, err := search.NewIndexSnapshotCtx(context.Background(), elastic.DTW{DeltaPercent: 10}, refs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	q := ix.Querier()
 	for i, x := range queries {
 		gotIdx, gotDist := q.Query(x)

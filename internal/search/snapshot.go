@@ -9,133 +9,50 @@ import (
 )
 
 // This file wires the search engine to the build-once prepared-state layer
-// of internal/corpus: every entry point gains a *Snapshot variant that
-// serves per-reference state (filled bound contexts, Stateful preparations,
-// GridStateful candidate states) from an immutable snapshot instead of
-// recomputing it per call. A nil snapshot — or one built over different
-// series — falls back to the inline path, so results are bitwise identical
-// either way: the snapshot changes where state comes from, never what is
-// computed from it.
+// of internal/corpus. Every path takes the snapshot as an optional
+// argument: per-reference state (filled bound contexts, Stateful
+// preparations, GridStateful family cores) is served from the snapshot
+// when it covers the series and holds state for the measure, and prepared
+// inline otherwise. A nil snapshot — or one built over different series —
+// prepares everything inline, so results are bitwise identical either way:
+// the snapshot changes where state comes from, never what is computed from
+// it.
 
-// NewIndexSnapshot is NewIndexSnapshotCtx over a background context.
-func NewIndexSnapshot(m measure.Measure, refs [][]float64, snap *corpus.Snapshot) *Index {
-	ix, _ := NewIndexSnapshotCtx(context.Background(), m, refs, snap)
-	return ix
-}
-
-// NewIndexSnapshotCtx builds a query index whose per-reference state comes
-// from the snapshot when it covers refs and holds state for m; anything
-// missing is prepared inline exactly as NewIndexCtx would.
+// NewIndexSnapshotCtx builds a query index over refs: its per-reference
+// state comes from the snapshot when it covers refs and holds state for m
+// (or the GridStateful family core a prepared state specializes from);
+// anything missing is prepared inline in parallel, honoring cancellation.
+// On a non-nil error the index is unusable.
 func NewIndexSnapshotCtx(ctx context.Context, m measure.Measure, refs [][]float64, snap *corpus.Snapshot) (*Index, error) {
 	if !snap.Covers(refs) {
-		return NewIndexCtx(ctx, m, refs)
+		snap = nil
 	}
-	ix := &Index{m: m, refs: refs}
-	if ea, ok := m.(measure.EarlyAbandoning); ok {
-		ix.ea = ea
+	ix := newIndex(m, refs, snap)
+	if !ix.needsSetup() {
+		return ix, nil
 	}
-	if pe, ok := m.(measure.PanelEvaluator); ok {
-		ix.pe = pe
+	var famShared []any
+	if ix.rprep != nil {
+		famShared = snap.GridCores(m)
 	}
-	if lb, ok := m.(measure.LowerBounded); ok {
-		ix.lb = lb
-		if ctxs := snap.BoundContexts(m); ctxs != nil {
-			ix.rctx = ctxs
-			ix.prefilled = true
-			return ix, nil
-		}
-		ix.rctx = make([]measure.BoundContext, len(refs))
-		if err := par.ForCtx(ctx, len(refs), par.Workers(len(refs)), func(i int) {
-			c := lb.NewBoundContext(len(refs[i]))
-			c.Fill(refs[i])
-			ix.rctx[i] = c
-		}); err != nil {
-			return nil, err
-		}
-	} else if sm, ok := m.(measure.Stateful); ok {
-		ix.sm = sm
-		prep, err := snap.PreparedStates(ctx, m)
-		if err != nil {
-			return nil, err
-		}
-		if prep != nil {
-			ix.rprep = prep
-			ix.prefilled = true
-			return ix, nil
-		}
-		ix.rprep = make([]any, len(refs))
-		if err := par.ForCtx(ctx, len(refs), par.Workers(len(refs)), func(i int) {
-			ix.rprep[i] = sm.Prepare(refs[i])
-		}); err != nil {
-			return nil, err
-		}
+	if err := par.ForCtx(ctx, len(refs), par.Workers(len(refs)), func(i int) {
+		ix.fill(i, famShared)
+	}); err != nil {
+		return nil, err
 	}
 	return ix, nil
 }
 
-// OneNNSnapshot is OneNNSnapshotCtx over a background context.
-func OneNNSnapshot(m measure.Measure, queries, refs [][]float64, snap *corpus.Snapshot) Result {
-	res, _ := OneNNSnapshotCtx(context.Background(), m, queries, refs, snap)
-	return res
-}
-
-// OneNNSnapshotCtx is OneNNCtx serving per-reference state from the
-// snapshot: neighbors, distances, and tie-breaks are bitwise identical to
-// the inline path; only the preparation work differs.
+// OneNNSnapshotCtx finds, in parallel, the nearest reference of every
+// query — the matrix-free replacement for eval.Matrix + argmin — serving
+// per-reference state from the optional snapshot. Neighbors, distances,
+// and tie-breaks are identical to exhaustive evaluation. A cancelled
+// search stops within one dispatch chunk per worker and returns ctx.Err()
+// alongside the partial Result.
 func OneNNSnapshotCtx(ctx context.Context, m measure.Measure, queries, refs [][]float64, snap *corpus.Snapshot) (Result, error) {
 	ix, err := NewIndexSnapshotCtx(ctx, m, refs, snap)
 	if err != nil {
 		return Result{}, err
 	}
-	return searchAllCtx(ctx, ix, queries, false)
-}
-
-// LeaveOneOutSnapshot is LeaveOneOutSnapshotCtx over a background context.
-func LeaveOneOutSnapshot(m measure.Measure, train [][]float64, snap *corpus.Snapshot) Result {
-	res, _ := LeaveOneOutSnapshotCtx(context.Background(), m, train, snap)
-	return res
-}
-
-// LeaveOneOutSnapshotCtx is LeaveOneOutCtx serving per-series state from
-// the snapshot; see OneNNSnapshotCtx for the exactness contract.
-func LeaveOneOutSnapshotCtx(ctx context.Context, m measure.Measure, train [][]float64, snap *corpus.Snapshot) (Result, error) {
-	if !snap.Covers(train) {
-		return LeaveOneOutCtx(ctx, m, train)
-	}
-	if halvedEligible(m) {
-		var ctxs []measure.BoundContext
-		if _, ok := m.(measure.LowerBounded); ok {
-			ctxs = snap.BoundContexts(m)
-		}
-		return looHalvedPrepared(ctx, m, train, ctxs)
-	}
-	ix, err := NewIndexSnapshotCtx(ctx, m, train, snap)
-	if err != nil {
-		return Result{}, err
-	}
-	return searchAllCtx(ctx, ix, train, true)
-}
-
-// LeaveOneOutGridSnapshot is LeaveOneOutGridSnapshotCtx over a background
-// context.
-func LeaveOneOutGridSnapshot(cands []measure.Measure, train [][]float64, snap *corpus.Snapshot) GridResult {
-	res, _ := LeaveOneOutGridSnapshotCtx(context.Background(), cands, train, snap)
-	return res
-}
-
-// LeaveOneOutGridSnapshotCtx is LeaveOneOutGridCtx serving family cores,
-// prepared states, bound contexts, and finiteness flags from the snapshot.
-// Per-candidate results are bitwise identical to the inline engine.
-func LeaveOneOutGridSnapshotCtx(ctx context.Context, cands []measure.Measure, train [][]float64, snap *corpus.Snapshot) (GridResult, error) {
-	return NewTuneIndexSnapshot(cands, train, snap).EvaluateCtx(ctx)
-}
-
-// NewTuneIndexSnapshot is NewTuneIndex attaching a corpus snapshot as the
-// source of per-series state. A snapshot not covering train is ignored.
-func NewTuneIndexSnapshot(cands []measure.Measure, train [][]float64, snap *corpus.Snapshot) *TuneIndex {
-	ti := NewTuneIndex(cands, train)
-	if snap.Covers(train) {
-		ti.snap = snap
-	}
-	return ti
+	return searchAllCtx(ctx, ix, queries)
 }

@@ -1,6 +1,7 @@
 package search_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -12,6 +13,12 @@ import (
 	"repro/internal/measure"
 	"repro/internal/search"
 )
+
+// oneNNSnapshot is OneNNSnapshotCtx over a background context.
+func oneNNSnapshot(m measure.Measure, queries, refs [][]float64, snap *corpus.Snapshot) search.Result {
+	res, _ := search.OneNNSnapshotCtx(context.Background(), m, queries, refs, snap)
+	return res
+}
 
 // snapshotFor builds a snapshot materializing every candidate's state.
 func snapshotFor(series [][]float64, ms ...measure.Measure) *corpus.Snapshot {
@@ -36,10 +43,10 @@ func TestGridSnapshotMatchesInline(t *testing.T) {
 		g = eval.Thin(g, stride)
 		for _, d := range archive {
 			snap := snapshotFor(d.Train, g.Candidates...)
-			got := search.LeaveOneOutGridSnapshot(g.Candidates, d.Train, snap)
-			want := search.LeaveOneOutGrid(g.Candidates, d.Train)
+			got := looGrid(g.Candidates, d.Train, snap)
+			want := looGrid(g.Candidates, d.Train, nil)
 			for k, cand := range g.Candidates {
-				naive := search.LeaveOneOutSnapshot(cand, d.Train, snap)
+				naive := looGrid([]measure.Measure{cand}, d.Train, snap).PerCandidate[0]
 				for i := range want.PerCandidate[k].Indices {
 					wi, wd := want.PerCandidate[k].Indices[i], want.PerCandidate[k].Distances[i]
 					if got.PerCandidate[k].Indices[i] != wi || got.PerCandidate[k].Distances[i] != wd {
@@ -71,8 +78,8 @@ func TestGridSnapshotMatchesInline(t *testing.T) {
 	}
 }
 
-// TestOneNNSnapshotMatchesInline covers the plain 1-NN and leave-one-out
-// entry points for the three engine shapes: lower-bounded (DTW), grid
+// TestOneNNSnapshotMatchesInline covers the 1-NN and single-candidate
+// leave-one-out paths for the three engine shapes: lower-bounded (DTW), grid
 // stateful (SINK), and plain stateful (GAK).
 func TestOneNNSnapshotMatchesInline(t *testing.T) {
 	archive := dataset.GenerateArchive(dataset.ArchiveOptions{
@@ -85,8 +92,8 @@ func TestOneNNSnapshotMatchesInline(t *testing.T) {
 	} {
 		for _, d := range archive {
 			snap := snapshotFor(d.Train, m)
-			got := search.OneNNSnapshot(m, d.Test, d.Train, snap)
-			want := search.OneNN(m, d.Test, d.Train)
+			got := oneNNSnapshot(m, d.Test, d.Train, snap)
+			want := oneNN(m, d.Test, d.Train)
 			for i := range want.Indices {
 				if got.Indices[i] != want.Indices[i] ||
 					math.Float64bits(got.Distances[i]) != math.Float64bits(want.Distances[i]) {
@@ -95,7 +102,7 @@ func TestOneNNSnapshotMatchesInline(t *testing.T) {
 						want.Indices[i], want.Distances[i])
 				}
 			}
-			gotL := search.LeaveOneOutSnapshot(m, d.Train, snap)
+			gotL := looGrid([]measure.Measure{m}, d.Train, snap).PerCandidate[0]
 			wantL := search.LeaveOneOut(m, d.Train)
 			for i := range wantL.Indices {
 				if gotL.Indices[i] != wantL.Indices[i] ||
@@ -123,8 +130,8 @@ func TestGridSnapshotDegenerateInputs(t *testing.T) {
 	}
 	g := eval.DTWGrid()
 	snap := snapshotFor(train, g.Candidates...)
-	got := search.LeaveOneOutGridSnapshot(g.Candidates, train, snap)
-	want := search.LeaveOneOutGrid(g.Candidates, train)
+	got := looGrid(g.Candidates, train, snap)
+	want := looGrid(g.Candidates, train, nil)
 	for k, cand := range g.Candidates {
 		for i := range want.PerCandidate[k].Indices {
 			wi, wd := want.PerCandidate[k].Indices[i], want.PerCandidate[k].Distances[i]
@@ -150,9 +157,9 @@ func TestSnapshotFallbacks(t *testing.T) {
 	}
 	m := kernel.SINK{Gamma: 5}
 	foreign := snapshotFor(other, m)
-	want := search.OneNN(m, d.Test, d.Train)
+	want := oneNN(m, d.Test, d.Train)
 	for name, snap := range map[string]*corpus.Snapshot{"nil": nil, "foreign": foreign} {
-		got := search.OneNNSnapshot(m, d.Test, d.Train, snap)
+		got := oneNNSnapshot(m, d.Test, d.Train, snap)
 		for i := range want.Indices {
 			if got.Indices[i] != want.Indices[i] || got.Distances[i] != want.Distances[i] {
 				t.Fatalf("%s snapshot: query %d got (%d, %v), want (%d, %v)",
@@ -164,14 +171,18 @@ func TestSnapshotFallbacks(t *testing.T) {
 		t.Fatalf("foreign snapshot served state: %+v", h)
 	}
 	g := eval.Thin(eval.DTWGrid(), 7)
-	gotG := search.LeaveOneOutGridSnapshot(g.Candidates, d.Train, nil)
-	wantG := search.LeaveOneOutGrid(g.Candidates, d.Train)
+	foreignG := snapshotFor(other, g.Candidates...)
+	gotG := looGrid(g.Candidates, d.Train, foreignG)
+	wantG := looGrid(g.Candidates, d.Train, nil)
 	for k := range wantG.PerCandidate {
 		for i := range wantG.PerCandidate[k].Indices {
 			if gotG.PerCandidate[k].Indices[i] != wantG.PerCandidate[k].Indices[i] {
-				t.Fatalf("nil-snapshot grid diverged at cand %d row %d", k, i)
+				t.Fatalf("foreign-snapshot grid diverged at cand %d row %d", k, i)
 			}
 		}
+	}
+	if h := foreignG.Hits(); h.Total() != 0 {
+		t.Fatalf("foreign snapshot served grid state: %+v", h)
 	}
 }
 
@@ -185,11 +196,11 @@ func TestGridSnapshotStats(t *testing.T) {
 	d := archive[0]
 	g := eval.Thin(eval.SINKGrid(), 4)
 	snap := snapshotFor(d.Train, g.Candidates...)
-	gr := search.LeaveOneOutGridSnapshot(g.Candidates, d.Train, snap)
+	gr := looGrid(g.Candidates, d.Train, snap)
 	if gr.Stats.PrepSnapshot == 0 {
 		t.Fatalf("snapshot-backed sweep reports no snapshot-served states: %+v", gr.Stats)
 	}
-	inline := search.LeaveOneOutGrid(g.Candidates, d.Train)
+	inline := looGrid(g.Candidates, d.Train, nil)
 	if inline.Stats.PrepSnapshot != 0 {
 		t.Fatalf("inline sweep reports snapshot-served states: %+v", inline.Stats)
 	}

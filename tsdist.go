@@ -15,7 +15,10 @@
 //
 // This file is the public facade: it re-exports the library's types and
 // the most common entry points. Examples under examples/ and the tools
-// under cmd/ are written exclusively against this surface.
+// under cmd/ are written exclusively against this surface. The internal
+// search, eval and ann paths take a context; the facade passes
+// context.Background, which never cancels, so their error results are
+// always nil and are dropped here.
 //
 // Quick start:
 //
@@ -259,7 +262,7 @@ func LBKeogh(x, y []float64, w int) float64 { return elastic.LBKeogh(x, y, w) }
 // the full lower-bound cascade (LB_Kim, LB_Keogh against each envelope, and
 // the reversed LB_Keogh) rejected without a DTW computation.
 func NNSearchDTW(query []float64, refs [][]float64, deltaPercent int) (best int, dist float64, pruned int) {
-	res := search.OneNN(elastic.DTW{DeltaPercent: deltaPercent}, [][]float64{query}, refs)
+	res, _ := search.OneNNCtx(context.Background(), elastic.DTW{DeltaPercent: deltaPercent}, [][]float64{query}, refs)
 	return res.Indices[0], res.Distances[0], int(res.Stats.LBPruned)
 }
 
@@ -277,13 +280,17 @@ type SearchIndex = search.Index
 
 // NewSearchIndex prepares refs for pruned 1-NN queries under m; obtain a
 // per-goroutine handle with its Querier method.
-func NewSearchIndex(m Measure, refs [][]float64) *SearchIndex { return search.NewIndex(m, refs) }
+func NewSearchIndex(m Measure, refs [][]float64) *SearchIndex {
+	ix, _ := search.NewIndexSnapshotCtx(context.Background(), m, refs, nil)
+	return ix
+}
 
 // SearchOneNN finds every query's nearest reference through the pruned
 // engine (lower-bound cascade + early abandoning), with neighbors —
 // including ties — identical to exhaustive matrix evaluation.
 func SearchOneNN(m Measure, queries, refs [][]float64) SearchResult {
-	return search.OneNN(m, queries, refs)
+	res, _ := search.OneNNCtx(context.Background(), m, queries, refs)
+	return res
 }
 
 // SearchLeaveOneOut finds each training series' nearest other training
@@ -384,13 +391,15 @@ func LeaveOneOut(w [][]float64, labels []int) float64 { return eval.LeaveOneOut(
 // TestAccuracy evaluates a fixed measure on a dataset under a normalizer
 // (nil = data as stored).
 func TestAccuracy(m Measure, d *Dataset, n Normalizer) float64 {
-	return eval.TestAccuracy(m, d, n)
+	acc, _ := eval.TestAccuracyCtx(context.Background(), m, d, n)
+	return acc
 }
 
 // SupervisedAccuracy tunes the grid by leave-one-out on the training split
 // and reports test accuracy with the selected candidate.
 func SupervisedAccuracy(g Grid, d *Dataset, n Normalizer) (float64, Measure) {
-	return eval.SupervisedAccuracy(g, d, n)
+	acc, chosen, _ := eval.SupervisedAccuracyCtx(context.Background(), g, d, n)
+	return acc, chosen
 }
 
 // Parameter grids of Table 4.
@@ -608,7 +617,8 @@ type ANNIndex = ann.Index
 // BuildANN fits the embedder on refs and builds the approximate index
 // for queries under m.
 func BuildANN(refs [][]float64, m Measure, cfg ANNConfig) *ANNIndex {
-	return ann.Build(refs, m, cfg)
+	ix, _ := ann.BuildCtx(context.Background(), refs, m, cfg, ann.ExactState{})
+	return ix
 }
 
 // ApproxResult is the outcome of an approximate search: per-query
@@ -620,13 +630,15 @@ type ApproxResult = search.ApproxResult
 // exact, and candidate budgets covering the corpus make the result
 // identical to exact search.
 func OneNNApprox(m Measure, queries, refs [][]float64, cfg ANNConfig) ApproxResult {
-	return search.OneNNApprox(m, queries, refs, cfg)
+	res, _ := search.OneNNApproxSnapshotCtx(context.Background(), m, queries, refs, cfg, nil)
+	return res
 }
 
 // KNNApprox answers every query with its approximate k nearest
 // references, sorted by (exact distance, index).
 func KNNApprox(m Measure, queries, refs [][]float64, k int, cfg ANNConfig) ApproxResult {
-	return search.KNNApprox(m, queries, refs, k, cfg)
+	res, _ := search.KNNApproxSnapshotCtx(context.Background(), m, queries, refs, k, cfg, nil)
+	return res
 }
 
 // SAX is the symbolic aggregate approximation scheme with its MINDIST
