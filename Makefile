@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: fmt build test vet race check-race oracle oracle-long bench bench-compare perf golden smoke check
+.PHONY: fmt build test vet race check-race oracle oracle-long determinism bench bench-compare perf golden smoke check
 
 # Fail when gofmt would reformat any Go file: gofmt -l prints the name of
 # every such file. Hidden directories (.git, tsperf's .bench_build caches)
@@ -27,13 +27,13 @@ race: check-race
 # engine's tiled dispatch (the parallel Gram fill/mirroring in
 # internal/kernel and the parallel embedding fits), the wavefront DP
 # scheduler plus the batched panel kernels, the STOMP matrix-profile
-# engine's block dispatch, the subsequence layer, the index builders (now
-# including the parallel VP-tree build), the corpus snapshot builder plus
-# its LRU cache, the ANN engine's parallel embed/build plus its
-# shared-index concurrent Queriers, and the multivariate layer's parallel
-# 1-NN classifier plus its shared row/channel scratch pools.
+# engine's block dispatch, the index builders (now including the parallel
+# VP-tree build), the corpus snapshot builder plus its LRU cache, the ANN
+# engine's parallel embed/build plus its shared-index concurrent Queriers,
+# and the multivariate layer's parallel 1-NN classifier plus its shared
+# row/channel scratch pools.
 check-race:
-	GOMAXPROCS=4 $(GO) test -race ./internal/par ./internal/eval ./internal/search ./internal/kernel ./internal/embedding ./internal/elastic ./internal/lockstep ./internal/profile ./internal/index ./internal/subsequence ./internal/corpus ./internal/ann ./internal/multivariate
+	GOMAXPROCS=4 $(GO) test -race ./internal/par ./internal/eval ./internal/search ./internal/kernel ./internal/embedding ./internal/elastic ./internal/lockstep ./internal/profile ./internal/index ./internal/corpus ./internal/ann ./internal/multivariate
 
 # Differential oracle harness under the race detector: every measure
 # against its reference implementation plus both search engines against
@@ -44,6 +44,18 @@ oracle:
 # Extended fuzzing campaign (32 seeds); slower, run before releases.
 oracle-long:
 	$(GO) test ./internal/oracle -run Oracle -oracle.long
+
+# Worker-count determinism gate: the golden experiment outputs and the
+# oracle's fixed seed schedule must pass unchanged on one worker and on
+# four. Wavefront DPs, lock-step panels, Gram tiles, the VP-tree build,
+# the grid and pruned search engines and STOMP blocks all promise results
+# that do not depend on the worker count. -count=1 bypasses the test
+# cache, which does not key on GOMAXPROCS.
+determinism:
+	GOMAXPROCS=1 $(GO) test -count=1 -run TestGoldenExperimentOutputs ./cmd/tsbench
+	GOMAXPROCS=4 $(GO) test -count=1 -run TestGoldenExperimentOutputs ./cmd/tsbench
+	GOMAXPROCS=1 $(GO) test -count=1 -run Oracle ./internal/oracle
+	GOMAXPROCS=4 $(GO) test -count=1 -run Oracle ./internal/oracle
 
 # Smoke-run every benchmark once, then measure the grid tuning benchmarks
 # (per-candidate loop vs grid engine), the spectral engine, the hot-loop
@@ -110,4 +122,4 @@ smoke:
 # CI entry point: everything that must be green before merging. Perf-
 # sensitive changes should additionally run `make bench-compare` against
 # the committed BENCH_* baselines (see the bench-compare target above).
-check: fmt build vet test check-race oracle
+check: fmt build vet test check-race oracle determinism

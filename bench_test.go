@@ -33,7 +33,7 @@ func BenchmarkTable2LockStep(b *testing.B) {
 	opts := benchOpts()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tab := experiments.Table2(opts)
+		tab := Table2(opts)
 		if len(tab.Rows) == 0 {
 			b.Fatal("Table 2 produced no rows")
 		}
@@ -44,7 +44,7 @@ func BenchmarkTable3Sliding(b *testing.B) {
 	opts := benchOpts()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tab := experiments.Table3(opts)
+		tab := Table3(opts)
 		if len(tab.Rows) == 0 {
 			b.Fatal("Table 3 produced no rows")
 		}
@@ -56,7 +56,7 @@ func BenchmarkTable5Elastic(b *testing.B) {
 	opts.GridStride = 10
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tab := experiments.Table5(opts)
+		tab := Table5(opts)
 		if len(tab.Rows) == 0 {
 			b.Fatal("Table 5 produced no rows")
 		}
@@ -68,7 +68,7 @@ func BenchmarkTable6Kernel(b *testing.B) {
 	opts.GridStride = 10
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tab := experiments.Table6(opts)
+		tab := Table6(opts)
 		if len(tab.Rows) == 0 {
 			b.Fatal("Table 6 produced no rows")
 		}
@@ -79,7 +79,7 @@ func BenchmarkTable7Embedding(b *testing.B) {
 	opts := benchOpts()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tab := experiments.Table7(opts)
+		tab := Table7(opts)
 		if len(tab.Rows) != 4 {
 			b.Fatal("Table 7 should have 4 rows")
 		}
@@ -89,21 +89,21 @@ func BenchmarkTable7Embedding(b *testing.B) {
 func BenchmarkFigure2(b *testing.B) {
 	opts := benchOpts()
 	for i := 0; i < b.N; i++ {
-		experiments.Figure2(opts)
+		Figure2(opts)
 	}
 }
 
 func BenchmarkFigure3(b *testing.B) {
 	opts := benchOpts()
 	for i := 0; i < b.N; i++ {
-		experiments.Figure3(opts)
+		Figure3(opts)
 	}
 }
 
 func BenchmarkFigure4(b *testing.B) {
 	opts := benchOpts()
 	for i := 0; i < b.N; i++ {
-		experiments.Figure4(opts)
+		Figure4(opts)
 	}
 }
 
@@ -111,14 +111,14 @@ func BenchmarkFigure5(b *testing.B) {
 	opts := benchOpts()
 	opts.GridStride = 10
 	for i := 0; i < b.N; i++ {
-		experiments.Figure5(opts)
+		Figure5(opts)
 	}
 }
 
 func BenchmarkFigure6(b *testing.B) {
 	opts := benchOpts()
 	for i := 0; i < b.N; i++ {
-		experiments.Figure6(opts)
+		Figure6(opts)
 	}
 }
 
@@ -126,21 +126,21 @@ func BenchmarkFigure7(b *testing.B) {
 	opts := benchOpts()
 	opts.GridStride = 10
 	for i := 0; i < b.N; i++ {
-		experiments.Figure7(opts)
+		Figure7(opts)
 	}
 }
 
 func BenchmarkFigure8(b *testing.B) {
 	opts := benchOpts()
 	for i := 0; i < b.N; i++ {
-		experiments.Figure8(opts)
+		Figure8(opts)
 	}
 }
 
 func BenchmarkFigure9(b *testing.B) {
 	opts := benchOpts()
 	for i := 0; i < b.N; i++ {
-		pts := experiments.Figure9(opts)
+		pts := Figure9(opts)
 		if len(pts) != 11 {
 			b.Fatal("Figure 9 should have 11 points")
 		}
@@ -150,7 +150,7 @@ func BenchmarkFigure9(b *testing.B) {
 func BenchmarkFigure10(b *testing.B) {
 	opts := benchOpts()
 	for i := 0; i < b.N; i++ {
-		experiments.Figure10(opts, 64, []int{8, 16, 32, 64})
+		Figure10(opts, 64, []int{8, 16, 32, 64})
 	}
 }
 

@@ -42,7 +42,7 @@ func BenchmarkSnapshotQuery(b *testing.B) {
 		d := benchDataset(128, 8)
 		m := kernel.SINK{Gamma: 5}
 		query := d.Test[:1]
-		snap := corpus.Build(d.Train, corpus.Options{Measures: []measure.Measure{m}})
+		snap := build(b, d.Train, corpus.Options{Measures: []measure.Measure{m}})
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			search.OneNNSnapshotCtx(context.Background(), m, query, d.Train, snap)
@@ -63,7 +63,7 @@ func BenchmarkSnapshotQuery(b *testing.B) {
 		// result from the LRU when resident (every request after the
 		// first), falling back to a snapshot-backed sweep on a miss.
 		cache := corpus.NewCache(8)
-		snap := corpus.Build(d.Train, corpus.Options{Measures: g.Candidates})
+		snap := build(b, d.Train, corpus.Options{Measures: g.Candidates})
 		ctx := context.Background()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -87,6 +87,6 @@ func BenchmarkSnapshotBuild(b *testing.B) {
 	m := kernel.SINK{Gamma: 5}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		corpus.Build(d.Train, corpus.Options{Measures: []measure.Measure{m}})
+		build(b, d.Train, corpus.Options{Measures: []measure.Measure{m}})
 	}
 }

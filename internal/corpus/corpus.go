@@ -6,7 +6,7 @@
 // measure.GridStateful shared cores (one spectrum + self cross-correlation
 // per series for a whole SINK gamma sweep), filled measure.LowerBounded
 // bound contexts (the Lemire envelopes of the DTW cascade), per-series
-// finiteness flags, and the PAA/SAX words of internal/index.
+// finiteness flags, and GRAIL approximate indexes.
 //
 // A Snapshot is built once, in parallel, under a cancellable context, and
 // is immutable afterwards: every accessor returns state that is only ever
@@ -32,7 +32,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/ann"
-	"repro/internal/index"
 	"repro/internal/measure"
 	"repro/internal/par"
 )
@@ -99,13 +98,6 @@ func FingerprintOf(series [][]float64) Fingerprint {
 	return fp
 }
 
-// SAXSpec selects one SAX vocabulary to precompute: the word of every
-// series under the given PAA resolution and alphabet size.
-type SAXSpec struct {
-	Segments int
-	Alphabet int
-}
-
 // ANNSpec selects one approximate retrieval index to build into the
 // snapshot: the exact re-rank measure and the embed–index–rerank
 // configuration. The builder hands the measure's already-materialized
@@ -118,8 +110,8 @@ type ANNSpec struct {
 }
 
 // Options configures a snapshot build: which measures' prepared states to
-// materialize and which index representations to precompute. The zero
-// value builds only the fingerprint and finiteness flags.
+// materialize and which approximate indexes to build. The zero value
+// builds only the fingerprint and finiteness flags.
 type Options struct {
 	// Measures lists the measures repeated queries will use. For each,
 	// the builder materializes the state the search engine needs:
@@ -128,10 +120,6 @@ type Options struct {
 	// GridStateful families), and the GridStateful cores themselves for
 	// the tuning engine. Duplicate names build once.
 	Measures []measure.Measure
-	// PAASegments lists PAA resolutions to precompute per series.
-	PAASegments []int
-	// SAX lists SAX vocabularies to precompute per series.
-	SAX []SAXSpec
 	// ANN lists approximate indexes to build (GRAIL fit + parallel
 	// transform + VP-tree over the representations). Duplicate measure
 	// names build once.
@@ -172,19 +160,11 @@ type Snapshot struct {
 	prep   map[string][]any                  // measure name -> per-series prepared state
 	bounds map[string][]measure.BoundContext // measure name -> per-series filled contexts
 	fams   []coreFamily                      // GridStateful family cores
-	paa    map[int][][]float64               // segments -> per-series PAA words
-	sax    map[SAXSpec][][]int               // spec -> per-series SAX words
 	annIdx map[string]*ann.Index             // measure name -> approximate index
 
 	hitPrepared atomic.Int64
 	hitBounds   atomic.Int64
 	hitCores    atomic.Int64
-}
-
-// Build is BuildCtx over a background context.
-func Build(series [][]float64, opts Options) *Snapshot {
-	s, _ := BuildCtx(context.Background(), series, opts)
-	return s
 }
 
 // BuildCtx builds a snapshot of series, computing every requested section
@@ -198,8 +178,6 @@ func BuildCtx(ctx context.Context, series [][]float64, opts Options) (*Snapshot,
 		series: series,
 		prep:   map[string][]any{},
 		bounds: map[string][]measure.BoundContext{},
-		paa:    map[int][][]float64{},
-		sax:    map[SAXSpec][][]int{},
 		annIdx: map[string]*ann.Index{},
 	}
 	s.fp = FingerprintOf(series)
@@ -248,36 +226,6 @@ func BuildCtx(ctx context.Context, series [][]float64, opts Options) (*Snapshot,
 			}
 			s.prep[name] = prep
 		}
-	}
-
-	for _, seg := range opts.PAASegments {
-		if _, ok := s.paa[seg]; ok || n == 0 {
-			continue
-		}
-		words := make([][]float64, n)
-		if err := par.ForCtx(ctx, n, par.Workers(n), func(i int) {
-			if len(series[i]) > 0 { // PAA is undefined for empty series
-				words[i] = index.PAA(series[i], seg)
-			}
-		}); err != nil {
-			return nil, err
-		}
-		s.paa[seg] = words
-	}
-	for _, spec := range opts.SAX {
-		if _, ok := s.sax[spec]; ok || n == 0 {
-			continue
-		}
-		sx := index.NewSAX(spec.Segments, spec.Alphabet)
-		words := make([][]int, n)
-		if err := par.ForCtx(ctx, n, par.Workers(n), func(i int) {
-			if len(series[i]) > 0 {
-				words[i] = sx.Symbolize(series[i])
-			}
-		}); err != nil {
-			return nil, err
-		}
-		s.sax[spec] = words
 	}
 
 	// ANN indexes build last so they can adopt the exact-side state the
@@ -453,23 +401,6 @@ func (s *Snapshot) ANNIndex(m measure.Measure) *ann.Index {
 		return nil
 	}
 	return s.annIdx[m.Name()]
-}
-
-// PAA returns the precomputed PAA words at the given resolution, or nil.
-func (s *Snapshot) PAA(segments int) [][]float64 {
-	if s == nil {
-		return nil
-	}
-	return s.paa[segments]
-}
-
-// SAXWords returns the precomputed SAX words for the given vocabulary, or
-// nil.
-func (s *Snapshot) SAXWords(spec SAXSpec) [][]int {
-	if s == nil {
-		return nil
-	}
-	return s.sax[spec]
 }
 
 // Hits returns the cumulative prepared-state hit counters.

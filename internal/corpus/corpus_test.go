@@ -9,7 +9,6 @@ import (
 	"repro/internal/ann"
 	"repro/internal/corpus"
 	"repro/internal/elastic"
-	"repro/internal/index"
 	"repro/internal/kernel"
 	"repro/internal/measure"
 )
@@ -26,6 +25,16 @@ func testSeries(seed int64, n, m int) [][]float64 {
 		out[i] = s
 	}
 	return out
+}
+
+// build is corpus.BuildCtx under a context that never cancels.
+func build(tb testing.TB, series [][]float64, opts corpus.Options) *corpus.Snapshot {
+	tb.Helper()
+	s, err := corpus.BuildCtx(context.Background(), series, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
 }
 
 func TestFingerprintDeterministic(t *testing.T) {
@@ -75,7 +84,7 @@ func TestFingerprintDistinguishesBitPatterns(t *testing.T) {
 
 func TestCovers(t *testing.T) {
 	series := testSeries(5, 4, 8)
-	s := corpus.Build(series, corpus.Options{})
+	s := build(t, series, corpus.Options{})
 	if !s.Covers(series) {
 		t.Fatalf("snapshot does not cover its own series")
 	}
@@ -97,7 +106,7 @@ func TestCovers(t *testing.T) {
 
 func TestBuildSections(t *testing.T) {
 	series := testSeries(6, 8, 32)
-	s := corpus.Build(series, corpus.Options{Measures: []measure.Measure{
+	s := build(t, series, corpus.Options{Measures: []measure.Measure{
 		elastic.DTW{DeltaPercent: 10}, // LowerBounded -> bounds
 		kernel.SINK{Gamma: 1},         // GridStateful -> prep + family core
 		kernel.SINK{Gamma: 2},         // same family, second prep entry
@@ -134,7 +143,7 @@ func TestPreparedStatesBitwise(t *testing.T) {
 		kernel.SINK{Gamma: 5},
 		kernel.GAK{Sigma: 1},
 	} {
-		s := corpus.Build(series, corpus.Options{Measures: []measure.Measure{sm}})
+		s := build(t, series, corpus.Options{Measures: []measure.Measure{sm}})
 		got, err := s.PreparedStates(context.Background(), sm)
 		if err != nil {
 			t.Fatalf("%s: PreparedStates: %v", sm.Name(), err)
@@ -158,7 +167,7 @@ func TestPreparedStatesBitwise(t *testing.T) {
 // must match that gamma's own Prepare bitwise (GridStateful contract).
 func TestPreparedStatesSpecializeFromCores(t *testing.T) {
 	series := testSeries(8, 5, 32)
-	s := corpus.Build(series, corpus.Options{Measures: []measure.Measure{kernel.SINK{Gamma: 1}}})
+	s := build(t, series, corpus.Options{Measures: []measure.Measure{kernel.SINK{Gamma: 1}}})
 	unseen := kernel.SINK{Gamma: 9}
 	got, err := s.PreparedStates(context.Background(), unseen)
 	if err != nil || got == nil {
@@ -180,72 +189,11 @@ func TestFiniteFlags(t *testing.T) {
 		{1, math.Inf(1), 3},
 		{},
 	}
-	s := corpus.Build(series, corpus.Options{})
+	s := build(t, series, corpus.Options{})
 	want := []bool{true, false, false, true}
 	for i, w := range want {
 		if s.Finite()[i] != w {
 			t.Fatalf("finite[%d] = %v, want %v", i, s.Finite()[i], w)
-		}
-	}
-}
-
-func TestPAAAndSAXWordsMatchIndex(t *testing.T) {
-	series := testSeries(9, 7, 40)
-	const segments, alphabet = 8, 4
-	s := corpus.Build(series, corpus.Options{
-		PAASegments: []int{segments},
-		SAX:         []corpus.SAXSpec{{Segments: segments, Alphabet: alphabet}},
-	})
-	words := s.PAA(segments)
-	if words == nil {
-		t.Fatalf("no PAA words at %d segments", segments)
-	}
-	sx := index.NewSAX(segments, alphabet)
-	saxWords := s.SAXWords(corpus.SAXSpec{Segments: segments, Alphabet: alphabet})
-	for i, x := range series {
-		wantPAA := index.PAA(x, segments)
-		for j := range wantPAA {
-			if math.Float64bits(words[i][j]) != math.Float64bits(wantPAA[j]) {
-				t.Fatalf("PAA word %d diverges at %d", i, j)
-			}
-		}
-		wantSAX := sx.Symbolize(x)
-		for j := range wantSAX {
-			if saxWords[i][j] != wantSAX[j] {
-				t.Fatalf("SAX word %d diverges at %d", i, j)
-			}
-		}
-	}
-}
-
-func TestEmptySeriesSkipWords(t *testing.T) {
-	series := [][]float64{{1, 2, 3, 4}, {}}
-	s := corpus.Build(series, corpus.Options{
-		PAASegments: []int{2},
-		SAX:         []corpus.SAXSpec{{Segments: 2, Alphabet: 3}},
-	})
-	if w := s.PAA(2); w[0] == nil || w[1] != nil {
-		t.Fatalf("empty series must leave a nil PAA word: %v", w)
-	}
-	if w := s.SAXWords(corpus.SAXSpec{Segments: 2, Alphabet: 3}); w[0] == nil || w[1] != nil {
-		t.Fatalf("empty series must leave a nil SAX word: %v", w)
-	}
-}
-
-// NewEDIndexWithPAA over snapshot words must search identically to the
-// recomputing constructor.
-func TestEDIndexWithSnapshotPAA(t *testing.T) {
-	refs := testSeries(10, 20, 48)
-	queries := testSeries(11, 5, 48)
-	const segments = 8
-	s := corpus.Build(refs, corpus.Options{PAASegments: []int{segments}})
-	inline := index.NewEDIndex(refs, segments)
-	reused := index.NewEDIndexWithPAA(refs, s.PAA(segments), segments)
-	for qi, q := range queries {
-		wb, wd, _ := inline.NN(q)
-		gb, gd, _ := reused.NN(q)
-		if wb != gb || math.Float64bits(wd) != math.Float64bits(gd) {
-			t.Fatalf("query %d: snapshot-PAA index found (%d,%v), inline (%d,%v)", qi, gb, gd, wb, wd)
 		}
 	}
 }
@@ -265,7 +213,7 @@ func TestHitCounters(t *testing.T) {
 	series := testSeries(13, 4, 16)
 	sink := kernel.SINK{Gamma: 3}
 	dtw := elastic.DTW{DeltaPercent: 10}
-	s := corpus.Build(series, corpus.Options{Measures: []measure.Measure{sink, dtw}})
+	s := build(t, series, corpus.Options{Measures: []measure.Measure{sink, dtw}})
 	if h := s.Hits(); h.Total() != 0 {
 		t.Fatalf("fresh snapshot has hits: %+v", h)
 	}
@@ -285,7 +233,7 @@ func TestHitCounters(t *testing.T) {
 func TestSnapshotANNIndex(t *testing.T) {
 	series := testSeries(21, 48, 64)
 	dtw := elastic.DTW{DeltaPercent: 10}
-	snap := corpus.Build(series, corpus.Options{
+	snap := build(t, series, corpus.Options{
 		Measures: []measure.Measure{dtw},
 		ANN: []corpus.ANNSpec{
 			{Measure: dtw, Config: ann.Config{Candidates: 8, Seed: 1}},

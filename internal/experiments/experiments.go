@@ -53,15 +53,10 @@ func (c Combo) Mean() float64 {
 	return s / float64(len(c.Accs))
 }
 
-// EvaluateCombo computes per-dataset 1-NN test accuracies for a fixed
+// EvaluateComboCtx computes per-dataset 1-NN test accuracies for a fixed
 // measure under a normalization (nil = data as stored, i.e. z-normalized).
-func EvaluateCombo(archive []*dataset.Dataset, m measure.Measure, n norm.Normalizer) Combo {
-	c, _ := EvaluateComboCtx(context.Background(), archive, m, n)
-	return c
-}
-
-// EvaluateComboCtx is EvaluateCombo honoring cancellation between (and
-// inside) datasets; on a non-nil error the combo is partial.
+// It honors cancellation between (and inside) datasets; on a non-nil error
+// the combo is partial.
 func EvaluateComboCtx(ctx context.Context, archive []*dataset.Dataset, m measure.Measure, n norm.Normalizer) (Combo, error) {
 	c := Combo{Measure: m.Name(), Scaling: scalingName(n), Accs: make([]float64, len(archive))}
 	for i, d := range archive {
@@ -81,15 +76,9 @@ func scalingName(n norm.Normalizer) string {
 	return n.Name()
 }
 
-// EvaluateSupervised computes per-dataset accuracies with leave-one-out
+// EvaluateSupervisedCtx computes per-dataset accuracies with leave-one-out
 // parameter tuning on each training split (the LOOCCV rows of Tables 5-6).
-func EvaluateSupervised(archive []*dataset.Dataset, g eval.Grid, n norm.Normalizer) Combo {
-	c, _ := EvaluateSupervisedCtx(context.Background(), archive, g, n)
-	return c
-}
-
-// EvaluateSupervisedCtx is EvaluateSupervised honoring cancellation; on a
-// non-nil error the combo is partial.
+// It honors cancellation; on a non-nil error the combo is partial.
 func EvaluateSupervisedCtx(ctx context.Context, archive []*dataset.Dataset, g eval.Grid, n norm.Normalizer) (Combo, error) {
 	c := Combo{Measure: g.Name, Scaling: "LOOCV", Accs: make([]float64, len(archive))}
 	for i, d := range archive {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -9,8 +10,18 @@ import (
 	"repro/internal/eval"
 	"repro/internal/lockstep"
 	"repro/internal/norm"
+	"repro/internal/run"
 	"repro/internal/sliding"
 )
+
+// must unwraps a driver result; the background context never cancels, so
+// an error is a bug.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
 
 // tinyOpts builds a small deterministic option set that keeps every
 // experiment driver fast enough for unit tests.
@@ -45,7 +56,7 @@ func TestComboMean(t *testing.T) {
 
 func TestEvaluateComboAccuraciesInRange(t *testing.T) {
 	o := tinyOpts()
-	c := EvaluateCombo(o.Archive, lockstep.Euclidean(), norm.ZScore())
+	c := must(EvaluateComboCtx(context.Background(), o.Archive, lockstep.Euclidean(), norm.ZScore()))
 	if len(c.Accs) != len(o.Archive) {
 		t.Fatalf("accs %d, want %d", len(c.Accs), len(o.Archive))
 	}
@@ -99,7 +110,7 @@ func TestTableRenderContainsBaseline(t *testing.T) {
 
 func TestTable2ShapeAndPhenomena(t *testing.T) {
 	o := tinyOpts()
-	tab := Table2(o)
+	tab := must(Table2Ctx(context.Background(), o, nil))
 	if tab.Baseline.Measure != "euclidean" {
 		t.Fatalf("baseline = %s", tab.Baseline.Measure)
 	}
@@ -125,7 +136,7 @@ func TestTable2ShapeAndPhenomena(t *testing.T) {
 
 func TestTable3SlidingBeatsLockstep(t *testing.T) {
 	o := tinyOpts()
-	tab := Table3(o)
+	tab := must(Table3Ctx(context.Background(), o, nil))
 	// NCCc with z-score must appear above the Lorentzian baseline on the
 	// shift-heavy synthetic archive (misconception M3's setup).
 	var found *Row
@@ -145,7 +156,7 @@ func TestTable3SlidingBeatsLockstep(t *testing.T) {
 
 func TestTable5ContainsBothProtocols(t *testing.T) {
 	o := tinyOpts()
-	tab := Table5(o)
+	tab := must(Table5Ctx(context.Background(), o, nil))
 	var loocv, fixed int
 	for _, r := range tab.Rows {
 		switch r.Scaling {
@@ -169,7 +180,7 @@ func TestTable5ContainsBothProtocols(t *testing.T) {
 func TestTable6KernelsEvaluated(t *testing.T) {
 	o := tinyOpts()
 	o.GridStride = 8
-	tab := Table6(o)
+	tab := must(Table6Ctx(context.Background(), o, nil))
 	if len(tab.Rows) != 8 { // 4 supervised + 4 fixed
 		t.Fatalf("rows = %d, want 8", len(tab.Rows))
 	}
@@ -194,7 +205,7 @@ func TestTable6KernelsEvaluated(t *testing.T) {
 
 func TestTable7EmbeddingsEvaluated(t *testing.T) {
 	o := tinyOpts()
-	tab := Table7(o)
+	tab := must(Table7Ctx(context.Background(), o, nil))
 	if len(tab.Rows) != 4 {
 		t.Fatalf("rows = %d, want 4", len(tab.Rows))
 	}
@@ -220,7 +231,7 @@ func TestTable4Renders(t *testing.T) {
 
 func TestFigure2Ranking(t *testing.T) {
 	o := tinyOpts()
-	r := Figure2(o)
+	r := must(Figure2Ctx(context.Background(), o, nil))
 	if len(r.Names) != 6 {
 		t.Fatalf("names = %d, want 6", len(r.Names))
 	}
@@ -235,7 +246,7 @@ func TestFigure2Ranking(t *testing.T) {
 
 func TestFigure4NCCcBeatsBaseline(t *testing.T) {
 	o := tinyOpts()
-	r := Figure4(o)
+	r := must(Figure4Ctx(context.Background(), o, nil))
 	// The baseline (Lorentzian) is the last combo; NCCc/zscore the first.
 	ranks := r.Friedman.AvgRanks
 	if ranks[0] >= ranks[len(ranks)-1] {
@@ -246,10 +257,10 @@ func TestFigure4NCCcBeatsBaseline(t *testing.T) {
 func TestFigures5Through8Run(t *testing.T) {
 	o := tinyOpts()
 	o.GridStride = 10
-	for name, fn := range map[string]func(Options) Ranking{
-		"figure5": Figure5, "figure6": Figure6, "figure7": Figure7, "figure8": Figure8,
+	for name, fn := range map[string]func(context.Context, Options, run.Reporter) (Ranking, error){
+		"figure5": Figure5Ctx, "figure6": Figure6Ctx, "figure7": Figure7Ctx, "figure8": Figure8Ctx,
 	} {
-		r := fn(o)
+		r := must(fn(context.Background(), o, nil))
 		if len(r.Names) < 4 {
 			t.Errorf("%s: only %d methods", name, len(r.Names))
 		}
@@ -273,7 +284,7 @@ func TestFigure1Renders(t *testing.T) {
 
 func TestFigure9RuntimeOrdering(t *testing.T) {
 	o := tinyOpts()
-	pts := Figure9(o)
+	pts := must(Figure9Ctx(context.Background(), o, nil))
 	if len(pts) != 11 {
 		t.Fatalf("points = %d, want 11", len(pts))
 	}
@@ -302,7 +313,7 @@ func TestFigure9RuntimeOrdering(t *testing.T) {
 
 func TestFigure10Convergence(t *testing.T) {
 	o := tinyOpts()
-	pts := Figure10(o, 64, []int{8, 16, 32, 64})
+	pts := must(Figure10Ctx(context.Background(), o, nil, 64, []int{8, 16, 32, 64}))
 	if len(pts) != 5*4 {
 		t.Fatalf("points = %d, want 20", len(pts))
 	}
@@ -320,7 +331,7 @@ func TestFigure10Convergence(t *testing.T) {
 func TestEvaluateSupervisedUsesTuning(t *testing.T) {
 	o := tinyOpts()
 	g := eval.Thin(eval.DTWGrid(), 8)
-	c := EvaluateSupervised(o.Archive, g, nil)
+	c := must(EvaluateSupervisedCtx(context.Background(), o.Archive, g, nil))
 	if c.Scaling != "LOOCV" {
 		t.Fatalf("scaling = %s", c.Scaling)
 	}
@@ -346,8 +357,8 @@ func TestBuildRankingNames(t *testing.T) {
 func TestSBDSanity(t *testing.T) {
 	// Regression guard: the shared baseline must be deterministic.
 	o := tinyOpts()
-	a := EvaluateCombo(o.Archive, sliding.SBD(), nil)
-	b := EvaluateCombo(o.Archive, sliding.SBD(), nil)
+	a := must(EvaluateComboCtx(context.Background(), o.Archive, sliding.SBD(), nil))
+	b := must(EvaluateComboCtx(context.Background(), o.Archive, sliding.SBD(), nil))
 	for i := range a.Accs {
 		if a.Accs[i] != b.Accs[i] {
 			t.Fatal("baseline accuracies not deterministic")
@@ -361,7 +372,7 @@ func TestExtensionSVMImprovesOverOneNN(t *testing.T) {
 			Seed: 4, Count: 5, MaxLength: 40, MaxTrain: 12, MaxTest: 12,
 		}),
 	}.Defaults()
-	rows := ExtensionSVM(o)
+	rows := must(ExtensionSVMCtx(context.Background(), o, nil))
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d, want 4", len(rows))
 	}

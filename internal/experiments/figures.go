@@ -67,16 +67,11 @@ func gridCombo(opts Options, g eval.Grid) comboThunk {
 	}
 }
 
-// Figure2 reproduces Figure 2: the Friedman/Nemenyi ranking of the
+// Figure2Ctx reproduces Figure 2: the Friedman/Nemenyi ranking of the
 // lock-step measures that outperform ED under z-score (supervised
 // Minkowski, Lorentzian, Manhattan, Avg L1/Linf, DISSIM) together with ED.
-func Figure2(opts Options) Ranking {
-	r, _ := Figure2Ctx(context.Background(), opts, nil)
-	return r
-}
-
-// Figure2Ctx is Figure2 honoring cancellation and reporting per-combo
-// progress; on a non-nil error the ranking is meaningless.
+// It honors cancellation and reports per-combo progress; on a non-nil
+// error the ranking is meaningless.
 func Figure2Ctx(ctx context.Context, opts Options, rep run.Reporter) (Ranking, error) {
 	opts = opts.Defaults()
 	combos, err := evalCombos(ctx, rep, "figure2", []comboThunk{
@@ -93,15 +88,9 @@ func Figure2Ctx(ctx context.Context, opts Options, rep run.Reporter) (Ranking, e
 	return BuildRanking("Figure 2: lock-step measures under z-score", combos, opts.FriedmanAlpha), nil
 }
 
-// Figure3 reproduces Figure 3: the ranking of the Lorentzian distance
-// under different normalizations against ED with z-score.
-func Figure3(opts Options) Ranking {
-	r, _ := Figure3Ctx(context.Background(), opts, nil)
-	return r
-}
-
-// Figure3Ctx is Figure3 honoring cancellation and reporting per-combo
-// progress.
+// Figure3Ctx reproduces Figure 3: the ranking of the Lorentzian distance
+// under different normalizations against ED with z-score. It honors
+// cancellation and reports per-combo progress.
 func Figure3Ctx(ctx context.Context, opts Options, rep run.Reporter) (Ranking, error) {
 	opts = opts.Defaults()
 	lor := lockstep.Lorentzian()
@@ -118,15 +107,9 @@ func Figure3Ctx(ctx context.Context, opts Options, rep run.Reporter) (Ranking, e
 	return BuildRanking("Figure 3: Lorentzian under different normalizations vs ED (z-score)", combos, opts.FriedmanAlpha), nil
 }
 
-// Figure4 reproduces Figure 4: the ranking of NCCc under different
-// normalization methods, with Lorentzian (UnitLength) as the baseline.
-func Figure4(opts Options) Ranking {
-	r, _ := Figure4Ctx(context.Background(), opts, nil)
-	return r
-}
-
-// Figure4Ctx is Figure4 honoring cancellation and reporting per-combo
-// progress.
+// Figure4Ctx reproduces Figure 4: the ranking of NCCc under different
+// normalization methods, with Lorentzian (UnitLength) as the baseline. It
+// honors cancellation and reports per-combo progress.
 func Figure4Ctx(ctx context.Context, opts Options, rep run.Reporter) (Ranking, error) {
 	opts = opts.Defaults()
 	sbd := sliding.SBD()
@@ -150,15 +133,9 @@ func Figure4Ctx(ctx context.Context, opts Options, rep run.Reporter) (Ranking, e
 	return BuildRanking("Figure 4: NCCc under different normalizations vs Lorentzian (unitlength)", combos, opts.FriedmanAlpha), nil
 }
 
-// Figure5 reproduces Figure 5: the ranking of the elastic measures with
-// supervised tuning, together with NCCc.
-func Figure5(opts Options) Ranking {
-	r, _ := Figure5Ctx(context.Background(), opts, nil)
-	return r
-}
-
-// Figure5Ctx is Figure5 honoring cancellation and reporting per-combo
-// progress.
+// Figure5Ctx reproduces Figure 5: the ranking of the elastic measures with
+// supervised tuning, together with NCCc. It honors cancellation and
+// reports per-combo progress.
 func Figure5Ctx(ctx context.Context, opts Options, rep run.Reporter) (Ranking, error) {
 	opts = opts.Defaults()
 	var thunks []comboThunk
@@ -173,15 +150,9 @@ func Figure5Ctx(ctx context.Context, opts Options, rep run.Reporter) (Ranking, e
 	return BuildRanking("Figure 5: elastic vs sliding measures (supervised)", combos, opts.FriedmanAlpha), nil
 }
 
-// Figure6 reproduces Figure 6: the ranking of the elastic measures with
-// fixed (unsupervised) parameters, together with NCCc.
-func Figure6(opts Options) Ranking {
-	r, _ := Figure6Ctx(context.Background(), opts, nil)
-	return r
-}
-
-// Figure6Ctx is Figure6 honoring cancellation and reporting per-combo
-// progress.
+// Figure6Ctx reproduces Figure 6: the ranking of the elastic measures with
+// fixed (unsupervised) parameters, together with NCCc. It honors
+// cancellation and reports per-combo progress.
 func Figure6Ctx(ctx context.Context, opts Options, rep run.Reporter) (Ranking, error) {
 	opts = opts.Defaults()
 	var thunks []comboThunk
@@ -196,15 +167,9 @@ func Figure6Ctx(ctx context.Context, opts Options, rep run.Reporter) (Ranking, e
 	return BuildRanking("Figure 6: elastic vs sliding measures (unsupervised)", combos, opts.FriedmanAlpha), nil
 }
 
-// Figure7 reproduces Figure 7: kernels (KDTW, GAK, SINK) ranked together
-// with the strong elastic measures and NCCc under supervised tuning.
-func Figure7(opts Options) Ranking {
-	r, _ := Figure7Ctx(context.Background(), opts, nil)
-	return r
-}
-
-// Figure7Ctx is Figure7 honoring cancellation and reporting per-combo
-// progress.
+// Figure7Ctx reproduces Figure 7: kernels (KDTW, GAK, SINK) ranked
+// together with the strong elastic measures and NCCc under supervised
+// tuning. It honors cancellation and reports per-combo progress.
 func Figure7Ctx(ctx context.Context, opts Options, rep run.Reporter) (Ranking, error) {
 	opts = opts.Defaults()
 	var thunks []comboThunk
@@ -219,14 +184,8 @@ func Figure7Ctx(ctx context.Context, opts Options, rep run.Reporter) (Ranking, e
 	return BuildRanking("Figure 7: kernel vs elastic vs sliding (supervised)", combos, opts.FriedmanAlpha), nil
 }
 
-// Figure8 reproduces Figure 8: the unsupervised counterpart of Figure 7.
-func Figure8(opts Options) Ranking {
-	r, _ := Figure8Ctx(context.Background(), opts, nil)
-	return r
-}
-
-// Figure8Ctx is Figure8 honoring cancellation and reporting per-combo
-// progress.
+// Figure8Ctx reproduces Figure 8: the unsupervised counterpart of Figure
+// 7. It honors cancellation and reports per-combo progress.
 func Figure8Ctx(ctx context.Context, opts Options, rep run.Reporter) (Ranking, error) {
 	opts = opts.Defaults()
 	ms := unsupervisedKernels()[:3] // KDTW, GAK, SINK

@@ -40,20 +40,15 @@ func (r HotloopRow) Speedup() float64 {
 // granularity without making the ablation slow in the golden sweep.
 const hotloopReps = 3
 
-// HotloopsAblation quantifies what the two hot-loop engines buy: the
+// HotloopsAblationCtx quantifies what the two hot-loop engines buy: the
 // diagonal-blocked wavefront DP against the two-row scalar DP for the
 // elastic recurrences, and the batched lock-step panel path (with and
 // without early-abandoning cutoffs) against the per-pair loop. Wall-clock
 // columns are machine-dependent and scrubbed in golden comparisons; the
-// Agree column is the deterministic exactness assertion.
-func HotloopsAblation(opts Options) []HotloopRow {
-	rows, _ := HotloopsAblationCtx(context.Background(), opts, nil)
-	return rows
-}
-
-// HotloopsAblationCtx is HotloopsAblation honoring cancellation (checked
-// between kernels; the wavefront rows also propagate it mid-schedule) and
-// reporting per-kernel progress; on a non-nil error the rows are partial.
+// Agree column is the deterministic exactness assertion. It honors
+// cancellation (checked between kernels; the wavefront rows also propagate
+// it mid-schedule) and reports per-kernel progress; on a non-nil error the
+// rows are partial.
 func HotloopsAblationCtx(ctx context.Context, opts Options, rep run.Reporter) ([]HotloopRow, error) {
 	opts = opts.Defaults()
 	task := run.NewTask(rep, "hotloops", "kernels", 6)

@@ -56,12 +56,6 @@ func (r IndexRow) Speedup() float64 {
 // reached the exact kth-best.
 const recallEps = 1e-9
 
-// IndexExperiment runs the ablation; see IndexExperimentCtx.
-func IndexExperiment(opts Options) []IndexRow {
-	rows, _ := IndexExperimentCtx(context.Background(), opts, nil)
-	return rows
-}
-
 // IndexExperimentCtx measures the approximate retrieval engine on every
 // archive dataset under DTW at the default candidate budget — small
 // corpora, where the adaptive budget covers the corpus and the exact

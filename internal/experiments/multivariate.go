@@ -48,12 +48,6 @@ func mvExperimentMeasures() []struct {
 	}
 }
 
-// MultivariateExperiment runs the study without cancellation.
-func MultivariateExperiment(opts Options) []MVRow {
-	rows, _ := MultivariateExperimentCtx(context.Background(), opts, nil)
-	return rows
-}
-
 // MultivariateExperimentCtx evaluates the roster on two deterministic
 // synthetic panels: the coupled-harmonic dataset clean, and bit-identical
 // underlying values with 20% of samples replaced by NaN. Accuracies are

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/profile"
 	"repro/internal/run"
-	"repro/internal/subsequence"
 )
 
 // ProfileRow is one join of the matrix-profile ablation: a baseline
@@ -65,33 +64,6 @@ func plantedProfileSeries() []float64 {
 		s[i] = rng.NormFloat64() * 3
 	}
 	return s
-}
-
-// motifOf returns the profile's best-matching pair: the row with the
-// smallest value and its claimed neighbor.
-func motifOf(res *profile.Result) (int, int) {
-	best, bi := math.Inf(1), -1
-	for i, v := range res.Values {
-		if res.Indices[i] >= 0 && v < best {
-			best, bi = v, i
-		}
-	}
-	if bi < 0 {
-		return -1, -1
-	}
-	return bi, res.Indices[bi]
-}
-
-// discordOf returns the most isolated row: the largest finite profile
-// value with a claimed neighbor.
-func discordOf(res *profile.Result) int {
-	best, bi := math.Inf(-1), -1
-	for i, v := range res.Values {
-		if res.Indices[i] >= 0 && !math.IsInf(v, 1) && v > best {
-			best, bi = v, i
-		}
-	}
-	return bi
 }
 
 // agreeProfileValues compares two profiles on squared distances at 1e-6
@@ -171,20 +143,15 @@ func pnorm3Window(x, y []float64) float64 {
 	return math.Pow(s, 1.0/3)
 }
 
-// ProfileExperiment runs the matrix-profile study without cancellation.
-func ProfileExperiment(opts Options) []ProfileRow {
-	rows, _ := ProfileExperimentCtx(context.Background(), opts, nil)
-	return rows
-}
-
 // ProfileExperimentCtx computes matrix profiles of the planted-pattern
 // series under three measures and three join modes, each against an
-// independent baseline formulation: STAMP (per-row FFT) for the classic
-// z-normalized profile, the naive per-pair scan for the non-normalized
-// measures, the per-row MASS searcher for the AB-join, and the in-order
-// engine for anytime mode (which must be bitwise identical when left to
-// finish). Motif and discord columns report the recovered structure: the
-// planted pair (96, 288) and an offset inside the [416, 448) burst.
+// independent baseline formulation: STAMP (the engine at one-row blocks
+// on one worker, so every row is one FFT scan) for the classic
+// z-normalized profile and the AB-join, the naive per-pair scan for the
+// non-normalized measures, and the in-order engine for anytime mode
+// (which must be bitwise identical when left to finish). Motif and
+// discord columns report the recovered structure: the planted pair
+// (96, 288) and an offset inside the [416, 448) burst.
 func ProfileExperimentCtx(ctx context.Context, opts Options, rep run.Reporter) ([]ProfileRow, error) {
 	task := run.NewTask(rep, "profile", "joins", 5)
 	series := plantedProfileSeries()
@@ -210,20 +177,25 @@ func ProfileExperimentCtx(ctx context.Context, opts Options, rep run.Reporter) (
 			}
 		}
 		engDur := time.Since(start)
-		ma, mb := motifOf(&res)
+		ma, mb, _ := res.Motif()
+		discord, _ := res.Discord()
 		rows = append(rows, ProfileRow{
 			Measure: m.Name(), Join: "self", N: n, W: w,
 			Base: baseDur, Engine: engDur,
-			MotifA: ma, MotifB: mb, Discord: discordOf(&res),
+			MotifA: ma, MotifB: mb, Discord: discord,
 			Agree: agreeProfileValues(res.Values, baseVals),
 		})
 		task.Step(m.Name())
 		return nil
 	}
 
+	stamp := profile.New(profile.Options{BlockRows: 1, Workers: 1})
+	var stampRes profile.Result
 	if err := addSelf("znorm", profile.ZNormEuclidean(), func() []float64 {
-		vals, _ := subsequence.MatrixProfileSTAMP(series, w)
-		return vals
+		// A cancelled baseline surfaces as the engine join's error below,
+		// which runs under the same ctx.
+		_ = stamp.SelfJoinInto(ctx, series, w, &stampRes)
+		return stampRes.Values
 	}); err != nil {
 		return rows, err
 	}
@@ -239,27 +211,15 @@ func ProfileExperimentCtx(ctx context.Context, opts Options, rep run.Reporter) (
 	}
 
 	// AB-join: the motif neighborhood as the query series against the full
-	// series, baselined on the per-row MASS searcher (no exclusion zone).
+	// series, baselined on STAMP (no exclusion zone).
 	if err := ctx.Err(); err != nil {
 		return rows, err
 	}
 	query := series[64:192]
-	var baseVals []float64
 	start := time.Now()
 	for rep := 0; rep < profileReps; rep++ {
-		s := subsequence.NewSearcher(series, w)
-		qRows := len(query) - w + 1
-		baseVals = make([]float64, qRows)
-		var dst []float64
-		for i := 0; i < qRows; i++ {
-			dst = s.Profile(query[i:i+w], dst)
-			best := math.Inf(1)
-			for _, d := range dst {
-				if d < best {
-					best = d
-				}
-			}
-			baseVals[i] = best
+		if err := stamp.ABJoinInto(ctx, query, series, w, &stampRes); err != nil {
+			return rows, err
 		}
 	}
 	baseDur := time.Since(start)
@@ -272,12 +232,13 @@ func ProfileExperimentCtx(ctx context.Context, opts Options, rep run.Reporter) (
 		}
 	}
 	engDur := time.Since(start)
-	ma, mb := motifOf(&res)
+	ma, mb, _ := res.Motif()
+	discord, _ := res.Discord()
 	rows = append(rows, ProfileRow{
 		Measure: "znorm-euclidean", Join: "ab", N: n, W: w,
 		Base: baseDur, Engine: engDur,
-		MotifA: ma, MotifB: mb, Discord: discordOf(&res),
-		Agree: agreeProfileValues(res.Values, baseVals),
+		MotifA: ma, MotifB: mb, Discord: discord,
+		Agree: agreeProfileValues(res.Values, stampRes.Values),
 	})
 	task.Step("ab-join")
 
@@ -313,11 +274,12 @@ func ProfileExperimentCtx(ctx context.Context, opts Options, rep run.Reporter) (
 		agree = math.Float64bits(ores.Values[i]) == math.Float64bits(ares.Values[i]) &&
 			ores.Indices[i] == ares.Indices[i]
 	}
-	ma, mb = motifOf(&ares)
+	ma, mb, _ = ares.Motif()
+	discord, _ = ares.Discord()
 	rows = append(rows, ProfileRow{
 		Measure: "znorm-euclidean", Join: "anytime", N: n, W: w,
 		Base: baseDur, Engine: engDur,
-		MotifA: ma, MotifB: mb, Discord: discordOf(&ares),
+		MotifA: ma, MotifB: mb, Discord: discord,
 		Agree: agree,
 	})
 	task.Step("anytime")

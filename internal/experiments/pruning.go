@@ -36,20 +36,14 @@ func (r PruningRow) Speedup() float64 {
 	return float64(r.ExactTime) / float64(r.PrunedTime)
 }
 
-// PruningAblation quantifies what the UCR-suite machinery buys: for each
-// DTW band it runs 1-NN inference over the whole archive twice — once
+// PruningAblationCtx quantifies what the UCR-suite machinery buys: for
+// each DTW band it runs 1-NN inference over the whole archive twice — once
 // through eval.MatrixCtx (exhaustive) and once through search.OneNNCtx
 // (LB_Kim + LB_Keogh cascade + early-abandoning DP) — and reports
 // wall-clock, work counters, and both accuracies. The Identical flag
 // asserts the engine's exactness on this archive; it failing would be a
-// bug, not a trade-off.
-func PruningAblation(opts Options) []PruningRow {
-	rows, _ := PruningAblationCtx(context.Background(), opts, nil)
-	return rows
-}
-
-// PruningAblationCtx is PruningAblation honoring cancellation and
-// reporting per-band progress; on a non-nil error the rows are partial.
+// bug, not a trade-off. It honors cancellation and reports per-band
+// progress; on a non-nil error the rows are partial.
 func PruningAblationCtx(ctx context.Context, opts Options, rep run.Reporter) ([]PruningRow, error) {
 	opts = opts.Defaults()
 	bands := []int{5, 10, 100}

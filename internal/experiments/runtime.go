@@ -29,19 +29,14 @@ type RuntimePoint struct {
 	Class     string // asymptotic class: O(m), O(m log m), O(m^2), O(d)
 }
 
-// Figure9 reproduces Figure 9: the accuracy-to-runtime comparison of the
-// most prominent measures. Runtime covers inference only (evaluation on
-// the test sets), as in the paper. With opts.Pruned the inference runs
-// through the matrix-free pruned engine; accuracies are identical.
-func Figure9(opts Options) []RuntimePoint {
-	p, _ := Figure9Ctx(context.Background(), opts, nil)
-	return p
-}
-
-// Figure9Ctx is Figure9 honoring cancellation and reporting per-measure
-// progress; on a non-nil error the points are partial. Cancellation is
-// observed inside the timed regions too (the engines are ctx-aware), so a
-// cancelled run never blocks on a long matrix fill.
+// Figure9Ctx reproduces Figure 9: the accuracy-to-runtime comparison of
+// the most prominent measures. Runtime covers inference only (evaluation
+// on the test sets), as in the paper. With opts.Pruned the inference runs
+// through the matrix-free pruned engine; accuracies are identical. It
+// honors cancellation and reports per-measure progress; on a non-nil error
+// the points are partial. Cancellation is observed inside the timed
+// regions too (the engines are ctx-aware), so a cancelled run never blocks
+// on a long matrix fill.
 func Figure9Ctx(ctx context.Context, opts Options, rep run.Reporter) ([]RuntimePoint, error) {
 	opts = opts.Defaults()
 	type entry struct {
@@ -158,18 +153,12 @@ type ConvergencePoint struct {
 	Error     float64
 }
 
-// Figure10 reproduces Figure 10: 1-NN error rates with increasingly larger
-// training sets, showing that ED's error does not always converge to the
-// error of more accurate measures at the same speed. A dedicated dataset
-// with a large training split is generated (the archive's splits are too
-// small to subset meaningfully).
-func Figure10(opts Options, maxTrain int, sizes []int) []ConvergencePoint {
-	p, _ := Figure10Ctx(context.Background(), opts, nil, maxTrain, sizes)
-	return p
-}
-
-// Figure10Ctx is Figure10 honoring cancellation and reporting per-measure
-// progress; on a non-nil error the points are partial.
+// Figure10Ctx reproduces Figure 10: 1-NN error rates with increasingly
+// larger training sets, showing that ED's error does not always converge
+// to the error of more accurate measures at the same speed. A dedicated
+// dataset with a large training split is generated (the archive's splits
+// are too small to subset meaningfully). It honors cancellation and
+// reports per-measure progress; on a non-nil error the points are partial.
 func Figure10Ctx(ctx context.Context, opts Options, rep run.Reporter, maxTrain int, sizes []int) ([]ConvergencePoint, error) {
 	opts = opts.Defaults()
 	if maxTrain <= 0 {

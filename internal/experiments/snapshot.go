@@ -45,19 +45,14 @@ func (r SnapshotRow) Speedup() float64 {
 // same corpus; the warm path pays preparation once across all of them.
 const snapshotRequests = 4
 
-// SnapshotAblation measures what the prepared-state layer buys on three
+// SnapshotAblationCtx measures what the prepared-state layer buys on three
 // workload shapes: repeated 1-NN under SINK (preparation-heavy — one FFT
 // spectrum per series per request goes away), repeated 1-NN under DTW
 // (envelope fills go away, but the DP dominates, bounding the gain), and
 // repeated supervised DTW tuning (the whole sweep collapses to a
-// fingerprint lookup in the snapshot LRU after the first request).
-func SnapshotAblation(opts Options) []SnapshotRow {
-	rows, _ := SnapshotAblationCtx(context.Background(), opts, nil)
-	return rows
-}
-
-// SnapshotAblationCtx is SnapshotAblation honoring cancellation and
-// reporting per-workload progress; on a non-nil error the rows are partial.
+// fingerprint lookup in the snapshot LRU after the first request). It
+// honors cancellation and reports per-workload progress; on a non-nil
+// error the rows are partial.
 func SnapshotAblationCtx(ctx context.Context, opts Options, rep run.Reporter) ([]SnapshotRow, error) {
 	opts = opts.Defaults()
 	workloads := []string{"1nn-sink", "1nn-dtw", "tune-dtw"}

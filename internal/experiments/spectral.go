@@ -36,22 +36,17 @@ func (r SpectralRow) Speedup() float64 {
 	return float64(r.Naive) / float64(r.Engine)
 }
 
-// SpectralRuntime quantifies what the spectral/linalg engine buys on its
-// three layers: the batched SINK Gram fill versus the per-pair build that
-// re-derives every spectrum (bitwise-identical outputs), the Householder+QL
-// eigensolver versus cyclic Jacobi (eigenvalues to rounding), and the
-// engine-backed GRAIL fit versus the serial prepared-pair fit (embedding
-// geometry to rounding — the eigenbasis is free to rotate inside repeated
-// eigenspaces, so the comparison is on representation distances).
-func SpectralRuntime(opts Options) []SpectralRow {
-	rows, _ := SpectralRuntimeCtx(context.Background(), opts, nil)
-	return rows
-}
-
-// SpectralRuntimeCtx is SpectralRuntime honoring cancellation (checked
-// between rows of the naive fills, inside the engine fills, and between
-// layers — the dense eigensolvers themselves run to completion) and
-// reporting per-layer progress; on a non-nil error the rows are partial.
+// SpectralRuntimeCtx quantifies what the spectral/linalg engine buys on
+// its three layers: the batched SINK Gram fill versus the per-pair build
+// that re-derives every spectrum (bitwise-identical outputs), the
+// Householder+QL eigensolver versus cyclic Jacobi (eigenvalues to
+// rounding), and the engine-backed GRAIL fit versus the serial
+// prepared-pair fit (embedding geometry to rounding — the eigenbasis is
+// free to rotate inside repeated eigenspaces, so the comparison is on
+// representation distances). It honors cancellation (checked between rows
+// of the naive fills, inside the engine fills, and between layers — the
+// dense eigensolvers themselves run to completion) and reports per-layer
+// progress; on a non-nil error the rows are partial.
 func SpectralRuntimeCtx(ctx context.Context, opts Options, rep run.Reporter) ([]SpectralRow, error) {
 	opts = opts.Defaults()
 	task := run.NewTask(rep, "spectral", "layers", 3)

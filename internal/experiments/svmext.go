@@ -17,7 +17,7 @@ import (
 // defers: evaluating kernel measures under an SVM classifier instead of
 // 1-NN. The paper observes (citing GRAIL) that kernels "achieve much
 // higher accuracy under different evaluation frameworks (e.g., with SVM
-// classifiers)"; ExtensionSVM quantifies that on the synthetic archive.
+// classifiers)"; ExtensionSVMCtx quantifies that on the synthetic archive.
 
 // SVMRow compares a kernel under the two evaluation frameworks.
 type SVMRow struct {
@@ -48,19 +48,13 @@ func gramFromDist(m measure.Measure, dist [][]float64) [][]float64 {
 	return g
 }
 
-// ExtensionSVM evaluates each kernel function under both 1-NN and a
+// ExtensionSVMCtx evaluates each kernel function under both 1-NN and a
 // one-vs-rest kernel SVM (C = 10) on every archive dataset, returning the
 // mean accuracies. The same Gram matrices feed both classifiers, so the
-// comparison isolates the evaluation framework.
-func ExtensionSVM(opts Options) []SVMRow {
-	rows, _ := ExtensionSVMCtx(context.Background(), opts, nil)
-	return rows
-}
-
-// ExtensionSVMCtx is ExtensionSVM honoring cancellation (inside the
-// matrix fills and between datasets — the SVM solver itself runs to
-// completion per dataset) and reporting per-kernel progress; on a non-nil
-// error the rows are partial.
+// comparison isolates the evaluation framework. It honors cancellation
+// (inside the matrix fills and between datasets — the SVM solver itself
+// runs to completion per dataset) and reports per-kernel progress; on a
+// non-nil error the rows are partial.
 func ExtensionSVMCtx(ctx context.Context, opts Options, rep run.Reporter) ([]SVMRow, error) {
 	opts = opts.Defaults()
 	kernels := []measure.Measure{

@@ -16,17 +16,11 @@ import (
 	"repro/internal/sliding"
 )
 
-// Table2 reproduces Table 2: every lock-step measure under every
+// Table2Ctx reproduces Table 2: every lock-step measure under every
 // normalization method, compared against ED with z-score (the previous
 // state of the art). Only combos with a higher average accuracy than the
-// baseline are reported, as in the paper.
-func Table2(opts Options) Table {
-	t, _ := Table2Ctx(context.Background(), opts, nil)
-	return t
-}
-
-// Table2Ctx is Table2 honoring cancellation and reporting per-combo
-// progress; on a non-nil error the table is meaningless.
+// baseline are reported, as in the paper. It honors cancellation and
+// reports per-combo progress; on a non-nil error the table is meaningless.
 func Table2Ctx(ctx context.Context, opts Options, rep run.Reporter) (Table, error) {
 	opts = opts.Defaults()
 	total := 1 + len(lockstep.All())*len(norm.All()) + 1
@@ -58,14 +52,9 @@ func Table2Ctx(ctx context.Context, opts Options, rep run.Reporter) (Table, erro
 	return BuildTable("Table 2: lock-step measures vs ED (z-score)", combos, baseline, opts.WilcoxonAlpha, false), nil
 }
 
-// supervisedCombo evaluates a grid with LOOCV tuning under a normalization
-// and labels the combo with the normalization name plus the protocol.
-func supervisedCombo(opts Options, g eval.Grid, n norm.Normalizer) Combo {
-	c, _ := supervisedComboCtx(context.Background(), opts, g, n)
-	return c
-}
-
-// supervisedComboCtx is supervisedCombo honoring cancellation.
+// supervisedComboCtx evaluates a grid with LOOCV tuning under a
+// normalization and labels the combo with the normalization name plus the
+// protocol. It honors cancellation.
 func supervisedComboCtx(ctx context.Context, opts Options, g eval.Grid, n norm.Normalizer) (Combo, error) {
 	c, err := EvaluateSupervisedCtx(ctx, opts.Archive, eval.Thin(g, opts.GridStride), n)
 	if err != nil {
@@ -75,16 +64,10 @@ func supervisedComboCtx(ctx context.Context, opts Options, g eval.Grid, n norm.N
 	return c, nil
 }
 
-// Table3 reproduces Table 3: the 4 cross-correlation variants under every
-// normalization (including the pairwise AdaptiveScaling decorator),
+// Table3Ctx reproduces Table 3: the 4 cross-correlation variants under
+// every normalization (including the pairwise AdaptiveScaling decorator),
 // compared against the Lorentzian distance, the new lock-step state of the
-// art established by Table 2.
-func Table3(opts Options) Table {
-	t, _ := Table3Ctx(context.Background(), opts, nil)
-	return t
-}
-
-// Table3Ctx is Table3 honoring cancellation and reporting per-combo
+// art established by Table 2. It honors cancellation and reports per-combo
 // progress.
 func Table3Ctx(ctx context.Context, opts Options, rep run.Reporter) (Table, error) {
 	opts = opts.Defaults()
@@ -132,17 +115,10 @@ func unsupervisedElastic() []measure.Measure {
 	}
 }
 
-// Table5 reproduces Table 5: the 7 elastic measures against NCCc, under
+// Table5Ctx reproduces Table 5: the 7 elastic measures against NCCc, under
 // both the supervised (LOOCV) and unsupervised (fixed parameters)
 // protocols. All data is z-normalized, as the paper fixes from Section 7
-// onward.
-func Table5(opts Options) Table {
-	t, _ := Table5Ctx(context.Background(), opts, nil)
-	return t
-}
-
-// Table5Ctx is Table5 honoring cancellation and reporting per-combo
-// progress.
+// onward. It honors cancellation and reports per-combo progress.
 func Table5Ctx(ctx context.Context, opts Options, rep run.Reporter) (Table, error) {
 	opts = opts.Defaults()
 	supGrids := 0
@@ -194,15 +170,8 @@ func unsupervisedKernels() []measure.Measure {
 	}
 }
 
-// Table6 reproduces Table 6: the 4 kernel functions against NCCc under
-// both protocols.
-func Table6(opts Options) Table {
-	t, _ := Table6Ctx(context.Background(), opts, nil)
-	return t
-}
-
-// Table6Ctx is Table6 honoring cancellation and reporting per-combo
-// progress.
+// Table6Ctx reproduces Table 6: the 4 kernel functions against NCCc under
+// both protocols. It honors cancellation and reports per-combo progress.
 func Table6Ctx(ctx context.Context, opts Options, rep run.Reporter) (Table, error) {
 	opts = opts.Defaults()
 	total := 1 + len(eval.KernelGrids()) + len(unsupervisedKernels())
@@ -235,17 +204,10 @@ func Table6Ctx(ctx context.Context, opts Options, rep run.Reporter) (Table, erro
 	return BuildTable("Table 6: kernel measures vs NCCc", combos, baseline, opts.WilcoxonAlpha, true), nil
 }
 
-// EvaluateEmbedding fits a fresh embedder per dataset (on its training
+// EvaluateEmbeddingCtx fits a fresh embedder per dataset (on its training
 // split) and evaluates the ED-over-representations measure, the protocol
-// of Section 9.
-func EvaluateEmbedding(archive []*dataset.Dataset, build func(seed int64) embedding.Embedder) Combo {
-	c, _ := EvaluateEmbeddingCtx(context.Background(), archive, build)
-	return c
-}
-
-// EvaluateEmbeddingCtx is EvaluateEmbedding honoring cancellation inside
-// both the per-dataset fit and the evaluation; on a non-nil error the
-// combo is partial.
+// of Section 9. It honors cancellation inside both the per-dataset fit and
+// the evaluation; on a non-nil error the combo is partial.
 func EvaluateEmbeddingCtx(ctx context.Context, archive []*dataset.Dataset, build func(seed int64) embedding.Embedder) (Combo, error) {
 	var c Combo
 	c.Scaling = "fit/train"
@@ -268,15 +230,9 @@ func EvaluateEmbeddingCtx(ctx context.Context, archive []*dataset.Dataset, build
 	return c, nil
 }
 
-// Table7 reproduces Table 7: the 4 embedding measures (fixed-length-100
-// representations compared with ED) against NCCc.
-func Table7(opts Options) Table {
-	t, _ := Table7Ctx(context.Background(), opts, nil)
-	return t
-}
-
-// Table7Ctx is Table7 honoring cancellation and reporting per-combo
-// progress.
+// Table7Ctx reproduces Table 7: the 4 embedding measures (fixed-length-100
+// representations compared with ED) against NCCc. It honors cancellation
+// and reports per-combo progress.
 func Table7Ctx(ctx context.Context, opts Options, rep run.Reporter) (Table, error) {
 	opts = opts.Defaults()
 	builders := []func(seed int64) embedding.Embedder{

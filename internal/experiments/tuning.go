@@ -37,20 +37,14 @@ func (r TuningRow) Speedup() float64 {
 	return float64(r.NaiveTime) / float64(r.EngineTime)
 }
 
-// TuningAblation quantifies what the grid engine buys over tuning each
+// TuningAblationCtx quantifies what the grid engine buys over tuning each
 // candidate independently, on four grid families chosen to isolate the
 // engine's optimizations: MSM (no declared grid structure — the engine's
 // overhead floor), DTW (warm-start chain, envelope arena, and the
 // pair-matrix bound), LCSS (pair-matrix pruning for a measure with no
 // lower bounds of its own), and SINK (preparation shared across the gamma
-// sweep).
-func TuningAblation(opts Options) []TuningRow {
-	rows, _ := TuningAblationCtx(context.Background(), opts, nil)
-	return rows
-}
-
-// TuningAblationCtx is TuningAblation honoring cancellation and reporting
-// per-grid progress; on a non-nil error the rows are partial.
+// sweep). It honors cancellation and reports per-grid progress; on a
+// non-nil error the rows are partial.
 func TuningAblationCtx(ctx context.Context, opts Options, rep run.Reporter) ([]TuningRow, error) {
 	opts = opts.Defaults()
 	grids := []eval.Grid{eval.MSMGrid(), eval.DTWGrid(), eval.LCSSGrid(), eval.SINKGrid()}

@@ -143,16 +143,6 @@ func bluestein(x []complex128, inverse bool) {
 	}
 }
 
-// ForwardReal computes the DFT of a real sequence, returning a freshly
-// allocated complex slice of the same length.
-func ForwardReal(x []float64) []complex128 {
-	c := make([]complex128, len(x))
-	for i, v := range x {
-		c[i] = complex(v, 0)
-	}
-	return Forward(c)
-}
-
 // ForwardRealPadded computes the DFT of x zero-padded to length n.
 // It panics if n < len(x).
 func ForwardRealPadded(x []float64, n int) []complex128 {

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,6 +11,15 @@ import (
 	"repro/internal/lockstep"
 	"repro/internal/measure"
 )
+
+// newVPTree is NewVPTreeCtx under a context that never cancels.
+func newVPTree(refs [][]float64, m measure.Measure, seed int64) *VPTree {
+	t, err := NewVPTreeCtx(context.Background(), refs, m, seed)
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
 
 func randSeries(rng *rand.Rand, n int) []float64 {
 	x := make([]float64, n)
@@ -210,7 +220,7 @@ func TestVPTreeExactForMetrics(t *testing.T) {
 		elastic.ERP{G: 0},
 	}
 	for _, m := range metrics {
-		tree := NewVPTree(refs, m, 7)
+		tree := newVPTree(refs, m, 7)
 		if err := tree.Validate(); err != nil {
 			t.Fatalf("%s: %v", m.Name(), err)
 		}
@@ -252,7 +262,7 @@ func TestVPTreePrunesOnClusteredData(t *testing.T) {
 		}
 		refs[i] = r
 	}
-	tree := NewVPTree(refs, lockstep.Euclidean(), 9)
+	tree := newVPTree(refs, lockstep.Euclidean(), 9)
 	q := append([]float64(nil), centers[1]...)
 	_, _, computed := tree.NN(q)
 	if computed >= len(refs) {
@@ -265,7 +275,7 @@ func TestVPTreePrunesOnClusteredData(t *testing.T) {
 
 func TestVPTreeSingleElement(t *testing.T) {
 	refs := [][]float64{{1, 2, 3}}
-	tree := NewVPTree(refs, lockstep.Euclidean(), 1)
+	tree := newVPTree(refs, lockstep.Euclidean(), 1)
 	best, d, _ := tree.NN([]float64{1, 2, 4})
 	if best != 0 || math.Abs(d-1) > 1e-12 {
 		t.Fatalf("NN = (%d, %g)", best, d)
@@ -281,7 +291,7 @@ func TestIndexDegenerateCorpora(t *testing.T) {
 	q := []float64{1, 2, 3, 4}
 
 	// Empty corpora.
-	tree := NewVPTree(nil, ed, 1)
+	tree := newVPTree(nil, ed, 1)
 	if best, d, computed := tree.NN(q); best != -1 || !math.IsInf(d, 1) || computed != 0 {
 		t.Fatalf("empty VPTree NN = (%d, %g, %d), want (-1, +Inf, 0)", best, d, computed)
 	}
@@ -305,7 +315,7 @@ func TestIndexDegenerateCorpora(t *testing.T) {
 
 	// One-series corpora.
 	one := [][]float64{{1, 2, 3, 5}}
-	tree = NewVPTree(one, ed, 1)
+	tree = newVPTree(one, ed, 1)
 	if best, d, _ := tree.NN(q); best != 0 || math.Abs(d-1) > 1e-12 {
 		t.Fatalf("len-1 VPTree NN = (%d, %g), want (0, 1)", best, d)
 	}

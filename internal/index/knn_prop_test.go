@@ -70,7 +70,7 @@ func TestVPTreeKNNMatchesBruteForce(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
 				n := 20 + rng.Intn(40)
 				refs := propCorpus(rng, n, 16)
-				tree := NewVPTree(refs, m, seed)
+				tree := newVPTree(refs, m, seed)
 				if err := tree.Validate(); err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
@@ -158,7 +158,7 @@ func TestVPTreeNaNPoisonedSeries(t *testing.T) {
 				refs[i] = r
 			}
 		}
-		tree := NewVPTree(refs, ed, seed)
+		tree := newVPTree(refs, ed, seed)
 		if err := tree.Validate(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -202,8 +202,8 @@ func TestVPTreeParallelBuildDeterministic(t *testing.T) {
 	ed := lockstep.Euclidean()
 	rng := rand.New(rand.NewSource(42))
 	refs := propCorpus(rng, 600, 16) // large enough to trip both parallel paths
-	a := NewVPTree(refs, ed, 7)
-	b := NewVPTree(refs, ed, 7)
+	a := newVPTree(refs, ed, 7)
+	b := newVPTree(refs, ed, 7)
 	for trial := 0; trial < 12; trial++ {
 		q := randSeries(rng, 16)
 		na, ca := a.KNN(q, 3)

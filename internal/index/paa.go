@@ -118,30 +118,6 @@ func NewEDIndex(refs [][]float64, segments int) *EDIndex {
 	return idx
 }
 
-// NewEDIndexWithPAA builds the index reusing precomputed PAA words (e.g.
-// from a corpus snapshot) instead of recomputing them. The words must be
-// exactly PAA(refs[i], segments) for every i — only shape is validated
-// here; a mismatched word silently corrupts the lower bound.
-func NewEDIndexWithPAA(refs [][]float64, paa [][]float64, segments int) *EDIndex {
-	if len(refs) == 0 {
-		return &EDIndex{segments: segments}
-	}
-	if len(paa) != len(refs) {
-		panic(fmt.Sprintf("index: %d PAA words for %d series", len(paa), len(refs)))
-	}
-	m := len(refs[0])
-	idx := &EDIndex{series: refs, paa: paa, segments: segments, m: m}
-	for i, r := range refs {
-		if len(r) != m {
-			panic(fmt.Sprintf("index: series %d has length %d, want %d", i, len(r), m))
-		}
-		if len(paa[i]) != segments {
-			panic(fmt.Sprintf("index: PAA word %d has %d segments, want %d", i, len(paa[i]), segments))
-		}
-	}
-	return idx
-}
-
 // Stats reports the work done by one search.
 type Stats struct {
 	Exact  int // exact distance computations performed

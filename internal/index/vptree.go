@@ -63,17 +63,11 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// NewVPTree builds the tree over the reference series with the given
+// NewVPTreeCtx builds the tree over the reference series with the given
 // metric. Construction performs O(n log n) distance computations in
 // parallel. The seed drives vantage-point selection. Empty refs build an
-// empty tree whose searches return no neighbors — matching the other index
-// constructors' degenerate-input behavior.
-func NewVPTree(refs [][]float64, m measure.Measure, seed int64) *VPTree {
-	t, _ := NewVPTreeCtx(context.Background(), refs, m, seed)
-	return t
-}
-
-// NewVPTreeCtx is NewVPTree honoring cancellation: the context is observed
+// empty tree whose searches return no neighbors — matching the other
+// index constructors' degenerate-input behavior. The context is observed
 // at every node and inside the parallel distance fills, so a cancelled
 // build returns ctx.Err() promptly with the tree unusable.
 func NewVPTreeCtx(ctx context.Context, refs [][]float64, m measure.Measure, seed int64) (*VPTree, error) {

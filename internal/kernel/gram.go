@@ -51,18 +51,12 @@ type GramEngine struct {
 	scratch []gramScratch // per-worker pair buffers, grown lazily
 }
 
-// NewGramEngine prepares the engine for the given series. All series must
-// share one length (it panics on ragged input, like the underlying FFT
-// plans would); zero-length series are legal and produce the degenerate
-// distance 1 everywhere, matching SINK.Distance.
-func NewGramEngine(s SINK, series [][]float64) *GramEngine {
-	e, _ := NewGramEngineCtx(context.Background(), s, series)
-	return e
-}
-
-// NewGramEngineCtx is NewGramEngine honoring cancellation during the
-// parallel per-series preparation; on a non-nil error the engine is
-// unusable and must be discarded.
+// NewGramEngineCtx prepares the engine for the given series. All series
+// must share one length (it panics on ragged input, like the underlying
+// FFT plans would); zero-length series are legal and produce the
+// degenerate distance 1 everywhere, matching SINK.Distance. It honors
+// cancellation during the parallel per-series preparation; on a non-nil
+// error the engine is unusable and must be discarded.
 func NewGramEngineCtx(ctx context.Context, s SINK, series [][]float64) (*GramEngine, error) {
 	e := &GramEngine{sink: s, n: len(series)}
 	if e.n == 0 {
@@ -147,30 +141,23 @@ func (e *GramEngine) pairDistance(i, j int, sc *gramScratch) float64 {
 	return normalized(kxy, e.self[i], e.self[j])
 }
 
-// FillDistances writes the full directed n-by-n dissimilarity matrix into
-// rows (rows[i][j] = d(series i, series j), raw — the caller sanitizes).
-// Both triangles are computed independently, cell for cell, because SINK
-// does not declare exact symmetry: the FFT product for (i, j) conjugates
-// the opposite spectrum from (j, i), so mirrored values could differ in
-// the last bits from what the per-pair path returns. Tiles are dispatched
-// over internal/par with one scratch arena entry per worker.
-func (e *GramEngine) FillDistances(rows [][]float64) {
-	// nil, not context.Background(): the escaping backgroundCtx composite
-	// would cost the hot path one heap allocation per fill.
-	_ = e.FillDistancesCtx(nil, rows)
-}
-
-// FillDistancesCtx is FillDistances honoring cancellation: a cancelled
-// fill stops within one tile per worker and returns ctx.Err() with rows
-// partially written (the caller must discard them). An uncancelled fill
-// runs the exact same tile schedule as FillDistances. A nil ctx never
-// cancels.
+// FillDistancesCtx writes the full directed n-by-n dissimilarity matrix
+// into rows (rows[i][j] = d(series i, series j), raw — the caller
+// sanitizes). Both triangles are computed independently, cell for cell,
+// because SINK does not declare exact symmetry: the FFT product for
+// (i, j) conjugates the opposite spectrum from (j, i), so mirrored values
+// could differ in the last bits from what the per-pair path returns.
+// Tiles are dispatched over internal/par with one scratch arena entry per
+// worker. A cancelled fill stops within one tile per worker and returns
+// ctx.Err() with rows partially written (the caller must discard them).
+// A nil ctx never cancels, and unlike context.Background it costs the
+// hot path no escaping allocation per fill.
 func (e *GramEngine) FillDistancesCtx(ctx context.Context, rows [][]float64) error {
 	if e.n == 0 {
 		return nil
 	}
 	if len(rows) != e.n {
-		panic(fmt.Sprintf("kernel: FillDistances got %d rows, want %d", len(rows), e.n))
+		panic(fmt.Sprintf("kernel: FillDistancesCtx got %d rows, want %d", len(rows), e.n))
 	}
 	nt := (e.n + gramTile - 1) / gramTile
 	tiles := nt * nt
@@ -196,20 +183,14 @@ func (e *GramEngine) FillDistancesCtx(ctx context.Context, rows [][]float64) err
 	})
 }
 
-// Gram returns the normalized SINK kernel Gram matrix K with K[i][j] =
+// GramCtx returns the normalized SINK kernel Gram matrix K with K[i][j] =
 // 1 - d(series i, series j), unit diagonal, computed over upper-triangle
 // tiles and mirrored — the construction GRAIL's Nyström step uses (which
 // symmetrized the kernel from the upper triangle before this engine
 // existed, so mirroring preserves its exact values). A tile's mirror
 // writes land in strictly-lower tiles no worker owns, so the parallel
-// fill is race-free.
-func (e *GramEngine) Gram() *linalg.Matrix {
-	g, _ := e.GramCtx(context.Background())
-	return g
-}
-
-// GramCtx is Gram honoring cancellation; on a non-nil error the returned
-// matrix is partial and must be discarded.
+// fill is race-free. On a non-nil error the returned matrix is partial
+// and must be discarded.
 func (e *GramEngine) GramCtx(ctx context.Context) (*linalg.Matrix, error) {
 	g := linalg.NewMatrix(e.n, e.n)
 	if e.n == 0 {

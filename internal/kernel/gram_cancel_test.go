@@ -30,7 +30,7 @@ func TestNewGramEngineCtxPreCancelled(t *testing.T) {
 
 func TestFillDistancesCtxPreCancelled(t *testing.T) {
 	series := cancelSeries(8, 32)
-	e := NewGramEngine(SINK{Gamma: 5}, series)
+	e := newGramEngine(SINK{Gamma: 5}, series)
 	rows := make([][]float64, len(series))
 	for i := range rows {
 		rows[i] = make([]float64, len(series))
@@ -47,7 +47,7 @@ func TestFillDistancesCtxPreCancelled(t *testing.T) {
 // cancellation lands, the error contract must hold.
 func TestFillDistancesCtxMidFillCancel(t *testing.T) {
 	series := cancelSeries(96, 256)
-	e := NewGramEngine(SINK{Gamma: 5}, series)
+	e := newGramEngine(SINK{Gamma: 5}, series)
 	rows := make([][]float64, len(series))
 	for i := range rows {
 		rows[i] = make([]float64, len(series))
@@ -66,11 +66,11 @@ func TestFillDistancesCtxMidFillCancel(t *testing.T) {
 	}
 }
 
-// TestFillDistancesCtxUncancelledBitwise pins the wrapper contract: an
-// uncancelled ctx fill is bit-identical to the plain fill.
+// TestFillDistancesCtxUncancelledBitwise pins the nil-ctx contract: an
+// uncancelled ctx fill is bit-identical to the nil-ctx fill.
 func TestFillDistancesCtxUncancelledBitwise(t *testing.T) {
 	series := cancelSeries(14, 48)
-	e := NewGramEngine(SINK{Gamma: 5}, series)
+	e := newGramEngine(SINK{Gamma: 5}, series)
 	n := len(series)
 	want := make([][]float64, n)
 	got := make([][]float64, n)
@@ -78,14 +78,14 @@ func TestFillDistancesCtxUncancelledBitwise(t *testing.T) {
 		want[i] = make([]float64, n)
 		got[i] = make([]float64, n)
 	}
-	e.FillDistances(want)
+	e.FillDistancesCtx(nil, want)
 	if err := e.FillDistancesCtx(context.Background(), got); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			if got[i][j] != want[i][j] {
-				t.Fatalf("cell (%d,%d): ctx %v differs from plain %v", i, j, got[i][j], want[i][j])
+				t.Fatalf("cell (%d,%d): ctx %v differs from nil ctx %v", i, j, got[i][j], want[i][j])
 			}
 		}
 	}

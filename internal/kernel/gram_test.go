@@ -44,7 +44,7 @@ func gramCorpus(rng *rand.Rand, n, m int) [][]float64 {
 
 // naiveDistanceMatrix is the pre-engine per-pair path: prepare every
 // series once, then PreparedDistance per cell — the bitwise reference
-// FillDistances must reproduce.
+// FillDistancesCtx must reproduce.
 func naiveDistanceMatrix(s SINK, series [][]float64) [][]float64 {
 	prep := make([]any, len(series))
 	for i, x := range series {
@@ -60,6 +60,15 @@ func naiveDistanceMatrix(s SINK, series [][]float64) [][]float64 {
 	return rows
 }
 
+// newGramEngine builds an engine under a context that never cancels.
+func newGramEngine(s SINK, series [][]float64) *GramEngine {
+	e, err := NewGramEngineCtx(context.Background(), s, series)
+	if err != nil {
+		panic(err)
+	}
+	return e
+}
+
 func sameValue(a, b float64) bool {
 	return a == b || (math.IsNaN(a) && math.IsNaN(b))
 }
@@ -70,12 +79,12 @@ func TestGramEngineBitwiseVsPreparedPath(t *testing.T) {
 		series := gramCorpus(rng, shape[0], shape[1])
 		s := SINK{Gamma: 5}
 		want := naiveDistanceMatrix(s, series)
-		e := NewGramEngine(s, series)
+		e := newGramEngine(s, series)
 		rows := make([][]float64, len(series))
 		for i := range rows {
 			rows[i] = make([]float64, len(series))
 		}
-		e.FillDistances(rows)
+		e.FillDistancesCtx(nil, rows)
 		for i := range want {
 			for j := range want[i] {
 				if !sameValue(rows[i][j], want[i][j]) {
@@ -92,14 +101,14 @@ func TestGramEngineGammaSweepBitwise(t *testing.T) {
 	series := gramCorpus(rng, 9, 16)
 	// One engine re-targeted across the grid must match a fresh prepared
 	// path per gamma: SetGamma's in-place self-kernel refresh is exact.
-	e := NewGramEngine(SINK{Gamma: sinkGammaGrid()[0]}, series)
+	e := newGramEngine(SINK{Gamma: sinkGammaGrid()[0]}, series)
 	rows := make([][]float64, len(series))
 	for i := range rows {
 		rows[i] = make([]float64, len(series))
 	}
 	for _, gamma := range sinkGammaGrid() {
 		e.SetGamma(gamma)
-		e.FillDistances(rows)
+		e.FillDistancesCtx(nil, rows)
 		want := naiveDistanceMatrix(SINK{Gamma: gamma}, series)
 		for i := range want {
 			for j := range want[i] {
@@ -122,8 +131,8 @@ func TestGramMatchesNaiveConstruction(t *testing.T) {
 	for i, x := range series {
 		prep[i] = s.Prepare(x)
 	}
-	e := NewGramEngine(s, series)
-	g := e.Gram()
+	e := newGramEngine(s, series)
+	g, _ := e.GramCtx(context.Background())
 	for i := range series {
 		if d := g.At(i, i); d != 1 {
 			t.Fatalf("Gram diagonal [%d] = %v, want 1", i, d)
@@ -144,7 +153,7 @@ func TestGramEnginePreparedStates(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	series := gramCorpus(rng, 7, 12)
 	s := SINK{Gamma: 4}
-	e := NewGramEngine(s, series)
+	e := newGramEngine(s, series)
 	states := e.PreparedStates()
 	q := randSeries(rng, 12)
 	pq := s.Prepare(q)
@@ -158,20 +167,20 @@ func TestGramEnginePreparedStates(t *testing.T) {
 }
 
 func TestGramEngineEmptyAndZeroLength(t *testing.T) {
-	e := NewGramEngine(SINK{Gamma: 5}, nil)
+	e := newGramEngine(SINK{Gamma: 5}, nil)
 	if e.Len() != 0 {
 		t.Fatalf("empty engine Len = %d", e.Len())
 	}
-	e.FillDistances(nil) // must be a no-op, not a panic
-	if g := e.Gram(); g.Rows != 0 || g.Cols != 0 {
+	e.FillDistancesCtx(nil, nil) // must be a no-op, not a panic
+	if g, _ := e.GramCtx(context.Background()); g.Rows != 0 || g.Cols != 0 {
 		t.Fatalf("empty Gram shape %dx%d", g.Rows, g.Cols)
 	}
 
 	// Zero-length series: SINK.Distance defines the pair distance as 1.
 	zl := [][]float64{{}, {}}
-	ze := NewGramEngine(SINK{Gamma: 5}, zl)
+	ze := newGramEngine(SINK{Gamma: 5}, zl)
 	rows := [][]float64{make([]float64, 2), make([]float64, 2)}
-	ze.FillDistances(rows)
+	ze.FillDistancesCtx(nil, rows)
 	want := SINK{Gamma: 5}.Distance(nil, nil)
 	for i := range rows {
 		for j := range rows[i] {
@@ -188,7 +197,7 @@ func TestGramEngineRaggedPanics(t *testing.T) {
 			t.Fatal("expected panic for ragged input")
 		}
 	}()
-	NewGramEngine(SINK{Gamma: 5}, [][]float64{{1, 2}, {3}})
+	newGramEngine(SINK{Gamma: 5}, [][]float64{{1, 2}, {3}})
 }
 
 func TestSINKSelfMatrix(t *testing.T) {
@@ -228,12 +237,12 @@ func TestGramEngineSteadyStateAllocs(t *testing.T) {
 	for i := range series {
 		series[i] = randSeries(rng, 32)
 	}
-	e := NewGramEngine(SINK{Gamma: 5}, series)
+	e := newGramEngine(SINK{Gamma: 5}, series)
 	rows := make([][]float64, len(series))
 	for i := range rows {
 		rows[i] = make([]float64, len(series))
 	}
-	e.FillDistances(rows) // warm the arena
+	e.FillDistancesCtx(nil, rows) // warm the arena
 	sc := &e.scratch[0]
 	if n := testing.AllocsPerRun(20, func() { e.pairDistance(3, 7, sc) }); n != 0 {
 		t.Errorf("pairDistance allocates %v per run", n)
@@ -243,8 +252,8 @@ func TestGramEngineSteadyStateAllocs(t *testing.T) {
 		// closure, independent of the pair count. (With real parallelism
 		// goroutine startup allocates too, so the per-pair assertion above
 		// carries the 0 allocs/op claim.)
-		if n := testing.AllocsPerRun(5, func() { e.FillDistances(rows) }); n > 1 {
-			t.Errorf("warm FillDistances allocates %v per run, want <= 1", n)
+		if n := testing.AllocsPerRun(5, func() { e.FillDistancesCtx(nil, rows) }); n > 1 {
+			t.Errorf("warm FillDistancesCtx allocates %v per run, want <= 1", n)
 		}
 	}
 }
@@ -274,7 +283,7 @@ func BenchmarkGramEngine(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		NewGramEngine(s, series).FillDistances(rows)
+		newGramEngine(s, series).FillDistancesCtx(nil, rows)
 	}
 }
 

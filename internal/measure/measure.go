@@ -60,20 +60,6 @@ func IsSymmetric(m Measure) bool {
 	return ok && s.Symmetric()
 }
 
-// ContextMeasure is an optional cancellation-aware route: measures whose
-// single-pair cost is large enough to matter under cancellation (elastic
-// DPs on long series, kernel recursions) expose DistanceCtx, and layers
-// that thread a run-core context (the multivariate lifts, the evaluation
-// loops) call it instead of Distance. The contract mirrors the wavefront
-// engines: an uncancelled call returns exactly Distance(x, y); a cancelled
-// call either surfaces ctx.Err() or still returns the exact value — never
-// a partial accumulation.
-type ContextMeasure interface {
-	Measure
-	// DistanceCtx is Distance honoring ctx.
-	DistanceCtx(ctx context.Context, x, y []float64) (float64, error)
-}
-
 // EarlyAbandoning is an optional fast path for best-so-far-aware search:
 // DistanceUpTo may stop as soon as the running accumulation proves the
 // final distance cannot be below cutoff.

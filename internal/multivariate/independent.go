@@ -66,7 +66,9 @@ func (ind Independent) Distance(x, y Series) float64 {
 	defer s.release()
 	var sum float64
 	for c := 0; c < d; c++ {
-		sum += ind.Base.Distance(x.ChannelInto(c, bufA), y.ChannelInto(c, bufB))
+		cx := x.ChannelInto(c, bufA)
+		cy := y.ChannelInto(c, bufB)
+		sum += ind.Base.Distance(cx, cy)
 	}
 	return sum
 }
@@ -103,11 +105,9 @@ func (ind Independent) DistanceUpTo(x, y Series, cutoff float64) float64 {
 	return sum
 }
 
-// DistanceCtx implements ContextMeasure, checking ctx between channels and
-// delegating to the base measure's DistanceCtx when it has one.
+// DistanceCtx implements ContextMeasure, checking ctx between channels.
 func (ind Independent) DistanceCtx(ctx context.Context, x, y Series) (float64, error) {
 	d := checkLockstep(x, y)
-	cm, hasCtx := ind.Base.(measure.ContextMeasure)
 	s, bufA, bufB := borrowChannels(len(x), len(y))
 	defer s.release()
 	var sum float64
@@ -117,15 +117,7 @@ func (ind Independent) DistanceCtx(ctx context.Context, x, y Series) (float64, e
 		}
 		cx := x.ChannelInto(c, bufA)
 		cy := y.ChannelInto(c, bufB)
-		if hasCtx {
-			v, err := cm.DistanceCtx(ctx, cx, cy)
-			if err != nil {
-				return 0, err
-			}
-			sum += v
-		} else {
-			sum += ind.Base.Distance(cx, cy)
-		}
+		sum += ind.Base.Distance(cx, cy)
 	}
 	return sum, nil
 }

@@ -127,10 +127,10 @@ type EarlyAbandoning interface {
 	DistanceUpTo(x, y Series, cutoff float64) float64
 }
 
-// ContextMeasure is the optional cancellation-aware route, mirroring
-// measure.ContextMeasure: an uncancelled call returns exactly
-// Distance(x, y); a cancelled call either surfaces ctx.Err() or still
-// returns the exact value.
+// ContextMeasure is the optional cancellation-aware route: an uncancelled
+// call returns exactly Distance(x, y); a cancelled call either surfaces
+// ctx.Err() or still returns the exact value — never a partial
+// accumulation.
 type ContextMeasure interface {
 	Measure
 	DistanceCtx(ctx context.Context, x, y Series) (float64, error)

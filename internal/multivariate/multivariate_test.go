@@ -1,6 +1,7 @@
 package multivariate
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -217,12 +218,12 @@ func TestOneNNMultivariate(t *testing.T) {
 			testL = append(testL, class)
 		}
 	}
-	acc := OneNN(DTWDependent{DeltaPercent: 20}, train, trainL, test, testL)
+	acc, _ := AccuracyCtx(context.Background(), DTWDependent{DeltaPercent: 20}, train, trainL, test, testL)
 	if acc < 0.9 {
 		t.Fatalf("DTW-D 1-NN accuracy %g, want >= 0.9", acc)
 	}
 	// ED struggles with the phase shifts.
-	edAcc := OneNN(Euclidean{}, train, trainL, test, testL)
+	edAcc, _ := AccuracyCtx(context.Background(), Euclidean{}, train, trainL, test, testL)
 	if edAcc > acc {
 		t.Fatalf("ED %g beat DTW-D %g on phase-shifted data", edAcc, acc)
 	}
@@ -234,7 +235,7 @@ func TestOneNNPanicsOnMismatch(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	OneNN(Euclidean{}, []Series{{{1}}}, []int{1, 2}, nil, nil)
+	AccuracyCtx(context.Background(), Euclidean{}, []Series{{{1}}}, []int{1, 2}, nil, nil)
 }
 
 func TestGenerateMVDataset(t *testing.T) {
@@ -271,7 +272,7 @@ func TestGenerateMVClassifiable(t *testing.T) {
 		TrainSize: 12, TestSize: 12, Seed: 2, NoiseSigma: 0.15,
 		WarpFrac: 0.08, PhaseShift: true,
 	})
-	acc := OneNN(DTWDependent{DeltaPercent: 20}, d.Train, d.TrainLabels, d.Test, d.TestLabels)
+	acc, _ := AccuracyCtx(context.Background(), DTWDependent{DeltaPercent: 20}, d.Train, d.TrainLabels, d.Test, d.TestLabels)
 	if acc < 0.8 {
 		t.Fatalf("DTW-D accuracy %g on generated MV data", acc)
 	}

@@ -78,10 +78,3 @@ func AccuracyCtx(ctx context.Context, m Measure, train []Series, trainLabels []i
 	}
 	return float64(correct) / float64(len(test)), nil
 }
-
-// OneNN is AccuracyCtx without cancellation, kept for callers that do not
-// thread a context.
-func OneNN(m Measure, train []Series, trainLabels []int, test []Series, testLabels []int) float64 {
-	acc, _ := AccuracyCtx(nil, m, train, trainLabels, test, testLabels)
-	return acc
-}

@@ -25,7 +25,7 @@ func CheckSnapshot(r *Report, m measure.Measure, queries, refs [][]float64, inpu
 	ctx := context.Background()
 	var snap *csnap.Snapshot
 	if !call(r, name, input, "snapshot-build", func() {
-		snap = csnap.Build(refs, csnap.Options{Measures: []measure.Measure{m}})
+		snap, _ = csnap.BuildCtx(ctx, refs, csnap.Options{Measures: []measure.Measure{m}})
 	}) {
 		return
 	}
@@ -86,7 +86,7 @@ func CheckSnapshotGrid(r *Report, g eval.Grid, train [][]float64, input string) 
 	ctx := context.Background()
 	var snap *csnap.Snapshot
 	if !call(r, name, input, "snapshot-build", func() {
-		snap = csnap.Build(train, csnap.Options{Measures: g.Candidates})
+		snap, _ = csnap.BuildCtx(ctx, train, csnap.Options{Measures: g.Candidates})
 	}) {
 		return
 	}

@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -103,11 +104,14 @@ func TestOracleGramEngine(t *testing.T) {
 		for gamma := 1.0; gamma <= 20; gamma++ {
 			s := kernel.SINK{Gamma: gamma}
 			if eng == nil {
-				eng = kernel.NewGramEngine(s, series)
+				var err error
+				if eng, err = kernel.NewGramEngineCtx(context.Background(), s, series); err != nil {
+					t.Fatal(err)
+				}
 			} else {
 				eng.SetGamma(gamma)
 			}
-			eng.FillDistances(rows)
+			eng.FillDistancesCtx(nil, rows)
 			prep := make([]any, len(series))
 			for i, x := range series {
 				prep[i] = s.Prepare(x)

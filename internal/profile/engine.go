@@ -26,10 +26,14 @@ type Options struct {
 	// Workers caps dispatch parallelism; 0 means par.Workers over the
 	// block count. 1 pins the serial path (allocation-free warm).
 	Workers int
-	// BlockRows overrides DefaultBlockRows. The block layout only affects
-	// scheduling, never values: every row is computed from its own
-	// block-local stream, so results are bitwise identical across block
-	// sizes and worker counts.
+	// BlockRows overrides DefaultBlockRows. Each block streams its rows
+	// from its own freshly seeded leading row, so the block size decides
+	// which rows are seeded and which are streamed: values differ across
+	// block sizes in the last bits (FFT seed against streamed update; the
+	// nearest neighbors agree), while at a fixed block size results are
+	// bitwise identical across worker counts and Anytime order.
+	// BlockRows 1 with Workers 1 seeds every row with one FFT scan, which
+	// is the STAMP formulation.
 	BlockRows int
 	// Anytime dispatches blocks in a deterministic shuffled order, so a
 	// cancelled run's completed rows spread across the whole profile and
@@ -145,7 +149,28 @@ func ABJoin(ctx context.Context, a, b []float64, w int, opts Options) (*Result, 
 	return New(opts).ABJoin(ctx, a, b, w)
 }
 
-func (e *Engine) join(ctx context.Context, a, b []float64, w int, self bool, res *Result) error {
+// DistanceProfile returns the distance from query q to every window of t
+// at window len(q), written into dst (reused when its capacity allows):
+// row 0 of the AB-join of q against t. The row is seeded as every block's
+// leading row is, so on finite input it is one FFT scan; a non-finite
+// sample makes the windows that contain it NaN and leaves the others
+// exact. One row has no cancellation point, so it takes no context.
+func (e *Engine) DistanceProfile(t, q, dst []float64) []float64 {
+	w := len(q)
+	checkWindow(q, t, w)
+	e.statsA.compute(q, w)
+	e.statsB.compute(t, w)
+	fftSeed := e.planSeed(t, w, &e.statsA, &e.statsB)
+	// The joins' column-seed buffer holds this row's cross terms.
+	e.col0 = resizeFloat(e.col0, len(t)-w+1)
+	e.seedRow(e.col0, e.cbuf, q, t, 0, w, fftSeed)
+	dst = resizeFloat(dst, len(e.col0))
+	e.opts.Measure.DistanceRow(e.col0, dst, 0, &e.statsA, &e.statsB)
+	return dst
+}
+
+// checkWindow panics unless 2 <= w <= min(len(a), len(b)).
+func checkWindow(a, b []float64, w int) {
 	if w < 2 {
 		panic(fmt.Sprintf("profile: window %d < 2", w))
 	}
@@ -153,6 +178,38 @@ func (e *Engine) join(ctx context.Context, a, b []float64, w int, self bool, res
 		panic(fmt.Sprintf("profile: window %d out of range for series lengths %d and %d",
 			w, len(a), len(b)))
 	}
+}
+
+// planSeed reports whether rows against target b are seeded by FFT and,
+// when they are, plans b's spectrum. FFT seeding is only sound when every
+// sample is finite: a single NaN/Inf poisons the whole padded transform,
+// where direct summation confines it to the windows that contain it.
+func (e *Engine) planSeed(b []float64, w int, sa, sb *WindowStats) bool {
+	if !e.opts.Measure.DotCross() || sa.hasNF || sb.hasNF {
+		return false
+	}
+	e.planB.Reset(b, w)
+	if cap(e.cbuf) < e.planB.PaddedLen() {
+		e.cbuf = make([]complex128, e.planB.PaddedLen())
+	}
+	return true
+}
+
+// seedRow fills cross with row i's cross terms against every window of b
+// from scratch: one FFT sliding-dot scan (cbuf is its scratch) when
+// fftSeed holds, direct sums otherwise.
+func (e *Engine) seedRow(cross []float64, cbuf []complex128, a, b []float64, i, w int, fftSeed bool) {
+	if fftSeed {
+		e.planB.SlidingDots(a[i:i+w], cross, cbuf)
+		return
+	}
+	for j := range cross {
+		cross[j] = e.opts.Measure.InitCross(a, b, i, j, w)
+	}
+}
+
+func (e *Engine) join(ctx context.Context, a, b []float64, w int, self bool, res *Result) error {
+	checkWindow(a, b, w)
 	m := e.opts.Measure
 	rows := len(a) - w + 1
 	cols := len(b) - w + 1
@@ -187,16 +244,7 @@ func (e *Engine) join(ctx context.Context, a, b []float64, w int, self bool, res
 	res.Completed = 0
 	e.done = 0
 
-	// FFT row seeding is only sound when every sample is finite: a single
-	// NaN/Inf poisons the whole padded transform, where direct summation
-	// confines it to the windows that contain it.
-	fftSeed := m.DotCross() && !sa.hasNF && !sb.hasNF
-	if fftSeed {
-		e.planB.Reset(b, w)
-		if cap(e.cbuf) < e.planB.PaddedLen() {
-			e.cbuf = make([]complex128, e.planB.PaddedLen())
-		}
-	}
+	fftSeed := e.planSeed(b, w, sa, sb)
 
 	// Column seed: cross(a_i, b_0) for every row i — the j = 0 entry the
 	// in-place diagonal recurrence cannot reach. It is b's leading window
@@ -314,13 +362,7 @@ func (e *Engine) runBlock(ctx context.Context, ws *workerScratch, bi int, a, b [
 		return
 	}
 	cross := ws.cross
-	if fftSeed {
-		e.planB.SlidingDots(a[r0:r0+w], cross, ws.cbuf)
-	} else {
-		for j := 0; j < cols; j++ {
-			cross[j] = m.InitCross(a, b, r0, j, w)
-		}
-	}
+	e.seedRow(cross, ws.cbuf, a, b, r0, w, fftSeed)
 	e.finalizeRow(r0, cross, ws.dist[:cols], sa, sb, res)
 	rowsDone++
 

@@ -3,6 +3,10 @@
 // of window cross terms is seeded once (by FFT for dot-product measures)
 // and every subsequent row advances with an O(1)-per-cell diagonal update,
 // for O(n^2) total work instead of STAMP's O(n^2 log n) one-FFT-per-row.
+// It is the repository's one subsequence engine: a distance profile (the
+// MASS query, Mueen's Algorithm for Similarity Search) is one seeded row,
+// TopK reads matches off it, and motifs and discords are read off a
+// self-join.
 //
 // Following Akbarinia & Villar ("Efficient Matrix Profile Computation
 // Using Different Distance Functions"), the engine is generic over a small
@@ -69,9 +73,7 @@ type WindowStats struct {
 }
 
 // compute fills the tables for series x at window w, reusing backing
-// arrays. The running-sum recurrences and the constancy predicate mirror
-// subsequence.DistanceProfile, so both layers agree on which windows are
-// constant.
+// arrays.
 func (s *WindowStats) compute(x []float64, w int) {
 	n := len(x)
 	wins := n - w + 1
@@ -125,7 +127,7 @@ func (s *WindowStats) poisoned(i int) bool { return s.nf[i+s.W]-s.nf[i] > 0 }
 
 // isConstantVar reports whether a window variance is zero up to the
 // rounding noise of the running-sum computation, relative to the window's
-// mean square (the subsequence-layer convention).
+// mean square.
 func isConstantVar(variance, meanSq float64) bool {
 	return variance <= 1e-12*(meanSq+1)
 }
@@ -156,7 +158,7 @@ type zNormEuclidean struct{ dotCross }
 // ZNormEuclidean returns the classic matrix-profile measure: z-normalized
 // Euclidean distance, finalized from the sliding dot product through the
 // MASS identity sqrt(2w(1-corr)) with the sqrt(2w) ceiling for
-// zero-variance windows (the subsequence-layer convention).
+// zero-variance windows.
 func ZNormEuclidean() Measure { return zNormEuclidean{} }
 
 func (zNormEuclidean) Name() string { return "znorm-euclidean" }

@@ -107,7 +107,7 @@ func TestOneNNApproxSnapshotWarmPath(t *testing.T) {
 	refs, queries := approxData(t, 96, 12)
 	m := elastic.DTW{DeltaPercent: 10}
 	cfg := ann.Config{Candidates: 12, Seed: 4}
-	snap := corpus.Build(refs, corpus.Options{ANN: []corpus.ANNSpec{{Measure: m, Config: cfg}}})
+	snap := buildSnapshot(refs, corpus.Options{ANN: []corpus.ANNSpec{{Measure: m, Config: cfg}}})
 	ctx := context.Background()
 	warm, err := search.OneNNApproxSnapshotCtx(ctx, m, queries, refs, cfg, snap)
 	if err != nil {
@@ -133,7 +133,7 @@ func TestOneNNApproxSnapshotWarmPath(t *testing.T) {
 		}
 		other[i] = s
 	}
-	foreign := corpus.Build(other, corpus.Options{ANN: []corpus.ANNSpec{{Measure: m, Config: cfg}}})
+	foreign := buildSnapshot(other, corpus.Options{ANN: []corpus.ANNSpec{{Measure: m, Config: cfg}}})
 	res, err := search.OneNNApproxSnapshotCtx(ctx, m, queries, refs, cfg, foreign)
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +153,7 @@ func TestKNNApproxSnapshotAdoptsExactState(t *testing.T) {
 	refs, queries := approxData(t, 48, 6)
 	m := elastic.DTW{DeltaPercent: 10}
 	cfg := ann.Config{Candidates: 12, Seed: 6}
-	snap := corpus.Build(refs, corpus.Options{Measures: []measure.Measure{m}})
+	snap := buildSnapshot(refs, corpus.Options{Measures: []measure.Measure{m}})
 	ctx := context.Background()
 	before := snap.Hits().Bounds
 	got, err := search.KNNApproxSnapshotCtx(ctx, m, queries, refs, 3, cfg, snap)

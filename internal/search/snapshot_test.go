@@ -20,9 +20,18 @@ func oneNNSnapshot(m measure.Measure, queries, refs [][]float64, snap *corpus.Sn
 	return res
 }
 
+// buildSnapshot is corpus.BuildCtx under a context that never cancels.
+func buildSnapshot(series [][]float64, opts corpus.Options) *corpus.Snapshot {
+	snap, err := corpus.BuildCtx(context.Background(), series, opts)
+	if err != nil {
+		panic(err)
+	}
+	return snap
+}
+
 // snapshotFor builds a snapshot materializing every candidate's state.
 func snapshotFor(series [][]float64, ms ...measure.Measure) *corpus.Snapshot {
-	return corpus.Build(series, corpus.Options{Measures: ms})
+	return buildSnapshot(series, corpus.Options{Measures: ms})
 }
 
 // TestGridSnapshotMatchesInline is the snapshot exactness property test:

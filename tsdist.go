@@ -16,7 +16,7 @@
 // This file is the public facade: it re-exports the library's types and
 // the most common entry points. Examples under examples/ and the tools
 // under cmd/ are written exclusively against this surface. The internal
-// search, eval and ann paths take a context; the facade passes
+// paths that can run long take a context; the facade passes
 // context.Background, which never cancels, so their error results are
 // always nil and are dropped here.
 //
@@ -46,10 +46,11 @@ import (
 	"repro/internal/measure"
 	"repro/internal/multivariate"
 	"repro/internal/norm"
+	"repro/internal/profile"
+	"repro/internal/run"
 	"repro/internal/search"
 	"repro/internal/sliding"
 	"repro/internal/stats"
-	"repro/internal/subsequence"
 	"repro/internal/uncertain"
 )
 
@@ -466,26 +467,36 @@ type ConvergencePoint = experiments.ConvergencePoint
 
 // Experiment drivers, one per table and figure of the paper.
 var (
-	Table2  = experiments.Table2
-	Table3  = experiments.Table3
+	Table2  = background(experiments.Table2Ctx)
+	Table3  = background(experiments.Table3Ctx)
 	Table4  = experiments.Table4
-	Table5  = experiments.Table5
-	Table6  = experiments.Table6
-	Table7  = experiments.Table7
+	Table5  = background(experiments.Table5Ctx)
+	Table6  = background(experiments.Table6Ctx)
+	Table7  = background(experiments.Table7Ctx)
 	Figure1 = experiments.Figure1
-	Figure2 = experiments.Figure2
-	Figure3 = experiments.Figure3
-	Figure4 = experiments.Figure4
-	Figure5 = experiments.Figure5
-	Figure6 = experiments.Figure6
-	Figure7 = experiments.Figure7
-	Figure8 = experiments.Figure8
-	Figure9 = experiments.Figure9
+	Figure2 = background(experiments.Figure2Ctx)
+	Figure3 = background(experiments.Figure3Ctx)
+	Figure4 = background(experiments.Figure4Ctx)
+	Figure5 = background(experiments.Figure5Ctx)
+	Figure6 = background(experiments.Figure6Ctx)
+	Figure7 = background(experiments.Figure7Ctx)
+	Figure8 = background(experiments.Figure8Ctx)
+	Figure9 = background(experiments.Figure9Ctx)
 )
+
+// background adapts a cancellable experiment driver to the plain form:
+// context.Background never cancels, so the driver's error is always nil.
+func background[T any](drv func(context.Context, ExperimentOptions, run.Reporter) (T, error)) func(ExperimentOptions) T {
+	return func(opts ExperimentOptions) T {
+		v, _ := drv(context.Background(), opts, nil)
+		return v
+	}
+}
 
 // Figure10 reproduces the error-vs-training-size experiment.
 func Figure10(opts ExperimentOptions, maxTrain int, sizes []int) []ConvergencePoint {
-	return experiments.Figure10(opts, maxTrain, sizes)
+	points, _ := experiments.Figure10Ctx(context.Background(), opts, nil, maxTrain, sizes)
+	return points
 }
 
 // RenderRuntime formats Figure 9 points.
@@ -535,14 +546,16 @@ func RandIndex(a, b []int) float64 { return kshape.RandIndex(a, b) }
 func AdjustedRandIndex(a, b []int) float64 { return kshape.AdjustedRandIndex(a, b) }
 
 // SubsequenceMatch is one subsequence-search hit.
-type SubsequenceMatch = subsequence.Match
+type SubsequenceMatch = profile.Match
 
 // DistanceProfile computes the z-normalized ED between query q and every
 // subsequence of t via the FFT-based MASS algorithm, O(n log n).
-func DistanceProfile(t, q []float64) []float64 { return subsequence.DistanceProfile(t, q) }
+func DistanceProfile(t, q []float64) []float64 {
+	return profile.New(profile.Options{}).DistanceProfile(t, q, nil)
+}
 
 // TopKMatches returns the k best non-overlapping matches of q in t.
-func TopKMatches(t, q []float64, k int) []SubsequenceMatch { return subsequence.TopK(t, q, k) }
+func TopKMatches(t, q []float64, k int) []SubsequenceMatch { return profile.TopK(t, q, k) }
 
 // MatrixProfile computes the self-join matrix profile of t for window w:
 // each subsequence's z-normalized distance to its nearest non-trivial
@@ -550,24 +563,38 @@ func TopKMatches(t, q []float64, k int) []SubsequenceMatch { return subsequence.
 // It runs on the STOMP streaming engine (internal/profile), O(n^2) total
 // work instead of STAMP's O(n^2 log n).
 func MatrixProfile(t []float64, w int) (profile []float64, index []int) {
-	return subsequence.MatrixProfile(t, w)
+	res := selfJoin(t, w)
+	return res.Values, res.Indices
 }
 
 // ABMatrixProfile computes the AB-join matrix profile: for each window of
 // a, its z-normalized distance to the nearest window of b, with no
 // exclusion zone (the two series are distinct by assumption).
 func ABMatrixProfile(a, b []float64, w int) (profile []float64, index []int) {
-	return subsequence.ABProfile(a, b, w)
+	res := abJoin(a, b, w)
+	return res.Values, res.Indices
 }
 
 // Motif returns the best motif pair of t for window w, or (-1, -1, +Inf)
 // when no window has a valid non-trivial neighbor.
-func Motif(t []float64, w int) (i, j int, dist float64) { return subsequence.Motif(t, w) }
+func Motif(t []float64, w int) (i, j int, dist float64) { return selfJoin(t, w).Motif() }
 
 // Discord returns the top anomaly of t for window w, or (-1, +Inf) when
 // every profile entry is undefined (e.g. the exclusion zone covers all
 // neighbors).
-func Discord(t []float64, w int) (offset int, dist float64) { return subsequence.Discord(t, w) }
+func Discord(t []float64, w int) (offset int, dist float64) { return selfJoin(t, w).Discord() }
+
+// selfJoin and abJoin run the z-normalized engine to completion:
+// context.Background never cancels.
+func selfJoin(t []float64, w int) *profile.Result {
+	res, _ := profile.SelfJoin(context.Background(), t, w, profile.Options{})
+	return res
+}
+
+func abJoin(a, b []float64, w int) *profile.Result {
+	res, _ := profile.ABJoin(context.Background(), a, b, w, profile.Options{})
+	return res
+}
 
 //
 // ---- Indexing (the M2 theme: which measures are indexable) ----
@@ -596,7 +623,8 @@ type VPTree = index.VPTree
 // NewVPTree builds a vantage-point tree over the references under a metric
 // measure.
 func NewVPTree(refs [][]float64, m Measure, seed int64) *VPTree {
-	return index.NewVPTree(refs, m, seed)
+	t, _ := index.NewVPTreeCtx(context.Background(), refs, m, seed)
+	return t
 }
 
 // Neighbor is one k-NN result: a reference index and its sanitized
@@ -723,7 +751,8 @@ func MVSoftDTW(gamma float64, normalize bool) MVMeasure {
 // MVOneNN runs the 1-NN evaluation over multivariate splits. An empty
 // train set predicts no labels (accuracy 0) rather than panicking.
 func MVOneNN(m MVMeasure, train []MVSeries, trainLabels []int, test []MVSeries, testLabels []int) float64 {
-	return multivariate.OneNN(m, train, trainLabels, test, testLabels)
+	acc, _ := multivariate.AccuracyCtx(context.Background(), m, train, trainLabels, test, testLabels)
+	return acc
 }
 
 // MVClassify finds each test series' nearest train series under m, in

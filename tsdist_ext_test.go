@@ -64,6 +64,43 @@ func TestFacadeSubsequenceSearch(t *testing.T) {
 	}
 }
 
+// TestFacadeSubsequenceNaN pins NaN confinement in subsequence search: a
+// NaN sample makes only the windows that contain it NaN, so the exact
+// match elsewhere is still found, no reported match carries a NaN
+// distance, and a query holding a NaN matches nothing.
+func TestFacadeSubsequenceNaN(t *testing.T) {
+	x := make([]float64, 64)
+	for i := range x {
+		x[i] = math.Sin(float64(i) / 3)
+	}
+	x[10] = math.NaN()
+	const w = 8
+	q := append([]float64(nil), x[40:40+w]...)
+	prof := DistanceProfile(x, q)
+	if len(prof) != len(x)-w+1 {
+		t.Fatalf("profile length %d", len(prof))
+	}
+	for i, d := range prof {
+		if holdsNaN := i <= 10 && 10 < i+w; math.IsNaN(d) != holdsNaN {
+			t.Errorf("window %d: distance %v, want NaN only for the windows holding x[10]", i, d)
+		}
+	}
+	matches := TopKMatches(x, q, 3)
+	if len(matches) != 3 || matches[0].Offset != 40 {
+		t.Fatalf("matches = %+v, want 3 led by the exact match at 40", matches)
+	}
+	for _, m := range matches {
+		if math.IsNaN(m.Distance) {
+			t.Errorf("match %+v has a NaN distance", m)
+		}
+	}
+	nanQuery := append([]float64(nil), q...)
+	nanQuery[3] = math.NaN()
+	if got := TopKMatches(x, nanQuery, 3); len(got) != 0 {
+		t.Errorf("NaN query matched %+v, want nothing", got)
+	}
+}
+
 func TestFacadeIndexing(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	refs := make([][]float64, 30)
