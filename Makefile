@@ -46,15 +46,18 @@ oracle-long:
 	$(GO) test ./internal/oracle -run Oracle -oracle.long
 
 # Worker-count determinism gate: the golden experiment outputs and the
-# oracle's fixed seed schedule must pass unchanged on one worker and on
-# four. Wavefront DPs, lock-step panels, Gram tiles, the VP-tree build,
-# the grid and pruned search engines and STOMP blocks all promise results
-# that do not depend on the worker count. -count=1 bypasses the test
-# cache, which does not key on GOMAXPROCS.
+# oracle's fixed seed schedule must pass unchanged on one, two and four
+# workers (two is the benchmark host's core count). Wavefront DPs,
+# lock-step panels, Gram tiles, the VP-tree build, the grid and pruned
+# search engines and STOMP blocks all promise results that do not depend
+# on the worker count. -count=1 bypasses the test cache, which does not
+# key on GOMAXPROCS.
 determinism:
 	GOMAXPROCS=1 $(GO) test -count=1 -run TestGoldenExperimentOutputs ./cmd/tsbench
+	GOMAXPROCS=2 $(GO) test -count=1 -run TestGoldenExperimentOutputs ./cmd/tsbench
 	GOMAXPROCS=4 $(GO) test -count=1 -run TestGoldenExperimentOutputs ./cmd/tsbench
 	GOMAXPROCS=1 $(GO) test -count=1 -run Oracle ./internal/oracle
+	GOMAXPROCS=2 $(GO) test -count=1 -run Oracle ./internal/oracle
 	GOMAXPROCS=4 $(GO) test -count=1 -run Oracle ./internal/oracle
 
 # Smoke-run every benchmark once, then measure the grid tuning benchmarks

@@ -3,6 +3,7 @@ package corpus
 import (
 	"container/list"
 	"context"
+	"errors"
 	"sync"
 )
 
@@ -51,6 +52,10 @@ type inflightBuild struct {
 	val  any
 	err  error
 }
+
+// errBuildPanicked is what waiters receive when the build they wait on
+// panicked; the panic itself continues on the winner's goroutine.
+var errBuildPanicked = errors.New("corpus: cache build panicked")
 
 // NewCache returns a cache holding at most capacity entries (minimum 1).
 func NewCache(capacity int) *Cache {
@@ -131,44 +136,58 @@ func (c *Cache) Stats() CacheStats {
 // it. Concurrent calls for the same key share one build: losers block
 // until the winner finishes (or ctx is cancelled) and receive its value.
 // Build errors propagate to every waiter and are NOT cached — the next
-// call retries.
+// call retries — except a context error, which belongs to the winner's
+// ctx: a waiter whose own ctx is live retries instead, building or joining
+// the next build. A panicking build releases k, fails its waiters, and
+// panics on the winner's goroutine.
 func (c *Cache) GetOrBuildCtx(ctx context.Context, k Key, build func(ctx context.Context) (any, error)) (any, error) {
-	c.mu.Lock()
-	if el, ok := c.items[k]; ok {
-		c.ll.MoveToFront(el)
-		c.stats.Hits++
-		v := el.Value.(*cacheEntry).val
-		c.mu.Unlock()
-		return v, nil
-	}
-	if fl, ok := c.inflight[k]; ok {
+	for {
+		c.mu.Lock()
+		if el, ok := c.items[k]; ok {
+			c.ll.MoveToFront(el)
+			c.stats.Hits++
+			v := el.Value.(*cacheEntry).val
+			c.mu.Unlock()
+			return v, nil
+		}
+		fl, ok := c.inflight[k]
+		if !ok {
+			break
+		}
 		c.mu.Unlock()
 		select {
 		case <-fl.done:
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
-		if fl.err != nil {
+		if fl.err == nil {
+			// The winner cached the value, but it may already have been
+			// evicted under churn; returning its result directly keeps the
+			// contract either way.
+			return fl.val, nil
+		}
+		if !errors.Is(fl.err, context.Canceled) && !errors.Is(fl.err, context.DeadlineExceeded) {
 			return nil, fl.err
 		}
-		// The winner cached the value, but it may already have been evicted
-		// under churn; returning its result directly keeps the contract
-		// either way.
-		return fl.val, nil
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 	}
-	fl := &inflightBuild{done: make(chan struct{})}
+	// err keeps errBuildPanicked unless build returns.
+	fl := &inflightBuild{done: make(chan struct{}), err: errBuildPanicked}
 	c.inflight[k] = fl
 	c.stats.Misses++
 	c.mu.Unlock()
-
+	defer func() {
+		c.mu.Lock()
+		delete(c.inflight, k)
+		if fl.err == nil {
+			c.stats.Builds++
+			c.put(k, fl.val)
+		}
+		c.mu.Unlock()
+		close(fl.done)
+	}()
 	fl.val, fl.err = build(ctx)
-	c.mu.Lock()
-	delete(c.inflight, k)
-	if fl.err == nil {
-		c.stats.Builds++
-		c.put(k, fl.val)
-	}
-	c.mu.Unlock()
-	close(fl.done)
 	return fl.val, fl.err
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/corpus"
 )
@@ -185,4 +186,94 @@ func TestGetOrBuildWaiterCancelled(t *testing.T) {
 		t.Fatalf("cancelled waiter returned %v", err)
 	}
 	close(release)
+}
+
+// waitingCtx closes waiting the first time Done is called. In
+// GetOrBuildCtx only a caller waiting on another's build calls Done, so a
+// test can act once that caller is parked on the build.
+type waitingCtx struct {
+	context.Context
+	once    sync.Once
+	waiting chan struct{}
+}
+
+func newWaitingCtx(parent context.Context) *waitingCtx {
+	return &waitingCtx{Context: parent, waiting: make(chan struct{})}
+}
+
+func (w *waitingCtx) Done() <-chan struct{} {
+	w.once.Do(func() { close(w.waiting) })
+	return w.Context.Done()
+}
+
+// TestGetOrBuildPanicReleasesKey: a panicking build fails the caller
+// waiting on it, panics on its own goroutine, and leaves the key free for
+// the next build instead of parked in flight forever.
+func TestGetOrBuildPanicReleasesKey(t *testing.T) {
+	c := corpus.NewCache(4)
+	started, release := make(chan struct{}), make(chan struct{})
+	recovered := make(chan any)
+	go func() {
+		defer func() { recovered <- recover() }()
+		c.GetOrBuildCtx(context.Background(), key(1), func(context.Context) (any, error) {
+			close(started)
+			<-release
+			panic("build failed")
+		})
+	}()
+	<-started
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	waiter := newWaitingCtx(ctx)
+	waiterErr := make(chan error)
+	go func() {
+		_, err := c.GetOrBuildCtx(waiter, key(1), func(context.Context) (any, error) {
+			return nil, errors.New("waiter ran its own build")
+		})
+		waiterErr <- err
+	}()
+	<-waiter.waiting
+	close(release)
+	if r := <-recovered; r != "build failed" {
+		t.Fatalf("winner's goroutine recovered %v, want the build's panic", r)
+	}
+	if err := <-waiterErr; err == nil || ctx.Err() != nil {
+		t.Fatalf("waiter on the panicked build returned %v (own ctx: %v)", err, ctx.Err())
+	}
+	v, err := c.GetOrBuildCtx(ctx, key(1), func(context.Context) (any, error) { return "rebuilt", nil })
+	if err != nil || v != "rebuilt" {
+		t.Fatalf("build after a panicked one: %v, %v", v, err)
+	}
+}
+
+// TestGetOrBuildWaiterOutlivesCancelledBuild: the winner's cancellation is
+// not the waiter's; a waiter with a live ctx gets a value, not
+// context.Canceled.
+func TestGetOrBuildWaiterOutlivesCancelledBuild(t *testing.T) {
+	c := corpus.NewCache(4)
+	winCtx, cancelWin := context.WithCancel(context.Background())
+	defer cancelWin()
+	started := make(chan struct{})
+	winErr := make(chan error)
+	go func() {
+		_, err := c.GetOrBuildCtx(winCtx, key(1), func(ctx context.Context) (any, error) {
+			close(started)
+			<-ctx.Done()
+			return nil, ctx.Err()
+		})
+		winErr <- err
+	}()
+	<-started
+	waiter := newWaitingCtx(context.Background())
+	go func() {
+		<-waiter.waiting
+		cancelWin()
+	}()
+	v, err := c.GetOrBuildCtx(waiter, key(1), func(context.Context) (any, error) { return "built", nil })
+	if err != nil || v != "built" {
+		t.Fatalf("waiter with a live ctx got %v, %v; want the value", v, err)
+	}
+	if err := <-winErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled winner returned %v, want context.Canceled", err)
+	}
 }

@@ -12,7 +12,7 @@
 // is immutable afterwards: every accessor returns state that is only ever
 // read. Every search and eval path that reuses per-series state takes a
 // snapshot as an optional argument (search.OneNNSnapshotCtx,
-// search.LeaveOneOutGridCtx, search.KNNApproxSnapshotCtx, eval.MatrixCtx,
+// search.LeaveOneOutGridCtx, search.KNNApproxSnapshotCtx,
 // eval.TuneSupervisedCtx) and produces results bitwise identical to inline
 // preparation — the snapshot changes where per-series state comes from,
 // never what is computed from it. A nil snapshot (or one that does not

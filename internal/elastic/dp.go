@@ -1,7 +1,6 @@
 package elastic
 
 import (
-	"context"
 	"math"
 	"runtime"
 	"sync"
@@ -12,10 +11,10 @@ import (
 // Recurrence (the boundary row, column and corner, plus a row function
 // holding its cell update) over a DP shape; the driver owns everything
 // else: the pooled rows, band clipping and fringe cells, the row-minimum
-// abandon, ctx polling, and the choice between the serial two-row path and
-// the blocked wavefront (wavefront.go), which calls the same row function
-// per block. Both paths perform the same per-cell operations in the same
-// order, so they agree bitwise.
+// abandon, and the choice between the serial two-row path and the blocked
+// wavefront (wavefront.go), which calls the same row function per block.
+// Both paths perform the same per-cell operations in the same order, so
+// they agree bitwise.
 
 // Recurrence is the measure-specific half of an elastic DP over cells
 // (i, j), i in [1, R], j in [1, C].
@@ -51,10 +50,6 @@ func (p DP[K]) band(i, j0, j1 int) (lo, hi int) {
 	return max(j0, i-p.W), min(j1, i+p.W)
 }
 
-// ctxCheckRows is how many DP rows the serial path runs between checks of
-// a non-nil context.
-const ctxCheckRows = 64
-
 // rowPool holds the driver's scratch slabs: two DP rows plus the boundary
 // column on the serial path, the block boundaries plus every worker's rows
 // on the wavefront. Contents are unspecified on Get; both paths write every
@@ -75,20 +70,15 @@ func borrow(n int) (buf *[]float64, slab []float64) {
 // as soon as a row's bound reaches cutoff and returns that bound, which
 // keeps the measure.EarlyAbandoning contract (cutoff <= v <= DP(R, C));
 // with cutoff = +Inf only a row whose bound is +Inf stops it early, and a
-// NaN cutoff never does. A non-nil ctx is polled before the first row and every ctxCheckRows rows
-// after; a cancelled run returns (0, ctx.Err()).
-func (p DP[K]) Serial(ctx context.Context, cutoff float64) (float64, error) {
+// NaN cutoff never does. A single DP is never cancelled: callers poll their
+// context between distances, at the dispatch chunk (internal/par).
+func (p DP[K]) Serial(cutoff float64) float64 {
 	n := p.C + 1
 	buf, slab := borrow(2*n + p.R)
 	defer rowPool.Put(buf)
 	prev, cur, left := slab[:n], slab[n:2*n], slab[2*n:]
 	prev[0] = p.Rows.Boundary(prev[1:], left)
 	for i := 1; i <= p.R; i++ {
-		if ctx != nil && (i-1)%ctxCheckRows == 0 {
-			if err := ctx.Err(); err != nil {
-				return 0, err
-			}
-		}
 		lo, hi := p.band(i, 1, p.C)
 		// The band advances by at most one cell per row, so only its fringe
 		// needs writing: cur[lo-1] feeds this row's first deletion and
@@ -103,11 +93,11 @@ func (p DP[K]) Serial(ctx context.Context, cutoff float64) (float64, error) {
 			cur[hi+1] = p.OOB
 		}
 		if b := p.Rows.Row(i, lo, hi, prev[lo-1:], cur[lo-1:]); b >= cutoff {
-			return b, nil
+			return b
 		}
 		prev, cur = cur, prev
 	}
-	return prev[p.C], nil
+	return prev[p.C]
 }
 
 // wavefrontMinSpan is the band width in cells (the full width when
@@ -127,11 +117,9 @@ func (p DP[K]) distance() float64 {
 		span = min(span, 2*p.W+1)
 	}
 	if span >= wavefrontMinSpan && runtime.GOMAXPROCS(0) > 1 {
-		v, _ := p.Wavefront(context.Background())
-		return v
+		return p.Wavefront()
 	}
-	v, _ := p.Serial(nil, math.Inf(1))
-	return v
+	return p.Serial(math.Inf(1))
 }
 
 // InfBoundary is the boundary of the DPs that start from DP(0, 0) = 0

@@ -8,7 +8,6 @@
 package elastic
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -58,15 +57,14 @@ func (d DTW) Distance(x, y []float64) float64 { return d.dp(x, y).distance() }
 // minimum (a certified lower bound >= cutoff) is returned. With cutoff =
 // +Inf this is the serial Distance.
 func (d DTW) DistanceUpTo(x, y []float64, cutoff float64) float64 {
-	v, _ := d.dp(x, y).Serial(nil, cutoff)
-	return v
+	return d.dp(x, y).Serial(cutoff)
 }
 
 // DistanceWavefront computes DTW on the blocked wavefront path (see
 // DP.Wavefront); Distance takes it for long series on multi-core machines,
 // and this method pins it for tests and benchmarks.
-func (d DTW) DistanceWavefront(ctx context.Context, x, y []float64) (float64, error) {
-	return d.dp(x, y).Wavefront(ctx)
+func (d DTW) DistanceWavefront(x, y []float64) float64 {
+	return d.dp(x, y).Wavefront()
 }
 
 // UnbandedDTW is DTW without a band between series of any lengths, 0 when
@@ -77,8 +75,7 @@ func UnbandedDTW(x, y []float64) float64 {
 	if len(x) == 0 || len(y) == 0 {
 		return 0
 	}
-	v, _ := DP[dtwRows]{R: len(x), C: len(y), Rows: dtwRows{x: x, y: y}}.Serial(nil, math.NaN())
-	return v
+	return DP[dtwRows]{R: len(x), C: len(y), Rows: dtwRows{x: x, y: y}}.Serial(math.NaN())
 }
 
 type dtwRows struct {
@@ -151,13 +148,12 @@ func (l LCSS) Distance(x, y []float64) float64 {
 }
 
 // DistanceWavefront computes LCSS on the blocked wavefront path.
-func (l LCSS) DistanceWavefront(ctx context.Context, x, y []float64) (float64, error) {
+func (l LCSS) DistanceWavefront(x, y []float64) float64 {
 	p := l.dp(x, y)
-	v, err := p.Wavefront(ctx)
-	if err != nil || p.R == 0 {
-		return 0, err
+	if p.R == 0 {
+		return 0
 	}
-	return 1 - v/float64(p.R), nil
+	return 1 - p.Wavefront()/float64(p.R)
 }
 
 // lcssRows counts the longest common subsequence; out-of-band cells (OOB
@@ -209,8 +205,8 @@ func (e EDR) dp(x, y []float64) DP[edrRows] {
 func (e EDR) Distance(x, y []float64) float64 { return e.dp(x, y).distance() }
 
 // DistanceWavefront computes EDR on the blocked wavefront path.
-func (e EDR) DistanceWavefront(ctx context.Context, x, y []float64) (float64, error) {
-	return e.dp(x, y).Wavefront(ctx)
+func (e EDR) DistanceWavefront(x, y []float64) float64 {
+	return e.dp(x, y).Wavefront()
 }
 
 type edrRows struct {
@@ -270,8 +266,8 @@ func (e ERP) dp(x, y []float64) DP[erpRows] {
 func (e ERP) Distance(x, y []float64) float64 { return e.dp(x, y).distance() }
 
 // DistanceWavefront computes ERP on the blocked wavefront path.
-func (e ERP) DistanceWavefront(ctx context.Context, x, y []float64) (float64, error) {
-	return e.dp(x, y).Wavefront(ctx)
+func (e ERP) DistanceWavefront(x, y []float64) float64 {
+	return e.dp(x, y).Wavefront()
 }
 
 type erpRows struct {
@@ -340,8 +336,8 @@ func (m MSM) dp(x, y []float64) DP[msmRows] {
 func (m MSM) Distance(x, y []float64) float64 { return m.dp(x, y).distance() }
 
 // DistanceWavefront computes MSM on the blocked wavefront path.
-func (m MSM) DistanceWavefront(ctx context.Context, x, y []float64) (float64, error) {
-	return m.dp(x, y).Wavefront(ctx)
+func (m MSM) DistanceWavefront(x, y []float64) float64 {
+	return m.dp(x, y).Wavefront()
 }
 
 type msmRows struct {
@@ -400,8 +396,8 @@ func (t TWE) dp(x, y []float64) DP[tweRows] {
 func (t TWE) Distance(x, y []float64) float64 { return t.dp(x, y).distance() }
 
 // DistanceWavefront computes TWE on the blocked wavefront path.
-func (t TWE) DistanceWavefront(ctx context.Context, x, y []float64) (float64, error) {
-	return t.dp(x, y).Wavefront(ctx)
+func (t TWE) DistanceWavefront(x, y []float64) float64 {
+	return t.dp(x, y).Wavefront()
 }
 
 type tweRows struct {
@@ -457,8 +453,7 @@ func (s Swale) Symmetric() bool { return true }
 // Distance implements measure.Measure.
 func (s Swale) Distance(x, y []float64) float64 {
 	measure.CheckSameLength(x, y)
-	v, _ := DP[swaleRows]{R: len(x), C: len(x), Rows: swaleRows{s, x, y}}.Serial(nil, math.Inf(1))
-	return -v
+	return -DP[swaleRows]{R: len(x), C: len(x), Rows: swaleRows{s, x, y}}.Serial(math.Inf(1))
 }
 
 type swaleRows struct {

@@ -104,8 +104,7 @@ func (w WDTW) Distance(x, y []float64) float64 {
 	for a := range weights {
 		weights[a] = wmax / (1 + math.Exp(-w.G*(float64(a)-mid)))
 	}
-	v, _ := DP[wdtwRows]{R: m, C: m, Rows: wdtwRows{weights: weights, x: x, y: y}}.Serial(nil, math.Inf(1))
-	return v
+	return DP[wdtwRows]{R: m, C: m, Rows: wdtwRows{weights: weights, x: x, y: y}}.Serial(math.Inf(1))
 }
 
 type wdtwRows struct {

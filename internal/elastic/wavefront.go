@@ -1,7 +1,6 @@
 package elastic
 
 import (
-	"context"
 	"math"
 
 	"repro/internal/par"
@@ -11,7 +10,7 @@ import (
 // driver. The R-by-C matrix is cut into square blocks; every block depends
 // only on its left, top, and top-left neighbors, so the blocks of one
 // anti-diagonal are independent once the previous diagonal is done and can
-// be scheduled across par workers (par.WavefrontCtx). Inside a block the
+// be scheduled across par workers (par.Wavefront). Inside a block the
 // recurrence's own row function runs over the same cells, from the same
 // operands, as on the serial path, so the result is bitwise-identical
 // regardless of block size or worker count: floating-point addition is not
@@ -58,13 +57,10 @@ func SetWavefrontBlock(n int) (restore func()) {
 // all-+Inf row (DTW's row bound) that the wavefront evaluates through, so
 // there the two agree only after measure.Sanitize. Out-of-band blocks are
 // skipped and their boundaries filled with OOB.
-//
-// Cancellation follows par.WavefrontCtx: on a cancelled context the run
-// stops at the next diagonal (or chunk) boundary and returns ctx.Err().
-func (p DP[K]) Wavefront(ctx context.Context) (float64, error) {
+func (p DP[K]) Wavefront() float64 {
 	R, C := p.R, p.C
 	if R <= 0 || C <= 0 {
-		return p.Serial(ctx, math.Inf(1))
+		return p.Serial(math.Inf(1))
 	}
 	bs := wfBlock
 	nbi := (R + bs - 1) / bs
@@ -86,7 +82,7 @@ func (p DP[K]) Wavefront(ctx context.Context) (float64, error) {
 	blocksOf := func(d int) int {
 		return min(d, nbi-1) - max(d-(nbj-1), 0) + 1
 	}
-	err := par.WavefrontCtx(ctx, nbi+nbj-1, workers, blocksOf, func(worker, d, k int) {
+	par.Wavefront(nbi+nbj-1, workers, blocksOf, func(worker, d, k int) {
 		bi := max(d-(nbj-1), 0) + k
 		bj := d - bi
 		i0, i1 := bi*bs+1, min((bi+1)*bs, R)
@@ -125,8 +121,5 @@ func (p DP[K]) Wavefront(ctx context.Context) (float64, error) {
 		copy(topSeg, prev[1:width+1])
 		corner[bi] = nextCorner
 	})
-	if err != nil {
-		return 0, err
-	}
-	return top[C-1], nil
+	return top[C-1]
 }

@@ -1,14 +1,11 @@
 package elastic
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/measure"
 )
@@ -17,7 +14,7 @@ import (
 type wavefronter interface {
 	Name() string
 	Distance(x, y []float64) float64
-	DistanceWavefront(ctx context.Context, x, y []float64) (float64, error)
+	DistanceWavefront(x, y []float64) float64
 }
 
 // table4Epsilons mirrors eval's epsilonGrid (Table 4); the eval package
@@ -117,10 +114,7 @@ func TestWavefrontBitwiseScalar(t *testing.T) {
 					finite := allFinite(x) && allFinite(y)
 					for _, m := range table4Wavefronters() {
 						want := m.Distance(x, y)
-						got, err := m.DistanceWavefront(context.Background(), x, y)
-						if err != nil {
-							t.Fatalf("%s procs=%d block=%d n=%d: %v", m.Name(), procs, block, n, err)
-						}
+						got := m.DistanceWavefront(x, y)
 						if !finite {
 							got, want = measure.Sanitize(got), measure.Sanitize(want)
 						}
@@ -140,55 +134,9 @@ func TestWavefrontBitwiseScalar(t *testing.T) {
 func TestWavefrontEmpty(t *testing.T) {
 	for _, m := range []wavefronter{DTW{DeltaPercent: 10}, LCSS{DeltaPercent: 5, Epsilon: 0.2},
 		EDR{Epsilon: 0.1}, ERP{}, MSM{C: 0.5}, TWE{Lambda: 1, Nu: 0.0001}} {
-		got, err := m.DistanceWavefront(context.Background(), nil, nil)
-		if err != nil || got != m.Distance(nil, nil) {
-			t.Fatalf("%s: empty input gave (%v, %v)", m.Name(), got, err)
+		if got := m.DistanceWavefront(nil, nil); got != m.Distance(nil, nil) {
+			t.Fatalf("%s: empty input gave %v", m.Name(), got)
 		}
-	}
-}
-
-// TestWavefrontPreCancelled: a cancelled context stops the run before any
-// block and surfaces context.Canceled through every measure's wrapper.
-func TestWavefrontPreCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	rng := rand.New(rand.NewSource(7))
-	x, y := wfSeries(rng, 600), wfSeries(rng, 600)
-	defer func(b int) { wfBlock = b }(wfBlock)
-	wfBlock = 64
-	for _, m := range []wavefronter{DTW{DeltaPercent: 100}, LCSS{DeltaPercent: 10, Epsilon: 0.2},
-		EDR{Epsilon: 0.1}, ERP{}, MSM{C: 0.5}, TWE{Lambda: 1, Nu: 0.0001}} {
-		if _, err := m.DistanceWavefront(ctx, x, y); !errors.Is(err, context.Canceled) {
-			t.Fatalf("%s: err = %v, want context.Canceled", m.Name(), err)
-		}
-	}
-}
-
-// TestWavefrontCancelDuringRun races a concurrent cancel against a long
-// run: whichever wins, the call must either report the cancellation or
-// return the exact scalar result — never a torn value.
-func TestWavefrontCancelDuringRun(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	x, y := wfSeries(rng, 2048), wfSeries(rng, 2048)
-	d := DTW{DeltaPercent: 100}
-	want := d.DistanceUpTo(x, y, math.Inf(1))
-	defer func(b int) { wfBlock = b }(wfBlock)
-	wfBlock = 64
-	for _, delay := range []time.Duration{0, 50 * time.Microsecond, 2 * time.Millisecond} {
-		ctx, cancel := context.WithCancel(context.Background())
-		go func(after time.Duration) {
-			time.Sleep(after)
-			cancel()
-		}(delay)
-		got, err := d.DistanceWavefront(ctx, x, y)
-		if err != nil {
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("delay=%v: err = %v, want context.Canceled", delay, err)
-			}
-		} else if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("delay=%v: uncancelled run returned %v, want %v", delay, got, want)
-		}
-		cancel()
 	}
 }
 
@@ -244,9 +192,7 @@ func BenchmarkHotloopsDTWWavefront(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := d.DistanceWavefront(context.Background(), x, y); err != nil {
-					b.Fatal(err)
-				}
+				d.DistanceWavefront(x, y)
 			}
 		})
 	}
@@ -258,7 +204,7 @@ func BenchmarkHotloopsMSMScalar(b *testing.B) {
 	b.Run("n=1024", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			p.Serial(nil, math.Inf(1))
+			p.Serial(math.Inf(1))
 		}
 	})
 }
@@ -269,9 +215,7 @@ func BenchmarkHotloopsMSMWavefront(b *testing.B) {
 	b.Run("n=1024", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := m.DistanceWavefront(context.Background(), x, y); err != nil {
-				b.Fatal(err)
-			}
+			m.DistanceWavefront(x, y)
 		}
 	})
 }

@@ -5,9 +5,11 @@
 // the parameter grids of Table 4, and the per-dataset evaluation pipeline
 // combining a normalization method with a distance measure.
 //
-// Each operation has one path, taking a context and, where per-series
-// state can be reused, an optional corpus snapshot (nil prepares inline):
-// MatrixCtx, TuneSupervisedCtx, TestAccuracyCtx and SupervisedAccuracyCtx.
+// Each operation has one path, taking a context: MatrixCtx,
+// TuneSupervisedCtx (whose optional corpus snapshot serves the grid's
+// per-series state; nil prepares inline), TestAccuracyCtx and
+// SupervisedAccuracyCtx. Every path is cancelled at the dispatch chunk of
+// internal/par, and a cancelled call's partial result is discarded.
 // Matrix and TuneSupervisedDetailedCtx are one-line wrappers kept for the
 // end-to-end benchmark. The accuracy paths run on the pruned matrix-free
 // engine of internal/search; MatrixCtx remains the exhaustive reference
@@ -28,9 +30,9 @@ import (
 	"repro/internal/search"
 )
 
-// Matrix is MatrixCtx over a background context without a snapshot.
+// Matrix is MatrixCtx over a background context.
 func Matrix(m measure.Measure, queries, refs [][]float64) [][]float64 {
-	e, _ := MatrixCtx(context.Background(), m, queries, refs, nil)
+	e, _ := MatrixCtx(context.Background(), m, queries, refs)
 	return e
 }
 
@@ -41,12 +43,10 @@ func Matrix(m measure.Measure, queries, refs [][]float64) [][]float64 {
 // exactly once; when it is exactly symmetric and the matrix is square over
 // the same series, only the upper triangle is computed and mirrored.
 //
-// snap is optional: when it covers either side it serves that side's
-// prepared states, bitwise interchangeable with inline preparation; nil
-// prepares everything inline. Cancellation is observed at the row-chunk
-// (or engine tile) granularity of internal/par: on a non-nil error the
-// returned matrix is partially filled and must be discarded.
-func MatrixCtx(ctx context.Context, m measure.Measure, queries, refs [][]float64, snap *corpus.Snapshot) ([][]float64, error) {
+// Cancellation is observed at the row-chunk (or engine tile) granularity
+// of internal/par: on a non-nil error the returned matrix is partially
+// filled and must be discarded.
+func MatrixCtx(ctx context.Context, m measure.Measure, queries, refs [][]float64) ([][]float64, error) {
 	n, p := len(queries), len(refs)
 	e := make([][]float64, n)
 	if n == 0 {
@@ -116,13 +116,13 @@ func MatrixCtx(ctx context.Context, m measure.Measure, queries, refs [][]float64
 	// per cell.
 	var dist func(i, j int) float64
 	if sm, ok := m.(measure.Stateful); ok {
-		pq, err := preparedFor(ctx, sm, queries, snap, workers)
+		pq, err := prepareAll(ctx, sm, queries, workers)
 		if err != nil {
 			return e, err
 		}
 		pr := pq
 		if !sameSeries(queries, refs) {
-			if pr, err = preparedFor(ctx, sm, refs, snap, workers); err != nil {
+			if pr, err = prepareAll(ctx, sm, refs, workers); err != nil {
 				return e, err
 			}
 		}
@@ -194,23 +194,6 @@ func prepareAll(ctx context.Context, sm measure.Stateful, series [][]float64, wo
 		out[i] = sm.Prepare(series[i])
 	})
 	return out, err
-}
-
-// preparedFor serves one side's prepared states from the snapshot when it
-// covers those series and holds (or can specialize) state for sm, falling
-// back to inline preparation — the states are interchangeable bitwise by
-// the Stateful/GridStateful contracts.
-func preparedFor(ctx context.Context, sm measure.Stateful, series [][]float64, snap *corpus.Snapshot, workers int) ([]any, error) {
-	if snap.Covers(series) {
-		p, err := snap.PreparedStates(ctx, sm)
-		if err != nil {
-			return nil, err
-		}
-		if p != nil {
-			return p, nil
-		}
-	}
-	return prepareAll(ctx, sm, series, workers)
 }
 
 // Neighbors returns the argmin of every row of E: the nearest reference

@@ -46,9 +46,8 @@ const hotloopReps = 3
 // without early-abandoning cutoffs) against the per-pair loop. Wall-clock
 // columns are machine-dependent and scrubbed in golden comparisons; the
 // Agree column is the deterministic exactness assertion. It honors
-// cancellation (checked between kernels; the wavefront rows also propagate
-// it mid-schedule) and reports per-kernel progress; on a non-nil error the
-// rows are partial.
+// cancellation (checked between kernels) and reports per-kernel progress;
+// on a non-nil error the rows are partial.
 func HotloopsAblationCtx(ctx context.Context, opts Options, rep run.Reporter) ([]HotloopRow, error) {
 	opts = opts.Defaults()
 	task := run.NewTask(rep, "hotloops", "kernels", 6)
@@ -74,7 +73,7 @@ func HotloopsAblationCtx(ctx context.Context, opts Options, rep run.Reporter) ([
 		name string
 		m    interface {
 			measure.Measure
-			DistanceWavefront(ctx context.Context, x, y []float64) (float64, error)
+			DistanceWavefront(x, y []float64) float64
 		}
 	}
 	for _, k := range []wfKernel{
@@ -93,11 +92,7 @@ func HotloopsAblationCtx(ctx context.Context, opts Options, rep run.Reporter) ([
 		baseDur := time.Since(start)
 		start = time.Now()
 		for rep := 0; rep < hotloopReps; rep++ {
-			v, err := k.m.DistanceWavefront(ctx, wx, wy)
-			if err != nil {
-				return rows, err
-			}
-			fast = v
+			fast = k.m.DistanceWavefront(wx, wy)
 		}
 		fastDur := time.Since(start)
 		rows = append(rows, HotloopRow{

@@ -144,19 +144,18 @@ func pnorm3Window(x, y []float64) float64 {
 }
 
 // ProfileExperimentCtx computes matrix profiles of the planted-pattern
-// series under three measures and three join modes, each against an
+// series under three measures and two join modes, each against an
 // independent baseline formulation: STAMP (the engine at one-row blocks
 // on one worker, so every row is one FFT scan) for the classic
-// z-normalized profile and the AB-join, the naive per-pair scan for the
-// non-normalized measures, and the in-order engine for anytime mode
-// (which must be bitwise identical when left to finish). Motif and
-// discord columns report the recovered structure: the planted pair
-// (96, 288) and an offset inside the [416, 448) burst.
+// z-normalized profile and the AB-join, and the naive per-pair scan for
+// the non-normalized measures. Motif and discord columns report the
+// recovered structure: the planted pair (96, 288) and an offset inside the
+// [416, 448) burst.
 func ProfileExperimentCtx(ctx context.Context, opts Options, rep run.Reporter) ([]ProfileRow, error) {
-	task := run.NewTask(rep, "profile", "joins", 5)
+	task := run.NewTask(rep, "profile", "joins", 4)
 	series := plantedProfileSeries()
 	const n, w = 512, 32
-	rows := make([]ProfileRow, 0, 5)
+	rows := make([]ProfileRow, 0, 4)
 
 	addSelf := func(name string, m profile.Measure, base func() []float64) error {
 		if err := ctx.Err(); err != nil {
@@ -241,48 +240,6 @@ func ProfileExperimentCtx(ctx context.Context, opts Options, rep run.Reporter) (
 		Agree: agreeProfileValues(res.Values, stampRes.Values),
 	})
 	task.Step("ab-join")
-
-	// Anytime mode: the shuffled block schedule against the in-order one.
-	// Left uncancelled the two must be bitwise identical, so Agree here is
-	// exact equality of values and neighbor indices.
-	if err := ctx.Err(); err != nil {
-		return rows, err
-	}
-	ordered := profile.New(profile.Options{})
-	var ores profile.Result
-	start = time.Now()
-	for rep := 0; rep < profileReps; rep++ {
-		if err := ordered.SelfJoinInto(ctx, series, w, &ores); err != nil {
-			return rows, err
-		}
-	}
-	baseDur = time.Since(start)
-	anytime := profile.New(profile.Options{Anytime: true})
-	var ares profile.Result
-	start = time.Now()
-	for rep := 0; rep < profileReps; rep++ {
-		if err := anytime.SelfJoinInto(ctx, series, w, &ares); err != nil {
-			return rows, err
-		}
-	}
-	engDur = time.Since(start)
-	agree := len(ores.Values) == len(ares.Values)
-	for i := range ores.Values {
-		if !agree {
-			break
-		}
-		agree = math.Float64bits(ores.Values[i]) == math.Float64bits(ares.Values[i]) &&
-			ores.Indices[i] == ares.Indices[i]
-	}
-	ma, mb, _ = ares.Motif()
-	discord, _ = ares.Discord()
-	rows = append(rows, ProfileRow{
-		Measure: "znorm-euclidean", Join: "anytime", N: n, W: w,
-		Base: baseDur, Engine: engDur,
-		MotifA: ma, MotifB: mb, Discord: discord,
-		Agree: agree,
-	})
-	task.Step("anytime")
 	task.Done()
 	return rows, nil
 }

@@ -55,7 +55,7 @@ func PruningAblationCtx(ctx context.Context, opts Options, rep run.Reporter) ([]
 		var accExact, accPruned float64
 		for _, d := range opts.Archive {
 			start := time.Now()
-			e, err := eval.MatrixCtx(ctx, m, d.Test, d.Train, nil)
+			e, err := eval.MatrixCtx(ctx, m, d.Test, d.Train)
 			if err != nil {
 				return rows, err
 			}

@@ -71,7 +71,7 @@ func Figure9Ctx(ctx context.Context, opts Options, rep run.Reporter) ([]RuntimeP
 				}
 				neighbors = res.Indices
 			} else {
-				mat, err := eval.MatrixCtx(ctx, e.m, d.Test, d.Train, nil)
+				mat, err := eval.MatrixCtx(ctx, e.m, d.Test, d.Train)
 				if err != nil {
 					return points, err
 				}
@@ -187,7 +187,7 @@ func Figure10Ctx(ctx context.Context, opts Options, rep run.Reporter, maxTrain i
 				continue
 			}
 			sub := d.SubsetTrain(n)
-			e, err := eval.MatrixCtx(ctx, m, sub.Test, sub.Train, nil)
+			e, err := eval.MatrixCtx(ctx, m, sub.Test, sub.Train)
 			if err != nil {
 				return out, err
 			}

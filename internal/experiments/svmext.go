@@ -68,13 +68,13 @@ func ExtensionSVMCtx(ctx context.Context, opts Options, rep run.Reporter) ([]SVM
 	for _, k := range kernels {
 		var nnSum, svmSum float64
 		for i, d := range opts.Archive {
-			distTest, err := eval.MatrixCtx(ctx, k, d.Test, d.Train, nil)
+			distTest, err := eval.MatrixCtx(ctx, k, d.Test, d.Train)
 			if err != nil {
 				return rows, err
 			}
 			nnSum += eval.OneNN(distTest, d.TestLabels, d.TrainLabels)
 
-			distTrain, err := eval.MatrixCtx(ctx, k, d.Train, d.Train, nil)
+			distTrain, err := eval.MatrixCtx(ctx, k, d.Train, d.Train)
 			if err != nil {
 				return rows, err
 			}

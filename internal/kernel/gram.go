@@ -25,12 +25,12 @@ type gramScratch struct {
 }
 
 // GramEngine computes all-pairs SINK kernel values over a fixed set of
-// equal-length series. It prepares one padded FFT spectrum, norm, and self
-// cross-correlation per series once (the same candidate-independent core
-// as SINK.GridPrepare), then fills matrices in parallel cache-blocked
-// tiles, spending one pointwise spectrum product + one inverse FFT + one
-// sumExp per pair — where the naive per-pair build pays two forward and
-// three inverse transforms plus three sumExp passes for every entry.
+// equal-length series. It prepares one padded FFT spectrum, norm, and
+// self-kernel per series once (the same core as SINK.GridPrepare), then
+// fills matrices in parallel cache-blocked tiles, spending one pointwise
+// spectrum product + one inverse FFT + one sumExp per pair — where the
+// naive per-pair build pays two forward and three inverse transforms plus
+// three sumExp passes for every entry.
 //
 // Per-pair arithmetic is step-for-step the sequence SINK.PreparedDistance
 // executes (fft.CrossCorrelateTo is bitwise-equal to CrossCorrelateWith,
@@ -43,10 +43,9 @@ type GramEngine struct {
 	n    int // series count
 	m    int // series length
 
-	plans  []*fft.Plan
-	norms  []float64
-	ccSelf [][]float64 // self cross-correlation per series (gamma-independent)
-	self   []float64   // unnormalized self-kernel per series (gamma-dependent)
+	plans []*fft.Plan
+	norms []float64
+	self  []float64 // unnormalized self-kernel per series
 
 	scratch []gramScratch // per-worker pair buffers, grown lazily
 }
@@ -71,7 +70,6 @@ func NewGramEngineCtx(ctx context.Context, s SINK, series [][]float64) (*GramEng
 	}
 	e.plans = make([]*fft.Plan, e.n)
 	e.norms = make([]float64, e.n)
-	e.ccSelf = make([][]float64, e.n)
 	e.self = make([]float64, e.n)
 	// The per-series core is the bitwise computation of SINK.GridPrepare
 	// (norm accumulation order included), parallelized across series.
@@ -83,8 +81,7 @@ func NewGramEngineCtx(ctx context.Context, s SINK, series [][]float64) (*GramEng
 		}
 		e.norms[i] = math.Sqrt(ss)
 		e.plans[i] = fft.NewPlan(x)
-		e.ccSelf[i] = e.plans[i].CrossCorrelateWith(e.plans[i])
-		e.self[i] = s.sumExp(e.ccSelf[i], e.norms[i]*e.norms[i])
+		e.self[i] = s.sumExp(e.plans[i].CrossCorrelateWith(e.plans[i]), e.norms[i]*e.norms[i])
 	}); err != nil {
 		return nil, err
 	}
@@ -93,17 +90,6 @@ func NewGramEngineCtx(ctx context.Context, s SINK, series [][]float64) (*GramEng
 
 // Len returns the number of series the engine was built over.
 func (e *GramEngine) Len() int { return e.n }
-
-// SetGamma re-targets the engine at a different SINK gamma, re-deriving
-// only the gamma-dependent self-kernels from the cached gamma-independent
-// cores — the CandidateState specialization of the grid machinery, applied
-// in place. FFT spectra and self cross-correlations are reused as-is.
-func (e *GramEngine) SetGamma(gamma float64) {
-	e.sink.Gamma = gamma
-	par.For(e.n, par.Workers(e.n), func(i int) {
-		e.self[i] = e.sink.sumExp(e.ccSelf[i], e.norms[i]*e.norms[i])
-	})
-}
 
 // arena returns per-worker scratch for workers workers, growing the pool
 // and its buffers only when a larger fill than any before runs.

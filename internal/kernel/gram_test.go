@@ -96,31 +96,6 @@ func TestGramEngineBitwiseVsPreparedPath(t *testing.T) {
 	}
 }
 
-func TestGramEngineGammaSweepBitwise(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	series := gramCorpus(rng, 9, 16)
-	// One engine re-targeted across the grid must match a fresh prepared
-	// path per gamma: SetGamma's in-place self-kernel refresh is exact.
-	e := newGramEngine(SINK{Gamma: sinkGammaGrid()[0]}, series)
-	rows := make([][]float64, len(series))
-	for i := range rows {
-		rows[i] = make([]float64, len(series))
-	}
-	for _, gamma := range sinkGammaGrid() {
-		e.SetGamma(gamma)
-		e.FillDistancesCtx(nil, rows)
-		want := naiveDistanceMatrix(SINK{Gamma: gamma}, series)
-		for i := range want {
-			for j := range want[i] {
-				if !sameValue(rows[i][j], want[i][j]) {
-					t.Fatalf("gamma %g: engine[%d][%d] = %v, prepared path %v",
-						gamma, i, j, rows[i][j], want[i][j])
-				}
-			}
-		}
-	}
-}
-
 func TestGramMatchesNaiveConstruction(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	series := gramCorpus(rng, 21, 24)

@@ -2,8 +2,11 @@ package multivariate
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/lockstep"
@@ -88,6 +91,54 @@ func TestClassifyCancellation(t *testing.T) {
 	cancel()
 	if _, _, err := Classify(ctx, DTWDependent{DeltaPercent: 10}, train, test); err == nil {
 		t.Fatal("Classify with cancelled context returned nil error")
+	}
+}
+
+// cancellingMeasure counts its distances and cancels the run at the k-th.
+type cancellingMeasure struct {
+	n      *atomic.Int64
+	k      int64
+	cancel context.CancelFunc
+}
+
+func (cancellingMeasure) Name() string { return "cancelling" }
+
+func (m cancellingMeasure) Distance(x, y Series) float64 {
+	if m.n.Add(1) == m.k {
+		m.cancel()
+	}
+	return Euclidean{}.Distance(x, y)
+}
+
+// TestClassifyCancelMidRun cancels Classify from inside its k-th distance.
+// Dispatch chunks are the only cancellation point, so the run stops once
+// every worker has finished the chunk it holds: at most k + workers x
+// chunk x len(train) distances, chunk being internal/par's n/(workers*8).
+func TestClassifyCancelMidRun(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	rng := rand.New(rand.NewSource(5))
+	var train, test []Series
+	for i := 0; i < 4; i++ {
+		train = append(train, benchSeries(rng, 8, 2))
+	}
+	for i := 0; i < 64; i++ {
+		test = append(test, benchSeries(rng, 8, 2))
+	}
+	const k = 20
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		workers := min(procs, len(test))
+		chunk := max(len(test)/(workers*8), 1)
+		ctx, cancel := context.WithCancel(context.Background())
+		var n atomic.Int64
+		_, _, err := Classify(ctx, cancellingMeasure{n: &n, k: k, cancel: cancel}, train, test)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("procs=%d: err = %v, want context.Canceled", procs, err)
+		}
+		if limit := int64(k + workers*chunk*len(train)); n.Load() < k || n.Load() > limit {
+			t.Fatalf("procs=%d: %d distances ran, want %d..%d", procs, n.Load(), k, limit)
+		}
 	}
 }
 

@@ -5,15 +5,14 @@ package multivariate
 // vector-cost row function; the DPs run over the m-by-n cost matrix — the
 // two series may differ in length, exactly as in the univariate
 // definitions — on the serial path of the internal/elastic DP driver,
-// which owns the pooled rows, band, abandoning and ctx polling, so warm
-// calls are allocation-free. Point costs reduce to the univariate costs at
-// one channel (squared difference for DTW, absolute difference for ERP and
+// which owns the pooled rows, band and abandoning, so warm calls are
+// allocation-free. Point costs reduce to the univariate costs at one
+// channel (squared difference for DTW, absolute difference for ERP and
 // MSM) and each row function combines them in its univariate counterpart's
 // operation order, so at d=1 the dependent measures are bitwise identical
 // to internal/elastic — the oracle harness pins this.
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -66,23 +65,13 @@ func (d DTWDependent) Distance(x, y Series) float64 { return d.DistanceUpTo(x, y
 // contract: banded DP abandoned once an entire row reaches cutoff, the row
 // minimum being a certified lower bound.
 func (d DTWDependent) DistanceUpTo(x, y Series, cutoff float64) float64 {
-	v, _ := d.distanceErr(nil, x, y, cutoff)
-	return v
-}
-
-// DistanceCtx implements ContextMeasure.
-func (d DTWDependent) DistanceCtx(ctx context.Context, x, y Series) (float64, error) {
-	return d.distanceErr(ctx, x, y, math.Inf(1))
-}
-
-func (d DTWDependent) distanceErr(ctx context.Context, x, y Series, cutoff float64) (float64, error) {
 	checkChannels(x, y)
 	// The band is the univariate window of the longer series, widened to
 	// |m-n| so the (m, n) corner stays reachable; at m == n it is exactly
 	// the univariate window.
 	m, n := len(x), len(y)
 	w := max(elastic.WindowSize(d.DeltaPercent, max(m, n)), m-n, n-m)
-	return elastic.DP[dtwRows]{R: m, C: n, W: w, OOB: math.Inf(1), Rows: dtwRows{x: x, y: y}}.Serial(ctx, cutoff)
+	return elastic.DP[dtwRows]{R: m, C: n, W: w, OOB: math.Inf(1), Rows: dtwRows{x: x, y: y}}.Serial(cutoff)
 }
 
 type dtwRows struct {
@@ -142,14 +131,8 @@ func (e ERPDependent) gapCost(p []float64) float64 {
 
 // Distance implements Measure.
 func (e ERPDependent) Distance(x, y Series) float64 {
-	v, _ := e.DistanceCtx(context.Background(), x, y)
-	return v
-}
-
-// DistanceCtx implements ContextMeasure.
-func (e ERPDependent) DistanceCtx(ctx context.Context, x, y Series) (float64, error) {
 	checkChannels(x, y)
-	return elastic.DP[erpRows]{R: len(x), C: len(y), Rows: erpRows{e, x, y}}.Serial(ctx, math.Inf(1))
+	return elastic.DP[erpRows]{R: len(x), C: len(y), Rows: erpRows{e, x, y}}.Serial(math.Inf(1))
 }
 
 type erpRows struct {
@@ -222,21 +205,15 @@ func (m MSMDependent) msmCost(p, a, b []float64) float64 {
 
 // Distance implements Measure.
 func (m MSMDependent) Distance(x, y Series) float64 {
-	v, _ := m.DistanceCtx(context.Background(), x, y)
-	return v
-}
-
-// DistanceCtx implements ContextMeasure.
-func (m MSMDependent) DistanceCtx(ctx context.Context, x, y Series) (float64, error) {
 	checkChannels(x, y)
 	mm, n := len(x), len(y)
 	if mm == 0 && n == 0 {
-		return 0, nil
+		return 0
 	}
 	if mm == 0 || n == 0 {
-		return math.Inf(1), nil
+		return math.Inf(1)
 	}
-	return elastic.DP[msmRows]{R: mm - 1, C: n - 1, Rows: msmRows{m, x, y}}.Serial(ctx, math.Inf(1))
+	return elastic.DP[msmRows]{R: mm - 1, C: n - 1, Rows: msmRows{m, x, y}}.Serial(math.Inf(1))
 }
 
 // msmRows runs MSM's interior over (x[i], y[j]), i, j >= 1; the

@@ -7,7 +7,6 @@ package multivariate
 // DTW-I hot path is fully allocation-free).
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -40,11 +39,6 @@ func (d DTWIndependent) Distance(x, y Series) float64 {
 // channel DP may itself abandon against the remaining budget.
 func (d DTWIndependent) DistanceUpTo(x, y Series, cutoff float64) float64 {
 	return Independent{Base: elastic.DTW{DeltaPercent: d.DeltaPercent}}.DistanceUpTo(x, y, cutoff)
-}
-
-// DistanceCtx implements ContextMeasure, checking ctx between channels.
-func (d DTWIndependent) DistanceCtx(ctx context.Context, x, y Series) (float64, error) {
-	return Independent{Base: elastic.DTW{DeltaPercent: d.DeltaPercent}}.DistanceCtx(ctx, x, y)
 }
 
 // Independent lifts any univariate measure to multivariate series by
@@ -103,21 +97,4 @@ func (ind Independent) DistanceUpTo(x, y Series, cutoff float64) float64 {
 		}
 	}
 	return sum
-}
-
-// DistanceCtx implements ContextMeasure, checking ctx between channels.
-func (ind Independent) DistanceCtx(ctx context.Context, x, y Series) (float64, error) {
-	d := checkLockstep(x, y)
-	s, bufA, bufB := borrowChannels(len(x), len(y))
-	defer s.release()
-	var sum float64
-	for c := 0; c < d; c++ {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		cx := x.ChannelInto(c, bufA)
-		cy := y.ChannelInto(c, bufB)
-		sum += ind.Base.Distance(cx, cy)
-	}
-	return sum, nil
 }

@@ -7,21 +7,20 @@
 // plus vector lock-step distances, NaN-masked lock-step measures with
 // valid-pair normalization and a per-channel minimum-support rule,
 // differentiable soft-DTW with the self-distance normalization trick, and
-// parallel cancellable 1-NN evaluation.
+// parallel 1-NN evaluation, cancellable between dispatch chunks.
 //
 // Contracts mirror internal/measure: Measure is the base Name/Distance
-// pair, EarlyAbandoning adds the certified-lower-bound DistanceUpTo route,
-// and ContextMeasure the cancellation-aware DistanceCtx route. Dependent
-// elastic measures and soft-DTW accept unequal-length pairs (an m-by-n DP,
-// exactly like their univariate definitions); lock-step, masked, and
-// independent-lift measures require equal lengths and panic otherwise,
-// matching the univariate convention. Every measure panics on a channel
-// mismatch. At one channel, every plain (unmasked) measure reproduces its
-// univariate counterpart bitwise — the oracle harness pins this.
+// pair and EarlyAbandoning adds the certified-lower-bound DistanceUpTo
+// route. Dependent elastic measures and soft-DTW accept unequal-length
+// pairs (an m-by-n DP, exactly like their univariate definitions);
+// lock-step, masked, and independent-lift measures require equal lengths
+// and panic otherwise, matching the univariate convention. Every measure
+// panics on a channel mismatch. At one channel, every plain (unmasked)
+// measure reproduces its univariate counterpart bitwise — the oracle
+// harness pins this.
 package multivariate
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -125,15 +124,6 @@ type Measure interface {
 type EarlyAbandoning interface {
 	Measure
 	DistanceUpTo(x, y Series, cutoff float64) float64
-}
-
-// ContextMeasure is the optional cancellation-aware route: an uncancelled
-// call returns exactly Distance(x, y); a cancelled call either surfaces
-// ctx.Err() or still returns the exact value — never a partial
-// accumulation.
-type ContextMeasure interface {
-	Measure
-	DistanceCtx(ctx context.Context, x, y Series) (float64, error)
 }
 
 // checkChannels panics when the two series disagree on channel count —

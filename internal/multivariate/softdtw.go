@@ -8,7 +8,6 @@ package multivariate
 // zero on identical series and symmetric by construction.
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -52,36 +51,22 @@ func softMin3(a, b, c, gamma float64) float64 {
 
 // Distance implements Measure.
 func (s SoftDTW) Distance(x, y Series) float64 {
-	v, _ := s.DistanceCtx(context.Background(), x, y)
-	return v
-}
-
-// DistanceCtx implements ContextMeasure.
-func (s SoftDTW) DistanceCtx(ctx context.Context, x, y Series) (float64, error) {
 	checkChannels(x, y)
 	if !(s.Gamma > 0) {
 		panic(fmt.Sprintf("multivariate: soft-DTW gamma %g must be > 0", s.Gamma))
 	}
-	xy, err := s.raw(ctx, x, y)
-	if err != nil || !s.Normalize {
-		return xy, err
+	xy := s.raw(x, y)
+	if !s.Normalize {
+		return xy
 	}
-	xx, err := s.raw(ctx, x, x)
-	if err != nil {
-		return 0, err
-	}
-	yy, err := s.raw(ctx, y, y)
-	if err != nil {
-		return 0, err
-	}
-	return math.Abs(xy - 0.5*(xx+yy)), nil
+	return math.Abs(xy - 0.5*(s.raw(x, x)+s.raw(y, y)))
 }
 
 // raw is the unnormalized soft-DTW value; an empty side leaves only the
 // +Inf DP boundary, so it is +Inf against a non-empty series and 0 between
 // two empty ones.
-func (s SoftDTW) raw(ctx context.Context, x, y Series) (float64, error) {
-	return elastic.DP[softRows]{R: len(x), C: len(y), Rows: softRows{x: x, y: y, gamma: s.Gamma}}.Serial(ctx, math.Inf(1))
+func (s SoftDTW) raw(x, y Series) float64 {
+	return elastic.DP[softRows]{R: len(x), C: len(y), Rows: softRows{x: x, y: y, gamma: s.Gamma}}.Serial(math.Inf(1))
 }
 
 type softRows struct {

@@ -17,7 +17,7 @@ import (
 // measures expose. Declared locally so the harness stays decoupled from
 // the concrete elastic types.
 type wavefronter interface {
-	DistanceWavefront(ctx context.Context, x, y []float64) (float64, error)
+	DistanceWavefront(x, y []float64) float64
 }
 
 // Discrepancy is one disagreement the harness found, identifying the
@@ -218,30 +218,16 @@ func CheckPair(r *Report, p Pair, in Input) {
 	// cells are computed, never what they are computed from. On non-finite
 	// input the scalar DTW loop may exit early through an all-Inf band row
 	// where the wavefront evaluates through, so there only the sanitized
-	// values must agree. A pre-cancelled context must either surface an
-	// error or still return the exact value — never garbage.
+	// values must agree.
 	if wf, ok := p.M.(wavefronter); ok {
 		r.Checks++
 		call(r, name, in.Name, "DistanceWavefront", func() {
-			v, err := wf.DistanceWavefront(context.Background(), in.X, in.Y)
-			if err != nil {
-				r.add(name, in.Name, "wavefront", "unexpected error: %v", err)
-				return
-			}
+			v := wf.DistanceWavefront(in.X, in.Y)
 			if wellBehaved && !sameValue(v, got) {
 				r.add(name, in.Name, "wavefront",
 					"wavefront=%v scalar=%v not bitwise equal", v, got)
 			} else if !wellBehaved && !agree(v, got, p.Tol) {
 				r.add(name, in.Name, "wavefront", "wavefront=%v scalar=%v", v, got)
-			}
-		})
-		r.Checks++
-		call(r, name, in.Name, "DistanceWavefront(cancelled)", func() {
-			cctx, cancel := context.WithCancel(context.Background())
-			cancel()
-			if v, err := wf.DistanceWavefront(cctx, in.X, in.Y); err == nil && !agree(v, got, p.Tol) {
-				r.add(name, in.Name, "wavefront",
-					"cancelled call returned %v without error (scalar %v)", v, got)
 			}
 		})
 	}
@@ -286,7 +272,7 @@ func CheckPanicsOnMismatch(r *Report, m measure.Measure) {
 	mustPanic("Distance", x, y, func(a, b []float64) { m.Distance(a, b) })
 	if wf, ok := m.(wavefronter); ok {
 		r.Checks++
-		mustPanic("DistanceWavefront", x, y, func(a, b []float64) { wf.DistanceWavefront(context.Background(), a, b) })
+		mustPanic("DistanceWavefront", x, y, func(a, b []float64) { wf.DistanceWavefront(a, b) })
 	}
 	if ea, ok := m.(measure.EarlyAbandoning); ok {
 		r.Checks++

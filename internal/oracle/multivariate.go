@@ -9,7 +9,6 @@ package oracle
 // univariate corpus.
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -433,9 +432,8 @@ func MVCorpus(seed int64) []MVInput {
 type mvSymmetric interface{ Symmetric() bool }
 
 // CheckMVPair runs the applicable contract checks for one multivariate
-// measure on one input: oracle agreement, bitwise symmetry, the
-// EarlyAbandoning DistanceUpTo contract, and ContextMeasure consistency
-// (background context bitwise-equal, cancelled context error-or-exact).
+// measure on one input: oracle agreement, bitwise symmetry, and the
+// EarlyAbandoning DistanceUpTo contract.
 func CheckMVPair(r *Report, p MVPair, in MVInput) {
 	name := p.M.Name()
 	if p.Lockstep && in.Ragged {
@@ -498,28 +496,6 @@ func CheckMVPair(r *Report, p MVPair, in MVInput) {
 					r.add(name, in.Name, "upto",
 						"abandoned value %v outside [cutoff=%v, d=%v]", v, cutoff, got)
 				}
-			}
-		})
-	}
-
-	if cm, ok := p.M.(multivariate.ContextMeasure); ok {
-		r.Checks++
-		call(r, name, in.Name, "DistanceCtx", func() {
-			v, err := cm.DistanceCtx(context.Background(), in.X, in.Y)
-			if err != nil {
-				r.add(name, in.Name, "ctx", "unexpected error: %v", err)
-				return
-			}
-			if !sameValue(v, got) {
-				r.add(name, in.Name, "ctx", "DistanceCtx=%v Distance=%v not bitwise equal", v, got)
-			}
-		})
-		r.Checks++
-		call(r, name, in.Name, "DistanceCtx(cancelled)", func() {
-			cctx, cancel := context.WithCancel(context.Background())
-			cancel()
-			if v, err := cm.DistanceCtx(cctx, in.X, in.Y); err == nil && !sameValue(v, got) {
-				r.add(name, in.Name, "ctx", "cancelled call returned %v without error (exact %v)", v, got)
 			}
 		})
 	}

@@ -12,14 +12,14 @@ import (
 
 // This file adds the snapshot differential route: every path that takes
 // an optional snapshot (search.OneNNSnapshotCtx, search.LeaveOneOutGridCtx
-// over one candidate and over a grid, eval.MatrixCtx) must be bitwise
+// over one candidate and over a grid) must be bitwise
 // identical with the snapshot and without it — the snapshot only changes
 // where per-series state comes from, never what is computed. Any
 // divergence, including on NaN/Inf-poisoned or constant series, is a real
 // bug in the prepared-state layer.
 
-// CheckSnapshot compares snapshot-backed 1-NN, leave-one-out, and matrix
-// evaluation against the inline paths for one measure over one input set.
+// CheckSnapshot compares snapshot-backed 1-NN and leave-one-out evaluation
+// against the inline paths for one measure over one input set.
 func CheckSnapshot(r *Report, m measure.Measure, queries, refs [][]float64, input string) {
 	name := m.Name()
 	ctx := context.Background()
@@ -60,19 +60,6 @@ func CheckSnapshot(r *Report, m measure.Measure, queries, refs [][]float64, inpu
 			if !sameValue(got.Distances[i], want.Distances[i]) {
 				r.add(name, fmt.Sprintf("%s/loo/row=%d", input, i), "snapshot",
 					"snapshot distance %v, inline distance %v", got.Distances[i], want.Distances[i])
-			}
-		}
-	})
-	call(r, name, input, "snapshot", func() {
-		r.Checks++
-		got, _ := eval.MatrixCtx(ctx, m, queries, refs, snap)
-		want, _ := eval.MatrixCtx(ctx, m, queries, refs, nil)
-		for i := range want {
-			for j := range want[i] {
-				if !sameValue(got[i][j], want[i][j]) {
-					r.add(name, fmt.Sprintf("%s/matrix/%d,%d", input, i, j), "snapshot",
-						"snapshot cell %v, inline cell %v", got[i][j], want[i][j])
-				}
 			}
 		}
 	})

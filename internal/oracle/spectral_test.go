@@ -96,20 +96,15 @@ func TestOracleGramEngine(t *testing.T) {
 	for _, seed := range fuzzSeeds(t) {
 		queries, refs := EngineSets(seed, false)
 		series := append(append([][]float64{}, queries...), refs...)
-		var eng *kernel.GramEngine
 		rows := make([][]float64, len(series))
 		for i := range rows {
 			rows[i] = make([]float64, len(series))
 		}
 		for gamma := 1.0; gamma <= 20; gamma++ {
 			s := kernel.SINK{Gamma: gamma}
-			if eng == nil {
-				var err error
-				if eng, err = kernel.NewGramEngineCtx(context.Background(), s, series); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				eng.SetGamma(gamma)
+			eng, err := kernel.NewGramEngineCtx(context.Background(), s, series)
+			if err != nil {
+				t.Fatal(err)
 			}
 			eng.FillDistancesCtx(nil, rows)
 			prep := make([]any, len(series))

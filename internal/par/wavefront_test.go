@@ -1,8 +1,6 @@
 package par
 
 import (
-	"context"
-	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -21,15 +19,12 @@ func TestWavefrontBarrier(t *testing.T) {
 	}
 	done := make([]atomic.Int64, diags)
 	var violations atomic.Int64
-	err := WavefrontCtx(context.Background(), diags, 4, blocks, func(_, d, k int) {
+	Wavefront(diags, 4, blocks, func(_, d, k int) {
 		if d > 0 && int(done[d-1].Load()) != blocks(d-1) {
 			violations.Add(1)
 		}
 		done[d].Add(1)
 	})
-	if err != nil {
-		t.Fatalf("WavefrontCtx: %v", err)
-	}
 	if violations.Load() != 0 {
 		t.Fatalf("%d blocks started before the previous diagonal finished", violations.Load())
 	}
@@ -46,14 +41,11 @@ func TestWavefrontVisitsEveryBlock(t *testing.T) {
 	for _, workers := range []int{1, 2, 7} {
 		var mu sync.Mutex
 		seen := map[[2]int]int{}
-		err := WavefrontCtx(context.Background(), 6, workers, func(d int) int { return 3 }, func(_, d, k int) {
+		Wavefront(6, workers, func(d int) int { return 3 }, func(_, d, k int) {
 			mu.Lock()
 			seen[[2]int{d, k}]++
 			mu.Unlock()
 		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
 		if len(seen) != 18 {
 			t.Fatalf("workers=%d: visited %d blocks, want 18", workers, len(seen))
 		}
@@ -70,71 +62,13 @@ func TestWavefrontVisitsEveryBlock(t *testing.T) {
 func TestWavefrontWorkerIndexBounds(t *testing.T) {
 	const workers = 3
 	var bad atomic.Int64
-	err := WavefrontCtx(context.Background(), 5, workers, func(d int) int { return 8 }, func(w, _, _ int) {
+	Wavefront(5, workers, func(d int) int { return 8 }, func(w, _, _ int) {
 		if w < 0 || w >= workers {
 			bad.Add(1)
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if bad.Load() != 0 {
 		t.Fatalf("%d blocks saw a worker index outside [0, %d)", bad.Load(), workers)
-	}
-}
-
-// TestWavefrontCancellationMidRun cancels from inside an early diagonal and
-// asserts the run stops with ctx.Err() before any later diagonal starts:
-// the barrier turns chunk-level cancellation into diagonal-level atomicity.
-func TestWavefrontCancellationMidRun(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		ctx, cancel := context.WithCancel(context.Background())
-		var maxDiag atomic.Int64
-		err := WavefrontCtx(ctx, 64, workers, func(d int) int { return 4 }, func(_, d, _ int) {
-			if v := int64(d); v > maxDiag.Load() {
-				maxDiag.Store(v)
-			}
-			if d == 2 {
-				cancel()
-			}
-		})
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
-		}
-		// Cancellation is observed before every chunk claim and between
-		// diagonals; the diagonal that triggered it (2) finishes (barrier),
-		// and diagonal 3 must never be reached.
-		if maxDiag.Load() > 2 {
-			t.Fatalf("workers=%d: diagonal %d ran after cancellation on diagonal 2", workers, maxDiag.Load())
-		}
-		cancel()
-	}
-}
-
-// TestWavefrontPreCancelled asserts a cancelled context stops the schedule
-// before the first block.
-func TestWavefrontPreCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	ran := false
-	err := WavefrontCtx(ctx, 3, 2, func(d int) int { return 2 }, func(_, _, _ int) { ran = true })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if ran {
-		t.Fatal("block ran under a pre-cancelled context")
-	}
-}
-
-// TestWavefrontNilContext mirrors the ForShardCtx contract: a nil context
-// never cancels.
-func TestWavefrontNilContext(t *testing.T) {
-	n := 0
-	if err := WavefrontCtx(nil, 2, 1, func(d int) int { return 2 }, func(_, _, _ int) { n++ }); err != nil {
-		t.Fatal(err)
-	}
-	if n != 4 {
-		t.Fatalf("ran %d blocks, want 4", n)
 	}
 }
 
@@ -142,15 +76,12 @@ func TestWavefrontNilContext(t *testing.T) {
 // ones still run (a banded DP can have leading/trailing empty diagonals).
 func TestWavefrontEmptyDiagonals(t *testing.T) {
 	var got []int
-	err := WavefrontCtx(context.Background(), 4, 1, func(d int) int {
+	Wavefront(4, 1, func(d int) int {
 		if d%2 == 0 {
 			return 0
 		}
 		return 1
 	}, func(_, d, _ int) { got = append(got, d) })
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
 		t.Fatalf("ran diagonals %v, want [1 3]", got)
 	}

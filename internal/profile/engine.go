@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
-	"sync"
 
 	"repro/internal/fft"
 	"repro/internal/par"
@@ -31,47 +29,27 @@ type Options struct {
 	// which rows are seeded and which are streamed: values differ across
 	// block sizes in the last bits (FFT seed against streamed update; the
 	// nearest neighbors agree), while at a fixed block size results are
-	// bitwise identical across worker counts and Anytime order.
+	// bitwise identical across worker counts.
 	// BlockRows 1 with Workers 1 seeds every row with one FFT scan, which
 	// is the STAMP formulation.
 	BlockRows int
-	// Anytime dispatches blocks in a deterministic shuffled order, so a
-	// cancelled run's completed rows spread across the whole profile and
-	// the partial result approximates the full join everywhere rather
-	// than covering a prefix.
-	Anytime bool
-	// Progress, when non-nil, is called after every completed block (and
-	// after the partial block a cancellation interrupts) with the total
-	// finished row count; calls are serialized and totals are
-	// non-decreasing. Callers bridge this to run-core task events.
-	Progress func(doneRows, totalRows int)
 }
 
-// Result is one computed (or partially computed) profile join.
+// Result is one computed profile join. A join cancelled before it
+// finished returns ctx.Err() with its Result incomplete: discard it.
 type Result struct {
 	// Values[i] is the smallest distance from window i of the query
 	// series to any admissible window of the target (+Inf when none —
 	// every candidate excluded or non-finite), and Indices[i] the argmin
-	// window offset (-1 when none). Rows a cancelled run never reached
-	// keep +Inf/-1 with Done[i] false.
+	// window offset (-1 when none).
 	Values  []float64
 	Indices []int
-	// Done marks rows whose Values/Indices entries are final; completed
-	// rows of a cancelled run are bitwise identical to the full join's.
-	Done   []bool
-	Window int
+	Window  int
 	// SelfJoin records whether the join was a self-join, and Exclusion
 	// the applied trivial-match exclusion radius (0 for AB-joins).
 	SelfJoin  bool
 	Exclusion int
-	// Completed is the fraction of rows finished before return: 1 for a
-	// full run, in [0, 1) after a cancellation.
-	Completed float64
 }
-
-// anytimeSeed fixes the block permutation of anytime mode, keeping
-// approximate runs deterministic for a given join size.
-const anytimeSeed = 0x5706
 
 // Engine computes matrix-profile joins, reusing FFT plans, window
 // statistics, and per-worker scratch across calls so warm joins of the
@@ -85,11 +63,7 @@ type Engine struct {
 	planB   fft.SlidingPlan // target-series spectrum, seeds block leading rows
 	col0    []float64
 	cbuf    []complex128
-	order   []int
 	scratch []*workerScratch
-
-	mu   sync.Mutex
-	done int
 }
 
 type workerScratch struct {
@@ -111,8 +85,9 @@ func New(opts Options) *Engine {
 
 // SelfJoin computes the self-join matrix profile of t at window w: for
 // every window, the distance to its nearest neighbor outside the
-// trivial-match exclusion zone (radius max(1, w/2)). On cancellation the
-// partial Result is still returned alongside the context error.
+// trivial-match exclusion zone (radius max(1, w/2)). Blocks of rows are
+// the cancellation point: a cancelled join returns ctx.Err() once the
+// blocks in flight finish, and its Result is incomplete.
 func (e *Engine) SelfJoin(ctx context.Context, t []float64, w int) (*Result, error) {
 	res := &Result{}
 	err := e.SelfJoinInto(ctx, t, w, res)
@@ -232,17 +207,13 @@ func (e *Engine) join(ctx context.Context, a, b []float64, w int, self bool, res
 
 	res.Values = resizeFloat(res.Values, rows)
 	res.Indices = resizeInt(res.Indices, rows)
-	res.Done = resizeBool(res.Done, rows)
 	for i := 0; i < rows; i++ {
 		res.Values[i] = math.Inf(1)
 		res.Indices[i] = -1
-		res.Done[i] = false
 	}
 	res.Window = w
 	res.SelfJoin = self
 	res.Exclusion = excl
-	res.Completed = 0
-	e.done = 0
 
 	fftSeed := e.planSeed(b, w, sa, sb)
 
@@ -289,95 +260,42 @@ func (e *Engine) join(ctx context.Context, a, b []float64, w int, self bool, res
 		}
 	}
 
-	if e.opts.Anytime {
-		e.order = resizeInt(e.order, blocks)
-		rng := rand.New(rand.NewSource(anytimeSeed))
-		for i := range e.order {
-			e.order[i] = i
-		}
-		rng.Shuffle(blocks, func(i, j int) { e.order[i], e.order[j] = e.order[j], e.order[i] })
-	}
-
-	var err error
-	if workers <= 1 {
-		// Inline dispatch: same block order and per-row arithmetic as the
-		// parallel path, without the worker closure, so warm single-worker
-		// joins stay allocation-free.
-		for bi := 0; bi < blocks; bi++ {
-			if ctx != nil && ctx.Err() != nil {
-				break
-			}
-			idx := bi
-			if e.opts.Anytime {
-				idx = e.order[bi]
-			}
-			e.runBlock(ctx, e.scratch[0], idx, a, b, w, cols, fftSeed, sa, sb, res)
-		}
-		if ctx != nil {
-			err = ctx.Err()
-		}
-	} else {
-		err = par.ForShardCtx(ctx, blocks, workers, func(worker, bi int) {
-			if e.opts.Anytime {
-				bi = e.order[bi]
-			}
-			e.runBlock(ctx, e.scratch[worker], bi, a, b, w, cols, fftSeed, sa, sb, res)
+	if workers > 1 {
+		return par.ForShardCtx(ctx, blocks, workers, func(worker, bi int) {
+			e.runBlock(e.scratch[worker], bi, a, b, w, cols, fftSeed, sa, sb, res)
 		})
 	}
-
-	completed := 0
-	for _, d := range res.Done {
-		if d {
-			completed++
+	// Inline dispatch: the parallel path's block order and per-row
+	// arithmetic without the worker closure, so warm single-worker joins
+	// stay allocation-free. Like par, it polls ctx between blocks.
+	for bi := 0; bi < blocks; bi++ {
+		if ctx != nil && ctx.Err() != nil {
+			return ctx.Err()
 		}
+		e.runBlock(e.scratch[0], bi, a, b, w, cols, fftSeed, sa, sb, res)
 	}
-	res.Completed = float64(completed) / float64(rows)
-	return err
+	return nil
 }
 
 // runBlock computes rows [bi*BlockRows, min(rows, (bi+1)*BlockRows)): the
 // leading row seeded from scratch, every later row streamed with the O(1)
-// diagonal update. Cancellation is observed between rows, so a cancelled
-// block still leaves every row it finished final.
-func (e *Engine) runBlock(ctx context.Context, ws *workerScratch, bi int, a, b []float64, w, cols int, fftSeed bool, sa, sb *WindowStats, res *Result) {
+// diagonal update.
+func (e *Engine) runBlock(ws *workerScratch, bi int, a, b []float64, w, cols int, fftSeed bool, sa, sb *WindowStats, res *Result) {
 	m := e.opts.Measure
-	rows := len(res.Values)
 	r0 := bi * e.opts.BlockRows
-	r1 := r0 + e.opts.BlockRows
-	if r1 > rows {
-		r1 = rows
-	}
-	rowsDone := 0
-	defer func() {
-		if rowsDone == 0 || e.opts.Progress == nil {
-			return
-		}
-		e.mu.Lock()
-		e.done += rowsDone
-		e.opts.Progress(e.done, rows)
-		e.mu.Unlock()
-	}()
-
-	if ctx != nil && ctx.Err() != nil {
-		return
-	}
+	r1 := min(r0+e.opts.BlockRows, len(res.Values))
 	cross := ws.cross
 	e.seedRow(cross, ws.cbuf, a, b, r0, w, fftSeed)
 	e.finalizeRow(r0, cross, ws.dist[:cols], sa, sb, res)
-	rowsDone++
 
 	repair := sa.hasNF || sb.hasNF
 	for i := r0 + 1; i < r1; i++ {
-		if ctx != nil && ctx.Err() != nil {
-			return
-		}
 		m.UpdateRow(cross, a, b, i, w, cols)
 		cross[0] = e.col0[i]
 		if repair {
 			e.repairRow(cross, a, b, i, w, cols, sa, sb)
 		}
 		e.finalizeRow(i, cross, ws.dist[:cols], sa, sb, res)
-		rowsDone++
 	}
 }
 
@@ -424,5 +342,4 @@ func (e *Engine) finalizeRow(i int, cross, dist []float64, sa, sb *WindowStats, 
 		res.Values[i] = best
 		res.Indices[i] = bestJ
 	}
-	res.Done[i] = true
 }

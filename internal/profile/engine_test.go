@@ -2,6 +2,7 @@ package profile_test
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"sync/atomic"
@@ -157,14 +158,8 @@ func TestSelfJoinMatchesNaive(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s n=%d w=%d: %v", rm.m.Name(), n, w, err)
 				}
-				if res.Completed != 1 {
-					t.Fatalf("%s n=%d w=%d: Completed = %v, want 1", rm.m.Name(), n, w, res.Completed)
-				}
 				want, _ := naiveJoin(rm.dist, series, series, w, excl, true)
 				for i := range want {
-					if !res.Done[i] {
-						t.Fatalf("%s n=%d w=%d row %d: not Done after full run", rm.m.Name(), n, w, i)
-					}
 					if !approx(res.Values[i], want[i]) {
 						t.Errorf("%s n=%d w=%d row %d: engine %v naive %v",
 							rm.m.Name(), n, w, i, res.Values[i], want[i])
@@ -295,114 +290,48 @@ func TestExclusionZoneBoundary(t *testing.T) {
 	}
 }
 
-// TestCancellationPartial pins the anytime contract of a cancelled run:
-// the error surfaces, Completed reflects exactly the Done rows, and every
-// Done row is bitwise identical to the full join (rows are computed from
-// their own block streams, so partials are final, not approximate).
-func TestCancellationPartial(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	series := randWalk(rng, 600)
-	const w = 8
-	full, err := profile.SelfJoin(context.Background(), series, w,
-		profile.Options{BlockRows: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	eng := profile.New(profile.Options{
-		BlockRows: 4,
-		Workers:   2,
-		Progress: func(done, total int) {
-			if done >= 40 {
-				cancel()
-			}
-		},
-	})
-	res, err := eng.SelfJoin(ctx, series, w)
-	if err != context.Canceled {
-		t.Fatalf("cancelled join error = %v, want context.Canceled", err)
-	}
-	done := 0
-	for i, d := range res.Done {
-		if !d {
-			if res.Indices[i] != -1 || !math.IsInf(res.Values[i], 1) {
-				t.Fatalf("row %d not done but holds %v/%d", i, res.Values[i], res.Indices[i])
-			}
-			continue
-		}
-		done++
-		if math.Float64bits(res.Values[i]) != math.Float64bits(full.Values[i]) ||
-			res.Indices[i] != full.Indices[i] {
-			t.Errorf("done row %d: partial %v/%d, full %v/%d",
-				i, res.Values[i], res.Indices[i], full.Values[i], full.Indices[i])
-		}
-	}
-	if done == 0 || done == len(res.Done) {
-		t.Fatalf("cancelled run finished %d/%d rows; cancellation not mid-run", done, len(res.Done))
-	}
-	if want := float64(done) / float64(len(res.Done)); res.Completed != want {
-		t.Errorf("Completed = %v, want %v (%d/%d rows)", res.Completed, want, done, len(res.Done))
-	}
+// cancellingMeasure counts the rows it finalizes and cancels the join at
+// the k-th.
+type cancellingMeasure struct {
+	profile.Measure
+	rows   *atomic.Int64
+	k      int64
+	cancel context.CancelFunc
 }
 
-// TestAnytimeMode verifies the shuffled dispatch changes scheduling only:
-// an uncancelled anytime run is bitwise identical to the in-order run,
-// and a cancelled one spreads its completed rows beyond a prefix.
-func TestAnytimeMode(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	series := randWalk(rng, 400)
-	const w = 6
-	inOrder, err := profile.SelfJoin(context.Background(), series, w,
-		profile.Options{BlockRows: 8})
-	if err != nil {
-		t.Fatal(err)
+func (m cancellingMeasure) DistanceRow(cross, dst []float64, i int, sa, sb *profile.WindowStats) {
+	if m.rows.Add(1) == m.k {
+		m.cancel()
 	}
-	anytime, err := profile.SelfJoin(context.Background(), series, w,
-		profile.Options{BlockRows: 8, Anytime: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range inOrder.Values {
-		if math.Float64bits(inOrder.Values[i]) != math.Float64bits(anytime.Values[i]) ||
-			inOrder.Indices[i] != anytime.Indices[i] {
-			t.Fatalf("row %d: anytime %v/%d vs in-order %v/%d",
-				i, anytime.Values[i], anytime.Indices[i], inOrder.Values[i], inOrder.Indices[i])
-		}
-	}
+	m.Measure.DistanceRow(cross, dst, i, sa, sb)
+}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	eng := profile.New(profile.Options{
-		BlockRows: 8,
-		Anytime:   true,
-		Workers:   1,
-		Progress: func(done, total int) {
-			if done >= total/4 {
-				cancel()
-			}
-		},
-	})
-	partial, err := eng.SelfJoin(ctx, series, w)
-	if err != context.Canceled {
-		t.Fatalf("error = %v, want context.Canceled", err)
-	}
-	// Shuffled block order: the done rows of a ~25% run must not form a
-	// prefix of the profile.
-	lastDone, firstUndone := -1, -1
-	for i, d := range partial.Done {
-		if d {
-			lastDone = i
-		} else if firstUndone == -1 {
-			firstUndone = i
+// TestCancellationStopsWithinChunk cancels a join from inside its k-th row.
+// Blocks are the join's only cancellation point, dispatched as par
+// dispatches chunks: the join returns context.Canceled once every worker
+// has finished the chunk of blocks it holds (one block on the inline
+// path, par's blocks/(workers*8) on the parallel one).
+func TestCancellationStopsWithinChunk(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	series := randWalk(rng, 600)
+	const w, blockRows, k = 8, 4, 40
+	blocks := (len(series) - w + 1 + blockRows - 1) / blockRows
+	for _, workers := range []int{1, 4} {
+		chunk := 1
+		if workers > 1 {
+			chunk = max(blocks/(workers*8), 1)
 		}
-	}
-	if partial.Completed >= 0.9 {
-		t.Fatalf("cancelled anytime run completed %v; cancellation ineffective", partial.Completed)
-	}
-	if firstUndone == -1 || lastDone < firstUndone {
-		t.Errorf("anytime done rows form a prefix (lastDone %d, firstUndone %d); dispatch not shuffled",
-			lastDone, firstUndone)
+		ctx, cancel := context.WithCancel(context.Background())
+		var rows atomic.Int64
+		m := cancellingMeasure{Measure: profile.ZNormEuclidean(), rows: &rows, k: k, cancel: cancel}
+		_, err := profile.SelfJoin(ctx, series, w, profile.Options{Measure: m, BlockRows: blockRows, Workers: workers})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+		}
+		if limit := int64(k + workers*chunk*blockRows); rows.Load() < k || rows.Load() > limit {
+			t.Fatalf("workers=%d: %d rows ran, want %d..%d", workers, rows.Load(), k, limit)
+		}
 	}
 }
 
@@ -476,33 +405,6 @@ func TestPNorm2MatchesEuclidean(t *testing.T) {
 		if !approx(p2.Values[i], eu.Values[i]) {
 			t.Errorf("row %d: pnorm-2 %v euclidean %v", i, p2.Values[i], eu.Values[i])
 		}
-	}
-}
-
-func TestProgressMonotonic(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	series := randWalk(rng, 300)
-	var last atomic.Int64
-	calls := 0
-	rows := 0
-	eng := profile.New(profile.Options{
-		BlockRows: 8,
-		Workers:   3,
-		Progress: func(done, total int) {
-			calls++
-			rows = total
-			if int64(done) <= last.Load() {
-				t.Errorf("progress went backwards: %d after %d", done, last.Load())
-			}
-			last.Store(int64(done))
-		},
-	})
-	res, err := eng.SelfJoin(context.Background(), series, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls == 0 || int(last.Load()) != len(res.Values) || rows != len(res.Values) {
-		t.Errorf("progress: %d calls, final %d/%d, want final %d", calls, last.Load(), rows, len(res.Values))
 	}
 }
 
