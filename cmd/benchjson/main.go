@@ -1,8 +1,10 @@
 // Command benchjson converts `go test -bench -benchmem` output on stdin
-// into a JSON array of {name, ns_per_op, bytes_per_op, allocs_per_op}
-// records. The raw benchmark lines are echoed to stdout unchanged so the
-// command can sit at the end of a pipeline without hiding the run; the
-// JSON goes to the file named by -o (or stdout when -o is empty).
+// into a JSON array of {name, ns_per_op, bytes_per_op, allocs_per_op,
+// metrics} records, metrics holding by unit the values a benchmark reports
+// with b.ReportMetric, such as DP cells per distance. The raw benchmark
+// lines are echoed to stdout unchanged so the command can sit at the end
+// of a pipeline without hiding the run; the JSON goes to the file named by
+// -o (or stdout when -o is empty).
 //
 // When a benchmark name repeats (a `go test -count=N` run), the record
 // keeps the minimum ns/op across repetitions: co-tenant interference on
@@ -23,23 +25,52 @@ import (
 	"os"
 	"regexp"
 	"strconv"
+	"strings"
 )
 
 // Record is one benchmark result. GOMAXPROCS suffixes are stripped from
 // the name so committed files do not encode the build machine's core
 // count; the measured values, of course, still do.
 type Record struct {
-	Name        string  `json:"name"`
-	Iterations  int64   `json:"iterations"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
-	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
+	Name        string             `json:"name"`
+	Iterations  int64              `json:"iterations"`
+	NsPerOp     float64            `json:"ns_per_op"`
+	BytesPerOp  int64              `json:"bytes_per_op,omitempty"`
+	AllocsPerOp int64              `json:"allocs_per_op,omitempty"`
+	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }
 
 // benchLineRE matches the tabular result line `go test -bench` prints:
-// name, iteration count, ns/op, and optionally the -benchmem columns.
-var benchLineRE = regexp.MustCompile(
-	`^(Benchmark\S+?)(-\d+)?\s+(\d+)\s+(\d+(?:\.\d+)?) ns/op(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
+// name, iteration count, then "value unit" columns: ns/op, any
+// b.ReportMetric values, and the -benchmem columns.
+var benchLineRE = regexp.MustCompile(`^(Benchmark\S+?)(-\d+)?\s+(\d+)\s+(.*\sns/op.*)$`)
+
+// parseColumns fills rec from a result line's "value unit" columns and
+// reports whether they held an ns/op value.
+func parseColumns(rec *Record, cols string) bool {
+	f := strings.Fields(cols)
+	hasNs := false
+	for k := 0; k+1 < len(f); k += 2 {
+		v, err := strconv.ParseFloat(f[k], 64)
+		if err != nil {
+			return false
+		}
+		switch unit := f[k+1]; unit {
+		case "ns/op":
+			rec.NsPerOp, hasNs = v, true
+		case "B/op":
+			rec.BytesPerOp = int64(v)
+		case "allocs/op":
+			rec.AllocsPerOp = int64(v)
+		default:
+			if rec.Metrics == nil {
+				rec.Metrics = map[string]float64{}
+			}
+			rec.Metrics[unit] = v
+		}
+	}
+	return hasNs
+}
 
 func main() {
 	out := flag.String("o", "", "write the JSON array to this file (default stdout)")
@@ -57,13 +88,9 @@ func main() {
 			continue
 		}
 		iters, _ := strconv.ParseInt(m[3], 10, 64)
-		ns, _ := strconv.ParseFloat(m[4], 64)
-		rec := Record{Name: m[1], Iterations: iters, NsPerOp: ns}
-		if m[5] != "" {
-			rec.BytesPerOp, _ = strconv.ParseInt(m[5], 10, 64)
-		}
-		if m[6] != "" {
-			rec.AllocsPerOp, _ = strconv.ParseInt(m[6], 10, 64)
+		rec := Record{Name: m[1], Iterations: iters}
+		if !parseColumns(&rec, m[4]) {
+			continue
 		}
 		if at, seen := index[rec.Name]; seen {
 			if rec.NsPerOp < records[at].NsPerOp {

@@ -122,16 +122,26 @@ func TestLBKeoghMatchesNaiveScan(t *testing.T) {
 	}
 }
 
+// earlyAbandoners are the elastic measures with DistanceUpTo, at
+// parameters that prune and (negative MSM cost, negative TWE stiffness)
+// parameters that run the full DP.
+func earlyAbandoners() []measure.EarlyAbandoning {
+	return []measure.EarlyAbandoning{
+		DTW{DeltaPercent: 0}, DTW{DeltaPercent: 5}, DTW{DeltaPercent: 10}, DTW{DeltaPercent: 100},
+		MSM{C: 0.5}, MSM{C: 0}, MSM{C: -0.5},
+		TWE{Lambda: 1, Nu: 0.0001}, TWE{Lambda: 0, Nu: 1}, TWE{Lambda: 1, Nu: -0.01},
+		ERP{}, ERP{G: 0.5},
+	}
+}
+
 func TestDistanceUpToInfMatchesDistance(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		x := randomSeries(seed*2+10, 80)
 		y := randomSeries(seed*2+11, 80)
-		for _, delta := range []int{0, 5, 10, 100} {
-			d := DTW{DeltaPercent: delta}
+		for _, d := range earlyAbandoners() {
 			exact := d.Distance(x, y)
-			upTo := d.DistanceUpTo(x, y, math.Inf(1))
-			if exact != upTo {
-				t.Fatalf("delta=%d: DistanceUpTo(+Inf)=%g, Distance=%g", delta, upTo, exact)
+			if upTo := d.DistanceUpTo(x, y, math.Inf(1)); math.Float64bits(exact) != math.Float64bits(upTo) {
+				t.Fatalf("%s: DistanceUpTo(+Inf)=%g, Distance=%g", d.Name(), upTo, exact)
 			}
 		}
 	}
@@ -141,20 +151,26 @@ func TestDistanceUpToContract(t *testing.T) {
 	// Contract: below cutoff the exact distance is returned; at or above
 	// cutoff any certified lower bound in [cutoff, exact] may be returned.
 	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 200; trial++ {
+	ms := earlyAbandoners()
+	for trial := 0; trial < 400; trial++ {
 		m := 8 + rng.Intn(60)
-		x := randomSeries(int64(trial*2+100), m)
-		y := randomSeries(int64(trial*2+101), m)
-		d := DTW{DeltaPercent: []int{0, 5, 10, 100}[trial%4]}
+		x, y := wfSeries(rng, m), wfSeries(rng, m)
+		d := ms[trial%len(ms)]
 		exact := d.Distance(x, y)
-		cutoff := exact * (0.25 + 1.5*rng.Float64()) // straddles the exact value
-		got := d.DistanceUpTo(x, y, cutoff)
-		if exact < cutoff {
-			if got != exact {
-				t.Fatalf("trial %d: exact %g < cutoff %g but DistanceUpTo returned %g", trial, exact, cutoff, got)
+		for _, cutoff := range []float64{
+			exact * (0.25 + 1.5*rng.Float64()), // straddles the exact value
+			exact, math.Nextafter(exact, math.Inf(1)), math.Nextafter(exact, math.Inf(-1)),
+		} {
+			got := d.DistanceUpTo(x, y, cutoff)
+			if exact < cutoff {
+				if math.Float64bits(got) != math.Float64bits(exact) {
+					t.Fatalf("trial %d %s: exact %g < cutoff %g but DistanceUpTo returned %g",
+						trial, d.Name(), exact, cutoff, got)
+				}
+			} else if got < cutoff || got > exact {
+				t.Fatalf("trial %d %s: abandoned value %g outside [cutoff=%g, exact=%g]",
+					trial, d.Name(), got, cutoff, exact)
 			}
-		} else if got < cutoff || got > exact {
-			t.Fatalf("trial %d: abandoned value %g outside [cutoff=%g, exact=%g]", trial, got, cutoff, exact)
 		}
 	}
 }

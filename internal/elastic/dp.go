@@ -10,11 +10,11 @@ import (
 // repository runs through. A measure describes its DP once, as a
 // Recurrence (the boundary row, column and corner, plus a row function
 // holding its cell update) over a DP shape; the driver owns everything
-// else: the pooled rows, band clipping and fringe cells, the row-minimum
-// abandon, and the choice between the serial two-row path and the blocked
-// wavefront (wavefront.go), which calls the same row function per block.
-// Both paths perform the same per-cell operations in the same order, so
-// they agree bitwise.
+// else: the pooled rows, band clipping and fringe cells, the cell-pruning
+// abandon rule, and the choice between the serial two-row path and the
+// blocked wavefront (wavefront.go), which calls the same row function per
+// block. Both paths perform the same per-cell operations in the same order,
+// so they agree bitwise.
 
 // Recurrence is the measure-specific half of an elastic DP over cells
 // (i, j), i in [1, R], j in [1, C].
@@ -24,20 +24,26 @@ type Recurrence interface {
 	Boundary(top, left []float64) (corner float64)
 	// Row fills cur[k] = DP(i, j0-1+k) for k in [1, j1-j0+1], given
 	// prev[k] = DP(i-1, j0-1+k) for k in [0, j1-j0+1] and cur[0] =
-	// DP(i, j0-1). It returns a lower bound on the final value that the row
-	// certifies: the row minimum when cell costs are non-negative and every
-	// path crosses every row (DTW), or -Inf when the recurrence never
-	// abandons.
-	Row(i, j0, j1 int, prev, cur []float64) (bound float64)
+	// DP(i, j0-1).
+	Row(i, j0, j1 int, prev, cur []float64)
 }
 
 // DP is one elastic dynamic program: an R-by-C matrix filled by Rows. W > 0
 // restricts it to a Sakoe-Chiba band of absolute half-width W, whose outside
 // cells hold OOB; W <= 0 leaves it unbanded (no measure here uses a zero
 // band: WindowSize is at least 1).
+//
+// Prune declares a min-plus recurrence: every cell is the minimum, over the
+// predecessors it reads, of that predecessor plus a non-negative cost, and
+// the boundary accumulates non-negative costs the same way, so no cell is
+// below the predecessor its minimum came from. Serial then prunes cells at
+// or above its cutoff, and OOB must be +Inf, the value a pruned cell reads
+// as. Measures set it only when their parameters keep every cost
+// non-negative.
 type DP[K Recurrence] struct {
 	R, C, W int
 	OOB     float64
+	Prune   bool
 	Rows    K
 }
 
@@ -66,48 +72,99 @@ func borrow(n int) (buf *[]float64, slab []float64) {
 	return buf, (*buf)[:n]
 }
 
-// Serial runs the DP on the two-row path and returns DP(R, C). It abandons
-// as soon as a row's bound reaches cutoff and returns that bound, which
-// keeps the measure.EarlyAbandoning contract (cutoff <= v <= DP(R, C));
-// with cutoff = +Inf only a row whose bound is +Inf stops it early, and a
-// NaN cutoff never does. A single DP is never cancelled: callers poll their
-// context between distances, at the dispatch chunk (internal/par).
+// Serial runs the DP on the two-row path and returns DP(R, C). With Prune
+// set it skips the cells that cannot lead below cutoff, the EAPruned rule
+// of Herrmann & Webb ("Early abandoning and pruning for elastic
+// distances", DMKD 2021). A cell is dead when its value is >= cutoff, so a
+// NaN cell stays live. Row i is computed from the first live column of row
+// i-1 up to the first dead cell past that row's last live column; every
+// computed cell is written, dead or alive, and the cells just outside the
+// span hold OOB, so no row reads a stale value. Live cells are exact: the
+// minimum of a live cell comes from a live predecessor, and a dead
+// predecessor plus a non-negative cost stays >= cutoff whatever value it
+// holds.
+//
+// Serial returns cutoff when a row has no live cell or DP(R, C) is dead.
+// Every path crosses every row and never descends, so DP(R, C) >= cutoff
+// there, which keeps the measure.EarlyAbandoning contract (cutoff <= v <=
+// DP(R, C)). With cutoff = +Inf only +Inf cells are dead, so on finite
+// input Serial returns the full DP's value; a NaN cutoff, or a DP without
+// Prune, computes every in-band cell. A single DP is never cancelled:
+// callers poll their context between distances, at the dispatch chunk
+// (internal/par).
 func (p DP[K]) Serial(cutoff float64) float64 {
+	if !p.Prune {
+		cutoff = math.NaN()
+	}
 	n := p.C + 1
 	buf, slab := borrow(2*n + p.R)
 	defer rowPool.Put(buf)
 	prev, cur, left := slab[:n], slab[n:2*n], slab[2*n:]
 	prev[0] = p.Rows.Boundary(prev[1:], left)
-	for i := 1; i <= p.R; i++ {
+	// [first, last] is the previous row's live span over columns 0..C,
+	// column 0 being the boundary column.
+	first, last, ok := liveSpan(prev, 0, p.C, cutoff)
+	for i := 1; ok && i <= p.R; i++ {
 		lo, hi := p.band(i, 1, p.C)
-		// The band advances by at most one cell per row, so only its fringe
-		// needs writing: cur[lo-1] feeds this row's first deletion and
-		// cur[hi+1] the next row's insertion. Every other cell the next
-		// row reads was written in band by this one.
-		if lo == 1 {
+		s, e := max(lo, first, 1), min(hi, last+1)
+		// Cell s reads its deletion from cur[s-1]: the boundary column, or
+		// OOB left of the band or of the live span.
+		if s == 1 {
 			cur[0] = left[i-1]
 		} else {
-			cur[lo-1] = p.OOB
+			cur[s-1] = p.OOB
 		}
-		if hi < p.C {
-			cur[hi+1] = p.OOB
+		if s <= e {
+			p.Rows.Row(i, s, e, prev[s-1:], cur[s-1:])
+		} else {
+			e = s - 1
 		}
-		if b := p.Rows.Row(i, lo, hi, prev[lo-1:], cur[lo-1:]); b >= cutoff {
-			return b
+		// Past the previous row's live span only the deletion can carry a
+		// live value: extend cell by cell until one is dead, reading OOB
+		// from the previous row.
+		for e < hi && !(cur[e] >= cutoff) {
+			e++
+			prev[e] = p.OOB
+			p.Rows.Row(i, e, e, prev[e-1:], cur[e-1:])
 		}
+		// The next row reads one column past this row's span.
+		if e < p.C {
+			cur[e+1] = p.OOB
+		}
+		first, last, ok = liveSpan(cur, s-1, e, cutoff)
 		prev, cur = cur, prev
+	}
+	if !ok || last < p.C {
+		return cutoff
 	}
 	return prev[p.C]
 }
 
+// liveSpan returns the first and last live columns of row within [a, b],
+// and false when every cell there is dead (>= cutoff; NaN is live).
+func liveSpan(row []float64, a, b int, cutoff float64) (first, last int, ok bool) {
+	first = a
+	for first <= b && row[first] >= cutoff {
+		first++
+	}
+	if first > b {
+		return 0, 0, false
+	}
+	last = b
+	for row[last] >= cutoff {
+		last--
+	}
+	return first, last, true
+}
+
 // wavefrontMinSpan is the band width in cells (the full width when
 // unbanded) from which Distance takes the blocked route on a multi-core
-// machine: more than three default 256-cell blocks, so every interior
-// anti-diagonal holds several blocks to share out. Measured with
-// BenchmarkHotloops on two cores (DESIGN.md §13): unbanded MSM at n=1024
-// and DTW with a 10% band at n=4096 (819 cells) win blocked; the 10% band
-// wins serial at n=1024 (205 cells) and ties at n=2048 (409 cells).
-const wavefrontMinSpan = 3*256 + 1
+// machine: more than two default 256-cell blocks. Measured with
+// BenchmarkHotloops on two cores (DESIGN.md §13): unbanded MSM wins blocked
+// from about 450 cells up, by a third at 767 and 1023 cells; DTW with a
+// 10% band wins serial at 205 and 409 cells (n=1024, 2048), ties at 513
+// (n=2560) and wins blocked at 819 (n=4096).
+const wavefrontMinSpan = 2*256 + 1
 
 // distance is the Distance route: blocked when the band spans
 // wavefrontMinSpan cells and there is more than one core, serial otherwise.

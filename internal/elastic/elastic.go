@@ -45,17 +45,16 @@ func (d DTW) Symmetric() bool { return true }
 func (d DTW) dp(x, y []float64) DP[dtwRows] {
 	measure.CheckSameLength(x, y)
 	m := len(x)
-	return DP[dtwRows]{R: m, C: m, W: WindowSize(d.DeltaPercent, m), OOB: math.Inf(1), Rows: dtwRows{x: x, y: y}}
+	return DP[dtwRows]{R: m, C: m, W: WindowSize(d.DeltaPercent, m), OOB: math.Inf(1), Prune: true, Rows: dtwRows{x: x, y: y}}
 }
 
 // Distance implements measure.Measure.
 func (d DTW) Distance(x, y []float64) float64 { return d.dp(x, y).distance() }
 
 // DistanceUpTo implements measure.EarlyAbandoning: banded DTW on the serial
-// path, abandoned as soon as an entire DP row reaches cutoff. Every warping
-// path crosses every row and cell costs are non-negative, so the row
-// minimum (a certified lower bound >= cutoff) is returned. With cutoff =
-// +Inf this is the serial Distance.
+// path under the driver's cell pruning (DP.Serial), abandoned with cutoff
+// once a row has no cell below it. With cutoff = +Inf this is the serial
+// Distance.
 func (d DTW) DistanceUpTo(x, y []float64, cutoff float64) float64 {
 	return d.dp(x, y).Serial(cutoff)
 }
@@ -68,9 +67,9 @@ func (d DTW) DistanceWavefront(x, y []float64) float64 {
 }
 
 // UnbandedDTW is DTW without a band between series of any lengths, 0 when
-// either is empty. Run with a NaN cutoff, it never abandons, so on
-// non-finite input it evaluates through rows that Distance stops at. The
-// DTW-based embeddings align with it.
+// either is empty. Run with a NaN cutoff, it prunes no cell, so on
+// non-finite input it evaluates cells that Distance skips. The DTW-based
+// embeddings align with it.
 func UnbandedDTW(x, y []float64) float64 {
 	if len(x) == 0 || len(y) == 0 {
 		return 0
@@ -83,9 +82,8 @@ type dtwRows struct {
 	x, y []float64
 }
 
-func (r dtwRows) Row(i, j0, j1 int, prev, cur []float64) float64 {
+func (r dtwRows) Row(i, j0, j1 int, prev, cur []float64) {
 	xi := r.x[i-1]
-	rowMin := math.Inf(1)
 	for j := j0; j <= j1; j++ {
 		k := j - j0 + 1
 		c := xi - r.y[j-1]
@@ -96,13 +94,8 @@ func (r dtwRows) Row(i, j0, j1 int, prev, cur []float64) float64 {
 		if cur[k-1] < best {
 			best = cur[k-1] // deletion
 		}
-		v := c*c + best
-		cur[k] = v
-		if v < rowMin {
-			rowMin = v
-		}
+		cur[k] = c*c + best
 	}
-	return rowMin
 }
 
 // LBKeogh returns the LB_Keogh lower bound of DTW(x, y) for a band of
@@ -169,17 +162,16 @@ func (r lcssRows) Boundary(top, left []float64) float64 {
 	return 0
 }
 
-func (r lcssRows) Row(i, j0, j1 int, prev, cur []float64) float64 {
+func (r lcssRows) Row(i, j0, j1 int, prev, cur []float64) {
 	xi := r.x[i-1]
 	for j := j0; j <= j1; j++ {
 		k := j - j0 + 1
 		if math.Abs(xi-r.y[j-1]) <= r.Epsilon {
 			cur[k] = prev[k-1] + 1
 		} else {
-			cur[k] = math.Max(prev[k], cur[k-1])
+			cur[k] = max(prev[k], cur[k-1])
 		}
 	}
-	return math.Inf(-1)
 }
 
 // EDR is the Edit Distance on Real sequence: a unit-cost edit distance
@@ -223,7 +215,7 @@ func (r edrRows) Boundary(top, left []float64) float64 {
 	return 0
 }
 
-func (r edrRows) Row(i, j0, j1 int, prev, cur []float64) float64 {
+func (r edrRows) Row(i, j0, j1 int, prev, cur []float64) {
 	xi := r.x[i-1]
 	for j := j0; j <= j1; j++ {
 		k := j - j0 + 1
@@ -240,7 +232,6 @@ func (r edrRows) Row(i, j0, j1 int, prev, cur []float64) float64 {
 		}
 		cur[k] = best
 	}
-	return math.Inf(-1)
 }
 
 // ERP is the Edit distance with Real Penalty: gaps are penalized by the
@@ -257,13 +248,21 @@ func (e ERP) Name() string { return "erp" }
 // Symmetric implements measure.Symmetric.
 func (e ERP) Symmetric() bool { return true }
 
+// dp prunes unless G is NaN: every gap and match cost is an absolute
+// value.
 func (e ERP) dp(x, y []float64) DP[erpRows] {
 	measure.CheckSameLength(x, y)
-	return DP[erpRows]{R: len(x), C: len(x), Rows: erpRows{e, x, y}}
+	return DP[erpRows]{R: len(x), C: len(x), OOB: math.Inf(1), Prune: !math.IsNaN(e.G), Rows: erpRows{e, x, y}}
 }
 
 // Distance implements measure.Measure.
 func (e ERP) Distance(x, y []float64) float64 { return e.dp(x, y).distance() }
+
+// DistanceUpTo implements measure.EarlyAbandoning through the driver's
+// cell pruning (DP.Serial); a NaN G runs the full DP.
+func (e ERP) DistanceUpTo(x, y []float64, cutoff float64) float64 {
+	return e.dp(x, y).Serial(cutoff)
+}
 
 // DistanceWavefront computes ERP on the blocked wavefront path.
 func (e ERP) DistanceWavefront(x, y []float64) float64 {
@@ -286,7 +285,7 @@ func (r erpRows) Boundary(top, left []float64) float64 {
 	return 0
 }
 
-func (r erpRows) Row(i, j0, j1 int, prev, cur []float64) float64 {
+func (r erpRows) Row(i, j0, j1 int, prev, cur []float64) {
 	xi := r.x[i-1]
 	gx := math.Abs(xi - r.G)
 	for j := j0; j <= j1; j++ {
@@ -295,9 +294,8 @@ func (r erpRows) Row(i, j0, j1 int, prev, cur []float64) float64 {
 		match := prev[k-1] + math.Abs(xi-yj)
 		gapX := prev[k] + gx
 		gapY := cur[k-1] + math.Abs(yj-r.G)
-		cur[k] = math.Min(match, math.Min(gapX, gapY))
+		cur[k] = min(match, gapX, gapY)
 	}
-	return math.Inf(-1)
 }
 
 // MSM is the Move-Split-Merge distance (Stefan, Athitsos, Das 2013): an
@@ -320,20 +318,27 @@ func (m MSM) msmCost(newPoint, a, b float64) float64 {
 	if (a <= newPoint && newPoint <= b) || (b <= newPoint && newPoint <= a) {
 		return m.C
 	}
-	return m.C + math.Min(math.Abs(newPoint-a), math.Abs(newPoint-b))
+	return m.C + min(math.Abs(newPoint-a), math.Abs(newPoint-b))
 }
 
 // dp is MSM's n-by-n cost matrix over (x[i], y[j]), i, j in [0, n): its
 // first row and column are recurrence-defined, so they form the boundary
-// and the (n-1)-by-(n-1) interior is the DP.
+// and the (n-1)-by-(n-1) interior is the DP. It prunes when C >= 0, which
+// keeps every split and merge cost non-negative.
 func (m MSM) dp(x, y []float64) DP[msmRows] {
 	measure.CheckSameLength(x, y)
 	n := max(len(x)-1, 0)
-	return DP[msmRows]{R: n, C: n, Rows: msmRows{m, x, y}}
+	return DP[msmRows]{R: n, C: n, OOB: math.Inf(1), Prune: m.C >= 0, Rows: msmRows{m, x, y}}
 }
 
 // Distance implements measure.Measure.
 func (m MSM) Distance(x, y []float64) float64 { return m.dp(x, y).distance() }
+
+// DistanceUpTo implements measure.EarlyAbandoning through the driver's
+// cell pruning (DP.Serial); a negative or NaN C runs the full DP.
+func (m MSM) DistanceUpTo(x, y []float64, cutoff float64) float64 {
+	return m.dp(x, y).Serial(cutoff)
+}
 
 // DistanceWavefront computes MSM on the blocked wavefront path.
 func (m MSM) DistanceWavefront(x, y []float64) float64 {
@@ -359,7 +364,7 @@ func (r msmRows) Boundary(top, left []float64) float64 {
 	return corner
 }
 
-func (r msmRows) Row(i, j0, j1 int, prev, cur []float64) float64 {
+func (r msmRows) Row(i, j0, j1 int, prev, cur []float64) {
 	xi, xim := r.x[i], r.x[i-1]
 	for j := j0; j <= j1; j++ {
 		k := j - j0 + 1
@@ -367,9 +372,8 @@ func (r msmRows) Row(i, j0, j1 int, prev, cur []float64) float64 {
 		move := prev[k-1] + math.Abs(xi-yj)
 		split := prev[k] + r.msmCost(xi, xim, yj)
 		merge := cur[k-1] + r.msmCost(yj, xi, r.y[j-1])
-		cur[k] = math.Min(move, math.Min(split, merge))
+		cur[k] = min(move, split, merge)
 	}
-	return math.Inf(-1)
 }
 
 // TWE is the Time Warp Edit distance (Marteau 2009): an elastic metric
@@ -387,13 +391,22 @@ func (t TWE) Name() string { return fmt.Sprintf("twe[l=%g,n=%g]", t.Lambda, t.Nu
 // Symmetric implements measure.Symmetric.
 func (t TWE) Symmetric() bool { return true }
 
+// dp prunes when Lambda and Nu are both >= 0, which keeps every edit and
+// match cost non-negative.
 func (t TWE) dp(x, y []float64) DP[tweRows] {
 	measure.CheckSameLength(x, y)
-	return DP[tweRows]{R: len(x), C: len(x), Rows: tweRows{TWE: t, x: x, y: y}}
+	return DP[tweRows]{R: len(x), C: len(x), OOB: math.Inf(1), Prune: t.Lambda >= 0 && t.Nu >= 0, Rows: tweRows{TWE: t, x: x, y: y}}
 }
 
 // Distance implements measure.Measure.
 func (t TWE) Distance(x, y []float64) float64 { return t.dp(x, y).distance() }
+
+// DistanceUpTo implements measure.EarlyAbandoning through the driver's
+// cell pruning (DP.Serial); a negative or NaN Lambda or Nu runs the full
+// DP.
+func (t TWE) DistanceUpTo(x, y []float64, cutoff float64) float64 {
+	return t.dp(x, y).Serial(cutoff)
+}
 
 // DistanceWavefront computes TWE on the blocked wavefront path.
 func (t TWE) DistanceWavefront(x, y []float64) float64 {
@@ -409,7 +422,7 @@ type tweRows struct {
 // Row follows the reference treatment, which pads both series with a
 // leading zero sample at time 0; the pad is realized by index arithmetic
 // (xi/xim, yj/yjm) instead of copies, so calls stay allocation-free.
-func (r tweRows) Row(i, j0, j1 int, prev, cur []float64) float64 {
+func (r tweRows) Row(i, j0, j1 int, prev, cur []float64) {
 	xi := r.x[i-1] // xp[i]
 	xim := 0.0     // xp[i-1]: the pad sample when i == 1
 	if i > 1 {
@@ -430,9 +443,8 @@ func (r tweRows) Row(i, j0, j1 int, prev, cur []float64) float64 {
 		// Match: advance both, with stiffness on the time difference.
 		match := prev[k-1] + math.Abs(xi-yj) + math.Abs(xim-yjm) +
 			2*r.Nu*math.Abs(float64(i-j))
-		cur[k] = math.Min(match, math.Min(delA, delB))
+		cur[k] = min(match, delA, delB)
 	}
-	return math.Inf(-1)
 }
 
 // Swale is the Sequence Weighted Alignment model (Morse & Patel 2007): a
@@ -470,17 +482,16 @@ func (r swaleRows) Boundary(top, left []float64) float64 {
 	return -r.P * float64(0)
 }
 
-func (r swaleRows) Row(i, j0, j1 int, prev, cur []float64) float64 {
+func (r swaleRows) Row(i, j0, j1 int, prev, cur []float64) {
 	xi := r.x[i-1]
 	for j := j0; j <= j1; j++ {
 		k := j - j0 + 1
 		if math.Abs(xi-r.y[j-1]) <= r.Epsilon {
 			cur[k] = prev[k-1] + r.R
 		} else {
-			cur[k] = math.Max(prev[k], cur[k-1]) - r.P
+			cur[k] = max(prev[k], cur[k-1]) - r.P
 		}
 	}
-	return math.Inf(-1)
 }
 
 // All returns one representative instance of each of the 7 elastic

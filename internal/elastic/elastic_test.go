@@ -480,8 +480,10 @@ func BenchmarkMSM(b *testing.B) {
 }
 
 // TestUnbandedDTW: on equal-length finite input UnbandedDTW is bitwise the
-// unconstrained Distance; it also aligns unequal lengths, and where a NaN
-// row makes Distance stop at +Inf it evaluates through to NaN.
+// unconstrained Distance; it also aligns unequal lengths, and where an
+// all-+Inf row makes Distance stop at +Inf it evaluates through to the NaN
+// of a later row. A NaN row alone is live, so Distance evaluates through
+// it too.
 func TestUnbandedDTW(t *testing.T) {
 	x, y := randomSeries(41, 50), randomSeries(42, 50)
 	if got, want := UnbandedDTW(x, y), (DTW{DeltaPercent: 100}).Distance(x, y); math.Float64bits(got) != math.Float64bits(want) {
@@ -494,11 +496,15 @@ func TestUnbandedDTW(t *testing.T) {
 		t.Fatalf("empty side: %v, want 0", d)
 	}
 	xn := append([]float64(nil), x...)
-	xn[10] = math.NaN()
+	xn[20] = math.NaN()
+	if d := (DTW{DeltaPercent: 100}).Distance(xn, y); !math.IsNaN(d) {
+		t.Fatalf("Distance on a NaN row = %v, want NaN", d)
+	}
+	xn[10] = math.Inf(1)
 	if d := (DTW{DeltaPercent: 100}).Distance(xn, y); !math.IsInf(d, 1) {
-		t.Fatalf("Distance on a NaN row = %v, want +Inf", d)
+		t.Fatalf("Distance past an all-+Inf row = %v, want +Inf", d)
 	}
 	if d := UnbandedDTW(xn, y); !math.IsNaN(d) {
-		t.Fatalf("UnbandedDTW on a NaN row = %v, want NaN", d)
+		t.Fatalf("UnbandedDTW past an all-+Inf row = %v, want NaN", d)
 	}
 }

@@ -112,7 +112,7 @@ type wdtwRows struct {
 	weights, x, y []float64
 }
 
-func (r wdtwRows) Row(i, j0, j1 int, prev, cur []float64) float64 {
+func (r wdtwRows) Row(i, j0, j1 int, prev, cur []float64) {
 	for j := j0; j <= j1; j++ {
 		k := j - j0 + 1
 		diff := r.x[i-1] - r.y[j-1]
@@ -130,7 +130,6 @@ func (r wdtwRows) Row(i, j0, j1 int, prev, cur []float64) float64 {
 		}
 		cur[k] = best + c
 	}
-	return math.Inf(-1)
 }
 
 // CID wraps any base measure with the Complexity-Invariant correction of

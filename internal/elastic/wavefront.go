@@ -53,8 +53,8 @@ func SetWavefrontBlock(n int) (restore func()) {
 
 // Wavefront runs the DP by blocked anti-diagonal wavefront and returns
 // DP(R, C), bitwise the value of Serial with an infinite cutoff on finite
-// input. It never abandons: on non-finite input Serial can stop at an
-// all-+Inf row (DTW's row bound) that the wavefront evaluates through, so
+// input. It never prunes: on non-finite input Serial skips the cells whose
+// predecessors are all +Inf, where a NaN cost can make the full DP NaN, so
 // there the two agree only after measure.Sanitize. Out-of-band blocks are
 // skipped and their boundaries filled with OOB.
 func (p DP[K]) Wavefront() float64 {

@@ -96,9 +96,9 @@ func allFinite(s []float64) bool {
 // route: for every Table-4 grid point, across block edges, lengths that
 // exercise single-block, ragged-edge and multi-diagonal schedules, and
 // worker counts, the wavefront must be bitwise-identical to the serial DP on
-// finite input. On NaN and ±Inf input the serial DTW can stop at an
-// all-+Inf row that the wavefront evaluates through, so there the two must
-// agree after measure.Sanitize (the oracle's rule). Passing at GOMAXPROCS 1
+// finite input. On NaN and ±Inf input the serial path's pruning at +Inf
+// can skip cells that the wavefront evaluates, so there the two must agree
+// after measure.Sanitize (the oracle's rule). Passing at GOMAXPROCS 1
 // and 4 checks that the blocked result does not depend on the worker count.
 func TestWavefrontBitwiseScalar(t *testing.T) {
 	defer func(b int) { wfBlock = b }(wfBlock)
@@ -140,8 +140,9 @@ func TestWavefrontEmpty(t *testing.T) {
 	}
 }
 
-// TestElasticDistanceAllocFree: every serial elastic Distance runs
-// allocation-free once the driver's row pool is warm.
+// TestElasticDistanceAllocFree: every serial elastic Distance, and every
+// DistanceUpTo at a cutoff that prunes, runs allocation-free once the
+// driver's row pool is warm.
 func TestElasticDistanceAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under -race; allocation counts are meaningless")
@@ -156,24 +157,30 @@ func TestElasticDistanceAllocFree(t *testing.T) {
 		ERP{}, MSM{C: 0.5}, TWE{Lambda: 1, Nu: 0.0001}, Swale{Epsilon: 0.2, P: 5, R: 1},
 	}
 	for _, m := range measures {
-		m.Distance(x, y) // warm the pool
+		d := m.Distance(x, y) // warm the pool
 		if allocs := testing.AllocsPerRun(50, func() { m.Distance(x, y) }); allocs != 0 {
 			t.Errorf("%s: %.1f allocs/op warm, want 0", m.Name(), allocs)
+		}
+		if ea, ok := m.(measure.EarlyAbandoning); ok {
+			if allocs := testing.AllocsPerRun(50, func() { ea.DistanceUpTo(x, y, d/2) }); allocs != 0 {
+				t.Errorf("%s: DistanceUpTo %.1f allocs/op warm, want 0", m.Name(), allocs)
+			}
 		}
 	}
 }
 
 // Benchmarks for the serial-vs-wavefront crossover that sets
 // wavefrontMinSpan; make bench records them into BENCH_hotloops.json. DTW
-// runs a 10% band (205, 409 and 819 cells wide at n=1024, 2048 and 4096);
-// MSM is unbanded.
+// runs a 10% band (205, 409, 513 and 819 cells wide at n=1024, 2048, 2560
+// and 4096); MSM is unbanded (511, 767 and 1023 cells at n=512, 768 and
+// 1024).
 func benchSeries(n int) ([]float64, []float64) {
 	rng := rand.New(rand.NewSource(3))
 	return wfSeries(rng, n), wfSeries(rng, n)
 }
 
 func BenchmarkHotloopsDTWScalar(b *testing.B) {
-	for _, n := range []int{1024, 2048, 4096} {
+	for _, n := range []int{1024, 2048, 2560, 4096} {
 		x, y := benchSeries(n)
 		d := DTW{DeltaPercent: 10}
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -186,7 +193,7 @@ func BenchmarkHotloopsDTWScalar(b *testing.B) {
 }
 
 func BenchmarkHotloopsDTWWavefront(b *testing.B) {
-	for _, n := range []int{1024, 2048, 4096} {
+	for _, n := range []int{1024, 2048, 2560, 4096} {
 		x, y := benchSeries(n)
 		d := DTW{DeltaPercent: 10}
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -199,25 +206,29 @@ func BenchmarkHotloopsDTWWavefront(b *testing.B) {
 }
 
 func BenchmarkHotloopsMSMScalar(b *testing.B) {
-	x, y := benchSeries(1024)
-	p := MSM{C: 0.5}.dp(x, y)
-	b.Run("n=1024", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			p.Serial(math.Inf(1))
-		}
-	})
+	for _, n := range []int{512, 768, 1024} {
+		x, y := benchSeries(n)
+		p := MSM{C: 0.5}.dp(x, y)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p.Serial(math.Inf(1))
+			}
+		})
+	}
 }
 
 func BenchmarkHotloopsMSMWavefront(b *testing.B) {
-	x, y := benchSeries(1024)
-	m := MSM{C: 0.5}
-	b.Run("n=1024", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			m.DistanceWavefront(x, y)
-		}
-	})
+	for _, n := range []int{512, 768, 1024} {
+		x, y := benchSeries(n)
+		m := MSM{C: 0.5}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m.DistanceWavefront(x, y)
+			}
+		})
+	}
 }
 
 func BenchmarkHotloopsMSMDistance(b *testing.B) {

@@ -5,7 +5,7 @@ package multivariate
 // vector-cost row function; the DPs run over the m-by-n cost matrix — the
 // two series may differ in length, exactly as in the univariate
 // definitions — on the serial path of the internal/elastic DP driver,
-// which owns the pooled rows, band and abandoning, so warm calls are
+// which owns the pooled rows, band and cell pruning, so warm calls are
 // allocation-free. Point costs reduce to the univariate costs at one
 // channel (squared difference for DTW, absolute difference for ERP and
 // MSM) and each row function combines them in its univariate counterpart's
@@ -62,8 +62,8 @@ func (d DTWDependent) Symmetric() bool { return true }
 func (d DTWDependent) Distance(x, y Series) float64 { return d.DistanceUpTo(x, y, math.Inf(1)) }
 
 // DistanceUpTo implements EarlyAbandoning with the univariate DTW
-// contract: banded DP abandoned once an entire row reaches cutoff, the row
-// minimum being a certified lower bound.
+// contract: the banded DP under the driver's cell pruning, abandoned with
+// cutoff once a row has no cell below it.
 func (d DTWDependent) DistanceUpTo(x, y Series, cutoff float64) float64 {
 	checkChannels(x, y)
 	// The band is the univariate window of the longer series, widened to
@@ -71,7 +71,7 @@ func (d DTWDependent) DistanceUpTo(x, y Series, cutoff float64) float64 {
 	// the univariate window.
 	m, n := len(x), len(y)
 	w := max(elastic.WindowSize(d.DeltaPercent, max(m, n)), m-n, n-m)
-	return elastic.DP[dtwRows]{R: m, C: n, W: w, OOB: math.Inf(1), Rows: dtwRows{x: x, y: y}}.Serial(cutoff)
+	return elastic.DP[dtwRows]{R: m, C: n, W: w, OOB: math.Inf(1), Prune: true, Rows: dtwRows{x: x, y: y}}.Serial(cutoff)
 }
 
 type dtwRows struct {
@@ -79,10 +79,8 @@ type dtwRows struct {
 	x, y Series
 }
 
-// Row returns the row minimum, DTW's certified lower bound.
-func (r dtwRows) Row(i, j0, j1 int, prev, cur []float64) float64 {
+func (r dtwRows) Row(i, j0, j1 int, prev, cur []float64) {
 	xi := r.x[i-1]
-	rowMin := math.Inf(1)
 	for j := j0; j <= j1; j++ {
 		k := j - j0 + 1
 		c := sqDist(xi, r.y[j-1])
@@ -93,13 +91,8 @@ func (r dtwRows) Row(i, j0, j1 int, prev, cur []float64) float64 {
 		if cur[k-1] < best {
 			best = cur[k-1] // deletion
 		}
-		v := c + best
-		cur[k] = v
-		if v < rowMin {
-			rowMin = v
-		}
+		cur[k] = c + best
 	}
-	return rowMin
 }
 
 // ERPDependent is multivariate ERP with vector-valued points: gaps are
@@ -130,9 +123,13 @@ func (e ERPDependent) gapCost(p []float64) float64 {
 }
 
 // Distance implements Measure.
-func (e ERPDependent) Distance(x, y Series) float64 {
+func (e ERPDependent) Distance(x, y Series) float64 { return e.DistanceUpTo(x, y, math.Inf(1)) }
+
+// DistanceUpTo implements EarlyAbandoning through the driver's cell
+// pruning; a NaN G runs the full DP.
+func (e ERPDependent) DistanceUpTo(x, y Series, cutoff float64) float64 {
 	checkChannels(x, y)
-	return elastic.DP[erpRows]{R: len(x), C: len(y), Rows: erpRows{e, x, y}}.Serial(math.Inf(1))
+	return elastic.DP[erpRows]{R: len(x), C: len(y), OOB: math.Inf(1), Prune: !math.IsNaN(e.G), Rows: erpRows{e, x, y}}.Serial(cutoff)
 }
 
 type erpRows struct {
@@ -155,7 +152,7 @@ func (r erpRows) Boundary(top, left []float64) float64 {
 	return 0
 }
 
-func (r erpRows) Row(i, j0, j1 int, prev, cur []float64) float64 {
+func (r erpRows) Row(i, j0, j1 int, prev, cur []float64) {
 	xi := r.x[i-1]
 	gx := r.gapCost(xi)
 	for j := j0; j <= j1; j++ {
@@ -164,9 +161,8 @@ func (r erpRows) Row(i, j0, j1 int, prev, cur []float64) float64 {
 		match := prev[k-1] + l1Dist(xi, yj)
 		gapX := prev[k] + gx
 		gapY := cur[k-1] + r.gapCost(yj)
-		cur[k] = math.Min(match, math.Min(gapX, gapY))
+		cur[k] = min(match, gapX, gapY)
 	}
-	return math.Inf(-1)
 }
 
 // MSMDependent is multivariate Move-Split-Merge with vector-valued points:
@@ -200,11 +196,15 @@ func (m MSMDependent) msmCost(p, a, b []float64) float64 {
 	if between {
 		return m.C
 	}
-	return m.C + math.Min(dpa, dpb)
+	return m.C + min(dpa, dpb)
 }
 
 // Distance implements Measure.
-func (m MSMDependent) Distance(x, y Series) float64 {
+func (m MSMDependent) Distance(x, y Series) float64 { return m.DistanceUpTo(x, y, math.Inf(1)) }
+
+// DistanceUpTo implements EarlyAbandoning through the driver's cell
+// pruning; a negative or NaN C runs the full DP.
+func (m MSMDependent) DistanceUpTo(x, y Series, cutoff float64) float64 {
 	checkChannels(x, y)
 	mm, n := len(x), len(y)
 	if mm == 0 && n == 0 {
@@ -213,7 +213,7 @@ func (m MSMDependent) Distance(x, y Series) float64 {
 	if mm == 0 || n == 0 {
 		return math.Inf(1)
 	}
-	return elastic.DP[msmRows]{R: mm - 1, C: n - 1, Rows: msmRows{m, x, y}}.Serial(math.Inf(1))
+	return elastic.DP[msmRows]{R: mm - 1, C: n - 1, OOB: math.Inf(1), Prune: m.C >= 0, Rows: msmRows{m, x, y}}.Serial(cutoff)
 }
 
 // msmRows runs MSM's interior over (x[i], y[j]), i, j >= 1; the
@@ -238,7 +238,7 @@ func (r msmRows) Boundary(top, left []float64) float64 {
 	return corner
 }
 
-func (r msmRows) Row(i, j0, j1 int, prev, cur []float64) float64 {
+func (r msmRows) Row(i, j0, j1 int, prev, cur []float64) {
 	xi, xim := r.x[i], r.x[i-1]
 	for j := j0; j <= j1; j++ {
 		k := j - j0 + 1
@@ -246,7 +246,6 @@ func (r msmRows) Row(i, j0, j1 int, prev, cur []float64) float64 {
 		move := prev[k-1] + l1Dist(xi, yj)
 		split := prev[k] + r.msmCost(xi, xim, yj)
 		merge := cur[k-1] + r.msmCost(yj, xi, r.y[j-1])
-		cur[k] = math.Min(move, math.Min(split, merge))
+		cur[k] = min(move, split, merge)
 	}
-	return math.Inf(-1)
 }

@@ -84,11 +84,7 @@ func (ind Independent) DistanceUpTo(x, y Series, cutoff float64) float64 {
 		cx := x.ChannelInto(c, bufA)
 		cy := y.ChannelInto(c, bufB)
 		if hasEA {
-			rem := cutoff - sum
-			if math.IsNaN(rem) {
-				rem = math.Inf(1)
-			}
-			sum += ea.DistanceUpTo(cx, cy, rem)
+			sum += ea.DistanceUpTo(cx, cy, budget(sum, cutoff))
 		} else {
 			sum += ind.Base.Distance(cx, cy)
 		}
@@ -97,4 +93,20 @@ func (ind Independent) DistanceUpTo(x, y Series, cutoff float64) float64 {
 		}
 	}
 	return sum
+}
+
+// budget is the per-channel cutoff left after sum: cutoff-sum raised until
+// sum + r >= cutoff holds in floating point, so that a channel abandoned at
+// r (any value >= r) certifies the total. The rounded difference alone can
+// leave sum + r one ulp below cutoff. A NaN difference (a NaN sum or
+// cutoff, or +Inf on both sides) gives +Inf: nothing to abandon against.
+func budget(sum, cutoff float64) float64 {
+	r := cutoff - sum
+	if math.IsNaN(r) {
+		return math.Inf(1)
+	}
+	for sum+r < cutoff {
+		r = math.Nextafter(r, math.Inf(1))
+	}
+	return r
 }

@@ -319,3 +319,52 @@ func TestDependentEmptySides(t *testing.T) {
 		}
 	}
 }
+
+// abandonAtCutoff is a contract-legal EarlyAbandoning base: the L1
+// distance, abandoned at exactly its cutoff whenever it reaches it.
+type abandonAtCutoff struct{}
+
+func (abandonAtCutoff) Name() string { return "l1-abandon-at-cutoff" }
+
+func (abandonAtCutoff) Distance(x, y []float64) float64 {
+	var s float64
+	for i := range x {
+		s += math.Abs(x[i] - y[i])
+	}
+	return s
+}
+
+func (a abandonAtCutoff) DistanceUpTo(x, y []float64, cutoff float64) float64 {
+	if d := a.Distance(x, y); d < cutoff {
+		return d
+	}
+	return cutoff
+}
+
+// TestIndependentAbandonCertifiesCutoff: a channel abandoned at exactly its
+// budget must leave the sum in [cutoff, Distance]. On the fixed pair the
+// rounded budget cutoff-sum alone left the sum one ulp below the cutoff;
+// the random pairs check the contract more widely.
+func TestIndependentAbandonCertifiesCutoff(t *testing.T) {
+	ind := Independent{Base: abandonAtCutoff{}}
+	check := func(x, y Series, cutoff float64) {
+		t.Helper()
+		d := ind.Distance(x, y)
+		v := ind.DistanceUpTo(x, y, cutoff)
+		if d < cutoff {
+			if v != d {
+				t.Fatalf("cutoff %v: DistanceUpTo = %v, want exact %v", cutoff, v, d)
+			}
+		} else if v < cutoff || v > d {
+			t.Fatalf("cutoff %v: DistanceUpTo = %v outside [cutoff, Distance %v]", cutoff, v, d)
+		}
+	}
+	check(Series{{0, 0}}, Series{{0.3702183447347386, 3.325455931056241}}, 1.8478371378954896)
+	rng := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 2000; trial++ {
+		d := 2 + rng.Intn(4)
+		x := randMV(rng, 1+rng.Intn(3), d)
+		y := randMV(rng, len(x), d)
+		check(x, y, ind.Distance(x, y)*rng.Float64())
+	}
+}

@@ -75,12 +75,11 @@ type softRows struct {
 	gamma float64
 }
 
-func (r softRows) Row(i, j0, j1 int, prev, cur []float64) float64 {
+func (r softRows) Row(i, j0, j1 int, prev, cur []float64) {
 	xi := r.x[i-1]
 	for j := j0; j <= j1; j++ {
 		k := j - j0 + 1
 		cost := sqDist(xi, r.y[j-1])
 		cur[k] = cost + softMin3(prev[k-1], prev[k], cur[k-1], r.gamma)
 	}
-	return math.Inf(-1)
 }

@@ -26,7 +26,7 @@ type wavefronter interface {
 type Discrepancy struct {
 	Measure string
 	Input   string
-	Kind    string // oracle | symmetry | stateful | gridstate | upto | wavefront | panel | lowerbound | panic | engine
+	Kind    string // oracle | symmetry | stateful | gridstate | upto | wavefront | panel | lowerbound | nesting | panic | engine
 	Detail  string
 }
 
@@ -181,35 +181,13 @@ func CheckPair(r *Report, p Pair, in Input) {
 		})
 	}
 
-	// EarlyAbandoning: with an infinite cutoff, and with any cutoff the
-	// final value stays below, DistanceUpTo must equal Distance exactly;
-	// with a cutoff below the distance it must return a certified lower
-	// bound in [cutoff, Distance].
+	// EarlyAbandoning: the DistanceUpTo contract at cutoffs around got.
 	if ea, ok := p.M.(measure.EarlyAbandoning); ok {
 		r.Checks++
 		call(r, name, in.Name, "DistanceUpTo", func() {
-			if v := ea.DistanceUpTo(in.X, in.Y, math.Inf(1)); !sameValue(v, got) {
-				r.add(name, in.Name, "upto", "DistanceUpTo(+Inf)=%v Distance=%v", v, got)
-			}
-			if !math.IsNaN(got) && !math.IsInf(got, 0) {
-				if v := ea.DistanceUpTo(in.X, in.Y, got*1.5+1); !sameValue(v, got) {
-					r.add(name, in.Name, "upto", "cutoff not hit: DistanceUpTo=%v Distance=%v", v, got)
-				}
-				cutoff := got / 2
-				v := ea.DistanceUpTo(in.X, in.Y, cutoff)
-				if got < cutoff {
-					// A negative distance (rounding noise on similarity-style
-					// measures like cosine) puts got/2 above it, so the
-					// exact-value clause of the contract applies.
-					if !sameValue(v, got) {
-						r.add(name, in.Name, "upto",
-							"below-cutoff value not exact: DistanceUpTo=%v Distance=%v", v, got)
-					}
-				} else if v < cutoff || v > got {
-					r.add(name, in.Name, "upto",
-						"abandoned value %v outside [cutoff=%v, d=%v]", v, cutoff, got)
-				}
-			}
+			checkUpTo(r, name, in.Name, got, p.Tol, wellBehaved, func(cutoff float64) float64 {
+				return ea.DistanceUpTo(in.X, in.Y, cutoff)
+			})
 		})
 	}
 
@@ -245,6 +223,82 @@ func CheckPair(r *Report, p Pair, in Input) {
 				r.add(name, in.Name, "lowerbound", "LowerBound=%v > Distance=%v", v, sd)
 			}
 		})
+	}
+}
+
+// checkUpTo runs the EarlyAbandoning DistanceUpTo contract for one pair
+// whose Distance is got. Infinite and NaN cutoffs abandon nothing, so they
+// must reproduce got: bitwise on well-behaved input, after sanitization
+// otherwise. For a finite got, every cutoff above got must give got
+// exactly, and every cutoff at or below it a certified lower bound in
+// [cutoff, got]; the cutoffs one ulp either side of got and got itself are
+// where a pruning rule's >= against < boundary shows.
+func checkUpTo(r *Report, name, input string, got, tol float64, wellBehaved bool, upTo func(cutoff float64) float64) {
+	if v := upTo(math.Inf(1)); !sameValue(v, got) {
+		r.add(name, input, "upto", "DistanceUpTo(+Inf)=%v Distance=%v", v, got)
+	}
+	if v := upTo(math.NaN()); (wellBehaved && !sameValue(v, got)) || !agree(v, got, tol) {
+		r.add(name, input, "upto", "DistanceUpTo(NaN)=%v Distance=%v", v, got)
+	}
+	if math.IsNaN(got) || math.IsInf(got, 0) {
+		return
+	}
+	for _, cutoff := range []float64{
+		got*1.5 + 1, math.Nextafter(got, math.Inf(1)), got, math.Nextafter(got, math.Inf(-1)), got / 2,
+	} {
+		v := upTo(cutoff)
+		if got < cutoff {
+			// A negative distance (rounding noise on similarity-style
+			// measures like cosine) puts got/2 above it, so the exact-value
+			// clause of the contract applies there too.
+			if !sameValue(v, got) {
+				r.add(name, input, "upto",
+					"cutoff=%v: below-cutoff value not exact: DistanceUpTo=%v Distance=%v", cutoff, v, got)
+			}
+		} else if v < cutoff || v > got {
+			r.add(name, input, "upto",
+				"cutoff=%v: abandoned value %v outside [cutoff, d=%v]", cutoff, v, got)
+		}
+	}
+}
+
+// CheckNestedBounds checks the grid monotonicity that measure.NestedBounds
+// declares: on every finite corpus input, a.Distance <= b.Distance for
+// every pair of g's candidates with a.DominatedBy(b). The grid engine seeds
+// warm starts from these declarations and repairs a row whose bound proves
+// unachievable, so a false declaration costs work, not exactness; this
+// check guards the claim itself.
+func CheckNestedBounds(r *Report, g eval.Grid, corpus []Input) {
+	var nested []int
+	for k, m := range g.Candidates {
+		if _, ok := m.(measure.NestedBounds); ok {
+			nested = append(nested, k)
+		}
+	}
+	if len(nested) == 0 {
+		return
+	}
+	d := make([]float64, len(g.Candidates))
+	for _, in := range corpus {
+		if !in.Finite {
+			continue
+		}
+		for k, m := range g.Candidates {
+			d[k] = m.Distance(in.X, in.Y)
+		}
+		for _, a := range nested {
+			nb := g.Candidates[a].(measure.NestedBounds)
+			for b, other := range g.Candidates {
+				if b == a || !nb.DominatedBy(other) {
+					continue
+				}
+				r.Checks++
+				if !(d[a] <= d[b]) {
+					r.add(nb.Name(), in.Name, "nesting", "%v > %s = %v, which it declares dominates it",
+						d[a], other.Name(), d[b])
+				}
+			}
+		}
 	}
 }
 
@@ -422,9 +476,26 @@ func CheckEngines(r *Report, m measure.Measure, queries, refs [][]float64) {
 	})
 }
 
+// poisonSets returns copies of an engine query/reference set with NaN,
+// +Inf and -Inf planted in some of its series.
+func poisonSets(queries, refs [][]float64) (pq, pr [][]float64) {
+	pq = append([][]float64(nil), queries...)
+	pr = append([][]float64(nil), refs...)
+	plant := func(s []float64, at int, v float64) []float64 {
+		return poison(append([]float64(nil), s...), at%len(s), v)
+	}
+	pr[2] = plant(pr[2], 3, math.NaN())
+	pr[4] = plant(pr[4], 5, math.Inf(1))
+	pr[8] = plant(pr[8], 0, math.Inf(-1))
+	pq[0] = plant(pq[0], 7, math.NaN())
+	pq[2] = plant(pq[2], 1, math.Inf(1))
+	return pq, pr
+}
+
 // Fuzz drives the full harness for one seed: every registry pair against
-// every corpus input, the mismatched-length contract, and both search
-// engines on small reference sets (one zero-mean, one strictly positive
+// every corpus input, the mismatched-length contract, the declared grid
+// nestings on the finite corpus, and both search engines on small
+// reference sets (one zero-mean, one strictly positive
 // for the probability-style measures), each salted with duplicate series
 // so exact ties exercise tie-breaking.
 func Fuzz(seed int64) *Report {
@@ -466,11 +537,19 @@ func Fuzz(seed int64) *Report {
 			CheckPanel(r, pe, series[len(series)-1], series, fmt.Sprintf("panel-tail-q/len=%d", n))
 		}
 	}
+	for _, g := range eval.Grids() {
+		CheckNestedBounds(r, g, corpus)
+	}
 	queries, refs := EngineSets(seed, false)
 	pqueries, prefs := EngineSets(seed, true)
+	// The same sets with NaN and ±Inf planted in a few queries and
+	// references: the pruned routes (abandoned DPs, skipped cells, lower
+	// bounds) must still pick the exhaustive neighbors after sanitization.
+	nqueries, nrefs := poisonSets(queries, refs)
 	for _, p := range pairs {
 		CheckEngines(r, p.M, queries, refs)
 		CheckEngines(r, p.M, pqueries, prefs)
+		CheckEngines(r, p.M, nqueries, nrefs)
 	}
 
 	// Snapshot route: snapshot-backed search/eval must be bitwise identical

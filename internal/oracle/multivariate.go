@@ -478,25 +478,9 @@ func CheckMVPair(r *Report, p MVPair, in MVInput) {
 	if ea, ok := p.M.(multivariate.EarlyAbandoning); ok {
 		r.Checks++
 		call(r, name, in.Name, "DistanceUpTo", func() {
-			if v := ea.DistanceUpTo(in.X, in.Y, math.Inf(1)); !sameValue(v, got) {
-				r.add(name, in.Name, "upto", "DistanceUpTo(+Inf)=%v Distance=%v", v, got)
-			}
-			if !math.IsNaN(got) && !math.IsInf(got, 0) {
-				if v := ea.DistanceUpTo(in.X, in.Y, got*1.5+1); !sameValue(v, got) {
-					r.add(name, in.Name, "upto", "cutoff not hit: DistanceUpTo=%v Distance=%v", v, got)
-				}
-				cutoff := got / 2
-				v := ea.DistanceUpTo(in.X, in.Y, cutoff)
-				if got < cutoff {
-					if !sameValue(v, got) {
-						r.add(name, in.Name, "upto",
-							"below-cutoff value not exact: DistanceUpTo=%v Distance=%v", v, got)
-					}
-				} else if v < cutoff || v > got {
-					r.add(name, in.Name, "upto",
-						"abandoned value %v outside [cutoff=%v, d=%v]", v, cutoff, got)
-				}
-			}
+			checkUpTo(r, name, in.Name, got, p.Tol, wellBehaved, func(cutoff float64) float64 {
+				return ea.DistanceUpTo(in.X, in.Y, cutoff)
+			})
 		})
 	}
 }
