@@ -23,17 +23,18 @@ vet:
 race: check-race
 
 # Race-check the concurrency-heavy packages: the parallel dispatcher, the
-# pruned search engine and the evaluation layer driving it, the spectral
-# engine's tiled dispatch (the parallel Gram fill/mirroring in
-# internal/kernel and the parallel embedding fits), the wavefront DP
-# scheduler plus the batched panel kernels, the STOMP matrix-profile
-# engine's block dispatch, the index builders (now including the parallel
-# VP-tree build), the corpus snapshot builder plus its LRU cache, the ANN
-# engine's parallel embed/build plus its shared-index concurrent Queriers,
-# and the multivariate layer's parallel 1-NN classifier plus its shared
+# pruned search engine and the evaluation layer driving it, the pooled
+# cross-correlation scratch of internal/fft and SINK's concurrent prepared
+# pair kernel in internal/kernel, the parallel embedding fits (GRAIL's
+# landmark Gram fill and mirroring), the wavefront DP scheduler plus the
+# batched panel kernels, the STOMP matrix-profile engine's block dispatch,
+# the index builders (now including the parallel VP-tree build), the
+# corpus snapshot builder plus its LRU cache, the ANN engine's parallel
+# embed/build plus its shared-index concurrent Queriers, and the
+# multivariate layer's parallel 1-NN classifier plus its shared
 # row/channel scratch pools.
 check-race:
-	GOMAXPROCS=4 $(GO) test -race ./internal/par ./internal/eval ./internal/search ./internal/kernel ./internal/embedding ./internal/elastic ./internal/lockstep ./internal/profile ./internal/index ./internal/corpus ./internal/ann ./internal/multivariate
+	GOMAXPROCS=4 $(GO) test -race ./internal/par ./internal/eval ./internal/search ./internal/fft ./internal/kernel ./internal/embedding ./internal/elastic ./internal/lockstep ./internal/profile ./internal/index ./internal/corpus ./internal/ann ./internal/multivariate
 
 # Differential oracle harness under the race detector: every measure
 # against its reference implementation plus both search engines against
@@ -49,10 +50,10 @@ oracle-long:
 # Worker-count determinism gate: the golden experiment outputs and the
 # oracle's fixed seed schedule must pass unchanged on one, two and four
 # workers (two is the benchmark host's core count). Wavefront DPs,
-# lock-step panels, Gram tiles, the VP-tree build, the grid and pruned
-# search engines and STOMP blocks all promise results that do not depend
-# on the worker count. -count=1 bypasses the test cache, which does not
-# key on GOMAXPROCS.
+# lock-step panels, the prepared matrix rows and GRAIL's landmark Gram,
+# the VP-tree build, the grid and pruned search engines and STOMP blocks
+# all promise results that do not depend on the worker count. -count=1
+# bypasses the test cache, which does not key on GOMAXPROCS.
 determinism:
 	GOMAXPROCS=1 $(GO) test -count=1 -run TestGoldenExperimentOutputs ./cmd/tsbench
 	GOMAXPROCS=2 $(GO) test -count=1 -run TestGoldenExperimentOutputs ./cmd/tsbench
@@ -62,16 +63,16 @@ determinism:
 	GOMAXPROCS=4 $(GO) test -count=1 -run Oracle ./internal/oracle
 
 # Smoke-run every benchmark once, then measure the grid tuning benchmarks
-# (per-candidate loop vs grid engine), the spectral engine, the hot-loop
-# kernels (scalar DP vs wavefront, per-pair vs batched panel), and the
-# matrix-profile engine (STOMP vs the STAMP baseline) with allocation
-# counts, recording each set via cmd/benchjson. Every set runs -count=3;
+# (per-candidate loop vs grid engine), the square SINK matrix and the
+# eigensolvers, the hot-loop kernels (scalar DP vs wavefront, per-pair vs
+# batched panel), and the matrix-profile engine (STOMP vs the STAMP
+# baseline) with allocation counts, recording each set via cmd/benchjson. Every set runs -count=3;
 # benchjson keeps each benchmark's minimum ns/op across the repetitions,
 # since co-tenant noise on shared machines only ever adds time.
 bench:
 	$(GO) test -bench . -benchtime 1x -benchmem ./...
 	$(GO) test -bench BenchmarkGridTuning -benchtime 5x -count=3 -benchmem ./internal/search | $(GO) run ./cmd/benchjson -o BENCH_tuning.json
-	$(GO) test -bench 'BenchmarkGram|BenchmarkEigenSym' -count=3 -benchmem ./internal/kernel ./internal/linalg | $(GO) run ./cmd/benchjson -o BENCH_spectral.json
+	$(GO) test -bench 'BenchmarkSINKMatrix|BenchmarkEigenSym' -count=3 -benchmem ./internal/kernel ./internal/linalg | $(GO) run ./cmd/benchjson -o BENCH_spectral.json
 	$(GO) test -bench BenchmarkHotloops -count=3 -benchmem ./internal/elastic ./internal/lockstep | $(GO) run ./cmd/benchjson -o BENCH_hotloops.json
 	$(GO) test -bench BenchmarkProfile -count=3 -benchmem ./internal/profile | $(GO) run ./cmd/benchjson -o BENCH_profile.json
 	$(GO) test -bench BenchmarkSnapshot -count=3 -benchmem ./internal/corpus | $(GO) run ./cmd/benchjson -o BENCH_snapshot.json
@@ -92,7 +93,7 @@ bench:
 bench-compare:
 	$(GO) test -bench BenchmarkGridTuning -benchtime 5x -count=3 -benchmem ./internal/search | $(GO) run ./cmd/benchjson -o /tmp/bench_new_tuning.json
 	$(GO) run ./cmd/benchcompare -old BENCH_tuning.json -new /tmp/bench_new_tuning.json -threshold 35
-	$(GO) test -bench 'BenchmarkGram|BenchmarkEigenSym' -count=3 -benchmem ./internal/kernel ./internal/linalg | $(GO) run ./cmd/benchjson -o /tmp/bench_new_spectral.json
+	$(GO) test -bench 'BenchmarkSINKMatrix|BenchmarkEigenSym' -count=3 -benchmem ./internal/kernel ./internal/linalg | $(GO) run ./cmd/benchjson -o /tmp/bench_new_spectral.json
 	$(GO) run ./cmd/benchcompare -old BENCH_spectral.json -new /tmp/bench_new_spectral.json -threshold 35
 	$(GO) test -bench BenchmarkHotloops -count=3 -benchmem ./internal/elastic ./internal/lockstep | $(GO) run ./cmd/benchjson -o /tmp/bench_new_hotloops.json
 	$(GO) run ./cmd/benchcompare -old BENCH_hotloops.json -new /tmp/bench_new_hotloops.json -threshold 35

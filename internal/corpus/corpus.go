@@ -2,11 +2,11 @@
 // separates *corpus build* from *query execute*: an immutable Snapshot
 // holds a reference set together with every per-series state the search
 // and evaluation engines would otherwise re-derive on each call —
-// measure.Stateful preparations (FFT plans, norms, DP profiles),
-// measure.GridStateful shared cores (one spectrum + self cross-correlation
-// per series for a whole SINK gamma sweep), filled measure.LowerBounded
-// bound contexts (the Lemire envelopes of the DTW cascade), per-series
-// finiteness flags, and GRAIL approximate indexes.
+// measure.Stateful preparations (FFT plans, norms, self-kernels), filled
+// measure.LowerBounded bound contexts (the Lemire envelopes of the DTW
+// cascade), per-series finiteness flags, and GRAIL approximate indexes.
+// State is keyed by measure name: a snapshot serves exactly the measures
+// it was built for.
 //
 // A Snapshot is built once, in parallel, under a cancellable context, and
 // is immutable afterwards: every accessor returns state that is only ever
@@ -115,23 +115,13 @@ type ANNSpec struct {
 type Options struct {
 	// Measures lists the measures repeated queries will use. For each,
 	// the builder materializes the state the search engine needs:
-	// filled bound contexts for LowerBounded measures, prepared states
-	// for Stateful ones (specialized from one shared family core for
-	// GridStateful families), and the GridStateful cores themselves for
-	// the tuning engine. Duplicate names build once.
+	// filled bound contexts for LowerBounded measures and prepared states
+	// for Stateful ones. Duplicate names build once.
 	Measures []measure.Measure
 	// ANN lists approximate indexes to build (GRAIL fit + parallel
 	// transform + VP-tree over the representations). Duplicate measure
 	// names build once.
 	ANN []ANNSpec
-}
-
-// coreFamily is one GridStateful preparation family: the representative
-// measure whose SharesPreparation anchors membership, and the shared
-// candidate-independent core of every series.
-type coreFamily struct {
-	rep   measure.Measure
-	cores []any
 }
 
 // Hits counts prepared-state lookups served by a snapshot, by section.
@@ -140,11 +130,10 @@ type coreFamily struct {
 type Hits struct {
 	Prepared int64 // Stateful prepared states served
 	Bounds   int64 // filled bound contexts served
-	Cores    int64 // GridStateful family cores served
 }
 
 // Total is the sum over all sections.
-func (h Hits) Total() int64 { return h.Prepared + h.Bounds + h.Cores }
+func (h Hits) Total() int64 { return h.Prepared + h.Bounds }
 
 // Snapshot is an immutable prepared view of one corpus. All stored state
 // is read-only after Build returns: engines must never Fill, Rebind, or
@@ -159,12 +148,10 @@ type Snapshot struct {
 
 	prep   map[string][]any                  // measure name -> per-series prepared state
 	bounds map[string][]measure.BoundContext // measure name -> per-series filled contexts
-	fams   []coreFamily                      // GridStateful family cores
 	annIdx map[string]*ann.Index             // measure name -> approximate index
 
 	hitPrepared atomic.Int64
 	hitBounds   atomic.Int64
-	hitCores    atomic.Int64
 }
 
 // BuildCtx builds a snapshot of series, computing every requested section
@@ -207,18 +194,6 @@ func BuildCtx(ctx context.Context, series [][]float64, opts Options) (*Snapshot,
 				return nil, err
 			}
 			s.bounds[name] = ctxs
-		case measure.GridStateful:
-			cores, err := s.familyCores(ctx, mm, series)
-			if err != nil {
-				return nil, err
-			}
-			prep := make([]any, n)
-			if err := par.ForCtx(ctx, n, par.Workers(n), func(i int) {
-				prep[i] = mm.CandidateState(cores[i])
-			}); err != nil {
-				return nil, err
-			}
-			s.prep[name] = prep
 		case measure.Stateful:
 			prep, err := prepareAll(ctx, mm, series)
 			if err != nil {
@@ -244,24 +219,6 @@ func BuildCtx(ctx context.Context, series [][]float64, opts Options) (*Snapshot,
 		s.annIdx[name] = ix
 	}
 	return s, nil
-}
-
-// familyCores returns the GridStateful cores shared by gs's family,
-// building them on first use.
-func (s *Snapshot) familyCores(ctx context.Context, gs measure.GridStateful, series [][]float64) ([]any, error) {
-	for _, f := range s.fams {
-		if gs.SharesPreparation(f.rep) {
-			return f.cores, nil
-		}
-	}
-	cores := make([]any, len(series))
-	if err := par.ForCtx(ctx, len(series), par.Workers(len(series)), func(i int) {
-		cores[i] = gs.GridPrepare(series[i])
-	}); err != nil {
-		return nil, err
-	}
-	s.fams = append(s.fams, coreFamily{rep: gs, cores: cores})
-	return cores, nil
 }
 
 func prepareAll(ctx context.Context, sm measure.Stateful, series [][]float64) ([]any, error) {
@@ -313,10 +270,9 @@ func (s *Snapshot) Covers(series [][]float64) bool {
 }
 
 // Prepared returns the per-series Stateful prepared states stored under
-// m's name, or nil when the snapshot holds none. A family member's states
-// are never substituted: they are candidate-dependent (only the
-// GridStateful core is shared; see PreparedStates). A non-nil return
-// counts one hit per series.
+// m's name, or nil when the snapshot holds none. States are never
+// substituted across names: they may depend on every parameter of the
+// measure. A non-nil return counts one hit per series.
 func (s *Snapshot) Prepared(m measure.Measure) []any {
 	if s == nil {
 		return nil
@@ -326,36 +282,6 @@ func (s *Snapshot) Prepared(m measure.Measure) []any {
 		s.hitPrepared.Add(int64(len(p)))
 	}
 	return p
-}
-
-// PreparedStates returns per-series prepared states for m from whatever
-// the snapshot holds: stored Prepare outputs (Prepared), or states
-// specialized on the fly from the measure's GridStateful family core —
-// bitwise equivalent to Prepare by the GridStateful contract. It returns
-// (nil, nil) when the snapshot holds neither; the error is non-nil only
-// when specialization was cancelled.
-func (s *Snapshot) PreparedStates(ctx context.Context, m measure.Measure) ([]any, error) {
-	if s == nil {
-		return nil, nil
-	}
-	if p := s.Prepared(m); p != nil {
-		return p, nil
-	}
-	gs, ok := m.(measure.GridStateful)
-	if !ok {
-		return nil, nil
-	}
-	cores := s.GridCores(m)
-	if cores == nil {
-		return nil, nil
-	}
-	states := make([]any, len(cores))
-	if err := par.ForCtx(ctx, len(cores), par.Workers(len(cores)), func(i int) {
-		states[i] = gs.CandidateState(cores[i])
-	}); err != nil {
-		return nil, err
-	}
-	return states, nil
 }
 
 // BoundContexts returns the per-series filled bound contexts of m, or nil
@@ -371,26 +297,6 @@ func (s *Snapshot) BoundContexts(m measure.Measure) []measure.BoundContext {
 		s.hitBounds.Add(int64(len(c)))
 	}
 	return c
-}
-
-// GridCores returns the shared GridStateful family cores valid for m, or
-// nil when the snapshot holds none. A non-nil return counts one hit per
-// series.
-func (s *Snapshot) GridCores(m measure.Measure) []any {
-	if s == nil {
-		return nil
-	}
-	gs, ok := m.(measure.GridStateful)
-	if !ok {
-		return nil
-	}
-	for _, f := range s.fams {
-		if gs.SharesPreparation(f.rep) {
-			s.hitCores.Add(int64(len(f.cores)))
-			return f.cores
-		}
-	}
-	return nil
 }
 
 // ANNIndex returns the snapshot's approximate retrieval index for m, or
@@ -411,14 +317,13 @@ func (s *Snapshot) Hits() Hits {
 	return Hits{
 		Prepared: s.hitPrepared.Load(),
 		Bounds:   s.hitBounds.Load(),
-		Cores:    s.hitCores.Load(),
 	}
 }
 
 // Sections summarizes what the snapshot holds, for logs and tests.
-func (s *Snapshot) Sections() (prepared, bounds, cores int) {
+func (s *Snapshot) Sections() (prepared, bounds int) {
 	if s == nil {
-		return 0, 0, 0
+		return 0, 0
 	}
-	return len(s.prep), len(s.bounds), len(s.fams)
+	return len(s.prep), len(s.bounds)
 }

@@ -108,46 +108,36 @@ func TestBuildSections(t *testing.T) {
 	series := testSeries(6, 8, 32)
 	s := build(t, series, corpus.Options{Measures: []measure.Measure{
 		elastic.DTW{DeltaPercent: 10}, // LowerBounded -> bounds
-		kernel.SINK{Gamma: 1},         // GridStateful -> prep + family core
-		kernel.SINK{Gamma: 2},         // same family, second prep entry
-		kernel.GAK{Sigma: 1},          // plain Stateful -> prep
+		kernel.SINK{Gamma: 1},         // Stateful -> prep
+		kernel.SINK{Gamma: 2},         // another name, second prep entry
+		kernel.GAK{Sigma: 1},          // Stateful -> prep
 	}})
-	prep, bounds, cores := s.Sections()
+	prep, bounds := s.Sections()
 	if bounds != 1 {
 		t.Fatalf("bounds sections = %d, want 1", bounds)
 	}
 	if prep != 3 {
 		t.Fatalf("prep sections = %d, want 3 (two SINK gammas + GAK)", prep)
 	}
-	if cores != 1 {
-		t.Fatalf("core families = %d, want 1 (SINK gammas share one family)", cores)
-	}
 	if got := s.BoundContexts(elastic.DTW{DeltaPercent: 10}); len(got) != len(series) {
 		t.Fatalf("bound contexts = %d, want %d", len(got), len(series))
 	}
-	// A gamma the build never saw still gets family cores: the whole sweep
-	// shares one GridPrepare per series.
-	if got := s.GridCores(kernel.SINK{Gamma: 7}); len(got) != len(series) {
-		t.Fatalf("family cores for unseen gamma = %d, want %d", len(got), len(series))
-	}
+	// State is keyed by name: a gamma the build never saw gets nothing.
 	if got := s.Prepared(kernel.SINK{Gamma: 7}); got != nil {
-		t.Fatalf("full Prepare state served for unseen gamma (candidate-dependent)")
+		t.Fatalf("prepared state served for a gamma the build never saw")
 	}
 }
 
 // Snapshot-served prepared states must be interchangeable with inline
 // Prepare: PreparedDistance over either source is bitwise identical.
-func TestPreparedStatesBitwise(t *testing.T) {
+func TestPreparedBitwise(t *testing.T) {
 	series := testSeries(7, 6, 64)
 	for _, sm := range []measure.Stateful{
 		kernel.SINK{Gamma: 5},
 		kernel.GAK{Sigma: 1},
 	} {
 		s := build(t, series, corpus.Options{Measures: []measure.Measure{sm}})
-		got, err := s.PreparedStates(context.Background(), sm)
-		if err != nil {
-			t.Fatalf("%s: PreparedStates: %v", sm.Name(), err)
-		}
+		got := s.Prepared(sm)
 		if got == nil {
 			t.Fatalf("%s: snapshot holds no prepared states", sm.Name())
 		}
@@ -159,25 +149,6 @@ func TestPreparedStatesBitwise(t *testing.T) {
 					t.Fatalf("%s: d(%d,%d) = %v from snapshot, %v inline", sm.Name(), i, j, have, want)
 				}
 			}
-		}
-	}
-}
-
-// States specialized from family cores for a gamma the build never saw
-// must match that gamma's own Prepare bitwise (GridStateful contract).
-func TestPreparedStatesSpecializeFromCores(t *testing.T) {
-	series := testSeries(8, 5, 32)
-	s := build(t, series, corpus.Options{Measures: []measure.Measure{kernel.SINK{Gamma: 1}}})
-	unseen := kernel.SINK{Gamma: 9}
-	got, err := s.PreparedStates(context.Background(), unseen)
-	if err != nil || got == nil {
-		t.Fatalf("PreparedStates for unseen gamma: %v, err %v", got, err)
-	}
-	for i := range series {
-		want := unseen.PreparedDistance(unseen.Prepare(series[i]), unseen.Prepare(series[(i+1)%len(series)]))
-		have := unseen.PreparedDistance(got[i], got[(i+1)%len(series)])
-		if math.Float64bits(want) != math.Float64bits(have) {
-			t.Fatalf("specialized state diverges at %d: %v vs %v", i, have, want)
 		}
 	}
 }
@@ -219,9 +190,8 @@ func TestHitCounters(t *testing.T) {
 	}
 	s.Prepared(sink)
 	s.BoundContexts(dtw)
-	s.GridCores(sink)
 	h := s.Hits()
-	if h.Prepared != int64(len(series)) || h.Bounds != int64(len(series)) || h.Cores != int64(len(series)) {
+	if h.Prepared != int64(len(series)) || h.Bounds != int64(len(series)) {
 		t.Fatalf("hits = %+v, want %d per section", h, len(series))
 	}
 }

@@ -186,14 +186,16 @@ func (g *GRAIL) Fit(train [][]float64) {
 	}
 }
 
-// FitCtx implements ContextFitter: the landmark Gram preparation and fill
-// observe ctx; a cancelled fit returns ctx.Err() with the embedder left
-// unfitted.
+// FitCtx implements ContextFitter: the landmark preparation and the
+// landmark Gram fill observe ctx. The fitted state is assigned only on
+// success; a failed fit returns ctx.Err() and leaves the embedder
+// unfitted, whatever it held before.
 func (g *GRAIL) FitCtx(ctx context.Context, train [][]float64) error {
 	if len(train) == 0 {
 		panic("embedding: GRAIL.Fit with empty training set")
 	}
-	g.sink = kernel.SINK{Gamma: g.Gamma}
+	g.fitted = false
+	sink := kernel.SINK{Gamma: g.Gamma}
 	var landmarks [][]float64
 	if g.KShapeLandmarks {
 		landmarks = kshapeLandmarks(train, g.dim(), g.Seed)
@@ -201,18 +203,33 @@ func (g *GRAIL) FitCtx(ctx context.Context, train [][]float64) error {
 		landmarks = sampleLandmarks(train, g.dim(), g.Seed)
 	}
 	d := len(landmarks)
-	// Landmark Gram matrix of the normalized SINK kernel, built by the
-	// batched engine: one FFT spectrum per landmark, parallel tiled fill,
-	// values bitwise identical to the per-pair prepared loop it replaces.
-	// The engine's prepared states also serve Transform's projections.
-	eng, err := kernel.NewGramEngineCtx(ctx, g.sink, landmarks)
-	if err != nil {
+	// The prepared landmark states serve both the Gram fill and
+	// Transform's projections.
+	states := make([]any, d)
+	if err := par.ForCtx(ctx, d, par.Workers(d), func(i int) {
+		states[i] = sink.Prepare(landmarks[i])
+	}); err != nil {
 		return err
 	}
-	g.landmarks = eng.PreparedStates()
-	w, err := eng.GramCtx(ctx)
-	if err != nil {
-		g.landmarks = nil
+	// Landmark Gram matrix of the normalized SINK kernel: unit diagonal,
+	// the upper triangle from the prepared pair kernel, mirrored. The
+	// pairs are independent, so they are dispatched in parallel like
+	// SPIRAL's.
+	w := linalg.NewMatrix(d, d)
+	type pair struct{ i, j int }
+	pairs := make([]pair, 0, d*(d-1)/2)
+	for i := 0; i < d; i++ {
+		w.Set(i, i, 1)
+		for j := i + 1; j < d; j++ {
+			pairs = append(pairs, pair{i, j})
+		}
+	}
+	if err := par.ForCtx(ctx, len(pairs), par.Workers(len(pairs)), func(t int) {
+		p := pairs[t]
+		k := 1 - sink.PreparedDistance(states[p.i], states[p.j])
+		w.Set(p.i, p.j, k)
+		w.Set(p.j, p.i, k)
+	}); err != nil {
 		return err
 	}
 	vals, vecs := linalg.EigenSym(w)
@@ -229,8 +246,7 @@ func (g *GRAIL) FitCtx(ctx context.Context, train [][]float64) error {
 			basis.Set(r, j, vecs.At(r, j)*inv)
 		}
 	}
-	g.basis = basis
-	g.fitted = true
+	g.sink, g.landmarks, g.basis, g.fitted = sink, states, basis, true
 	return nil
 }
 
@@ -352,17 +368,19 @@ func (s *SPIRAL) Fit(train [][]float64) {
 }
 
 // FitCtx implements ContextFitter: the landmark DTW pair matrix observes
-// ctx; a cancelled fit returns ctx.Err() with the embedder left unfitted.
+// ctx. The fitted state is assigned only on success; a failed fit returns
+// ctx.Err() and leaves the embedder unfitted, whatever it held before.
 func (s *SPIRAL) FitCtx(ctx context.Context, train [][]float64) error {
 	if len(train) == 0 {
 		panic("embedding: SPIRAL.Fit with empty training set")
 	}
+	s.fitted = false
 	dim := s.Dim
 	if dim <= 0 {
 		dim = DefaultDim
 	}
-	s.landmarks = sampleLandmarks(train, dim, s.Seed)
-	d := len(s.landmarks)
+	landmarks := sampleLandmarks(train, dim, s.Seed)
+	d := len(landmarks)
 	// Squared DTW distances between landmarks: the upper-triangle pairs
 	// are independent, so they are dispatched in parallel; each pair's
 	// recursion is untouched, so the matrix is bitwise the one the serial
@@ -375,18 +393,16 @@ func (s *SPIRAL) FitCtx(ctx context.Context, train [][]float64) error {
 			pairs = append(pairs, pair{i, j})
 		}
 	}
-	workers := par.Workers(len(pairs))
-	if err := par.ForShardCtx(ctx, len(pairs), workers, func(worker, t int) {
+	if err := par.ForCtx(ctx, len(pairs), par.Workers(len(pairs)), func(t int) {
 		p := pairs[t]
-		v := elastic.UnbandedDTW(s.landmarks[p.i], s.landmarks[p.j])
+		v := elastic.UnbandedDTW(landmarks[p.i], landmarks[p.j])
 		sq.Set(p.i, p.j, v)
 		sq.Set(p.j, p.i, v)
 	}); err != nil {
-		s.landmarks = nil
 		return err
 	}
 	// Double centering: B = -1/2 (sq - rowMean - colMean + totalMean).
-	s.colMean = make([]float64, d)
+	colMean := make([]float64, d)
 	var total float64
 	for j := 0; j < d; j++ {
 		var cm float64
@@ -394,14 +410,14 @@ func (s *SPIRAL) FitCtx(ctx context.Context, train [][]float64) error {
 			cm += sq.At(i, j)
 		}
 		cm /= float64(d)
-		s.colMean[j] = cm
+		colMean[j] = cm
 		total += cm
 	}
 	total /= float64(d)
 	b := linalg.NewMatrix(d, d)
 	for i := 0; i < d; i++ {
 		for j := 0; j < d; j++ {
-			b.Set(i, j, -0.5*(sq.At(i, j)-s.colMean[i]-s.colMean[j]+total))
+			b.Set(i, j, -0.5*(sq.At(i, j)-colMean[i]-colMean[j]+total))
 		}
 	}
 	vals, vecs := linalg.EigenSym(b)
@@ -418,8 +434,7 @@ func (s *SPIRAL) FitCtx(ctx context.Context, train [][]float64) error {
 			proj.Set(r, j, vecs.At(r, j)*inv)
 		}
 	}
-	s.proj = proj
-	s.fitted = true
+	s.landmarks, s.colMean, s.proj, s.fitted = landmarks, colMean, proj, true
 	return nil
 }
 

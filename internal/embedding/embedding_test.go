@@ -1,6 +1,7 @@
 package embedding
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -348,5 +349,53 @@ func TestKShapeLandmarksCount(t *testing.T) {
 	lm = kshapeLandmarks(train, 100, 1)
 	if len(lm) != 10 {
 		t.Fatalf("clamped landmarks = %d, want 10", len(lm))
+	}
+}
+
+// transformPanics reports whether Transform panics, the unfitted state.
+func transformPanics(e Embedder, x []float64) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	e.Transform(x)
+	return false
+}
+
+// TestGRAILCancelledRefitLeavesUnfitted refits a fitted GRAIL at another
+// gamma under a cancelled context: the fit must fail and leave the
+// embedder unfitted, not serving the new gamma against the old landmark
+// states and basis.
+func TestGRAILCancelledRefitLeavesUnfitted(t *testing.T) {
+	train := trainSet(rand.New(rand.NewSource(41)), 16, 32)
+	g := &GRAIL{Gamma: 5, Dim: 8, Seed: 1}
+	g.Fit(train)
+	if transformPanics(g, train[0]) {
+		t.Fatal("fitted GRAIL panics in Transform")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	g.Gamma = 1
+	if err := g.FitCtx(ctx, train); err != context.Canceled {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if !transformPanics(g, train[0]) {
+		t.Fatal("GRAIL still transforms after a cancelled refit")
+	}
+}
+
+// TestSPIRALCancelledRefitLeavesUnfitted is the SPIRAL analogue: a
+// cancelled refit must not leave it fitted with no landmarks.
+func TestSPIRALCancelledRefitLeavesUnfitted(t *testing.T) {
+	train := trainSet(rand.New(rand.NewSource(42)), 16, 32)
+	s := &SPIRAL{Dim: 8, Seed: 1}
+	s.Fit(train)
+	if transformPanics(s, train[0]) {
+		t.Fatal("fitted SPIRAL panics in Transform")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := s.FitCtx(ctx, train); err != context.Canceled {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if !transformPanics(s, train[0]) {
+		t.Fatal("SPIRAL still transforms after a cancelled refit")
 	}
 }

@@ -19,11 +19,16 @@ import (
 // property tests compare representation-distance matrices within the
 // TolFFT tier of DESIGN.md §10.
 
-// grailNaiveFit replicates GRAIL.Fit as it existed before the Gram
-// engine: serial per-pair landmark Gram over prepared states, the cyclic
-// Jacobi eigensolver, same spectrum filter. It returns a transform
+// grailNaiveFit replicates GRAIL.Fit serially: per-pair landmark Gram
+// over prepared states (unit diagonal, upper triangle mirrored), the
+// cyclic Jacobi eigensolver, same spectrum filter. It returns a transform
 // closure over the fitted basis.
 func grailNaiveFit(gamma float64, dim int, seed int64, train [][]float64) func([]float64) []float64 {
+	return grailSerialFit(gamma, dim, seed, train, linalg.EigenSymJacobi)
+}
+
+// grailSerialFit is grailNaiveFit with the eigensolver as a parameter.
+func grailSerialFit(gamma float64, dim int, seed int64, train [][]float64, eigen func(*linalg.Matrix) ([]float64, *linalg.Matrix)) func([]float64) []float64 {
 	sink := kernel.SINK{Gamma: gamma}
 	landmarks := sampleLandmarks(train, dim, seed)
 	d := len(landmarks)
@@ -40,7 +45,7 @@ func grailNaiveFit(gamma float64, dim int, seed int64, train [][]float64) func([
 			w.Set(j, i, k)
 		}
 	}
-	vals, vecs := linalg.EigenSymJacobi(w)
+	vals, vecs := eigen(w)
 	basis := linalg.NewMatrix(d, d)
 	for j := 0; j < d; j++ {
 		if !(vals[j] > 1e-10) {
@@ -181,6 +186,34 @@ func TestGRAILEngineFitMatchesNaive(t *testing.T) {
 		for j := range da[i] {
 			if !agreeTol(da[i][j], db[i][j], tolFFT) {
 				t.Fatalf("GRAIL rep distance [%d][%d]: engine %v, naive %v", i, j, da[i][j], db[i][j])
+			}
+		}
+	}
+}
+
+// TestGRAILFitBitwiseSerialGram pins GRAIL's parallel landmark Gram fill:
+// with the same eigensolver, Fit must reproduce the serial construction
+// (unit diagonal, upper triangle from the prepared pair kernel, mirrored)
+// bit for bit, degenerate landmarks included.
+func TestGRAILFitBitwiseSerialGram(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	train := trainSet(rng, 30, 33)
+	train[4] = make([]float64, 33)
+	for j := range train[7] {
+		train[7][j] = -1.5
+	}
+	train[9][3] = math.NaN()
+	queries := append(trainSet(rng, 6, 33), train[4], train[7], train[9])
+	for _, dim := range []int{1, 12, 30} {
+		g := &GRAIL{Gamma: 3, Dim: dim, Seed: 8}
+		g.Fit(train)
+		serial := grailSerialFit(3, dim, 8, train, linalg.EigenSym)
+		for qi, q := range queries {
+			got, want := g.Transform(q), serial(q)
+			for c := range want {
+				if math.Float64bits(got[c]) != math.Float64bits(want[c]) {
+					t.Fatalf("dim %d query %d: rep[%d] = %v, serial Gram %v", dim, qi, c, got[c], want[c])
+				}
 			}
 		}
 	}

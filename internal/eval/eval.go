@@ -43,9 +43,9 @@ func Matrix(m measure.Measure, queries, refs [][]float64) [][]float64 {
 // exactly once; when it is exactly symmetric and the matrix is square over
 // the same series, only the upper triangle is computed and mirrored.
 //
-// Cancellation is observed at the row-chunk (or engine tile) granularity
-// of internal/par: on a non-nil error the returned matrix is partially
-// filled and must be discarded.
+// Cancellation is observed at the row-chunk granularity of internal/par:
+// on a non-nil error the returned matrix is partially filled and must be
+// discarded.
 func MatrixCtx(ctx context.Context, m measure.Measure, queries, refs [][]float64) ([][]float64, error) {
 	n, p := len(queries), len(refs)
 	e := make([][]float64, n)
@@ -59,29 +59,6 @@ func MatrixCtx(ctx context.Context, m measure.Measure, queries, refs [][]float64
 		e[i] = flat[i*p : (i+1)*p : (i+1)*p]
 	}
 	workers := par.Workers(n)
-
-	// Bulk fast path: a measure backed by an all-pairs engine fills the
-	// square self-matrix wholesale (bitwise-identical to the per-pair loop
-	// by the ContextSelfMatrixer contract); only the NaN sanitization pass
-	// remains on this side. Checked before the Stateful dispatch so
-	// per-series preparation is not duplicated.
-	if cm, ok := m.(measure.ContextSelfMatrixer); ok && sameSeries(queries, refs) {
-		accepted, err := cm.SelfMatrixCtx(ctx, queries, e)
-		if err != nil {
-			return e, err
-		}
-		if accepted {
-			if err := par.ForCtx(ctx, n, workers, func(i int) {
-				row := e[i]
-				for j, v := range row {
-					row[j] = measure.Sanitize(v)
-				}
-			}); err != nil {
-				return e, err
-			}
-			return e, nil
-		}
-	}
 
 	// Batched panel fast path: a PanelEvaluator fills each matrix row in one
 	// call over the whole reference panel, bitwise-identical to the per-pair

@@ -373,7 +373,11 @@ func TestSameSeries(t *testing.T) {
 	}
 }
 
-func TestMatrixSelfMatrixerBulkPathMatchesGeneric(t *testing.T) {
+// TestMatrixPreparedPathMatchesDistance pins the Stateful path of
+// MatrixCtx: SINK's square matrix over prepared states must equal, bit
+// for bit and after the shared NaN sanitization, the matrix of opaque
+// Distance calls on the same series.
+func TestMatrixPreparedPathMatchesDistance(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	series := make([][]float64, 23)
 	for i := range series {
@@ -383,25 +387,24 @@ func TestMatrixSelfMatrixerBulkPathMatchesGeneric(t *testing.T) {
 		}
 		series[i] = s
 	}
-	// Degenerate rows exercise the sanitize pass after the bulk fill.
+	// Degenerate rows exercise the sanitize pass.
 	series[0] = make([]float64, 31)
 	series[1][5] = math.NaN()
 	series[2][0] = math.Inf(1)
 	s := kernel.SINK{Gamma: 5}
-	// The Func wrapper hides ContextSelfMatrixer, forcing the generic
-	// per-pair path; the direct call takes the GramEngine bulk path. The two
-	// must agree bitwise (after shared NaN sanitization).
+	// The Func wrapper hides Stateful, forcing the plain Distance path; the
+	// direct call prepares each series once.
 	generic := Matrix(measure.New("sink-opaque", s.Distance), series, series)
-	bulk := Matrix(s, series, series)
+	prepared := Matrix(s, series, series)
 	for i := range series {
 		for j := range series {
-			if bulk[i][j] != generic[i][j] {
-				t.Fatalf("bulk[%d][%d] = %g, generic = %g", i, j, bulk[i][j], generic[i][j])
+			if prepared[i][j] != generic[i][j] {
+				t.Fatalf("prepared[%d][%d] = %g, generic = %g", i, j, prepared[i][j], generic[i][j])
 			}
 		}
 	}
-	// A rectangular (test-by-train) call must not take the bulk path and
-	// still match the generic result.
+	// A rectangular (test-by-train) call prepares queries and references
+	// separately and must match too.
 	queries := series[:7]
 	rect := Matrix(s, queries, series)
 	for i := range queries {

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/embedding"
+	"repro/internal/eval"
 	"repro/internal/kernel"
 	"repro/internal/linalg"
 	"repro/internal/run"
@@ -37,14 +38,15 @@ func (r SpectralRow) Speedup() float64 {
 }
 
 // SpectralRuntimeCtx quantifies what the spectral/linalg engine buys on
-// its three layers: the batched SINK Gram fill versus the per-pair build
+// its three layers: the prepared square SINK matrix of eval.MatrixCtx (one
+// spectrum per series, one pooled pair kernel) versus the per-pair build
 // that re-derives every spectrum (bitwise-identical outputs), the
 // Householder+QL eigensolver versus cyclic Jacobi (eigenvalues to
-// rounding), and the engine-backed GRAIL fit versus the serial
-// prepared-pair fit (embedding geometry to rounding — the eigenbasis is
+// rounding), and GRAIL's fit (parallel landmark Gram, QL) versus the
+// serial prepared-pair fit (embedding geometry to rounding — the eigenbasis is
 // free to rotate inside repeated eigenspaces, so the comparison is on
 // representation distances). It honors cancellation (checked between rows
-// of the naive fills, inside the engine fills, and between layers — the
+// of the naive fills, inside the prepared fills, and between layers — the
 // dense eigensolvers themselves run to completion) and reports per-layer
 // progress; on a non-nil error the rows are partial.
 func SpectralRuntimeCtx(ctx context.Context, opts Options, rep run.Reporter) ([]SpectralRow, error) {
@@ -52,7 +54,7 @@ func SpectralRuntimeCtx(ctx context.Context, opts Options, rep run.Reporter) ([]
 	task := run.NewTask(rep, "spectral", "layers", 3)
 	rows := make([]SpectralRow, 0, 3)
 
-	// Layer 1: all-pairs SINK Gram fill, 60 series of length 128.
+	// Layer 1: the square SINK matrix, 60 series of length 128.
 	d := dataset.Generate(dataset.Config{
 		Name: "Spectral", Family: dataset.FamilyHarmonic, Length: 128,
 		NumClasses: 3, TrainSize: 60, TestSize: 16, Seed: 7,
@@ -71,16 +73,9 @@ func SpectralRuntimeCtx(ctx context.Context, opts Options, rep run.Reporter) ([]
 		}
 	}
 	naiveDur := time.Since(start)
-	engineGram := make([][]float64, n)
-	for i := range engineGram {
-		engineGram[i] = make([]float64, n)
-	}
 	start = time.Now()
-	eng, err := kernel.NewGramEngineCtx(ctx, sink, d.Train)
+	engineGram, err := eval.MatrixCtx(ctx, sink, d.Train, d.Train)
 	if err != nil {
-		return rows, err
-	}
-	if err := eng.FillDistancesCtx(ctx, engineGram); err != nil {
 		return rows, err
 	}
 	engineDur := time.Since(start)
@@ -131,7 +126,7 @@ func SpectralRuntimeCtx(ctx context.Context, opts Options, rep run.Reporter) ([]
 	}
 
 	// Layer 3: the GRAIL fit end to end — serial prepared-pair landmark
-	// Gram + Jacobi against the engine-backed Fit.
+	// Gram + Jacobi against Fit's parallel landmark Gram + QL.
 	const dim = 24
 	start = time.Now()
 	naiveTr := grailFitSerial(sink, dim, 5, d.Train)
@@ -168,8 +163,8 @@ func SpectralRuntimeCtx(ctx context.Context, opts Options, rep run.Reporter) ([]
 	return rows, nil
 }
 
-// grailFitSerial is the pre-engine GRAIL fit — per-pair prepared Gram
-// build and the cyclic Jacobi eigensolver — kept as the ablation baseline.
+// grailFitSerial is the serial GRAIL fit — per-pair prepared Gram build
+// and the cyclic Jacobi eigensolver — kept as the ablation baseline.
 // It returns the fitted transform.
 func grailFitSerial(sink kernel.SINK, dim int, seed int64, train [][]float64) func([]float64) []float64 {
 	// Same deterministic landmark draw as GRAIL's sampleLandmarks.

@@ -13,20 +13,19 @@ import (
 )
 
 // TuningRow is one grid family of the tuning-engine ablation: the naive
-// per-candidate loop versus the shared-state grid engine over the archive,
-// with the engine's sweep statistics. The Agree flag asserts that both
-// paths select the same candidate with the same leave-one-out accuracy on
-// every dataset; it failing would be a bug, not a trade-off.
+// per-candidate loop versus the grid engine over the archive, with the
+// engine's sweep statistics. The Agree flag asserts that both paths select
+// the same candidate with the same leave-one-out accuracy on every
+// dataset; it failing would be a bug, not a trade-off.
 type TuningRow struct {
-	Grid           string
-	Candidates     int
-	Waves          int // deepest warm-start schedule across the archive
-	NaiveTime      time.Duration
-	EngineTime     time.Duration
-	SharedPrepRate float64 // preparations served by a family-shared one
-	WarmPruneRate  float64 // warm-candidate pairs pruned without a distance
-	Repaired       int64   // warm rows re-scanned cold
-	Agree          bool
+	Grid          string
+	Candidates    int
+	Waves         int // deepest warm-start schedule across the archive
+	NaiveTime     time.Duration
+	EngineTime    time.Duration
+	WarmPruneRate float64 // warm-candidate pairs pruned without a distance
+	Repaired      int64   // warm rows re-scanned cold
+	Agree         bool
 }
 
 // Speedup is the naive-to-engine wall-clock ratio.
@@ -42,9 +41,10 @@ func (r TuningRow) Speedup() float64 {
 // engine's optimizations: MSM (no declared grid structure — the engine's
 // overhead floor), DTW (warm-start chain, envelope arena, and the
 // pair-matrix bound), LCSS (pair-matrix pruning for a measure with no
-// lower bounds of its own), and SINK (preparation shared across the gamma
-// sweep). It honors cancellation and reports per-grid progress; on a
-// non-nil error the rows are partial.
+// lower bounds of its own), and SINK (a stateful sweep with no declared
+// grid structure: prepared scans in one pooled dispatch). It honors
+// cancellation and reports per-grid progress; on a non-nil error the rows
+// are partial.
 func TuningAblationCtx(ctx context.Context, opts Options, rep run.Reporter) ([]TuningRow, error) {
 	opts = opts.Defaults()
 	grids := []eval.Grid{eval.MSMGrid(), eval.DTWGrid(), eval.LCSSGrid(), eval.SINKGrid()}
@@ -83,13 +83,10 @@ func TuningAblationCtx(ctx context.Context, opts Options, rep run.Reporter) ([]T
 				row.Waves = st.Waves
 			}
 			row.Repaired += st.Repaired
-			agg.PrepTotal += st.PrepTotal
-			agg.PrepShared += st.PrepShared
 			agg.WarmSearch.Pairs += st.WarmSearch.Pairs
 			agg.WarmSearch.LBPruned += st.WarmSearch.LBPruned
 			agg.WarmSearch.PairLB += st.WarmSearch.PairLB
 		}
-		row.SharedPrepRate = agg.SharedPrepRate()
 		row.WarmPruneRate = agg.WarmPruneRate()
 		rows = append(rows, row)
 		task.Step(row.Grid)
@@ -101,18 +98,18 @@ func TuningAblationCtx(ctx context.Context, opts Options, rep run.Reporter) ([]T
 // RenderTuning formats the ablation as a table, one row per grid family.
 // The naive/engine/speedup/warmPrune columns are machine-dependent (the
 // prune counters depend on worker scheduling) and are scrubbed in golden
-// comparisons; candidate counts, sharing rates, repair counts, and the
-// agreement flag are deterministic.
+// comparisons; candidate counts, repair counts, and the agreement flag are
+// deterministic.
 func RenderTuning(rows []TuningRow) string {
 	var b strings.Builder
 	b.WriteString("Tuning ablation: per-candidate loop vs shared-state grid engine\n")
-	fmt.Fprintf(&b, "%-6s %-6s %-12s %-12s %-8s %-10s %-10s %-9s %s\n",
-		"grid", "cands", "naive", "engine", "speedup", "warmPrune", "prepShare", "repaired", "agree")
+	fmt.Fprintf(&b, "%-6s %-6s %-12s %-12s %-8s %-10s %-9s %s\n",
+		"grid", "cands", "naive", "engine", "speedup", "warmPrune", "repaired", "agree")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-6s %-6d %-12v %-12v %-8.2f %-10.2f %-10.2f %-9d %v\n",
+		fmt.Fprintf(&b, "%-6s %-6d %-12v %-12v %-8.2f %-10.2f %-9d %v\n",
 			r.Grid, r.Candidates, r.NaiveTime.Round(time.Millisecond),
 			r.EngineTime.Round(time.Millisecond), r.Speedup(),
-			r.WarmPruneRate, r.SharedPrepRate, r.Repaired, r.Agree)
+			r.WarmPruneRate, r.Repaired, r.Agree)
 	}
 	return b.String()
 }

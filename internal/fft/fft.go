@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+	"sync"
 )
 
 // IsPowerOfTwo reports whether n is a positive power of two.
@@ -318,8 +319,8 @@ func (p *SlidingPlan) SlidingDots(q, dst []float64, buf []complex128) []float64 
 
 // Plan caches the forward transform of a fixed-length reference signal so
 // repeated cross-correlations against many query series reuse the padded
-// FFT buffer size. It is used by the sliding measures when building full
-// dissimilarity matrices.
+// FFT buffer size. It is the prepared state of the sliding measures, of
+// SINK and of k-Shape's shape extraction.
 type Plan struct {
 	n    int // series length
 	m    int // padded FFT length, power of two
@@ -372,25 +373,12 @@ func (p *Plan) CrossCorrelate(y []float64) []float64 {
 	return out
 }
 
-// CrossCorrelateWith computes the cross-correlation sequence between two
-// planned series (both plans must share the same length), avoiding any
-// further forward transforms.
-func (p *Plan) CrossCorrelateWith(q *Plan) []float64 {
-	if q.n != p.n {
-		panic(fmt.Sprintf("fft: plan lengths differ: %d vs %d", p.n, q.n))
-	}
-	if p.n == 0 {
-		return nil
-	}
-	return p.CrossCorrelateTo(q, make([]float64, 2*p.n-1), make([]complex128, p.m))
-}
-
-// CrossCorrelateTo is CrossCorrelateWith writing the cross-correlation
-// sequence into dst (len >= 2n-1) using buf (len >= PaddedLen) as FFT
-// scratch, so all-pairs callers like the Gram engine run allocation-free.
-// The arithmetic — pointwise spectrum product, inverse transform, shift
-// unwrap — is step-for-step the one CrossCorrelateWith performs, so the two
-// entry points return bitwise-identical sequences. It returns dst[:2n-1].
+// CrossCorrelateTo computes the cross-correlation sequence between two
+// planned series (both plans must share the same length) without further
+// forward transforms: one pointwise spectrum product, one inverse
+// transform, one shift unwrap. It writes the sequence into dst (cap >=
+// 2n-1) using buf (cap >= PaddedLen) as FFT scratch and returns dst[:2n-1];
+// the empty plan returns dst[:0].
 func (p *Plan) CrossCorrelateTo(q *Plan, dst []float64, buf []complex128) []float64 {
 	if q.n != p.n {
 		panic(fmt.Sprintf("fft: plan lengths differ: %d vs %d", p.n, q.n))
@@ -412,4 +400,37 @@ func (p *Plan) CrossCorrelateTo(q *Plan, dst []float64, buf []complex128) []floa
 		dst[s+p.n-1] = real(buf[idx])
 	}
 	return dst
+}
+
+// ccScratch is the working set of one pooled cross-correlation: the padded
+// complex FFT buffer and the 2n-1 output sequence.
+type ccScratch struct {
+	buf []complex128
+	cc  []float64
+}
+
+// ccPool recycles ccScratch between CrossCorrelateReduce calls. Contents
+// are unspecified on Get; CrossCorrelateTo writes every cell it reads.
+var ccPool = sync.Pool{New: func() any { return new(ccScratch) }}
+
+// CrossCorrelateReduce computes the cross-correlation sequence of two
+// planned series exactly as CrossCorrelateTo does, into pooled scratch, and
+// returns reduce applied to it. The sequence is valid only while reduce
+// runs and must not be retained. Warm calls allocate nothing, and the
+// method is safe for concurrent use, so prepared per-pair measures (SINK,
+// the sliding NCC family) call it for every pair.
+func (p *Plan) CrossCorrelateReduce(q *Plan, reduce func(cc []float64) float64) float64 {
+	sc := ccPool.Get().(*ccScratch)
+	defer ccPool.Put(sc)
+	// The empty plan needs no scratch: its sequence is empty, and 2n-1
+	// would be negative.
+	if p.n > 0 {
+		if cap(sc.buf) < p.m {
+			sc.buf = make([]complex128, p.m)
+		}
+		if cap(sc.cc) < 2*p.n-1 {
+			sc.cc = make([]float64, 2*p.n-1)
+		}
+	}
+	return reduce(p.CrossCorrelateTo(q, sc.cc, sc.buf))
 }

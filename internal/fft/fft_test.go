@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -259,7 +260,7 @@ func TestPlanMatchesDirect(t *testing.T) {
 		}
 	}
 	q := NewPlan(y)
-	got2 := p.CrossCorrelateWith(q)
+	got2 := p.CrossCorrelateTo(q, make([]float64, 2*n-1), make([]complex128, p.PaddedLen()))
 	for k := range want {
 		if !approxEq(got2[k], want[k], 1e-8) {
 			t.Fatalf("plan-plan cc[%d] = %g, want %g", k, got2[k], want[k])
@@ -299,6 +300,10 @@ func BenchmarkForwardBluestein(b *testing.B) {
 	}
 }
 
+// TestCrossCorrelateToBitwiseAndAllocFree pins the two plan-pair entry
+// points against each other: CrossCorrelateReduce over pooled scratch sees
+// bitwise the sequence CrossCorrelateTo writes into caller buffers, and
+// neither allocates once warm.
 func TestCrossCorrelateToBitwiseAndAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for _, n := range []int{1, 2, 17, 64, 100} {
@@ -309,25 +314,34 @@ func TestCrossCorrelateToBitwiseAndAllocFree(t *testing.T) {
 			y[i] = rng.NormFloat64()
 		}
 		p, q := NewPlan(x), NewPlan(y)
-		want := p.CrossCorrelateWith(q)
 		if p.PaddedLen() != NextPowerOfTwo(2*n-1) {
 			t.Fatalf("n=%d: PaddedLen = %d, want %d", n, p.PaddedLen(), NextPowerOfTwo(2*n-1))
 		}
 		dst := make([]float64, 2*n-1)
 		buf := make([]complex128, p.PaddedLen())
-		got := p.CrossCorrelateTo(q, dst, buf)
+		want := append([]float64(nil), p.CrossCorrelateTo(q, dst, buf)...)
+		var got []float64
+		p.CrossCorrelateReduce(q, func(cc []float64) float64 {
+			got = append([]float64(nil), cc...)
+			return 0
+		})
 		if len(got) != len(want) {
 			t.Fatalf("n=%d: length %d, want %d", n, len(got), len(want))
 		}
 		for k := range want {
-			// Bitwise equality: both entry points run the identical
-			// arithmetic, the contract the Gram engine relies on.
 			if got[k] != want[k] {
-				t.Fatalf("n=%d: CrossCorrelateTo[%d] = %v, want bitwise %v", n, k, got[k], want[k])
+				t.Fatalf("n=%d: pooled cc[%d] = %v, want bitwise %v", n, k, got[k], want[k])
 			}
+		}
+		if raceEnabled {
+			continue
 		}
 		if allocs := testing.AllocsPerRun(20, func() { p.CrossCorrelateTo(q, dst, buf) }); allocs != 0 {
 			t.Errorf("n=%d: CrossCorrelateTo allocates %v per run", n, allocs)
+		}
+		sum := func(cc []float64) float64 { return cc[0] }
+		if allocs := testing.AllocsPerRun(20, func() { p.CrossCorrelateReduce(q, sum) }); allocs != 0 {
+			t.Errorf("n=%d: warm CrossCorrelateReduce allocates %v per run", n, allocs)
 		}
 	}
 }
@@ -340,5 +354,77 @@ func TestCrossCorrelateToEmptyPlan(t *testing.T) {
 	got := p.CrossCorrelateTo(q, make([]float64, 1), nil)
 	if len(got) != 0 {
 		t.Fatalf("empty-plan cross-correlation length %d, want 0", len(got))
+	}
+	// The pooled entry must not size scratch from 2*0-1.
+	if n := p.CrossCorrelateReduce(q, func(cc []float64) float64 { return float64(len(cc)) }); n != 0 {
+		t.Fatalf("empty-plan pooled cross-correlation length %v, want 0", n)
+	}
+}
+
+// TestCrossCorrelateReduceConcurrent runs pooled cross-correlations of
+// mixed lengths from several goroutines at once (run under -race by make
+// check-race) and requires each to equal the serial result bitwise: the
+// pool hands every call its own scratch, whatever size the previous user
+// left it.
+func TestCrossCorrelateReduceConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var plans []*Plan
+	for _, n := range []int{0, 1, 5, 16, 33, 64} {
+		for k := 0; k < 3; k++ {
+			x := make([]float64, n)
+			for i := range x {
+				x[i] = rng.NormFloat64()
+			}
+			plans = append(plans, NewPlan(x))
+		}
+	}
+	// checksum folds the whole sequence, so a shared or stale buffer shows.
+	checksum := func(cc []float64) float64 {
+		var s float64
+		for k, v := range cc {
+			s += float64(k+1) * v
+		}
+		return s
+	}
+	type pair struct{ i, j int }
+	var pairs []pair
+	for i := range plans {
+		for j := range plans {
+			if plans[i].Len() == plans[j].Len() {
+				pairs = append(pairs, pair{i, j})
+			}
+		}
+	}
+	want := make([]float64, len(pairs))
+	for k, pr := range pairs {
+		want[k] = plans[pr.i].CrossCorrelateReduce(plans[pr.j], checksum)
+	}
+	const goroutines = 4
+	got := make([][]float64, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			out := make([]float64, len(pairs))
+			for rep := 0; rep < 5; rep++ {
+				// Each goroutine walks the pairs from a different offset, so
+				// calls of different lengths interleave on the pool.
+				for k := range pairs {
+					idx := (k + g*len(pairs)/goroutines) % len(pairs)
+					pr := pairs[idx]
+					out[idx] = plans[pr.i].CrossCorrelateReduce(plans[pr.j], checksum)
+				}
+			}
+			got[g] = out
+		}(g)
+	}
+	wg.Wait()
+	for g, out := range got {
+		for k := range want {
+			if math.Float64bits(out[k]) != math.Float64bits(want[k]) {
+				t.Fatalf("goroutine %d pair %v: %v, serial %v", g, pairs[k], out[k], want[k])
+			}
+		}
 	}
 }

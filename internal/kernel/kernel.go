@@ -9,7 +9,6 @@
 package kernel
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -70,70 +69,41 @@ type SINK struct {
 // Name implements measure.Measure.
 func (s SINK) Name() string { return fmt.Sprintf("sink[g=%g]", s.Gamma) }
 
+// sinkPrepared is SINK's per-series state: the FFT plan, the series norm,
+// and the unnormalized self-kernel.
 type sinkPrepared struct {
 	plan *fft.Plan
 	norm float64
 	self float64 // unnormalized self-kernel value
 }
 
-// Prepare implements measure.Stateful.
+// Prepare implements measure.Stateful. It allocates the plan (struct and
+// spectrum) and the state; the self cross-correlation runs in pooled
+// scratch.
 func (s SINK) Prepare(x []float64) any {
 	var ss float64
 	for _, v := range x {
 		ss += v * v
 	}
 	p := &sinkPrepared{plan: fft.NewPlan(x), norm: math.Sqrt(ss)}
-	cc := p.plan.CrossCorrelateWith(p.plan)
-	p.self = s.sumExp(cc, p.norm*p.norm)
+	p.self = p.plan.CrossCorrelateReduce(p.plan, func(cc []float64) float64 {
+		return s.sumExp(cc, p.norm*p.norm)
+	})
 	return p
 }
 
-// PreparedDistance implements measure.Stateful.
+// PreparedDistance implements measure.Stateful: one spectrum product, one
+// inverse FFT and one sumExp in pooled scratch, so a warm call allocates
+// nothing. This is SINK's one pair kernel: square and rectangular matrices,
+// 1-NN and grid scans, snapshots, and GRAIL's landmark Gram and projections
+// all run it.
 func (s SINK) PreparedDistance(px, py any) float64 {
 	a := px.(*sinkPrepared)
 	b := py.(*sinkPrepared)
-	cc := a.plan.CrossCorrelateWith(b.plan)
-	kxy := s.sumExp(cc, a.norm*b.norm)
+	kxy := a.plan.CrossCorrelateReduce(b.plan, func(cc []float64) float64 {
+		return s.sumExp(cc, a.norm*b.norm)
+	})
 	return normalized(kxy, a.self, b.self)
-}
-
-// sinkGridState is the candidate-independent core of SINK's preparation:
-// the FFT plan, the series norm, and the self cross-correlation sequence.
-// Every gamma candidate derives its prepared state from it by one pass of
-// exponentials instead of repeating the two FFT transforms.
-type sinkGridState struct {
-	plan   *fft.Plan
-	norm   float64
-	ccSelf []float64
-}
-
-// SharesPreparation implements measure.GridStateful: grid state is valid
-// for any SINK gamma.
-func (s SINK) SharesPreparation(other measure.Measure) bool {
-	_, ok := other.(SINK)
-	return ok
-}
-
-// GridPrepare implements measure.GridStateful: the gamma-independent FFT
-// work of Prepare, computed once per series for a whole gamma sweep.
-func (s SINK) GridPrepare(x []float64) any {
-	var ss float64
-	for _, v := range x {
-		ss += v * v
-	}
-	g := &sinkGridState{norm: math.Sqrt(ss)}
-	g.plan = fft.NewPlan(x)
-	g.ccSelf = g.plan.CrossCorrelateWith(g.plan)
-	return g
-}
-
-// CandidateState implements measure.GridStateful: specializing shared grid
-// state to this gamma runs the same sumExp over the same self
-// cross-correlation Prepare would compute, so the resulting state is
-// bitwise interchangeable with Prepare's.
-func (s SINK) CandidateState(shared any) any {
-	g := shared.(*sinkGridState)
-	return &sinkPrepared{plan: g.plan, norm: g.norm, self: s.sumExp(g.ccSelf, g.norm*g.norm)}
 }
 
 // sumExp evaluates sum_w exp(gamma * cc_w / den) with a zero-denominator
@@ -153,31 +123,6 @@ func (s SINK) sumExp(cc []float64, den float64) float64 {
 func (s SINK) Distance(x, y []float64) float64 {
 	measure.CheckSameLength(x, y)
 	return s.PreparedDistance(s.Prepare(x), s.Prepare(y))
-}
-
-// SelfMatrixCtx implements measure.ContextSelfMatrixer: square
-// self-dissimilarity matrices are filled by the batched GramEngine — one
-// spectrum per series, one inverse FFT per pair, tiled parallel fill — with
-// values bitwise identical to the per-pair prepared path. Ragged input
-// declines the fast path so the caller's pairwise loop reproduces the usual
-// length panic. The engine's preparation and tiled fill observe ctx at
-// chunk granularity; on a non-nil error rows are partial and must be
-// discarded.
-func (s SINK) SelfMatrixCtx(ctx context.Context, series [][]float64, rows [][]float64) (bool, error) {
-	if len(series) == 0 {
-		return false, nil
-	}
-	m := len(series[0])
-	for _, x := range series {
-		if len(x) != m {
-			return false, nil
-		}
-	}
-	eng, err := NewGramEngineCtx(ctx, s, series)
-	if err != nil {
-		return true, err
-	}
-	return true, eng.FillDistancesCtx(ctx, rows)
 }
 
 //

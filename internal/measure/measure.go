@@ -7,10 +7,14 @@
 // means more similar. Similarity measures (inner products, kernels,
 // cross-correlations) are exposed in negated or 1-s form so that a single
 // nearest-neighbor implementation serves all five categories of the paper.
+//
+// Beside Measure the package declares seven optional interfaces the
+// evaluation, search and snapshot engines check for: Stateful, Symmetric,
+// EarlyAbandoning, LowerBounded (over BoundContext), PanelEvaluator,
+// NestedBounds and BoundSharing.
 package measure
 
 import (
-	"context"
 	"fmt"
 	"math"
 )
@@ -29,8 +33,10 @@ type Measure interface {
 
 // Stateful is an optional fast path: measures that benefit from per-series
 // precomputation (FFTs, norms, running statistics) implement it, and the
-// evaluation layer prepares each series once per dissimilarity matrix
-// instead of once per pair.
+// evaluation, search and snapshot layers prepare each series once per
+// measure instead of once per pair. Prepared state belongs to one measure:
+// no engine shares it between measures of different names, so it may
+// depend on every parameter.
 type Stateful interface {
 	Measure
 	// Prepare computes reusable per-series state.
@@ -97,32 +103,13 @@ type LowerBounded interface {
 	LowerBound(x, y []float64, cx, cy BoundContext, cutoff float64) float64
 }
 
-// ContextSelfMatrixer is an optional bulk fast path: measures backed by
-// an all-pairs engine (batched spectra, pooled scratch, tiled parallel
-// fill) implement it, and the evaluation layer hands the whole square
-// self-dissimilarity matrix to the engine instead of looping over pairs.
-// The contract is bitwise: rows[i][j] must hold exactly the value the
-// per-pair path (PreparedDistance over Prepare states, or Distance) would
-// produce, before NaN sanitization — the caller sanitizes. A false return
-// means the engine declined (e.g. ragged input) and the caller must fall
-// back; rows content is then unspecified and will be overwritten. The
-// engine observes ctx at its dispatch-chunk granularity and returns
-// ctx.Err() with rows partially filled (the caller must discard them).
-type ContextSelfMatrixer interface {
-	Measure
-	// SelfMatrixCtx fills rows (len(series) square) with all raw pairwise
-	// distances over series, returning false to decline; on a non-nil
-	// error the accepted return is meaningless and rows are partial.
-	SelfMatrixCtx(ctx context.Context, series [][]float64, rows [][]float64) (bool, error)
-}
-
 // PanelEvaluator is an optional batched fast path for lock-step measures:
 // the search and evaluation layers hand one query and a whole panel of
 // candidate series to the engine in a single call, letting it fuse
 // per-candidate accumulators, hoist bounds checks, and unroll across
-// candidates. The contract is bitwise, mirroring ContextSelfMatrixer: on
-// success out[k] must hold exactly the value the per-pair Distance would
-// produce, before NaN sanitization — the caller sanitizes. A false return
+// candidates. The contract is bitwise: on success out[k] must hold exactly
+// the value the per-pair Distance would produce, before NaN sanitization —
+// the caller sanitizes. A false return
 // means the engine declined (e.g. a candidate's length differs from the
 // query's) and the caller must fall back to the per-pair path; out content
 // is then unspecified and will be overwritten.
@@ -139,30 +126,6 @@ type PanelEvaluator interface {
 	// the caller can both reject the candidate and reuse v as a certified
 	// lower bound.
 	PanelDistancesUpTo(q []float64, panel [][]float64, cutoff float64, out []float64) bool
-}
-
-// GridStateful is an optional declaration for Stateful families whose
-// per-series state is built around an expensive candidate-independent core
-// (an FFT spectrum, a self cross-correlation, a norm). GridPrepare computes
-// the shared core once per series; CandidateState cheaply specializes it
-// into this candidate's Stateful prepared state (the input of
-// PreparedDistance). The grid tuning engine (internal/search) uses it to
-// prepare each series once for a whole parameter sweep instead of once per
-// candidate; a family whose Prepare output does not depend on the
-// parameters declares an identity CandidateState. The contract is bitwise:
-// CandidateState(GridPrepare(x)) must yield PreparedDistance results
-// identical to Prepare(x), so the grid engine stays exact.
-type GridStateful interface {
-	Stateful
-	// SharesPreparation reports whether other's GridPrepare state is valid
-	// for this measure's CandidateState.
-	SharesPreparation(other Measure) bool
-	// GridPrepare computes candidate-independent per-series state shared by
-	// every candidate satisfying SharesPreparation.
-	GridPrepare(x []float64) any
-	// CandidateState specializes shared grid state into this candidate's
-	// prepared state, bitwise equivalent to Prepare on the same series.
-	CandidateState(shared any) any
 }
 
 // NestedBounds declares grid monotonicity: DominatedBy(other) reports that

@@ -26,7 +26,7 @@ type wavefronter interface {
 type Discrepancy struct {
 	Measure string
 	Input   string
-	Kind    string // oracle | symmetry | stateful | gridstate | upto | wavefront | panel | lowerbound | nesting | panic | engine
+	Kind    string // oracle | symmetry | stateful | upto | wavefront | panel | lowerbound | nesting | panic | engine
 	Detail  string
 }
 
@@ -153,30 +153,6 @@ func CheckPair(r *Report, p Pair, in Input) {
 			pd := sm.PreparedDistance(sm.Prepare(in.X), sm.Prepare(in.Y))
 			if !agree(got, pd, p.Tol) {
 				r.add(name, in.Name, "stateful", "Distance=%v PreparedDistance=%v", got, pd)
-			}
-		})
-	}
-
-	// GridStateful: candidate state derived from shared grid state must be
-	// bitwise interchangeable with Prepare's (the grid tuning engine relies
-	// on it for exactness), and the family must at least contain the
-	// measure itself.
-	if gs, ok := p.M.(measure.GridStateful); ok {
-		r.Checks++
-		call(r, name, in.Name, "GridPrepare", func() {
-			if !gs.SharesPreparation(p.M) {
-				r.add(name, in.Name, "gridstate", "SharesPreparation(self) = false")
-			}
-			direct := gs.PreparedDistance(gs.Prepare(in.X), gs.Prepare(in.Y))
-			viaGrid := gs.PreparedDistance(
-				gs.CandidateState(gs.GridPrepare(in.X)),
-				gs.CandidateState(gs.GridPrepare(in.Y)))
-			if wellBehaved && !sameValue(direct, viaGrid) {
-				r.add(name, in.Name, "gridstate",
-					"Prepare=%v CandidateState(GridPrepare)=%v not bitwise equal", direct, viaGrid)
-			} else if !wellBehaved && !agree(direct, viaGrid, p.Tol) {
-				r.add(name, in.Name, "gridstate",
-					"Prepare=%v CandidateState(GridPrepare)=%v", direct, viaGrid)
 			}
 		})
 	}
@@ -575,8 +551,8 @@ func Fuzz(seed int64) *Report {
 		}
 	}
 	// Grid route once per seed: a thinned DTW grid (lower-bounded family
-	// cascade) and a thinned SINK grid (shared-core GridStateful family),
-	// on well-behaved refs and on a NaN/Inf-poisoned train set.
+	// cascade) and a thinned SINK grid (prepared scans), on well-behaved
+	// refs and on a NaN/Inf-poisoned train set.
 	degenerate := [][]float64{
 		refs[0],
 		poison(append([]float64(nil), refs[1]...), 2, math.NaN()),

@@ -1,19 +1,16 @@
 package oracle
 
 import (
-	"context"
 	"math"
 	"math/rand"
 	"testing"
 
-	"repro/internal/kernel"
 	"repro/internal/linalg"
 )
 
 // The spectral oracle: the implicit-shift QL eigensolver cross-checked
-// against the retained cyclic Jacobi implementation, and the batched Gram
-// engine cross-checked against the per-pair prepared SINK path. Both run
-// under `make oracle` (the -run Oracle schedule, race detector on).
+// against the retained cyclic Jacobi implementation. It runs under `make
+// oracle` (the -run Oracle schedule, race detector on).
 
 func randomSymmetric(rng *rand.Rand, n, kind int) *linalg.Matrix {
 	m := linalg.NewMatrix(n, n)
@@ -81,43 +78,6 @@ func TestOracleEigenSolver(t *testing.T) {
 				if math.Abs(rec.Data[i]-a.Data[i]) > 1e-9*scale {
 					t.Fatalf("seed %d trial %d (n=%d kind=%d): reconstruction off at flat %d: %v vs %v",
 						seed, trial, n, kind, i, rec.Data[i], a.Data[i])
-				}
-			}
-		}
-	}
-}
-
-// TestOracleGramEngine checks the batched SINK Gram engine against the
-// per-pair prepared path over the full Table-4 gamma grid on the engine
-// differential's series sets (duplicates, constants, mixed scales). The
-// contract is bitwise — the engine replays the exact per-pair arithmetic —
-// so the comparison is sameValue, not a tolerance tier.
-func TestOracleGramEngine(t *testing.T) {
-	for _, seed := range fuzzSeeds(t) {
-		queries, refs := EngineSets(seed, false)
-		series := append(append([][]float64{}, queries...), refs...)
-		rows := make([][]float64, len(series))
-		for i := range rows {
-			rows[i] = make([]float64, len(series))
-		}
-		for gamma := 1.0; gamma <= 20; gamma++ {
-			s := kernel.SINK{Gamma: gamma}
-			eng, err := kernel.NewGramEngineCtx(context.Background(), s, series)
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng.FillDistancesCtx(nil, rows)
-			prep := make([]any, len(series))
-			for i, x := range series {
-				prep[i] = s.Prepare(x)
-			}
-			for i := range series {
-				for j := range series {
-					want := s.PreparedDistance(prep[i], prep[j])
-					if !sameValue(rows[i][j], want) {
-						t.Fatalf("seed %d gamma %g: engine[%d][%d] = %v, per-pair path %v",
-							seed, gamma, i, j, rows[i][j], want)
-					}
 				}
 			}
 		}

@@ -122,7 +122,7 @@ func forShard(done <-chan struct{}, n, workers int, fn func(worker, i int)) {
 // forShardParallel is forShard's multi-worker dispatch. It lives in its own
 // function so the worker closure's captured variables are heap-moved only
 // on this path: with them inline, escape analysis would charge the serial
-// path (whose allocation-free warm runs internal/kernel pins) one heap
+// path (allocation-free, pinned by TestSerialDispatchAllocFree) one heap
 // move per call for a closure it never creates.
 func forShardParallel(done <-chan struct{}, n, workers, chunk int, fn func(worker, i int)) {
 	var (

@@ -160,6 +160,36 @@ func TestForShardCtxCancellationBoundsExtraWork(t *testing.T) {
 	}
 }
 
+// serialSink keeps the serial-dispatch iterations observable without a
+// closure capture, so the allocation check below measures the dispatcher
+// alone.
+var serialSink atomic.Int64
+
+func serialBody(_, i int) { serialSink.Add(int64(i)) }
+
+// TestSerialDispatchAllocFree pins the claim of DESIGN §12: with one
+// worker, passed explicitly, ForShard and ForShardCtx run inline on the
+// caller goroutine and allocate nothing, uncancelled or nil context alike.
+// (A capturing closure costs its caller one allocation, because fn
+// escapes to the parallel path; the dispatch itself adds none.)
+func TestSerialDispatchAllocFree(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ctx.Done() // create the done channel before measuring
+	for _, tc := range []struct {
+		name string
+		run  func()
+	}{
+		{"ForShard", func() { ForShard(1000, 1, serialBody) }},
+		{"ForShardCtx/nil", func() { ForShardCtx(nil, 1000, 1, serialBody) }},
+		{"ForShardCtx/live", func() { ForShardCtx(ctx, 1000, 1, serialBody) }},
+	} {
+		if n := testing.AllocsPerRun(20, tc.run); n != 0 {
+			t.Errorf("%s: serial dispatch allocates %v per run, want 0", tc.name, n)
+		}
+	}
+}
+
 func TestForShardCtxPanicPropagatesOriginalValue(t *testing.T) {
 	type sentinel struct{ msg string }
 	val := sentinel{msg: "worker exploded"}

@@ -16,9 +16,8 @@
 //
 // and must return promptly with ctx.Err() once the context is cancelled.
 // The underlying engines (internal/par, internal/search, internal/eval,
-// kernel.GramEngine, the embedding fits) observe cancellation at
-// chunk-claim granularity, so "promptly" means within one dispatch chunk
-// per worker.
+// the embedding fits) observe cancellation at chunk-claim granularity, so
+// "promptly" means within one dispatch chunk per worker.
 package run
 
 import (

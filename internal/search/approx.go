@@ -62,11 +62,8 @@ func KNNApproxSnapshotCtx(ctx context.Context, m measure.Measure, queries, refs 
 	}
 	ix := snap.ANNIndex(m)
 	if ix == nil {
-		prep, err := snap.PreparedStates(ctx, m)
-		if err != nil {
-			return ApproxResult{}, err
-		}
-		st := ann.ExactState{Bounds: snap.BoundContexts(m), Prep: prep}
+		st := ann.ExactState{Bounds: snap.BoundContexts(m), Prep: snap.Prepared(m)}
+		var err error
 		if ix, err = ann.BuildCtx(ctx, refs, m, cfg, st); err != nil {
 			return ApproxResult{}, err
 		}

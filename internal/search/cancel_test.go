@@ -3,6 +3,7 @@ package search_test
 import (
 	"context"
 	"math"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -55,54 +56,75 @@ func TestOneNNCtxPreCancelled(t *testing.T) {
 	}
 }
 
-// TestLeaveOneOutGridCtxCancelsPromptly cancels mid-scan from inside the
-// measure itself and asserts the run stops within dispatch-chunk
-// granularity: the total distance-call count stays well below the full
-// sweep's, and the error is context.Canceled.
-func TestLeaveOneOutGridCtxCancelsPromptly(t *testing.T) {
-	train := cancelTrain()
-	n := int64(len(train))
-	full := 3 * n * (n - 1) // three candidates, all ordered pairs each
+// looCancelBound is the most distance calls a leave-one-out sweep over
+// cands scan-path candidates may run when one of them cancels at its
+// trigger-th call, derived from the grid engine's dispatch: rows are cut
+// into row chunks of n/(workers*4), (candidate, row chunk) items are
+// claimed through internal/par in chunks of items/(workers*8), and each
+// worker finishes at most the one chunk it holds. A scanned row computes
+// n-1 distances.
+func looCancelBound(trigger int64, cands, n, procs int) int64 {
+	workers := min(procs, cands*n)
+	rowChunk := max(n/(workers*4), 1)
+	items := cands * ((n + rowChunk - 1) / rowChunk)
+	itemChunk := max(items/(workers*8), 1)
+	return trigger + int64(workers*itemChunk*rowChunk*(n-1))
+}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var calls atomic.Int64
-	cands := []measure.Measure{
-		cancellingMeasure{calls: &calls, trigger: 5, cancel: cancel},
-		cancellingMeasure{calls: &calls, trigger: -1, cancel: func() {}},
-		cancellingMeasure{calls: &calls, trigger: -1, cancel: func() {}},
-	}
-	_, err := search.LeaveOneOutGridCtx(ctx, cands, train, nil)
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if got := calls.Load(); got >= full/2 {
-		t.Errorf("cancelled grid sweep ran %d of %d distance calls; cancellation is not chunk-prompt", got, full)
+// TestLeaveOneOutGridCtxCancelsPromptly cancels a three-candidate sweep
+// from inside its fifth distance and bounds the work that still runs to
+// one dispatch chunk per worker, at one and four workers; the error is
+// context.Canceled.
+func TestLeaveOneOutGridCtxCancelsPromptly(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	train := cancelTrain()
+	const trigger = 5
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		ctx, cancel := context.WithCancel(context.Background())
+		var calls atomic.Int64
+		cands := []measure.Measure{
+			cancellingMeasure{calls: &calls, trigger: trigger, cancel: cancel},
+			cancellingMeasure{calls: &calls, trigger: -1, cancel: func() {}},
+			cancellingMeasure{calls: &calls, trigger: -1, cancel: func() {}},
+		}
+		_, err := search.LeaveOneOutGridCtx(ctx, cands, train, nil)
+		cancel()
+		if err != context.Canceled {
+			t.Fatalf("procs=%d: err = %v, want context.Canceled", procs, err)
+		}
+		limit := looCancelBound(trigger, len(cands), len(train), procs)
+		if got := calls.Load(); got < trigger || got > limit {
+			t.Errorf("procs=%d: cancelled grid sweep ran %d distance calls, want %d..%d", procs, got, trigger, limit)
+		}
 	}
 }
 
 // TestLeaveOneOutCtxCancelsPromptly is the single-candidate analogue:
 // leave-one-out is the grid engine over one candidate, so a cancelled run
-// also follows the grid's rule and returns a zero Result, never a
-// half-scanned one.
+// follows the same one-chunk bound and the grid's rule of returning a
+// zero Result, never a half-scanned one.
 func TestLeaveOneOutCtxCancelsPromptly(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	train := cancelTrain()
-	n := int64(len(train))
-	full := n * (n - 1)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var calls atomic.Int64
-	m := cancellingMeasure{calls: &calls, trigger: 5, cancel: cancel}
-	gr, err := search.LeaveOneOutGridCtx(ctx, []measure.Measure{m}, train, nil)
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if got := calls.Load(); got >= full/2 {
-		t.Errorf("cancelled leave-one-out ran %d of %d distance calls", got, full)
-	}
-	if r := gr.PerCandidate[0]; r.Indices != nil || r.Distances != nil || r.Stats != (search.Stats{}) {
-		t.Errorf("cancelled leave-one-out returned a non-zero Result: %+v", r)
+	const trigger = 5
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		ctx, cancel := context.WithCancel(context.Background())
+		var calls atomic.Int64
+		m := cancellingMeasure{calls: &calls, trigger: trigger, cancel: cancel}
+		gr, err := search.LeaveOneOutGridCtx(ctx, []measure.Measure{m}, train, nil)
+		cancel()
+		if err != context.Canceled {
+			t.Fatalf("procs=%d: err = %v, want context.Canceled", procs, err)
+		}
+		limit := looCancelBound(trigger, 1, len(train), procs)
+		if got := calls.Load(); got < trigger || got > limit {
+			t.Errorf("procs=%d: cancelled leave-one-out ran %d distance calls, want %d..%d", procs, got, trigger, limit)
+		}
+		if r := gr.PerCandidate[0]; r.Indices != nil || r.Distances != nil || r.Stats != (search.Stats{}) {
+			t.Errorf("procs=%d: cancelled leave-one-out returned a non-zero Result: %+v", procs, r)
+		}
 	}
 }
 

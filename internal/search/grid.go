@@ -16,14 +16,13 @@ import (
 // evaluation of an entire parameter grid in one pass, instead of one
 // independent leave-one-out scan per candidate. It is also the only
 // leave-one-out path: LeaveOneOut is the engine over a single candidate.
-// Three optimizations stack:
+// Each candidate prepares its own per-series state (Stateful preparations
+// or bound contexts), inline or from a snapshot. Three optimizations
+// stack:
 //
-//  1. Shared preparation. Candidates declaring measure.GridStateful form
-//     families whose per-series state is computed once for the whole
-//     sweep — e.g. one FFT spectrum and self cross-correlation per series
-//     across all SINK gammas. Candidates declaring measure.BoundSharing
-//     (DTW bands) rebind one arena of envelope buffers across the sweep
-//     instead of allocating per candidate.
+//  1. Envelope arena. Candidates declaring measure.BoundSharing (DTW
+//     bands) rebind one arena of envelope buffers across the sweep instead
+//     of allocating per candidate.
 //
 //  2. Warm-start pruning. Candidates declaring measure.NestedBounds are
 //     linked to a dominating candidate evaluated earlier (e.g. the
@@ -57,25 +56,19 @@ import (
 // GridStats counts the work of a grid evaluation beyond the per-pair
 // counters of Stats.
 type GridStats struct {
-	Candidates   int   // grid candidates evaluated
-	Waves        int   // warm-start dependency depth of the schedule
-	Rows         int64 // leave-one-out rows evaluated (candidates x series)
-	WarmRows     int64 // rows primed with a finite warm-start cutoff
-	Repaired     int64 // warm rows re-scanned cold (unachievable bound)
-	PrepTotal    int64 // per-series preparations a per-candidate loop runs
-	PrepShared   int64 // of those, served by a family-shared preparation
+	Candidates int   // grid candidates evaluated
+	Waves      int   // warm-start dependency depth of the schedule
+	Rows       int64 // leave-one-out rows evaluated (candidates x series)
+	WarmRows   int64 // rows primed with a finite warm-start cutoff
+	Repaired   int64 // warm rows re-scanned cold (unachievable bound)
+	PrepTotal  int64 // per-series preparations of the Stateful candidates
+	// PrepShared is always 0: no candidate shares another's preparation.
+	// It is kept because the end-to-end benchmark (cmd/tsperf) reads it,
+	// until that benchmark next changes.
+	PrepShared   int64
 	PrepSnapshot int64 // per-series states served by a corpus snapshot
 	Search       Stats // pair counters over the whole sweep
 	WarmSearch   Stats // pair counters restricted to warm-primed candidates
-}
-
-// SharedPrepRate is the fraction of per-series preparations served by a
-// family-shared preparation (0 when the grid has no stateful candidates).
-func (g GridStats) SharedPrepRate() float64 {
-	if g.PrepTotal == 0 {
-		return 0
-	}
-	return float64(g.PrepShared) / float64(g.PrepTotal)
 }
 
 // WarmPruneRate is the fraction of candidate pairs in warm-primed
@@ -98,45 +91,34 @@ type GridResult struct {
 
 // tuneIndex holds a parameter grid prepared for one-pass leave-one-out
 // evaluation over a fixed training set: warm-start links between nested
-// candidates, preparation-sharing families, and the bound-context arena.
+// candidates and the bottom candidate's pair matrix.
 type tuneIndex struct {
 	cands    []measure.Measure
 	train    [][]float64
-	warmFrom []int // dominating candidate whose results prime this one, or -1
-	depth    []int // warm-start chain depth (wave number)
-	families []gridFamily
-	famOf    []int     // candidate -> index into families, or -1
+	warmFrom []int     // dominating candidate whose results prime this one, or -1
+	depth    []int     // warm-start chain depth (wave number)
 	bottom   int       // pair-matrix candidate (dominated by the covered set), or -1
 	covered  []bool    // candidate k is lower-bounded by the bottom's matrix
 	pairD    []float64 // n*n exact distances of the bottom candidate
 	finite   []bool    // series i contains only finite values
 
-	// snap optionally serves per-series state (family cores, prepared
-	// states, bound contexts, finiteness) instead of computing it inline;
-	// nil unless the snapshot covers train. Snapshot state is read-only: it
-	// is never rebound, refilled, or donated to the bound arena.
+	// snap optionally serves per-series state (prepared states, bound
+	// contexts, finiteness) instead of computing it inline; nil unless the
+	// snapshot covers train. Snapshot state is read-only: it is never
+	// rebound, refilled, or donated to the bound arena.
 	snap *corpus.Snapshot
-}
-
-// gridFamily is a preparation-sharing group: GridStateful candidates whose
-// per-series state derives from one shared core.
-type gridFamily struct {
-	rep     int // first member, whose declarations anchor the family
-	members int
 }
 
 // newTuneIndex analyzes the grid's structure: warm-start links via
 // measure.NestedBounds (each candidate linked to the latest earlier
 // candidate that dominates it — the tightest bound in a
-// monotone-ordered grid), and preparation families via
-// measure.GridStateful. snap is kept only when it covers train.
+// monotone-ordered grid). snap is kept only when it covers train.
 func newTuneIndex(cands []measure.Measure, train [][]float64, snap *corpus.Snapshot) *tuneIndex {
 	ti := &tuneIndex{
 		cands:    cands,
 		train:    train,
 		warmFrom: make([]int, len(cands)),
 		depth:    make([]int, len(cands)),
-		famOf:    make([]int, len(cands)),
 		bottom:   findBottom(cands, train),
 		covered:  make([]bool, len(cands)),
 	}
@@ -149,7 +131,6 @@ func newTuneIndex(cands []measure.Measure, train [][]float64, snap *corpus.Snaps
 	}
 	for k, m := range cands {
 		ti.warmFrom[k] = -1
-		ti.famOf[k] = -1
 		if bottomNB != nil && k != ti.bottom {
 			ti.covered[k] = bottomNB.DominatedBy(m)
 		}
@@ -170,9 +151,6 @@ func newTuneIndex(cands []measure.Measure, train [][]float64, snap *corpus.Snaps
 					break
 				}
 			}
-		}
-		if gs, ok := m.(measure.GridStateful); ok {
-			ti.joinFamily(k, gs)
 		}
 	}
 	return ti
@@ -252,27 +230,12 @@ func probeDistanceCost(m measure.Measure, x, y []float64) float64 {
 	return best
 }
 
-// joinFamily adds GridStateful candidate k to the first family whose
-// representative shares its preparation, or founds a new one.
-func (ti *tuneIndex) joinFamily(k int, gs measure.GridStateful) {
-	for fi := range ti.families {
-		f := &ti.families[fi]
-		if gs.SharesPreparation(ti.cands[f.rep]) {
-			f.members++
-			ti.famOf[k] = fi
-			return
-		}
-	}
-	ti.families = append(ti.families, gridFamily{rep: k, members: 1})
-	ti.famOf[k] = len(ti.families) - 1
-}
-
 // LeaveOneOutGridCtx evaluates every candidate's leave-one-out 1-NN result
 // in one pass; a single candidate is plain leave-one-out. Each
 // per-candidate Result — neighbor indices, distances, and tie-breaks — is
 // identical to exhaustive evaluation of that candidate alone. snap is
-// optional: when it covers train it serves family cores, prepared states,
-// bound contexts, and finiteness flags, with bitwise-identical results.
+// optional: when it covers train it serves prepared states, bound
+// contexts, and finiteness flags, with bitwise-identical results.
 //
 // A cancelled sweep stops within one dispatch chunk per worker and returns
 // ctx.Err() with a partially-filled GridResult: candidates from completed
@@ -282,8 +245,8 @@ func LeaveOneOutGridCtx(ctx context.Context, cands []measure.Measure, train [][]
 	return newTuneIndex(cands, train, snap).evaluate(ctx)
 }
 
-// evaluate runs the full grid schedule: family preparations, then each
-// warm-start wave through one pooled dispatch.
+// evaluate runs the full grid schedule: the bottom candidate's pair
+// matrix, then each warm-start wave through one pooled dispatch.
 func (ti *tuneIndex) evaluate(ctx context.Context) (GridResult, error) {
 	res := GridResult{PerCandidate: make([]Result, len(ti.cands))}
 	st := &res.Stats
@@ -293,11 +256,6 @@ func (ti *tuneIndex) evaluate(ctx context.Context) (GridResult, error) {
 		if _, ok := m.(measure.Stateful); ok {
 			st.PrepTotal += int64(n)
 		}
-	}
-
-	shared, err := ti.prepareFamilies(ctx, st)
-	if err != nil {
-		return res, err
 	}
 
 	if ti.bottom >= 0 {
@@ -336,41 +294,11 @@ func (ti *tuneIndex) evaluate(ctx context.Context) (GridResult, error) {
 
 	arena := &boundArena{}
 	for _, wave := range waves {
-		if err := ti.evaluateWave(ctx, wave, shared, arena, res.PerCandidate, st); err != nil {
+		if err := ti.evaluateWave(ctx, wave, arena, res.PerCandidate, st); err != nil {
 			return res, err
 		}
 	}
 	return res, nil
-}
-
-// prepareFamilies computes the shared per-series cores of every family
-// with at least two members (a singleton gains nothing over the plain
-// Stateful path).
-func (ti *tuneIndex) prepareFamilies(ctx context.Context, st *GridStats) (map[int][]any, error) {
-	out := map[int][]any{}
-	n := len(ti.train)
-	for fi, f := range ti.families {
-		if f.members < 2 {
-			continue
-		}
-		// The snapshot's family cores replace the inline computation
-		// wholesale: the builder produced them with the same GridPrepare
-		// calls this loop would run.
-		if cores := ti.snap.GridCores(ti.cands[f.rep]); cores != nil {
-			out[fi] = cores
-			st.PrepShared += int64(f.members-1) * int64(n)
-			st.PrepSnapshot += int64(n)
-			continue
-		}
-		gs := ti.cands[f.rep].(measure.GridStateful)
-		cores := make([]any, n)
-		if err := par.ForCtx(ctx, n, par.Workers(n), func(i int) { cores[i] = gs.GridPrepare(ti.train[i]) }); err != nil {
-			return out, err
-		}
-		out[fi] = cores
-		st.PrepShared += int64(f.members-1) * int64(n)
-	}
-	return out, nil
 }
 
 // allFinite reports whether every value of x is finite.
@@ -501,7 +429,7 @@ type looLocal struct {
 // wave's candidates are left as zero Results (partial worker-local scans
 // are never merged — a half-scanned row would not be exact) and the
 // context error is returned.
-func (ti *tuneIndex) evaluateWave(ctx context.Context, wave []int, shared map[int][]any, arena *boundArena, out []Result, st *GridStats) error {
+func (ti *tuneIndex) evaluateWave(ctx context.Context, wave []int, arena *boundArena, out []Result, st *GridStats) error {
 	n := len(ti.train)
 	evals := make([]*candEval, len(wave))
 	for w, k := range wave {
@@ -547,7 +475,12 @@ func (ti *tuneIndex) evaluateWave(ctx context.Context, wave []int, shared map[in
 		if err := par.ForCtx(ctx, total, par.Workers(total), func(item int) {
 			ce := setupCands[item/n]
 			i := item % n
-			ce.setupSeries(ti.train, i, shared[ti.famOf[ce.k]])
+			if ce.entry != nil {
+				// An arena-held bound context is rebound in place.
+				ce.ix.rctx[i] = ce.bs.RebindBoundContext(ce.ix.rctx[i], ti.train[i])
+			} else {
+				ce.ix.fill(i)
+			}
 		}); err != nil {
 			clearWave(evals, out)
 			return err
@@ -652,17 +585,6 @@ func clearWave(evals []*candEval, out []Result) {
 	for _, ce := range evals {
 		out[ce.k] = Result{}
 	}
-}
-
-// setupSeries performs candidate setup for series i: an arena-held bound
-// context is rebound in place; anything else is the index's fill —
-// specialized from the family's shared core when there is one.
-func (ce *candEval) setupSeries(train [][]float64, i int, famShared []any) {
-	if ce.entry != nil {
-		ce.ix.rctx[i] = ce.bs.RebindBoundContext(ce.ix.rctx[i], train[i])
-		return
-	}
-	ce.ix.fill(i, famShared)
 }
 
 // newLooLocal builds a worker's private incumbent arrays, priming rows

@@ -125,18 +125,14 @@ func (ix *Index) needsSetup() bool {
 	return !ix.prefilled && (ix.rctx != nil || ix.rprep != nil)
 }
 
-// fill prepares reference i: a bound-context fill, or a prepared state —
-// specialized from the GridStateful family core famShared[i] when the
-// caller holds one, else computed by Prepare.
-func (ix *Index) fill(i int, famShared []any) {
+// fill prepares reference i: a bound-context fill or a prepared state.
+func (ix *Index) fill(i int) {
 	x := ix.refs[i]
 	switch {
 	case ix.rctx != nil:
 		c := ix.lb.NewBoundContext(len(x))
 		c.Fill(x)
 		ix.rctx[i] = c
-	case famShared != nil:
-		ix.rprep[i] = ix.m.(measure.GridStateful).CandidateState(famShared[i])
 	case ix.rprep != nil:
 		ix.rprep[i] = ix.sm.Prepare(x)
 	}

@@ -11,16 +11,14 @@ import (
 // This file wires the search engine to the build-once prepared-state layer
 // of internal/corpus. Every path takes the snapshot as an optional
 // argument: per-reference state (filled bound contexts, Stateful
-// preparations, GridStateful family cores) is served from the snapshot
-// when it covers the series and holds state for the measure, and prepared
-// inline otherwise. A nil snapshot — or one built over different series —
+// preparations) is served from the snapshot when it covers the series and
+// holds state for the measure, and prepared inline otherwise. A nil snapshot — or one built over different series —
 // prepares everything inline, so results are bitwise identical either way:
 // the snapshot changes where state comes from, never what is computed from
 // it.
 
 // NewIndexSnapshotCtx builds a query index over refs: its per-reference
-// state comes from the snapshot when it covers refs and holds state for m
-// (or the GridStateful family core a prepared state specializes from);
+// state comes from the snapshot when it covers refs and holds state for m;
 // anything missing is prepared inline in parallel, honoring cancellation.
 // On a non-nil error the index is unusable.
 func NewIndexSnapshotCtx(ctx context.Context, m measure.Measure, refs [][]float64, snap *corpus.Snapshot) (*Index, error) {
@@ -31,13 +29,7 @@ func NewIndexSnapshotCtx(ctx context.Context, m measure.Measure, refs [][]float6
 	if !ix.needsSetup() {
 		return ix, nil
 	}
-	var famShared []any
-	if ix.rprep != nil {
-		famShared = snap.GridCores(m)
-	}
-	if err := par.ForCtx(ctx, len(refs), par.Workers(len(refs)), func(i int) {
-		ix.fill(i, famShared)
-	}); err != nil {
+	if err := par.ForCtx(ctx, len(refs), par.Workers(len(refs)), ix.fill); err != nil {
 		return nil, err
 	}
 	return ix, nil

@@ -74,8 +74,9 @@ func (m *Measure) Prepare(x []float64) any {
 func (m *Measure) PreparedDistance(px, py any) float64 {
 	a := px.(*prepared)
 	b := py.(*prepared)
-	cc := a.plan.CrossCorrelateWith(b.plan)
-	return m.fromCC(cc, a.plan.Len(), a.norm, b.norm)
+	return a.plan.CrossCorrelateReduce(b.plan, func(cc []float64) float64 {
+		return m.fromCC(cc, a.plan.Len(), a.norm, b.norm)
+	})
 }
 
 // Distance implements measure.Measure. Similarities are converted to

@@ -106,6 +106,28 @@ func TestPreparedDistanceMatchesDirect(t *testing.T) {
 	}
 }
 
+// TestPreparedDistanceAllocFree pins the pooled cross-correlation: a warm
+// PreparedDistance of every variant allocates nothing, and two empty
+// series are identical (distance 0) on the prepared path too.
+func TestPreparedDistanceAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	x, y := randSeries(rng, 128), randSeries(rng, 128)
+	for _, m := range All() {
+		sm := m.(*Measure)
+		if d := sm.PreparedDistance(sm.Prepare(nil), sm.Prepare(nil)); d != 0 {
+			t.Errorf("%s: empty pair at %v, want 0", sm.Name(), d)
+		}
+		if raceEnabled {
+			continue
+		}
+		px, py := sm.Prepare(x), sm.Prepare(y)
+		sm.PreparedDistance(px, py) // warm the pool
+		if n := testing.AllocsPerRun(50, func() { sm.PreparedDistance(px, py) }); n != 0 {
+			t.Errorf("%s: warm PreparedDistance allocates %v per run, want 0", sm.Name(), n)
+		}
+	}
+}
+
 func TestNCCbIsScaledNCC(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	x := randSeries(rng, 40)
