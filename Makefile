@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: fmt build test vet race check-race oracle oracle-long determinism bench bench-compare perf golden smoke check
+.PHONY: fmt build test vet race check-race oracle oracle-long determinism fuzz bench bench-compare perf golden smoke check
 
 # Fail when gofmt would reformat any Go file: gofmt -l prints the name of
 # every such file. Hidden directories (.git, tsperf's .bench_build caches)
@@ -61,6 +61,14 @@ determinism:
 	GOMAXPROCS=1 $(GO) test -count=1 -run Oracle ./internal/oracle
 	GOMAXPROCS=2 $(GO) test -count=1 -run Oracle ./internal/oracle
 	GOMAXPROCS=4 $(GO) test -count=1 -run Oracle ./internal/oracle
+
+# Native fuzzing of the UCR and multivariate TSV parsers, 15 s per target:
+# neither may panic, and every input they accept must keep its integral
+# labels and round-trip through the writers to the same bits. The seed
+# corpora alone already run under `go test ./...`.
+fuzz:
+	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzReadTSV$$' -fuzztime 15s
+	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzReadMVTSV$$' -fuzztime 15s
 
 # Smoke-run every benchmark once, then measure the grid tuning benchmarks
 # (per-candidate loop vs grid engine), the square SINK matrix and the

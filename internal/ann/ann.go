@@ -21,7 +21,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/embedding"
 	"repro/internal/index"
@@ -104,17 +103,6 @@ type Stats struct {
 	Fallback bool
 }
 
-// ExactState carries per-reference prepared state adopted from a corpus
-// snapshot so the index shares rather than recomputes it: Bounds[i] is a
-// filled bound context for reference i (nil slice when the measure is
-// not LowerBounded or the caller holds none), Prep[i] its prepared state
-// (nil slice when not Stateful or not held). The zero value builds
-// everything inline.
-type ExactState struct {
-	Bounds []measure.BoundContext
-	Prep   []any
-}
-
 // Index is a fitted embed–index–rerank structure over one corpus and one
 // exact measure. It is immutable after construction and safe for
 // concurrent use through per-goroutine Queriers.
@@ -127,22 +115,23 @@ type Index struct {
 	reps     [][]float64
 	tree     *index.VPTree
 
-	// Optional exact fast paths, resolved once.
+	// Optional exact fast paths, resolved once, and the per-reference
+	// state they read.
 	lb       measure.LowerBounded
 	ea       measure.EarlyAbandoning
 	stateful measure.Stateful
-	bounds   []measure.BoundContext // per-ref, when lb != nil
-	prep     []any                  // per-ref, when stateful != nil
+	state    measure.Prepared
 }
 
 // BuildCtx fits the GRAIL embedder on the corpus, transforms every
 // series in parallel, and indexes the representations; ctx is observed by
-// the fit, the transform fan-out, and the tree build. The exact re-rank
-// state is adopted from st when provided (a corpus snapshot's bound
-// contexts and prepared states) instead of being rebuilt: either slice may
-// be nil, and a non-nil slice must have one entry per reference. An empty
-// corpus builds an empty index whose searches return no neighbors.
-func BuildCtx(ctx context.Context, refs [][]float64, m measure.Measure, cfg Config, st ExactState) (*Index, error) {
+// the fit, the transform fan-out, the tree build and the exact re-rank
+// state's preparation. st is that state when the caller already holds it
+// (a corpus snapshot's measure.Prepared for m); its zero value prepares
+// it here through measure.PrepareCtx. A non-zero st must hold one entry
+// per reference in each non-nil slice. An empty corpus builds an empty
+// index whose searches return no neighbors.
+func BuildCtx(ctx context.Context, refs [][]float64, m measure.Measure, cfg Config, st measure.Prepared) (*Index, error) {
 	ix := &Index{m: m, refs: refs, cfg: cfg}
 	ix.lb, _ = m.(measure.LowerBounded)
 	ix.ea, _ = m.(measure.EarlyAbandoning)
@@ -153,8 +142,8 @@ func BuildCtx(ctx context.Context, refs [][]float64, m measure.Measure, cfg Conf
 	if st.Bounds != nil && len(st.Bounds) != len(refs) {
 		panic(fmt.Sprintf("ann: %d adopted bound contexts for %d series", len(st.Bounds), len(refs)))
 	}
-	if st.Prep != nil && len(st.Prep) != len(refs) {
-		panic(fmt.Sprintf("ann: %d adopted prepared states for %d series", len(st.Prep), len(refs)))
+	if st.States != nil && len(st.States) != len(refs) {
+		panic(fmt.Sprintf("ann: %d adopted prepared states for %d series", len(st.States), len(refs)))
 	}
 
 	dim := cfg.dim()
@@ -176,36 +165,12 @@ func BuildCtx(ctx context.Context, refs [][]float64, m measure.Measure, cfg Conf
 		return nil, err
 	}
 	ix.tree = tree
-
-	// Exact re-rank state: adopt the snapshot's when provided, otherwise
-	// build it here (in parallel — bound fills and preparations are
-	// independent per series).
-	if ix.lb != nil {
-		if st.Bounds != nil {
-			ix.bounds = st.Bounds
-		} else {
-			ix.bounds = make([]measure.BoundContext, len(refs))
-			if err := par.ForCtx(ctx, len(refs), par.Workers(len(refs)), func(i int) {
-				c := ix.lb.NewBoundContext(len(refs[i]))
-				c.Fill(refs[i])
-				ix.bounds[i] = c
-			}); err != nil {
-				return nil, err
-			}
+	if st.Bounds == nil && st.States == nil {
+		if st, err = measure.PrepareCtx(ctx, m, refs); err != nil {
+			return nil, err
 		}
 	}
-	if ix.stateful != nil {
-		if st.Prep != nil {
-			ix.prep = st.Prep
-		} else {
-			ix.prep = make([]any, len(refs))
-			if err := par.ForCtx(ctx, len(refs), par.Workers(len(refs)), func(i int) {
-				ix.prep[i] = ix.stateful.Prepare(refs[i])
-			}); err != nil {
-				return nil, err
-			}
-		}
-	}
+	ix.state = st
 	return ix, nil
 }
 
@@ -301,11 +266,11 @@ func (qr *Querier) rerank(q []float64, cands []int, k int, stats *Stats) []index
 	if qr.cq != nil {
 		qr.cq.Fill(q)
 	}
-	h := make(annHeap, 0, k)
+	h := make(index.KNNHeap, 0, k)
 	for _, i := range cands {
-		cutoff := h.cutoff(k)
-		if ix.lb != nil && ix.bounds != nil && cutoff < math.Inf(1) {
-			if lb := ix.lb.LowerBound(q, ix.refs[i], qr.cq, ix.bounds[i], cutoff); lb >= cutoff {
+		cutoff := h.Cutoff(k)
+		if ix.lb != nil && ix.state.Bounds != nil && cutoff < math.Inf(1) {
+			if lb := ix.lb.LowerBound(q, ix.refs[i], qr.cq, ix.state.Bounds[i], cutoff); lb >= cutoff {
 				stats.LBPruned++
 				continue
 			}
@@ -322,75 +287,13 @@ func (qr *Querier) rerank(q []float64, cands []int, k int, stats *Stats) []index
 				continue
 			}
 		case pq != nil:
-			d = ix.stateful.PreparedDistance(pq, ix.prep[i])
+			d = ix.stateful.PreparedDistance(pq, ix.state.States[i])
 			stats.Exact++
 		default:
 			d = ix.m.Distance(q, ix.refs[i])
 			stats.Exact++
 		}
-		h.offer(index.Neighbor{Index: i, Dist: measure.Sanitize(d)}, k)
+		h.Offer(index.Neighbor{Index: i, Dist: measure.Sanitize(d)}, k)
 	}
-	out := []index.Neighbor(h)
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Dist != out[b].Dist {
-			return out[a].Dist < out[b].Dist
-		}
-		return out[a].Index < out[b].Index
-	})
-	return out
-}
-
-// annHeap is the same bounded max-heap shape as the VP-tree's: worst
-// retained neighbor at the root, (Dist, Index) total order.
-type annHeap []index.Neighbor
-
-func (h annHeap) worse(a, b index.Neighbor) bool {
-	if a.Dist != b.Dist {
-		return a.Dist > b.Dist
-	}
-	return a.Index > b.Index
-}
-
-func (h *annHeap) offer(nb index.Neighbor, k int) {
-	if len(*h) < k {
-		*h = append(*h, nb)
-		for i := len(*h) - 1; i > 0; {
-			p := (i - 1) / 2
-			if !h.worse((*h)[i], (*h)[p]) {
-				break
-			}
-			(*h)[i], (*h)[p] = (*h)[p], (*h)[i]
-			i = p
-		}
-		return
-	}
-	if !h.worse((*h)[0], nb) {
-		return
-	}
-	(*h)[0] = nb
-	n := len(*h)
-	for i := 0; ; {
-		l, r := 2*i+1, 2*i+2
-		worst := i
-		if l < n && h.worse((*h)[l], (*h)[worst]) {
-			worst = l
-		}
-		if r < n && h.worse((*h)[r], (*h)[worst]) {
-			worst = r
-		}
-		if worst == i {
-			return
-		}
-		(*h)[i], (*h)[worst] = (*h)[worst], (*h)[i]
-		i = worst
-	}
-}
-
-// cutoff is the re-rank pruning threshold: the kth-best exact distance
-// so far, +Inf until k candidates have been verified.
-func (h annHeap) cutoff(k int) float64 {
-	if len(h) == k {
-		return h[0].Dist
-	}
-	return math.Inf(1)
+	return h.Sorted()
 }

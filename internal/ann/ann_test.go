@@ -158,7 +158,7 @@ func TestKNNDistancesAreExact(t *testing.T) {
 // build is BuildCtx over a background context with no adopted state.
 func build(tb testing.TB, refs [][]float64, m measure.Measure, cfg Config) *Index {
 	tb.Helper()
-	ix, err := BuildCtx(context.Background(), refs, m, cfg, ExactState{})
+	ix, err := BuildCtx(context.Background(), refs, m, cfg, measure.Prepared{})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestBuildPreparedAdoptsState(t *testing.T) {
 		bounds[i] = lb.NewBoundContext(len(r))
 		bounds[i].Fill(r)
 	}
-	adopted, err := BuildCtx(context.Background(), refs, m, cfg, ExactState{Bounds: bounds})
+	adopted, err := BuildCtx(context.Background(), refs, m, cfg, measure.Prepared{Bounds: bounds})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestBuildPreparedAdoptsState(t *testing.T) {
 func TestBuildCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := BuildCtx(ctx, testCorpus(64, 64, 13), lockstep.Euclidean(), Config{}, ExactState{}); err == nil {
+	if _, err := BuildCtx(ctx, testCorpus(64, 64, 13), lockstep.Euclidean(), Config{}, measure.Prepared{}); err == nil {
 		t.Fatal("cancelled build returned nil error")
 	}
 }

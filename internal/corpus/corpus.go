@@ -1,12 +1,12 @@
 // Package corpus implements the build-once prepared-state layer that
 // separates *corpus build* from *query execute*: an immutable Snapshot
-// holds a reference set together with every per-series state the search
-// and evaluation engines would otherwise re-derive on each call —
-// measure.Stateful preparations (FFT plans, norms, self-kernels), filled
-// measure.LowerBounded bound contexts (the Lemire envelopes of the DTW
-// cascade), per-series finiteness flags, and GRAIL approximate indexes.
-// State is keyed by measure name: a snapshot serves exactly the measures
-// it was built for.
+// holds a reference set together with the per-series state the search
+// and evaluation engines would otherwise re-derive on each call — one
+// measure.Prepared per measure (the filled measure.LowerBounded bound
+// contexts of the DTW cascade, the measure.Stateful preparations of SINK
+// and the other kernels), built by measure.PrepareCtx, and GRAIL
+// approximate indexes. State is keyed by measure name: a snapshot serves
+// exactly the measures it was built for.
 //
 // A Snapshot is built once, in parallel, under a cancellable context, and
 // is immutable afterwards: every accessor returns state that is only ever
@@ -14,9 +14,10 @@
 // snapshot as an optional argument (search.OneNNSnapshotCtx,
 // search.LeaveOneOutGridCtx, search.KNNApproxSnapshotCtx,
 // eval.TuneSupervisedCtx) and produces results bitwise identical to inline
-// preparation — the snapshot changes where per-series state comes from,
-// never what is computed from it. A nil snapshot (or one that does not
-// cover the series at hand) prepares everything inline.
+// preparation: a snapshot's State and an inline measure.PrepareCtx are
+// the same value, so the snapshot changes where per-series state comes
+// from, never what is computed from it. A nil snapshot (or one that does
+// not cover the series at hand) prepares everything inline.
 //
 // Snapshots are identified by a content Fingerprint (series count, total
 // points, FNV-1a hash over lengths and raw float bits) so the Cache in
@@ -100,10 +101,9 @@ func FingerprintOf(series [][]float64) Fingerprint {
 
 // ANNSpec selects one approximate retrieval index to build into the
 // snapshot: the exact re-rank measure and the embed–index–rerank
-// configuration. The builder hands the measure's already-materialized
-// bound contexts and prepared states (when the measure also appears in
-// Options.Measures) to the ANN build, so the exact-side state is shared
-// rather than recomputed.
+// configuration. When the measure also appears in Options.Measures, the
+// ANN build adopts the snapshot's state for it instead of preparing its
+// own.
 type ANNSpec struct {
 	Measure measure.Measure
 	Config  ann.Config
@@ -111,12 +111,12 @@ type ANNSpec struct {
 
 // Options configures a snapshot build: which measures' prepared states to
 // materialize and which approximate indexes to build. The zero value
-// builds only the fingerprint and finiteness flags.
+// builds only the fingerprint.
 type Options struct {
 	// Measures lists the measures repeated queries will use. For each,
-	// the builder materializes the state the search engine needs:
-	// filled bound contexts for LowerBounded measures and prepared states
-	// for Stateful ones. Duplicate names build once.
+	// BuildCtx stores measure.PrepareCtx's state: filled bound contexts
+	// for LowerBounded measures and prepared states for Stateful ones.
+	// Duplicate names build once.
 	Measures []measure.Measure
 	// ANN lists approximate indexes to build (GRAIL fit + parallel
 	// transform + VP-tree over the representations). Duplicate measure
@@ -124,15 +124,15 @@ type Options struct {
 	ANN []ANNSpec
 }
 
-// Hits counts prepared-state lookups served by a snapshot, by section.
-// The counters are cumulative over the snapshot's lifetime; each hit is
-// one per-series state an engine did not have to recompute.
+// Hits counts per-series states served by a snapshot, by kind. The
+// counters are cumulative over the snapshot's lifetime; each hit is one
+// per-series state an engine did not have to recompute.
 type Hits struct {
 	Prepared int64 // Stateful prepared states served
 	Bounds   int64 // filled bound contexts served
 }
 
-// Total is the sum over all sections.
+// Total is the sum over both kinds.
 func (h Hits) Total() int64 { return h.Prepared + h.Bounds }
 
 // Snapshot is an immutable prepared view of one corpus. All stored state
@@ -144,98 +144,53 @@ func (h Hits) Total() int64 { return h.Prepared + h.Bounds }
 type Snapshot struct {
 	series [][]float64
 	fp     Fingerprint
-	finite []bool
 
-	prep   map[string][]any                  // measure name -> per-series prepared state
-	bounds map[string][]measure.BoundContext // measure name -> per-series filled contexts
-	annIdx map[string]*ann.Index             // measure name -> approximate index
+	state  map[string]measure.Prepared // measure name -> per-series state
+	annIdx map[string]*ann.Index       // measure name -> approximate index
 
 	hitPrepared atomic.Int64
 	hitBounds   atomic.Int64
 }
 
-// BuildCtx builds a snapshot of series, computing every requested section
-// in parallel over par.ForCtx. On a non-nil error the snapshot is
+// BuildCtx builds a snapshot of series: the fingerprint, one
+// measure.PrepareCtx per requested measure and the requested ANN indexes,
+// each in parallel over par.ForCtx. On a non-nil error the snapshot is
 // unusable. The series slices are retained, not copied: the caller must
 // treat them as frozen for the snapshot's lifetime (the fingerprint
 // records the content at build time).
 func BuildCtx(ctx context.Context, series [][]float64, opts Options) (*Snapshot, error) {
-	n := len(series)
 	s := &Snapshot{
 		series: series,
-		prep:   map[string][]any{},
-		bounds: map[string][]measure.BoundContext{},
+		fp:     FingerprintOf(series),
+		state:  map[string]measure.Prepared{},
 		annIdx: map[string]*ann.Index{},
 	}
-	s.fp = FingerprintOf(series)
-	s.finite = make([]bool, n)
-	if err := par.ForCtx(ctx, n, par.Workers(n), func(i int) {
-		s.finite[i] = allFinite(series[i])
-	}); err != nil {
-		return nil, err
-	}
-
 	for _, m := range opts.Measures {
-		name := m.Name()
-		if _, ok := s.prep[name]; ok {
+		if _, ok := s.state[m.Name()]; ok {
 			continue
 		}
-		if _, ok := s.bounds[name]; ok {
-			continue
+		p, err := measure.PrepareCtx(ctx, m, series)
+		if err != nil {
+			return nil, err
 		}
-		switch mm := m.(type) {
-		case measure.LowerBounded:
-			ctxs := make([]measure.BoundContext, n)
-			if err := par.ForCtx(ctx, n, par.Workers(n), func(i int) {
-				c := mm.NewBoundContext(len(series[i]))
-				c.Fill(series[i])
-				ctxs[i] = c
-			}); err != nil {
-				return nil, err
-			}
-			s.bounds[name] = ctxs
-		case measure.Stateful:
-			prep, err := prepareAll(ctx, mm, series)
-			if err != nil {
-				return nil, err
-			}
-			s.prep[name] = prep
-		}
+		s.state[m.Name()] = p
 	}
 
-	// ANN indexes build last so they can adopt the exact-side state the
-	// measure loop above just materialized (bound contexts, prepared
-	// states) instead of recomputing it.
+	// ANN indexes build last so they can adopt the state the measure loop
+	// above just built; a measure it did not build gets the zero Prepared,
+	// which the ANN build prepares inline.
 	for _, spec := range opts.ANN {
 		name := spec.Measure.Name()
 		if _, ok := s.annIdx[name]; ok {
 			continue
 		}
-		st := ann.ExactState{Bounds: s.bounds[name], Prep: s.prep[name]}
-		ix, err := ann.BuildCtx(ctx, series, spec.Measure, spec.Config, st)
+		ix, err := ann.BuildCtx(ctx, series, spec.Measure, spec.Config, s.state[name])
 		if err != nil {
 			return nil, err
 		}
 		s.annIdx[name] = ix
 	}
 	return s, nil
-}
-
-func prepareAll(ctx context.Context, sm measure.Stateful, series [][]float64) ([]any, error) {
-	out := make([]any, len(series))
-	err := par.ForCtx(ctx, len(series), par.Workers(len(series)), func(i int) {
-		out[i] = sm.Prepare(series[i])
-	})
-	return out, err
-}
-
-func allFinite(x []float64) bool {
-	for _, v := range x {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-	}
-	return true
 }
 
 // Series returns the snapshot's backing series. Callers must not mutate.
@@ -246,9 +201,6 @@ func (s *Snapshot) Len() int { return len(s.series) }
 
 // Fingerprint returns the content fingerprint computed at build time.
 func (s *Snapshot) Fingerprint() Fingerprint { return s.fp }
-
-// Finite returns the per-series all-finite flags. Callers must not mutate.
-func (s *Snapshot) Finite() []bool { return s.finite }
 
 // Covers reports whether the snapshot was built over exactly these series
 // rows (same backing arrays, same order). Engines consult it before using
@@ -269,34 +221,24 @@ func (s *Snapshot) Covers(series [][]float64) bool {
 	return true
 }
 
-// Prepared returns the per-series Stateful prepared states stored under
-// m's name, or nil when the snapshot holds none. States are never
-// substituted across names: they may depend on every parameter of the
-// measure. A non-nil return counts one hit per series.
-func (s *Snapshot) Prepared(m measure.Measure) []any {
+// State returns the per-series state stored under m's name, or the zero
+// Prepared when the snapshot holds none (a nil snapshot holds none). State
+// is never substituted across names: it may depend on every parameter of
+// the measure. The returned state is read-only: bound contexts may be
+// passed to LowerBound but never Fill'd or rebound. Each returned slice
+// counts one hit per series.
+func (s *Snapshot) State(m measure.Measure) measure.Prepared {
 	if s == nil {
-		return nil
+		return measure.Prepared{}
 	}
-	p := s.prep[m.Name()]
-	if p != nil {
-		s.hitPrepared.Add(int64(len(p)))
+	p := s.state[m.Name()]
+	if p.States != nil {
+		s.hitPrepared.Add(int64(len(p.States)))
+	}
+	if p.Bounds != nil {
+		s.hitBounds.Add(int64(len(p.Bounds)))
 	}
 	return p
-}
-
-// BoundContexts returns the per-series filled bound contexts of m, or nil
-// when the snapshot holds none. The contexts are read-only: they may be
-// passed to LowerBound but never Fill'd or rebound. A non-nil return
-// counts one hit per series.
-func (s *Snapshot) BoundContexts(m measure.Measure) []measure.BoundContext {
-	if s == nil {
-		return nil
-	}
-	c := s.bounds[m.Name()]
-	if c != nil {
-		s.hitBounds.Add(int64(len(c)))
-	}
-	return c
 }
 
 // ANNIndex returns the snapshot's approximate retrieval index for m, or
@@ -318,12 +260,4 @@ func (s *Snapshot) Hits() Hits {
 		Prepared: s.hitPrepared.Load(),
 		Bounds:   s.hitBounds.Load(),
 	}
-}
-
-// Sections summarizes what the snapshot holds, for logs and tests.
-func (s *Snapshot) Sections() (prepared, bounds int) {
-	if s == nil {
-		return 0, 0
-	}
-	return len(s.prep), len(s.bounds)
 }

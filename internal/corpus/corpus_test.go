@@ -112,19 +112,19 @@ func TestBuildSections(t *testing.T) {
 		kernel.SINK{Gamma: 2},         // another name, second prep entry
 		kernel.GAK{Sigma: 1},          // Stateful -> prep
 	}})
-	prep, bounds := s.Sections()
-	if bounds != 1 {
-		t.Fatalf("bounds sections = %d, want 1", bounds)
+	dtw := s.State(elastic.DTW{DeltaPercent: 10})
+	if len(dtw.Bounds) != len(series) || dtw.States != nil {
+		t.Fatalf("DTW state = %d bounds, %d states; want %d bounds, none", len(dtw.Bounds), len(dtw.States), len(series))
 	}
-	if prep != 3 {
-		t.Fatalf("prep sections = %d, want 3 (two SINK gammas + GAK)", prep)
-	}
-	if got := s.BoundContexts(elastic.DTW{DeltaPercent: 10}); len(got) != len(series) {
-		t.Fatalf("bound contexts = %d, want %d", len(got), len(series))
+	for _, m := range []measure.Measure{kernel.SINK{Gamma: 1}, kernel.SINK{Gamma: 2}, kernel.GAK{Sigma: 1}} {
+		st := s.State(m)
+		if len(st.States) != len(series) || st.Bounds != nil {
+			t.Fatalf("%s state = %d bounds, %d states; want none, %d states", m.Name(), len(st.Bounds), len(st.States), len(series))
+		}
 	}
 	// State is keyed by name: a gamma the build never saw gets nothing.
-	if got := s.Prepared(kernel.SINK{Gamma: 7}); got != nil {
-		t.Fatalf("prepared state served for a gamma the build never saw")
+	if got := s.State(kernel.SINK{Gamma: 7}); got.Bounds != nil || got.States != nil {
+		t.Fatalf("state served for a gamma the build never saw")
 	}
 }
 
@@ -137,7 +137,7 @@ func TestPreparedBitwise(t *testing.T) {
 		kernel.GAK{Sigma: 1},
 	} {
 		s := build(t, series, corpus.Options{Measures: []measure.Measure{sm}})
-		got := s.Prepared(sm)
+		got := s.State(sm).States
 		if got == nil {
 			t.Fatalf("%s: snapshot holds no prepared states", sm.Name())
 		}
@@ -149,22 +149,6 @@ func TestPreparedBitwise(t *testing.T) {
 					t.Fatalf("%s: d(%d,%d) = %v from snapshot, %v inline", sm.Name(), i, j, have, want)
 				}
 			}
-		}
-	}
-}
-
-func TestFiniteFlags(t *testing.T) {
-	series := [][]float64{
-		{1, 2, 3},
-		{1, math.NaN(), 3},
-		{1, math.Inf(1), 3},
-		{},
-	}
-	s := build(t, series, corpus.Options{})
-	want := []bool{true, false, false, true}
-	for i, w := range want {
-		if s.Finite()[i] != w {
-			t.Fatalf("finite[%d] = %v, want %v", i, s.Finite()[i], w)
 		}
 	}
 }
@@ -188,8 +172,8 @@ func TestHitCounters(t *testing.T) {
 	if h := s.Hits(); h.Total() != 0 {
 		t.Fatalf("fresh snapshot has hits: %+v", h)
 	}
-	s.Prepared(sink)
-	s.BoundContexts(dtw)
+	s.State(sink)
+	s.State(dtw)
 	h := s.Hits()
 	if h.Prepared != int64(len(series)) || h.Bounds != int64(len(series)) {
 		t.Fatalf("hits = %+v, want %d per section", h, len(series))
@@ -222,7 +206,7 @@ func TestSnapshotANNIndex(t *testing.T) {
 	}
 	// The snapshot-built index must answer identically to a standalone
 	// build over the same corpus and config.
-	own, err := ann.BuildCtx(context.Background(), series, dtw, ann.Config{Candidates: 8, Seed: 1}, ann.ExactState{})
+	own, err := ann.BuildCtx(context.Background(), series, dtw, ann.Config{Candidates: 8, Seed: 1}, measure.Prepared{})
 	if err != nil {
 		t.Fatal(err)
 	}

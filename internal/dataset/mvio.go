@@ -2,9 +2,10 @@ package dataset
 
 // Multivariate panel I/O: the wide tab-separated layout used for
 // multivariate archives. One series per line; the first field is the
-// integer class label, the second the channel count d, and the remaining
-// fields are the observations in time-major order (t0c0 t0c1 ... t1c0
-// ...). Empty interior fields and "NaN" mark missing samples — the masked
+// integer class label (parsed as ReadTSV parses it), the second the
+// channel count d, and the remaining fields — at least one time step —
+// are the observations in time-major order (t0c0 t0c1 ... t1c0 ...).
+// Empty interior fields and "NaN" mark missing samples — the masked
 // measures consume them directly, so unlike the univariate reader no
 // interpolation is applied and an all-missing series is accepted. Series
 // lengths may vary across rows (the dependent elastic measures run m-by-n
@@ -48,9 +49,9 @@ func ReadMVTSV(r io.Reader) (series []multivariate.Series, labels []int, err err
 		if len(fields) < 2 {
 			return nil, nil, fmt.Errorf("dataset: line %d: need a label and a channel count", line)
 		}
-		labelFloat, err := strconv.ParseFloat(strings.TrimSpace(fields[0]), 64)
+		label, err := parseLabel(fields[0])
 		if err != nil {
-			return nil, nil, fmt.Errorf("dataset: line %d: bad label %q: %v", line, fields[0], err)
+			return nil, nil, fmt.Errorf("dataset: line %d: %v", line, err)
 		}
 		d, err := strconv.Atoi(strings.TrimSpace(fields[1]))
 		if err != nil || d < 1 {
@@ -62,6 +63,9 @@ func ReadMVTSV(r io.Reader) (series []multivariate.Series, labels []int, err err
 			return nil, nil, fmt.Errorf("dataset: line %d: channel count %d, want %d (all rows must agree)", line, d, channels)
 		}
 		values := fields[2:]
+		if len(values) == 0 {
+			return nil, nil, fmt.Errorf("dataset: line %d: no values after the channel count", line)
+		}
 		if len(values)%d != 0 {
 			return nil, nil, fmt.Errorf("dataset: line %d: %d values not divisible by %d channels", line, len(values), d)
 		}
@@ -83,7 +87,7 @@ func ReadMVTSV(r io.Reader) (series []multivariate.Series, labels []int, err err
 			}
 		}
 		series = append(series, s)
-		labels = append(labels, int(labelFloat))
+		labels = append(labels, label)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, nil, fmt.Errorf("dataset: scan: %v", err)

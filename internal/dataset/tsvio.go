@@ -13,11 +13,13 @@ import (
 )
 
 // ReadTSV parses one split in the UCR tab-separated format: one series per
-// line, the first field being the integer class label, the remaining fields
-// the observations. Empty interior fields and "NaN" become NaN (later
-// interpolated); trailing separators are ignored. Both tabs and commas are
-// accepted as separators and all three line-ending conventions (LF, CRLF,
-// lone CR) are recognized, matching the layouts found in archive releases.
+// line, the first field being the integer class label (float-formatted
+// integers such as "1.0000000e+00" are accepted, any other label is an
+// error), the remaining fields the observations. Empty interior fields
+// and "NaN" become NaN (later interpolated); trailing separators are
+// ignored. Both tabs and commas are accepted as separators and all three
+// line-ending conventions (LF, CRLF, lone CR) are recognized, matching
+// the layouts found in archive releases.
 // A row whose observations are all missing cannot be interpolated and is
 // rejected with an error.
 func ReadTSV(r io.Reader) (series [][]float64, labels []int, err error) {
@@ -44,9 +46,9 @@ func ReadTSV(r io.Reader) (series [][]float64, labels []int, err error) {
 		if len(fields) < 2 {
 			return nil, nil, fmt.Errorf("dataset: line %d: need a label and at least one value", line)
 		}
-		labelFloat, err := strconv.ParseFloat(strings.TrimSpace(fields[0]), 64)
+		label, err := parseLabel(fields[0])
 		if err != nil {
-			return nil, nil, fmt.Errorf("dataset: line %d: bad label %q: %v", line, fields[0], err)
+			return nil, nil, fmt.Errorf("dataset: line %d: %v", line, err)
 		}
 		s := make([]float64, 0, len(fields)-1)
 		missing := 0
@@ -67,12 +69,27 @@ func ReadTSV(r io.Reader) (series [][]float64, labels []int, err error) {
 			return nil, nil, fmt.Errorf("dataset: line %d: series has no observed values (all %d missing)", line, missing)
 		}
 		series = append(series, s)
-		labels = append(labels, int(labelFloat))
+		labels = append(labels, label)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, nil, fmt.Errorf("dataset: scan: %v", err)
 	}
 	return series, labels, nil
+}
+
+// parseLabel parses a class label field: an integer that fits an int,
+// written either plainly or float-formatted ("1.0000000e+00", as some
+// archive releases do). NaN, infinities, fractions and out-of-range
+// values are rejected: no int represents them.
+func parseLabel(field string) (int, error) {
+	f, err := strconv.ParseFloat(strings.TrimSpace(field), 64)
+	if err != nil {
+		return 0, fmt.Errorf("bad label %q: %v", field, err)
+	}
+	if f != math.Trunc(f) || f < math.MinInt || f >= -math.MinInt {
+		return 0, fmt.Errorf("bad label %q: not an integer in int range", field)
+	}
+	return int(f), nil
 }
 
 // scanLinesAnyEnding is a bufio.SplitFunc that terminates lines on LF, CRLF,

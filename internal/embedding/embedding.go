@@ -105,12 +105,16 @@ func (m Measure) PreparedDistance(px, py any) float64 {
 // kshapeLandmarks clusters the training set into count clusters with
 // k-Shape and returns the non-degenerate centroids as landmarks, the
 // original GRAIL's dictionary-learning step. Empty clusters fall back to
-// sampled series so the landmark count is preserved.
-func kshapeLandmarks(train [][]float64, count int, seed int64) [][]float64 {
+// sampled series so the landmark count is preserved. k-Shape observes ctx
+// before each of its iterations.
+func kshapeLandmarks(ctx context.Context, train [][]float64, count int, seed int64) ([][]float64, error) {
 	if count > len(train) {
 		count = len(train)
 	}
-	res := kshape.Run(train, kshape.Config{K: count, Seed: seed})
+	res, err := kshape.Run(ctx, train, kshape.Config{K: count, Seed: seed})
+	if err != nil {
+		return nil, err
+	}
 	fallback := sampleLandmarks(train, count, seed)
 	out := make([][]float64, count)
 	for c := 0; c < count; c++ {
@@ -128,7 +132,7 @@ func kshapeLandmarks(train [][]float64, count int, seed int64) [][]float64 {
 			out[c] = centroid
 		}
 	}
-	return out
+	return out, nil
 }
 
 // sampleLandmarks picks count distinct training series deterministically.
@@ -186,8 +190,9 @@ func (g *GRAIL) Fit(train [][]float64) {
 	}
 }
 
-// FitCtx implements ContextFitter: the landmark preparation and the
-// landmark Gram fill observe ctx. The fitted state is assigned only on
+// FitCtx implements ContextFitter: the k-Shape landmark iterations (with
+// KShapeLandmarks), the landmark preparation and the landmark Gram fill
+// observe ctx. The fitted state is assigned only on
 // success; a failed fit returns ctx.Err() and leaves the embedder
 // unfitted, whatever it held before.
 func (g *GRAIL) FitCtx(ctx context.Context, train [][]float64) error {
@@ -198,19 +203,21 @@ func (g *GRAIL) FitCtx(ctx context.Context, train [][]float64) error {
 	sink := kernel.SINK{Gamma: g.Gamma}
 	var landmarks [][]float64
 	if g.KShapeLandmarks {
-		landmarks = kshapeLandmarks(train, g.dim(), g.Seed)
+		var err error
+		if landmarks, err = kshapeLandmarks(ctx, train, g.dim(), g.Seed); err != nil {
+			return err
+		}
 	} else {
 		landmarks = sampleLandmarks(train, g.dim(), g.Seed)
 	}
 	d := len(landmarks)
 	// The prepared landmark states serve both the Gram fill and
 	// Transform's projections.
-	states := make([]any, d)
-	if err := par.ForCtx(ctx, d, par.Workers(d), func(i int) {
-		states[i] = sink.Prepare(landmarks[i])
-	}); err != nil {
+	prep, err := measure.PrepareCtx(ctx, sink, landmarks)
+	if err != nil {
 		return err
 	}
+	states := prep.States
 	// Landmark Gram matrix of the normalized SINK kernel: unit diagonal,
 	// the upper triangle from the prepared pair kernel, mirrored. The
 	// pairs are independent, so they are dispatched in parallel like

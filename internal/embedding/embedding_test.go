@@ -4,10 +4,12 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/elastic"
+	"repro/internal/kshape"
 )
 
 // trainSet builds a small training split with two sinusoid classes.
@@ -336,7 +338,10 @@ func TestGRAILKShapeLandmarks(t *testing.T) {
 func TestKShapeLandmarksCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	train := trainSet(rng, 10, 32)
-	lm := kshapeLandmarks(train, 4, 1)
+	lm, err := kshapeLandmarks(context.Background(), train, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(lm) != 4 {
 		t.Fatalf("landmarks = %d, want 4", len(lm))
 	}
@@ -346,7 +351,9 @@ func TestKShapeLandmarksCount(t *testing.T) {
 		}
 	}
 	// Requesting more landmarks than series clamps.
-	lm = kshapeLandmarks(train, 100, 1)
+	if lm, err = kshapeLandmarks(context.Background(), train, 100, 1); err != nil {
+		t.Fatal(err)
+	}
 	if len(lm) != 10 {
 		t.Fatalf("clamped landmarks = %d, want 10", len(lm))
 	}
@@ -378,6 +385,65 @@ func TestGRAILCancelledRefitLeavesUnfitted(t *testing.T) {
 	}
 	if !transformPanics(g, train[0]) {
 		t.Fatal("GRAIL still transforms after a cancelled refit")
+	}
+}
+
+// cancelAfter wraps a cancellable context and cancels it inside its at-th
+// Err call, counting the calls, so a test can cancel a fit at an exact
+// check: serial loops see the cancellation through Err, par dispatches
+// through Done.
+type cancelAfter struct {
+	context.Context
+	cancel context.CancelFunc
+	at     int64
+	calls  atomic.Int64
+}
+
+func newCancelAfter(at int64) *cancelAfter {
+	ctx, cancel := context.WithCancel(context.Background())
+	return &cancelAfter{Context: ctx, cancel: cancel, at: at}
+}
+
+func (c *cancelAfter) Err() error {
+	if c.calls.Add(1) >= c.at {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// TestGRAILKShapeFitCancelled cancels a k-Shape-landmark GRAIL fit before
+// k-Shape's first iteration and before its third. An uncancelled fit
+// checks ctx at least once per k-Shape iteration, k-Shape's checks coming
+// first, so each cancelled fit must return context.Canceled at the check
+// that saw the cancellation — within one iteration, with no later check —
+// and leave the embedder unfitted.
+func TestGRAILKShapeFitCancelled(t *testing.T) {
+	train := trainSet(rand.New(rand.NewSource(43)), 40, 32)
+	cfg := kshape.Config{K: 8, Seed: 1}
+	res, err := kshape.Run(context.Background(), train, cfg)
+	if err != nil || res.Iters < 5 {
+		t.Fatalf("k-Shape ran %d iterations (err %v); the test needs at least 5", res.Iters, err)
+	}
+	full := newCancelAfter(math.MaxInt64)
+	g := &GRAIL{Gamma: 5, Dim: cfg.K, Seed: cfg.Seed, KShapeLandmarks: true}
+	if err := g.FitCtx(full, train); err != nil {
+		t.Fatal(err)
+	}
+	if n := full.calls.Load(); n < int64(res.Iters) {
+		t.Fatalf("uncancelled fit checked ctx %d times over %d k-Shape iterations", n, res.Iters)
+	}
+	for _, at := range []int64{1, 3} {
+		g := &GRAIL{Gamma: 5, Dim: cfg.K, Seed: cfg.Seed, KShapeLandmarks: true}
+		ctx := newCancelAfter(at)
+		if err := g.FitCtx(ctx, train); err != context.Canceled {
+			t.Fatalf("cancel at check %d: err = %v, want context.Canceled", at, err)
+		}
+		if n := ctx.calls.Load(); n != at {
+			t.Errorf("cancel at check %d: fit checked ctx %d times, want %d", at, n, at)
+		}
+		if !transformPanics(g, train[0]) {
+			t.Errorf("cancel at check %d: GRAIL transforms after a cancelled fit", at)
+		}
 	}
 }
 

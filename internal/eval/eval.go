@@ -93,19 +93,19 @@ func MatrixCtx(ctx context.Context, m measure.Measure, queries, refs [][]float64
 	// per cell.
 	var dist func(i, j int) float64
 	if sm, ok := m.(measure.Stateful); ok {
-		pq, err := prepareAll(ctx, sm, queries, workers)
+		pq, err := measure.PrepareCtx(ctx, sm, queries)
 		if err != nil {
 			return e, err
 		}
 		pr := pq
 		if !sameSeries(queries, refs) {
-			if pr, err = prepareAll(ctx, sm, refs, workers); err != nil {
+			if pr, err = measure.PrepareCtx(ctx, sm, refs); err != nil {
 				return e, err
 			}
 		}
-		pdist := sm.PreparedDistance
+		sq, sr, pdist := pq.States, pr.States, sm.PreparedDistance
 		dist = func(i, j int) float64 {
-			return measure.Sanitize(pdist(pq[i], pr[j]))
+			return measure.Sanitize(pdist(sq[i], sr[j]))
 		}
 	} else {
 		mdist := m.Distance
@@ -163,14 +163,6 @@ func sameSeries(a, b [][]float64) bool {
 		}
 	}
 	return true
-}
-
-func prepareAll(ctx context.Context, sm measure.Stateful, series [][]float64, workers int) ([]any, error) {
-	out := make([]any, len(series))
-	err := par.ForCtx(ctx, len(series), workers, func(i int) {
-		out[i] = sm.Prepare(series[i])
-	})
-	return out, err
 }
 
 // Neighbors returns the argmin of every row of E: the nearest reference
@@ -264,16 +256,18 @@ type Grid struct {
 
 // TuneSupervisedCtx returns the grid candidate maximizing leave-one-out
 // accuracy on the training split, together with that accuracy and the
-// engine's sweep statistics (preparation sharing, warm-start pruning, wave
+// engine's sweep statistics (preparations, warm-start pruning, wave
 // structure). The whole grid is scored in one pass of the tuning engine
-// (search.LeaveOneOutGridCtx), which shares per-series preparation across
-// candidates and warm-starts nested candidates from each other's results;
-// the selection — including the grid-order tie-break — is identical to
-// running each candidate independently. snap is optional: when it covers
-// train it feeds the engine's per-series state, and GridStats.PrepSnapshot
-// reports how many states it served. On a non-nil error the selection is
-// meaningless (the sweep stopped mid-grid) and only the error should be
-// consulted. It panics on an empty grid.
+// (search.LeaveOneOutGridCtx), which reuses one envelope arena across DTW
+// bands, bounds every candidate a bottom candidate covers by that
+// candidate's exact pair matrix, and warm-starts nested candidates from
+// each other's results; the selection — including the grid-order
+// tie-break — is identical to running each candidate independently. snap
+// is optional: when it covers train it feeds the engine's per-series
+// state, and GridStats.PrepSnapshot reports how many states it served. On
+// a non-nil error the selection is meaningless (the sweep stopped
+// mid-grid) and only the error should be consulted. It panics on an empty
+// grid.
 func TuneSupervisedCtx(ctx context.Context, g Grid, train [][]float64, labels []int, snap *corpus.Snapshot) (measure.Measure, float64, search.GridStats, error) {
 	if len(g.Candidates) == 0 {
 		panic(fmt.Sprintf("eval: empty grid %q", g.Name))

@@ -98,12 +98,12 @@ func Figure9Ctx(ctx context.Context, opts Options, rep run.Reporter) ([]RuntimeP
 		if err := g.FitCtx(ctx, d.Train); err != nil {
 			return points, err
 		}
-		m := embedding.Measure{E: g}
-		sm := measure.Stateful(m)
-		prepTrain := make([]any, len(d.Train))
-		for j, s := range d.Train {
-			prepTrain[j] = sm.Prepare(s)
+		sm := measure.Stateful(embedding.Measure{E: g})
+		train, err := measure.PrepareCtx(ctx, sm, d.Train)
+		if err != nil {
+			return points, err
 		}
+		prepTrain := train.States
 		start := time.Now()
 		correct := 0
 		for j, s := range d.Test {

@@ -13,6 +13,7 @@ import (
 	"repro/internal/eval"
 	"repro/internal/kernel"
 	"repro/internal/linalg"
+	"repro/internal/measure"
 	"repro/internal/run"
 )
 
@@ -129,7 +130,10 @@ func SpectralRuntimeCtx(ctx context.Context, opts Options, rep run.Reporter) ([]
 	// Gram + Jacobi against Fit's parallel landmark Gram + QL.
 	const dim = 24
 	start = time.Now()
-	naiveTr := grailFitSerial(sink, dim, 5, d.Train)
+	naiveTr, err := grailFitSerial(ctx, sink, dim, 5, d.Train)
+	if err != nil {
+		return rows, err
+	}
 	naiveDur = time.Since(start)
 	g := &embedding.GRAIL{Gamma: sink.Gamma, Dim: dim, Seed: 5}
 	start = time.Now()
@@ -164,9 +168,10 @@ func SpectralRuntimeCtx(ctx context.Context, opts Options, rep run.Reporter) ([]
 }
 
 // grailFitSerial is the serial GRAIL fit — per-pair prepared Gram build
-// and the cyclic Jacobi eigensolver — kept as the ablation baseline.
+// and the cyclic Jacobi eigensolver — kept as the ablation baseline. Its
+// landmarks are prepared by measure.PrepareCtx, as in GRAIL's own fit.
 // It returns the fitted transform.
-func grailFitSerial(sink kernel.SINK, dim int, seed int64, train [][]float64) func([]float64) []float64 {
+func grailFitSerial(ctx context.Context, sink kernel.SINK, dim int, seed int64, train [][]float64) (func([]float64) []float64, error) {
 	// Same deterministic landmark draw as GRAIL's sampleLandmarks.
 	if dim > len(train) {
 		dim = len(train)
@@ -177,10 +182,11 @@ func grailFitSerial(sink kernel.SINK, dim int, seed int64, train [][]float64) fu
 		landmarks[i] = train[j]
 	}
 	d := len(landmarks)
-	prep := make([]any, d)
-	for i, l := range landmarks {
-		prep[i] = sink.Prepare(l)
+	lp, err := measure.PrepareCtx(ctx, sink, landmarks)
+	if err != nil {
+		return nil, err
 	}
+	prep := lp.States
 	w := linalg.NewMatrix(d, d)
 	for i := 0; i < d; i++ {
 		w.Set(i, i, 1)
@@ -218,7 +224,7 @@ func grailFitSerial(sink kernel.SINK, dim int, seed int64, train [][]float64) fu
 			}
 		}
 		return z
-	}
+	}, nil
 }
 
 // RenderSpectral formats the ablation as a table, one row per engine

@@ -182,20 +182,22 @@ func (t *VPTree) build(ctx context.Context, idxs []int, seed uint64, budget int)
 	return node, nil
 }
 
-// knnHeap is a bounded max-heap over (Dist, Index): the root is the worst
-// retained neighbor, evicted when a strictly better candidate arrives.
-// Ties on Dist rank the higher index as worse, so the retained set — and
-// therefore the search result — is independent of traversal order.
-type knnHeap []Neighbor
+// KNNHeap is a bounded max-heap over (Dist, Index) for k-NN searches: the
+// root is the worst retained neighbor, evicted when a strictly better
+// candidate arrives. Ties on Dist rank the higher index as worse, so the
+// retained set — and therefore the search result — is independent of the
+// order candidates are offered in. Start from make(KNNHeap, 0, k), Offer
+// each candidate under the same k, and finish with Sorted.
+type KNNHeap []Neighbor
 
-func (h knnHeap) worse(a, b Neighbor) bool {
+func (h KNNHeap) worse(a, b Neighbor) bool {
 	if a.Dist != b.Dist {
 		return a.Dist > b.Dist
 	}
 	return a.Index > b.Index
 }
 
-func (h knnHeap) up(i int) {
+func (h KNNHeap) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !h.worse(h[i], h[parent]) {
@@ -206,7 +208,7 @@ func (h knnHeap) up(i int) {
 	}
 }
 
-func (h knnHeap) down(i int) {
+func (h KNNHeap) down(i int) {
 	n := len(h)
 	for {
 		l, r := 2*i+1, 2*i+2
@@ -225,9 +227,9 @@ func (h knnHeap) down(i int) {
 	}
 }
 
-// offer inserts nb, evicting the root when the heap already holds k
+// Offer inserts nb, evicting the root when the heap already holds k
 // neighbors and nb improves on the worst of them.
-func (h *knnHeap) offer(nb Neighbor, k int) {
+func (h *KNNHeap) Offer(nb Neighbor, k int) {
 	if len(*h) < k {
 		*h = append(*h, nb)
 		h.up(len(*h) - 1)
@@ -239,13 +241,26 @@ func (h *knnHeap) offer(nb Neighbor, k int) {
 	}
 }
 
-// cutoff is the pruning radius: the worst retained distance once the heap
+// Cutoff is the pruning radius: the worst retained distance once the heap
 // holds k neighbors, +Inf before that.
-func (h knnHeap) cutoff(k int) float64 {
+func (h KNNHeap) Cutoff(k int) float64 {
 	if len(h) == k {
 		return h[0].Dist
 	}
 	return math.Inf(1)
+}
+
+// Sorted orders the retained neighbors ascending by (Dist, Index), in
+// place, and returns them; the heap is spent afterwards.
+func (h KNNHeap) Sorted() []Neighbor {
+	out := []Neighbor(h)
+	sort.Slice(out, func(a, b int) bool {
+		if out[a].Dist != out[b].Dist {
+			return out[a].Dist < out[b].Dist
+		}
+		return out[a].Index < out[b].Index
+	})
+	return out
 }
 
 // KNN returns the k nearest references to q under the tree's metric,
@@ -262,7 +277,7 @@ func (t *VPTree) KNN(q []float64, k int) ([]Neighbor, int) {
 	if k > len(t.series) {
 		k = len(t.series)
 	}
-	h := make(knnHeap, 0, k)
+	h := make(KNNHeap, 0, k)
 	computed := 0
 	var search func(n *vpNode)
 	search = func(n *vpNode) {
@@ -271,7 +286,7 @@ func (t *VPTree) KNN(q []float64, k int) ([]Neighbor, int) {
 		}
 		d := t.m.Distance(q, t.series[n.idx])
 		computed++
-		h.offer(Neighbor{Index: n.idx, Dist: measure.Sanitize(d)}, k)
+		h.Offer(Neighbor{Index: n.idx, Dist: measure.Sanitize(d)}, k)
 		if math.IsNaN(d) || math.IsInf(d, 0) || math.IsNaN(n.radius) || math.IsInf(n.radius, 0) {
 			// A non-finite vantage distance or radius proves nothing about
 			// either side; descending both keeps the search exact.
@@ -285,25 +300,18 @@ func (t *VPTree) KNN(q []float64, k int) ([]Neighbor, int) {
 		// the first descent, which may have tightened it.
 		if d < n.radius {
 			search(n.inside)
-			if d+h.cutoff(k) >= n.radius {
+			if d+h.Cutoff(k) >= n.radius {
 				search(n.outside)
 			}
 		} else {
 			search(n.outside)
-			if d-h.cutoff(k) <= n.radius {
+			if d-h.Cutoff(k) <= n.radius {
 				search(n.inside)
 			}
 		}
 	}
 	search(t.root)
-	out := []Neighbor(h)
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Dist != out[b].Dist {
-			return out[a].Dist < out[b].Dist
-		}
-		return out[a].Index < out[b].Index
-	})
-	return out, computed
+	return h.Sorted(), computed
 }
 
 // NN returns the nearest reference to q under the tree's metric, its

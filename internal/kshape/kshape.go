@@ -11,6 +11,7 @@
 package kshape
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -206,9 +207,11 @@ func norm2(x []float64) float64 {
 	return math.Sqrt(s)
 }
 
-// Run clusters the z-normalized series into cfg.K clusters. It panics for
+// Run clusters the z-normalized series into cfg.K clusters. ctx is checked
+// before each refinement iteration: a cancelled run stops within one
+// iteration and returns ctx.Err() with a zero Result. It panics for
 // invalid configurations (K < 1, K > len(series), or empty input).
-func Run(series [][]float64, cfg Config) Result {
+func Run(ctx context.Context, series [][]float64, cfg Config) (Result, error) {
 	n := len(series)
 	if n == 0 {
 		panic("kshape: no series")
@@ -255,6 +258,9 @@ func Run(series [][]float64, cfg Config) Result {
 
 	res := Result{Labels: labels, Centroids: centroids}
 	for iter := 1; iter <= maxIter; iter++ {
+		if err := ctx.Err(); err != nil {
+			return Result{}, err
+		}
 		res.Iters = iter
 		// Refinement: extract each cluster's shape.
 		for c := 0; c < cfg.K; c++ {
@@ -300,7 +306,7 @@ func Run(series [][]float64, cfg Config) Result {
 	}
 	res.Labels = labels
 	res.Centroids = centroids
-	return res
+	return res, nil
 }
 
 // Inertia returns the clustering objective: the sum of SBD distances from
@@ -332,7 +338,9 @@ func Inertia(series [][]float64, res Result) float64 {
 // RunRestarts runs k-Shape from several random initializations (seeds
 // cfg.Seed, cfg.Seed+1, ...) and keeps the result with the lowest inertia,
 // the standard guard against bad local optima of the alternating scheme.
-func RunRestarts(series [][]float64, cfg Config, restarts int) Result {
+// Every run observes ctx as Run does; a cancelled call returns ctx.Err()
+// with a zero Result.
+func RunRestarts(ctx context.Context, series [][]float64, cfg Config, restarts int) (Result, error) {
 	if restarts < 1 {
 		restarts = 1
 	}
@@ -341,13 +349,16 @@ func RunRestarts(series [][]float64, cfg Config, restarts int) Result {
 	for r := 0; r < restarts; r++ {
 		c := cfg
 		c.Seed = cfg.Seed + int64(r)
-		res := Run(series, c)
+		res, err := Run(ctx, series, c)
+		if err != nil {
+			return Result{}, err
+		}
 		if in := Inertia(series, res); in < bestInertia {
 			bestInertia = in
 			best = res
 		}
 	}
-	return best
+	return best, nil
 }
 
 // RandIndex computes the (unadjusted) Rand index between two labelings:

@@ -1,6 +1,7 @@
 package kshape
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -66,10 +67,73 @@ func TestSBDShiftAlignsShiftedCopy(t *testing.T) {
 	}
 }
 
+// run is Run under a context that never cancels.
+func run(series [][]float64, cfg Config) Result {
+	res, err := Run(context.Background(), series, cfg)
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
+
+// runRestarts is RunRestarts under a context that never cancels.
+func runRestarts(series [][]float64, cfg Config, restarts int) Result {
+	res, err := RunRestarts(context.Background(), series, cfg, restarts)
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
+
+// cancelAtCheck is a context whose Err reports context.Canceled from its
+// at-th call on, counting the calls: a test can cancel a serial run at an
+// exact check and see whether the run stopped there.
+type cancelAtCheck struct {
+	context.Context
+	at, calls int
+}
+
+func (c *cancelAtCheck) Err() error {
+	c.calls++
+	if c.calls >= c.at {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestRunCancelled cancels k-Shape before its first iteration and before
+// its third: each run returns context.Canceled and a zero Result at the
+// check that saw the cancellation, so no iteration starts after it.
+func TestRunCancelled(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	series, _ := shiftedSines(rng, 40, 48, 3)
+	cfg := Config{K: 3, Seed: 2}
+	if full := run(series, cfg); full.Iters < 3 {
+		t.Fatalf("test data converges after %d iterations, need at least 3", full.Iters)
+	}
+	for _, at := range []int{1, 3} {
+		ctx := &cancelAtCheck{Context: context.Background(), at: at}
+		res, err := Run(ctx, series, cfg)
+		if err != context.Canceled {
+			t.Fatalf("cancel at check %d: err = %v, want context.Canceled", at, err)
+		}
+		if ctx.calls != at {
+			t.Errorf("cancel at check %d: Run checked ctx %d times, want %d", at, ctx.calls, at)
+		}
+		if res.Labels != nil || res.Centroids != nil || res.Iters != 0 {
+			t.Errorf("cancel at check %d: non-zero Result %+v", at, res)
+		}
+	}
+	ctx := &cancelAtCheck{Context: context.Background(), at: 1}
+	if _, err := RunRestarts(ctx, series, cfg, 3); err != context.Canceled || ctx.calls != 1 {
+		t.Fatalf("RunRestarts: err = %v after %d checks, want context.Canceled after 1", err, ctx.calls)
+	}
+}
+
 func TestRunRecoversShiftedClusters(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	series, truth := shiftedSines(rng, 60, 64, 3)
-	res := Run(series, Config{K: 3, Seed: 5})
+	res := run(series, Config{K: 3, Seed: 5})
 	ari := AdjustedRandIndex(res.Labels, truth)
 	if ari < 0.9 {
 		t.Fatalf("k-Shape ARI = %g on shifted sinusoids, want >= 0.9", ari)
@@ -85,8 +149,8 @@ func TestRunRecoversShiftedClusters(t *testing.T) {
 func TestRunDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	series, _ := shiftedSines(rng, 30, 48, 2)
-	a := Run(series, Config{K: 2, Seed: 7})
-	b := Run(series, Config{K: 2, Seed: 7})
+	a := run(series, Config{K: 2, Seed: 7})
+	b := run(series, Config{K: 2, Seed: 7})
 	for i := range a.Labels {
 		if a.Labels[i] != b.Labels[i] {
 			t.Fatal("labels not deterministic")
@@ -97,7 +161,7 @@ func TestRunDeterministic(t *testing.T) {
 func TestRunSingleCluster(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	series, _ := shiftedSines(rng, 10, 32, 2)
-	res := Run(series, Config{K: 1, Seed: 1})
+	res := run(series, Config{K: 1, Seed: 1})
 	for _, l := range res.Labels {
 		if l != 0 {
 			t.Fatal("K=1 must put everything in cluster 0")
@@ -123,7 +187,7 @@ func TestRunPanics(t *testing.T) {
 					t.Errorf("%s: expected panic", c.name)
 				}
 			}()
-			Run(c.series, Config{K: c.k})
+			run(c.series, Config{K: c.k})
 		}()
 	}
 }
@@ -131,7 +195,7 @@ func TestRunPanics(t *testing.T) {
 func TestCentroidsAreZNormalized(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	series, _ := shiftedSines(rng, 24, 48, 2)
-	res := Run(series, Config{K: 2, Seed: 3})
+	res := run(series, Config{K: 2, Seed: 3})
 	for c, cen := range res.Centroids {
 		if isZero(cen) {
 			continue // an empty cluster keeps the zero centroid
@@ -208,13 +272,13 @@ func TestExtractShapeEmptyMembersKeepsPrev(t *testing.T) {
 func TestInertiaNonNegativeAndTighterForTruth(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	series, truth := shiftedSines(rng, 30, 48, 3)
-	good := Run(series, Config{K: 3, Seed: 5})
+	good := run(series, Config{K: 3, Seed: 5})
 	if in := Inertia(series, good); in < 0 {
 		t.Fatalf("inertia %g < 0", in)
 	}
 	// A one-cluster solution cannot be tighter than the recovered 3-cluster
 	// solution on three well-separated classes.
-	one := Run(series, Config{K: 1, Seed: 5})
+	one := run(series, Config{K: 1, Seed: 5})
 	if Inertia(series, one) <= Inertia(series, good) {
 		t.Fatal("K=1 inertia should exceed K=3 inertia on 3-class data")
 	}
@@ -225,14 +289,14 @@ func TestRunRestartsNeverWorseThanSingle(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	series, _ := shiftedSines(rng, 24, 48, 3)
 	cfg := Config{K: 3, Seed: 11}
-	single := Inertia(series, Run(series, cfg))
-	multi := Inertia(series, RunRestarts(series, cfg, 5))
+	single := Inertia(series, run(series, cfg))
+	multi := Inertia(series, runRestarts(series, cfg, 5))
 	if multi > single+1e-9 {
 		t.Fatalf("restarts inertia %g worse than single %g", multi, single)
 	}
 	// Degenerate restart count behaves like a single run.
-	r0 := RunRestarts(series, cfg, 0)
-	r1 := Run(series, cfg)
+	r0 := runRestarts(series, cfg, 0)
+	r1 := run(series, cfg)
 	for i := range r0.Labels {
 		if r0.Labels[i] != r1.Labels[i] {
 			t.Fatal("restarts=0 must equal a single run")

@@ -11,12 +11,16 @@
 // Beside Measure the package declares seven optional interfaces the
 // evaluation, search and snapshot engines check for: Stateful, Symmetric,
 // EarlyAbandoning, LowerBounded (over BoundContext), PanelEvaluator,
-// NestedBounds and BoundSharing.
+// NestedBounds and BoundSharing. PrepareCtx builds the per-series state of
+// LowerBounded and Stateful measures for a set of series, as a Prepared.
 package measure
 
 import (
+	"context"
 	"fmt"
 	"math"
+
+	"repro/internal/par"
 )
 
 // Measure is a dissimilarity between two equal-length time series.
@@ -156,6 +160,47 @@ type BoundSharing interface {
 	// RebindBoundContext adapts c (created by a SharesBounds candidate) to
 	// this measure and refills it for x, reusing c's buffers. It returns c.
 	RebindBoundContext(c BoundContext, x []float64) BoundContext
+}
+
+// Prepared is the per-series state of one measure over one set of series:
+// Bounds[i] is series i's filled bound context when the measure is
+// LowerBounded, States[i] its prepared state when it is Stateful. A slice
+// is nil when the measure does not implement the interface. A shared
+// Prepared (a corpus snapshot's) is read-only: engines pass its contexts
+// to LowerBound and its states to PreparedDistance, and only the engine
+// that built a Prepared may rebind its contexts.
+type Prepared struct {
+	Bounds []BoundContext
+	States []any
+}
+
+// PrepareCtx builds m's per-series state for series, in parallel over
+// par.ForCtx: one filled bound context per series when m is LowerBounded
+// and one prepared state per series when it is Stateful. A measure with
+// neither gets the zero Prepared. On a non-nil error (ctx was cancelled)
+// the result is unusable.
+func PrepareCtx(ctx context.Context, m Measure, series [][]float64) (Prepared, error) {
+	var p Prepared
+	n := len(series)
+	if lb, ok := m.(LowerBounded); ok {
+		p.Bounds = make([]BoundContext, n)
+		if err := par.ForCtx(ctx, n, par.Workers(n), func(i int) {
+			c := lb.NewBoundContext(len(series[i]))
+			c.Fill(series[i])
+			p.Bounds[i] = c
+		}); err != nil {
+			return Prepared{}, err
+		}
+	}
+	if sm, ok := m.(Stateful); ok {
+		p.States = make([]any, n)
+		if err := par.ForCtx(ctx, n, par.Workers(n), func(i int) {
+			p.States[i] = sm.Prepare(series[i])
+		}); err != nil {
+			return Prepared{}, err
+		}
+	}
+	return p, nil
 }
 
 // Func adapts a plain function to the Measure interface.

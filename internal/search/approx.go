@@ -53,18 +53,17 @@ type ApproxResult struct {
 // distance, index) when k > 1, and Indices/Distances mirror the rank-1
 // entries. snap is optional: when it covers refs and holds a fitted ANN
 // index for m — the warm path — queries pay only transform + tree descent
-// + c exact re-ranks. Otherwise the index is built inline, adopting
-// whatever exact-side state (bound contexts, prepared states) the snapshot
-// does hold. The build and the query fan-out both observe ctx.
+// + c exact re-ranks. Otherwise the index is built inline, adopting the
+// snapshot's exact-side state for m when it holds one. The build and the
+// query fan-out both observe ctx.
 func KNNApproxSnapshotCtx(ctx context.Context, m measure.Measure, queries, refs [][]float64, k int, cfg ann.Config, snap *corpus.Snapshot) (ApproxResult, error) {
 	if !snap.Covers(refs) {
 		snap = nil
 	}
 	ix := snap.ANNIndex(m)
 	if ix == nil {
-		st := ann.ExactState{Bounds: snap.BoundContexts(m), Prep: snap.Prepared(m)}
 		var err error
-		if ix, err = ann.BuildCtx(ctx, refs, m, cfg, st); err != nil {
+		if ix, err = ann.BuildCtx(ctx, refs, m, cfg, snap.State(m)); err != nil {
 			return ApproxResult{}, err
 		}
 	}

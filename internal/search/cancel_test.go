@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/ann"
+	"repro/internal/corpus"
 	"repro/internal/dataset"
 	"repro/internal/measure"
 	"repro/internal/search"
@@ -124,6 +126,80 @@ func TestLeaveOneOutCtxCancelsPromptly(t *testing.T) {
 		}
 		if r := gr.PerCandidate[0]; r.Indices != nil || r.Distances != nil || r.Stats != (search.Stats{}) {
 			t.Errorf("procs=%d: cancelled leave-one-out returned a non-zero Result: %+v", procs, r)
+		}
+	}
+}
+
+// queryCancelBound is the most distance calls a query fan-out may run when
+// it cancels at its trigger-th call, derived from the dispatch both 1-NN
+// and approximate searches share: queries go to par.Workers(queries)
+// workers in chunks of queries/(workers*8) through internal/par, each
+// worker finishes at most the one chunk it holds, and one query runs at
+// most perQuery distances.
+func queryCancelBound(trigger int64, queries, perQuery, procs int) int64 {
+	workers := min(procs, queries)
+	chunk := max(queries/(workers*8), 1)
+	return trigger + int64(workers*chunk*perQuery)
+}
+
+// TestOneNNSnapshotCtxCancelsPromptly cancels a snapshot-served 1-NN
+// search from inside its fifth distance, at one and four workers: the
+// error is context.Canceled and the work that still runs stays within one
+// dispatch chunk per worker, each query scanning every reference.
+func TestOneNNSnapshotCtxCancelsPromptly(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	train := cancelTrain()
+	const trigger = 5
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		ctx, cancel := context.WithCancel(context.Background())
+		var calls atomic.Int64
+		m := cancellingMeasure{calls: &calls, trigger: trigger, cancel: cancel}
+		snap, err := corpus.BuildCtx(context.Background(), train, corpus.Options{Measures: []measure.Measure{m}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = search.OneNNSnapshotCtx(ctx, m, train, train, snap)
+		cancel()
+		if err != context.Canceled {
+			t.Fatalf("procs=%d: err = %v, want context.Canceled", procs, err)
+		}
+		limit := queryCancelBound(trigger, len(train), len(train), procs)
+		if got := calls.Load(); got < trigger || got > limit {
+			t.Errorf("procs=%d: cancelled 1-NN search ran %d distance calls, want %d..%d", procs, got, trigger, limit)
+		}
+	}
+}
+
+// TestKNNApproxSnapshotCtxCancelsPromptly is the approximate analogue on
+// the warm path: the snapshot holds the ANN index, so every exact distance
+// comes from a query's re-rank of its candidate budget, and a cancel at
+// the fifth leaves at most one chunk of queries per worker running.
+func TestKNNApproxSnapshotCtxCancelsPromptly(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	train := cancelTrain()
+	const trigger = 5
+	cfg := ann.Config{Candidates: 8, Seed: 1}
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		ctx, cancel := context.WithCancel(context.Background())
+		var calls atomic.Int64
+		m := cancellingMeasure{calls: &calls, trigger: trigger, cancel: cancel}
+		snap, err := corpus.BuildCtx(context.Background(), train, corpus.Options{ANN: []corpus.ANNSpec{{Measure: m, Config: cfg}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := calls.Load(); n != 0 {
+			t.Fatalf("procs=%d: the ANN build ran %d exact distances", procs, n)
+		}
+		_, err = search.KNNApproxSnapshotCtx(ctx, m, train, train, 1, cfg, snap)
+		cancel()
+		if err != context.Canceled {
+			t.Fatalf("procs=%d: err = %v, want context.Canceled", procs, err)
+		}
+		limit := queryCancelBound(trigger, len(train), cfg.Candidates, procs)
+		if got := calls.Load(); got < trigger || got > limit {
+			t.Errorf("procs=%d: cancelled approximate search ran %d distance calls, want %d..%d", procs, got, trigger, limit)
 		}
 	}
 }

@@ -16,9 +16,10 @@ import (
 // evaluation of an entire parameter grid in one pass, instead of one
 // independent leave-one-out scan per candidate. It is also the only
 // leave-one-out path: LeaveOneOut is the engine over a single candidate.
-// Each candidate prepares its own per-series state (Stateful preparations
-// or bound contexts), inline or from a snapshot. Three optimizations
-// stack:
+// Each candidate gets its own per-series state (Stateful preparations or
+// bound contexts) as a measure.Prepared: a covering snapshot's, else a
+// rebound arena entry (below), else measure.PrepareCtx's. Three
+// optimizations stack:
 //
 //  1. Envelope arena. Candidates declaring measure.BoundSharing (DTW
 //     bands) rebind one arena of envelope buffers across the sweep instead
@@ -46,7 +47,8 @@ import (
 //     any envelope at wide bands and available even for measures with no
 //     lower bounds of their own (LCSS, EDR). The matrix prune applies only
 //     to pairs of finite series, the precondition of the NestedBounds
-//     contract, so non-finite inputs cannot corrupt it.
+//     contract, so non-finite inputs cannot corrupt it; the per-series
+//     finiteness flags are one O(n·m) pass beside the O(n²) matrix.
 //
 //  3. Sweep-level parallelism. Candidates are partitioned into waves by
 //     warm-start dependency depth; within a wave every (candidate, row
@@ -102,10 +104,10 @@ type tuneIndex struct {
 	pairD    []float64 // n*n exact distances of the bottom candidate
 	finite   []bool    // series i contains only finite values
 
-	// snap optionally serves per-series state (prepared states, bound
-	// contexts, finiteness) instead of computing it inline; nil unless the
-	// snapshot covers train. Snapshot state is read-only: it is never
-	// rebound, refilled, or donated to the bound arena.
+	// snap optionally serves per-series state instead of building it
+	// inline; nil unless the snapshot covers train. Snapshot state is
+	// read-only: it is never rebound, refilled, or donated to the bound
+	// arena.
 	snap *corpus.Snapshot
 }
 
@@ -234,8 +236,8 @@ func probeDistanceCost(m measure.Measure, x, y []float64) float64 {
 // in one pass; a single candidate is plain leave-one-out. Each
 // per-candidate Result — neighbor indices, distances, and tie-breaks — is
 // identical to exhaustive evaluation of that candidate alone. snap is
-// optional: when it covers train it serves prepared states, bound
-// contexts, and finiteness flags, with bitwise-identical results.
+// optional: when it covers train it serves prepared states and bound
+// contexts, with bitwise-identical results.
 //
 // A cancelled sweep stops within one dispatch chunk per worker and returns
 // ctx.Err() with a partially-filled GridResult: candidates from completed
@@ -259,15 +261,11 @@ func (ti *tuneIndex) evaluate(ctx context.Context) (GridResult, error) {
 	}
 
 	if ti.bottom >= 0 {
-		if ti.snap != nil {
-			ti.finite = ti.snap.Finite()
-		} else {
-			ti.finite = make([]bool, n)
-			if err := par.ForCtx(ctx, n, par.Workers(n), func(i int) {
-				ti.finite[i] = allFinite(ti.train[i])
-			}); err != nil {
-				return res, err
-			}
+		ti.finite = make([]bool, n)
+		if err := par.ForCtx(ctx, n, par.Workers(n), func(i int) {
+			ti.finite[i] = allFinite(ti.train[i])
+		}); err != nil {
+			return res, err
 		}
 		if err := ti.evaluateBottom(ctx, &res.PerCandidate[ti.bottom], st); err != nil {
 			return res, err
@@ -407,10 +405,10 @@ type candEval struct {
 	n      int
 
 	// ix holds the candidate's fast paths and per-series state: the
-	// Querier's index on the scan path, the bound contexts (ix.rctx) of
-	// the pair scan on the halved path.
+	// Querier's index on the scan path, the bound contexts
+	// (ix.state.Bounds) of the pair scan on the halved path.
 	ix    *Index
-	entry *arenaEntry // non-nil when ix.rctx came from the arena
+	entry *arenaEntry // non-nil when ix.state.Bounds came from the arena
 	bs    measure.BoundSharing
 }
 
@@ -423,12 +421,12 @@ type looLocal struct {
 	stats  Stats
 }
 
-// evaluateWave evaluates one dependency wave: per-series setup and the row
-// scans of every candidate in the wave, each through a single pooled
-// dispatch over flattened (candidate, chunk) items. On cancellation the
-// wave's candidates are left as zero Results (partial worker-local scans
-// are never merged — a half-scanned row would not be exact) and the
-// context error is returned.
+// evaluateWave evaluates one dependency wave: each candidate's per-series
+// state, then the row scans of every candidate in the wave through a
+// single pooled dispatch over flattened (candidate, chunk) items. On
+// cancellation the wave's candidates are left as zero Results (partial
+// worker-local scans are never merged — a half-scanned row would not be
+// exact) and the context error is returned.
 func (ti *tuneIndex) evaluateWave(ctx context.Context, wave []int, arena *boundArena, out []Result, st *GridStats) error {
 	n := len(ti.train)
 	evals := make([]*candEval, len(wave))
@@ -440,51 +438,15 @@ func (ti *tuneIndex) evaluateWave(ctx context.Context, wave []int, arena *boundA
 		if ti.pairD != nil && ti.covered[k] {
 			ce.pairD, ce.finite = ti.pairD, ti.finite
 		}
-		// Snapshot-owned state arrives filled and read-only. It must never
-		// enter the arena: a later candidate would rebind (mutate) it,
-		// corrupting the immutable snapshot.
-		ce.ix = newIndex(ce.m, ti.train, ti.snap)
-		switch {
-		case ce.ix.prefilled:
-			st.PrepSnapshot += int64(n)
-		case ce.halved && ce.ix.rctx != nil:
-			if ce.bs, _ = ce.m.(measure.BoundSharing); ce.bs != nil {
-				if ce.entry = arena.checkout(ce.bs); ce.entry != nil {
-					ce.ix.rctx = ce.entry.ctxs
-				}
-			}
+		if err := ti.prepare(ctx, ce, arena, st); err != nil {
+			clearWave(evals[:w], out)
+			return err
 		}
 		if !ce.halved {
 			// Pre-size the result so scan workers can write rows directly.
 			out[k] = Result{Indices: make([]int, n), Distances: make([]float64, n)}
 		}
 		evals[w] = ce
-	}
-
-	// Per-series setup pool: bound-context and preparation fills for every
-	// candidate that needs them, flattened across the wave.
-	// Snapshot-served candidates need none.
-	var setupCands []*candEval
-	for _, ce := range evals {
-		if ce.ix.needsSetup() {
-			setupCands = append(setupCands, ce)
-		}
-	}
-	if len(setupCands) > 0 {
-		total := len(setupCands) * n
-		if err := par.ForCtx(ctx, total, par.Workers(total), func(item int) {
-			ce := setupCands[item/n]
-			i := item % n
-			if ce.entry != nil {
-				// An arena-held bound context is rebound in place.
-				ce.ix.rctx[i] = ce.bs.RebindBoundContext(ce.ix.rctx[i], ti.train[i])
-			} else {
-				ce.ix.fill(i)
-			}
-		}); err != nil {
-			clearWave(evals, out)
-			return err
-		}
 	}
 
 	// Scan pool: (candidate, row chunk) items through one dispatch.
@@ -572,9 +534,43 @@ func (ti *tuneIndex) evaluateWave(ctx context.Context, wave []int, arena *boundA
 		if ce.entry != nil {
 			arena.checkin(ce.entry, ce.m, false)
 		} else if ce.bs != nil {
-			arena.checkin(&arenaEntry{ctxs: ce.ix.rctx}, ce.m, true)
+			arena.checkin(&arenaEntry{ctxs: ce.ix.state.Bounds}, ce.m, true)
 		}
 	}
+	return nil
+}
+
+// prepare gives ce its per-series state: the snapshot's when it holds
+// state for the candidate, else a free arena entry rebound in place when
+// the candidate takes the halved path and declares BoundSharing, else
+// measure.PrepareCtx's. Snapshot state is read-only, so it never enters
+// the arena, where a later candidate would rebind it.
+func (ti *tuneIndex) prepare(ctx context.Context, ce *candEval, arena *boundArena, st *GridStats) error {
+	n := len(ti.train)
+	state := ti.snap.State(ce.m)
+	if state.Bounds != nil || state.States != nil {
+		st.PrepSnapshot += int64(n)
+	} else {
+		if ce.halved {
+			ce.bs, _ = ce.m.(measure.BoundSharing)
+		}
+		if ce.bs != nil {
+			ce.entry = arena.checkout(ce.bs)
+		}
+		var err error
+		if ce.entry != nil {
+			state.Bounds = ce.entry.ctxs
+			err = par.ForCtx(ctx, n, par.Workers(n), func(i int) {
+				state.Bounds[i] = ce.bs.RebindBoundContext(state.Bounds[i], ti.train[i])
+			})
+		} else {
+			state, err = measure.PrepareCtx(ctx, ce.m, ti.train)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	ce.ix = newIndex(ce.m, ti.train, state)
 	return nil
 }
 
@@ -628,7 +624,7 @@ func newLooLocal(n int, warm []float64) *looLocal {
 // whose infinite cutoff makes d exact.
 func (ce *candEval) scanHalvedRows(train [][]float64, l *looLocal, lo, hi int) {
 	n := len(train)
-	lb, ea, ctxs := ce.ix.lb, ce.ix.ea, ce.ix.rctx
+	lb, ea, ctxs := ce.ix.lb, ce.ix.ea, ce.ix.state.Bounds
 	for i := lo; i < hi; i++ {
 		xi := train[i]
 		var pairRow []float64

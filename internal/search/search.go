@@ -14,7 +14,9 @@
 // the incumbent, and abandoned computations only certify d >= cutoff.
 //
 // Each operation has one path, taking a context and an optional
-// corpus.Snapshot (nil prepares per-series state inline):
+// corpus.Snapshot: per-series state is the snapshot's measure.Prepared
+// when it covers the references and holds state for the measure, and
+// measure.PrepareCtx's otherwise.
 // OneNNSnapshotCtx for 1-NN, LeaveOneOutGridCtx for leave-one-out over one
 // or more grid candidates, and KNNApproxSnapshotCtx for approximate
 // retrieval. NewIndexSnapshotCtx is the one Index constructor. OneNNCtx,
@@ -27,7 +29,6 @@ import (
 	"context"
 	"math"
 
-	"repro/internal/corpus"
 	"repro/internal/measure"
 	"repro/internal/par"
 )
@@ -63,12 +64,12 @@ type Result struct {
 }
 
 // Index holds a reference set prepared for repeated pruned 1-NN queries:
-// lower-bound contexts (envelopes) or stateful preparations are computed
-// once per reference, or adopted from a corpus snapshot. An Index is
-// immutable after construction and safe for concurrent use through
-// per-goroutine Queriers. NewIndexSnapshotCtx builds one from newIndex and
-// fill; the grid engine wires every candidate through the same pair,
-// filling them in its own setup pool.
+// its per-reference state (lower-bound contexts or stateful preparations)
+// is one measure.Prepared, adopted from a corpus snapshot or built by
+// measure.PrepareCtx, and read-only here. An Index is immutable after
+// construction and safe for concurrent use through per-goroutine
+// Queriers. NewIndexSnapshotCtx builds one; the grid engine wires every
+// candidate through newIndex with the state it obtained.
 type Index struct {
 	m     measure.Measure
 	refs  [][]float64
@@ -76,13 +77,7 @@ type Index struct {
 	ea    measure.EarlyAbandoning
 	sm    measure.Stateful
 	pe    measure.PanelEvaluator
-	rctx  []measure.BoundContext
-	rprep []any
-	// prefilled marks rctx/rprep as adopted from a corpus.Snapshot: already
-	// filled, owned by the snapshot, and strictly read-only — no setup pool
-	// may fill them and the grid engine's envelope arena must never rebind
-	// them.
-	prefilled bool
+	state measure.Prepared
 }
 
 // panelChunk is the number of candidates handed to a PanelEvaluator per
@@ -91,51 +86,21 @@ type Index struct {
 // refreshes frequently.
 const panelChunk = 32
 
-// newIndex wires m's fast paths over refs: the lower-bound cascade when
-// the measure is LowerBounded, otherwise a Stateful measure's prepared
-// fast path, otherwise plain Distance calls (batched through the panel
-// kernels and early abandoning when available). Per-reference state comes
-// from snap when it holds state for m; snap must cover refs or be nil.
-// State it does not serve is allocated here and filled by fill.
-func newIndex(m measure.Measure, refs [][]float64, snap *corpus.Snapshot) *Index {
-	ix := &Index{m: m, refs: refs}
+// newIndex wires m's fast paths over refs and their state: the lower-bound
+// cascade when the measure is LowerBounded, otherwise a Stateful measure's
+// prepared fast path, otherwise plain Distance calls (batched through the
+// panel kernels and early abandoning when available). state must be m's
+// measure.Prepared over refs.
+func newIndex(m measure.Measure, refs [][]float64, state measure.Prepared) *Index {
+	ix := &Index{m: m, refs: refs, state: state}
 	ix.ea, _ = m.(measure.EarlyAbandoning)
 	ix.pe, _ = m.(measure.PanelEvaluator)
 	if lb, ok := m.(measure.LowerBounded); ok {
 		ix.lb = lb
-		if ix.rctx = snap.BoundContexts(m); ix.rctx != nil {
-			ix.prefilled = true
-		} else {
-			ix.rctx = make([]measure.BoundContext, len(refs))
-		}
 	} else if sm, ok := m.(measure.Stateful); ok {
 		ix.sm = sm
-		if ix.rprep = snap.Prepared(m); ix.rprep != nil {
-			ix.prefilled = true
-		} else {
-			ix.rprep = make([]any, len(refs))
-		}
 	}
 	return ix
-}
-
-// needsSetup reports whether the index still requires per-reference fills;
-// snapshot-prefilled state needs none (and must not be overwritten).
-func (ix *Index) needsSetup() bool {
-	return !ix.prefilled && (ix.rctx != nil || ix.rprep != nil)
-}
-
-// fill prepares reference i: a bound-context fill or a prepared state.
-func (ix *Index) fill(i int) {
-	x := ix.refs[i]
-	switch {
-	case ix.rctx != nil:
-		c := ix.lb.NewBoundContext(len(x))
-		c.Fill(x)
-		ix.rctx[i] = c
-	case ix.rprep != nil:
-		ix.rprep[i] = ix.sm.Prepare(x)
-	}
 }
 
 // Querier runs queries against an Index, owning the per-worker reusable
@@ -185,7 +150,7 @@ func (q *Querier) search(x []float64, skip int) (int, float64) {
 			}
 			q.Stats.Pairs++
 			if best >= 0 {
-				if lbv := ix.lb.LowerBound(x, r, q.qctx, ix.rctx[j], bestDist); lbv >= bestDist {
+				if lbv := ix.lb.LowerBound(x, r, q.qctx, ix.state.Bounds[j], bestDist); lbv >= bestDist {
 					q.Stats.LBPruned++
 					continue
 				}
@@ -263,7 +228,7 @@ func (q *Querier) search(x []float64, skip int) (int, float64) {
 			}
 			q.Stats.Pairs++
 			q.Stats.FullDist++
-			d := measure.Sanitize(ix.sm.PreparedDistance(px, ix.rprep[j]))
+			d := measure.Sanitize(ix.sm.PreparedDistance(px, ix.state.States[j]))
 			if best == -1 || d < bestDist {
 				best, bestDist = j, d
 			}

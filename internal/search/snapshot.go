@@ -5,34 +5,32 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/measure"
-	"repro/internal/par"
 )
 
 // This file wires the search engine to the build-once prepared-state layer
 // of internal/corpus. Every path takes the snapshot as an optional
-// argument: per-reference state (filled bound contexts, Stateful
-// preparations) is served from the snapshot when it covers the series and
-// holds state for the measure, and prepared inline otherwise. A nil snapshot — or one built over different series —
-// prepares everything inline, so results are bitwise identical either way:
-// the snapshot changes where state comes from, never what is computed from
-// it.
+// argument: per-reference state is the snapshot's measure.Prepared when
+// the snapshot covers the series and holds state for the measure, and
+// measure.PrepareCtx's otherwise. The two are the same value, so results
+// are bitwise identical either way: the snapshot changes where state comes
+// from, never what is computed from it.
 
 // NewIndexSnapshotCtx builds a query index over refs: its per-reference
-// state comes from the snapshot when it covers refs and holds state for m;
-// anything missing is prepared inline in parallel, honoring cancellation.
-// On a non-nil error the index is unusable.
+// state comes from the snapshot when it covers refs and holds state for m,
+// and is otherwise prepared inline in parallel, honoring cancellation. On
+// a non-nil error the index is unusable.
 func NewIndexSnapshotCtx(ctx context.Context, m measure.Measure, refs [][]float64, snap *corpus.Snapshot) (*Index, error) {
 	if !snap.Covers(refs) {
 		snap = nil
 	}
-	ix := newIndex(m, refs, snap)
-	if !ix.needsSetup() {
-		return ix, nil
+	st := snap.State(m)
+	if st.Bounds == nil && st.States == nil {
+		var err error
+		if st, err = measure.PrepareCtx(ctx, m, refs); err != nil {
+			return nil, err
+		}
 	}
-	if err := par.ForCtx(ctx, len(refs), par.Workers(len(refs)), ix.fill); err != nil {
-		return nil, err
-	}
-	return ix, nil
+	return newIndex(m, refs, st), nil
 }
 
 // OneNNSnapshotCtx finds, in parallel, the nearest reference of every

@@ -528,13 +528,15 @@ type KShapeResult = kshape.Result
 // (Paparrizos & Gravano 2015), the SBD-based clustering method Section 6
 // of the paper credits for renewing interest in sliding measures.
 func KShape(series [][]float64, cfg KShapeConfig) KShapeResult {
-	return kshape.Run(series, cfg)
+	res, _ := kshape.Run(context.Background(), series, cfg)
+	return res
 }
 
 // KShapeRestarts runs k-Shape from several initializations and keeps the
 // tightest clustering (lowest sum of SBD to centroids).
 func KShapeRestarts(series [][]float64, cfg KShapeConfig, restarts int) KShapeResult {
-	return kshape.RunRestarts(series, cfg, restarts)
+	res, _ := kshape.RunRestarts(context.Background(), series, cfg, restarts)
+	return res
 }
 
 // RandIndex scores agreement between two labelings (1 = identical
@@ -645,7 +647,7 @@ type ANNIndex = ann.Index
 // BuildANN fits the embedder on refs and builds the approximate index
 // for queries under m.
 func BuildANN(refs [][]float64, m Measure, cfg ANNConfig) *ANNIndex {
-	ix, _ := ann.BuildCtx(context.Background(), refs, m, cfg, ann.ExactState{})
+	ix, _ := ann.BuildCtx(context.Background(), refs, m, cfg, measure.Prepared{})
 	return ix
 }
 
