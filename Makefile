@@ -62,13 +62,17 @@ determinism:
 	GOMAXPROCS=2 $(GO) test -count=1 -run Oracle ./internal/oracle
 	GOMAXPROCS=4 $(GO) test -count=1 -run Oracle ./internal/oracle
 
-# Native fuzzing of the UCR and multivariate TSV parsers, 15 s per target:
-# neither may panic, and every input they accept must keep its integral
-# labels and round-trip through the writers to the same bits. The seed
-# corpora alone already run under `go test ./...`.
+# Native fuzzing, 15 s per target. The UCR and multivariate TSV parsers
+# may not panic, and every input they accept must keep its integral labels
+# and round-trip through the writers to the same bits. The six lock-step
+# panel kernels must give the same bits through Distance, DistanceUpTo and
+# PanelDistances, keep the early-abandoning contract, and Lorentzian must
+# stay within 1e-12 of its Log1p loop. The seed corpora alone already run
+# under `go test ./...`.
 fuzz:
 	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzReadTSV$$' -fuzztime 15s
 	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzReadMVTSV$$' -fuzztime 15s
+	$(GO) test ./internal/lockstep -run '^$$' -fuzz '^FuzzPanelKernels$$' -fuzztime 15s
 
 # Smoke-run every benchmark once, then measure the grid tuning benchmarks
 # (per-candidate loop vs grid engine), the square SINK matrix and the

@@ -28,7 +28,7 @@ import (
 // ReadMVTSV parses one multivariate split in the wide layout.
 func ReadMVTSV(r io.Reader) (series []multivariate.Series, labels []int, err error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
+	sc.Buffer(nil, maxLineBytes)
 	sc.Split(scanLinesAnyEnding)
 	line := 0
 	channels := -1

@@ -120,7 +120,7 @@ func sameBits(a, b []float64) bool {
 func checkLabels(t *testing.T, in string, labels []int) {
 	t.Helper()
 	sc := bufio.NewScanner(strings.NewReader(in))
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
+	sc.Buffer(nil, maxLineBytes)
 	sc.Split(scanLinesAnyEnding)
 	row := 0
 	for sc.Scan() {
@@ -218,4 +218,55 @@ func sameSteps(a, b multivariate.Series) bool {
 		}
 	}
 	return true
+}
+
+// TestParsersLineLengthCap: both readers grow their line buffer on demand
+// up to maxLineBytes, so a 2 MiB row parses and a row past the cap is a
+// scan error, not a panic.
+func TestParsersLineLengthCap(t *testing.T) {
+	row := func(values int) string { return "1\t1" + strings.Repeat("\t0.5", values) + "\n" }
+	long := row(1 << 19)                  // 2 MiB of "\t0.5" fields
+	tooLong := row(maxLineBytes/4 + 1024) // past the 16 MiB cap
+	series, _, err := ReadTSV(strings.NewReader(long + "2\t3\t4\n"))
+	if err != nil {
+		t.Fatalf("ReadTSV on a 2 MiB row: %v", err)
+	}
+	if len(series) != 2 || len(series[0]) != 1<<19+1 {
+		t.Fatalf("ReadTSV on a 2 MiB row: %d series, first of length %d", len(series), len(series[0]))
+	}
+	mv, _, err := ReadMVTSV(strings.NewReader(long))
+	if err != nil {
+		t.Fatalf("ReadMVTSV on a 2 MiB row: %v", err)
+	}
+	if len(mv) != 1 || len(mv[0]) != 1<<19 {
+		t.Fatalf("ReadMVTSV on a 2 MiB row: %d series, first of %d steps", len(mv), len(mv[0]))
+	}
+	if _, _, err := ReadTSV(strings.NewReader(tooLong)); err == nil {
+		t.Fatal("ReadTSV accepted a row past maxLineBytes")
+	}
+	if _, _, err := ReadMVTSV(strings.NewReader(tooLong)); err == nil {
+		t.Fatal("ReadMVTSV accepted a row past maxLineBytes")
+	}
+}
+
+// BenchmarkReadTSV parses one 100-series split of length 128 (about 260 KB
+// of text), the size of a UCR-shaped training split.
+func BenchmarkReadTSV(b *testing.B) {
+	d := Generate(Config{
+		Name: "Bench", Family: FamilyHarmonic, Length: 128,
+		NumClasses: 4, TrainSize: 100, TestSize: 4, Seed: 1, NoiseSigma: 0.1,
+	})
+	var buf bytes.Buffer
+	if err := WriteTSV(&buf, d.Train, d.TrainLabels); err != nil {
+		b.Fatal(err)
+	}
+	data := buf.Bytes()
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := ReadTSV(bytes.NewReader(data)); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -12,6 +12,12 @@ import (
 	"strings"
 )
 
+// maxLineBytes caps one line of a TSV split. The readers' scanners start
+// from bufio's small default buffer and double it up to this cap, so a
+// split of a few kilobytes costs a few kilobytes; a longer line is a scan
+// error.
+const maxLineBytes = 1 << 24
+
 // ReadTSV parses one split in the UCR tab-separated format: one series per
 // line, the first field being the integer class label (float-formatted
 // integers such as "1.0000000e+00" are accepted, any other label is an
@@ -24,7 +30,7 @@ import (
 // rejected with an error.
 func ReadTSV(r io.Reader) (series [][]float64, labels []int, err error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
+	sc.Buffer(nil, maxLineBytes)
 	sc.Split(scanLinesAnyEnding)
 	line := 0
 	for sc.Scan() {

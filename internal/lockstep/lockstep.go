@@ -167,16 +167,14 @@ func Canberra() measure.Func {
 }
 
 // Lorentzian returns sum ln(1 + |x-y|), the natural logarithm of L1 — the
-// measure the paper identifies as the new lock-step state of the art.
+// measure the paper identifies as the new lock-step state of the art. It
+// takes one math.Log per block of 16 points (see lorentzBlock), within
+// about 2.2e-13 relative of a math.Log1p loop.
 func Lorentzian() Panel {
 	return Panel{
 		name: "lorentzian",
 		dist: func(x, y []float64) float64 {
-			var s float64
-			for i := range x {
-				s += math.Log1p(math.Abs(x[i] - y[i]))
-			}
-			return s
+			return sumLog1pAbsUpTo(x, y, math.Inf(1))
 		},
 		distUpTo: sumLog1pAbsUpTo,
 		panelAll: func(q []float64, panel [][]float64, out []float64) {

@@ -15,9 +15,10 @@ import (
 // once per index and shared by all four lanes.
 //
 // Exactness: the per-candidate accumulation order is exactly the scalar
-// loop's (index 0 to m-1, one running sum per candidate) — lane fusion
-// interleaves independent accumulators but never reassociates within one —
-// so panel results are bitwise-identical to per-pair Distance calls.
+// loop's (index 0 to m-1, one running sum per candidate; Lorentzian's one
+// product per block, over the same blocks) — lane fusion interleaves
+// independent accumulators but never reassociates within one — so panel
+// results are bitwise-identical to per-pair Distance calls.
 //
 // Early abandoning: the UpTo kernels test every candidate's running value
 // against the cutoff once per panelStride elements and abandon a 4-lane
@@ -32,6 +33,21 @@ import (
 // frequent enough to save work on long series, rare enough that the
 // comparisons (and Euclidean's square roots) vanish in the loop cost.
 const panelStride = 64
+
+// Lorentzian sums ln(1+|d|) over blocks of lorentzBlock points as the log
+// of the block's product of (1+|d|) factors: one math.Log per block
+// instead of one math.Log1p per point. The blocks tile panelStride, so
+// the cutoff check still falls after every 64 points. A block whose
+// product is below lorentzMin, or not finite, adds its terms one by one
+// with math.Log1p instead. Every other block has 2*lorentzBlock-1
+// roundings (each 1+|d| and each product) of relative size 2^-53 each,
+// which move its log by at most 31*2^-53 absolute, or
+// 31*2^-53/ln(1+2^-6) ≈ 2.2e-13 relative to its sum; the terms are
+// non-negative, so the distance keeps that bound.
+const (
+	lorentzBlock = 16
+	lorentzMin   = 1 + 1.0/64
+)
 
 // Panel is a lock-step measure with a batched panel engine. It implements
 // measure.Measure, measure.EarlyAbandoning, and measure.PanelEvaluator;
@@ -137,20 +153,48 @@ func sumAbsUpTo(x, y []float64, cutoff float64) float64 {
 	return s
 }
 
+// sumLog1pAbsUpTo is Lorentzian's kernel: blocks of lorentzBlock points
+// tile each stride, the tail takes whole blocks and one shorter last one.
 func sumLog1pAbsUpTo(x, y []float64, cutoff float64) float64 {
 	var s float64
 	m := len(x)
 	i := 0
 	for ; i+panelStride <= m; i += panelStride {
-		for e := i; e < i+panelStride; e++ {
-			s += math.Log1p(math.Abs(x[e] - y[e]))
+		for b := i; b < i+panelStride; b += lorentzBlock {
+			s = addLog1pAbsBlock(s, x[b:b+lorentzBlock], y[b:b+lorentzBlock])
 		}
 		if s >= cutoff {
 			return s
 		}
 	}
-	for ; i < m; i++ {
-		s += math.Log1p(math.Abs(x[i] - y[i]))
+	for ; i < m; i += lorentzBlock {
+		j := min(i+lorentzBlock, m)
+		s = addLog1pAbsBlock(s, x[i:j], y[i:j])
+	}
+	return s
+}
+
+// addLog1pAbsBlock adds the Lorentzian terms of one block to s.
+func addLog1pAbsBlock(s float64, x, y []float64) float64 {
+	y = y[:len(x)]
+	p := 1.0
+	for e := range x {
+		p *= 1 + math.Abs(x[e]-y[e])
+	}
+	return addLogBlock(s, p, x, y)
+}
+
+// addLogBlock adds one block of Lorentzian terms to the running sum s,
+// given the block's product p of (1+|x_e-y_e|) factors: ln p when p is
+// finite and at least lorentzMin, else the terms one by one with Log1p.
+// A NaN product fails both comparisons and falls back too.
+func addLogBlock(s, p float64, x, y []float64) float64 {
+	if p >= lorentzMin && p <= math.MaxFloat64 {
+		return s + math.Log(p)
+	}
+	y = y[:len(x)]
+	for e := range x {
+		s += math.Log1p(math.Abs(x[e] - y[e]))
 	}
 	return s
 }
@@ -275,7 +319,9 @@ func panelSumAbsUpTo(q []float64, panel [][]float64, cutoff float64, out []float
 	}
 }
 
-// panelSumLog1pAbsUpTo is the fused 4-lane Lorentzian kernel.
+// panelSumLog1pAbsUpTo is the fused 4-lane Lorentzian kernel. It walks
+// the blocks of sumLog1pAbsUpTo, one product per lane per block, so every
+// lane's value is bitwise the scalar kernel's.
 func panelSumLog1pAbsUpTo(q []float64, panel [][]float64, cutoff float64, out []float64) {
 	m := len(q)
 	k := 0
@@ -284,24 +330,16 @@ func panelSumLog1pAbsUpTo(q []float64, panel [][]float64, cutoff float64, out []
 		var a0, a1, a2, a3 float64
 		i := 0
 		for ; i+panelStride <= m; i += panelStride {
-			for e := i; e < i+panelStride; e++ {
-				qv := q[e]
-				a0 += math.Log1p(math.Abs(qv - c0[e]))
-				a1 += math.Log1p(math.Abs(qv - c1[e]))
-				a2 += math.Log1p(math.Abs(qv - c2[e]))
-				a3 += math.Log1p(math.Abs(qv - c3[e]))
+			for b := i; b < i+panelStride; b += lorentzBlock {
+				a0, a1, a2, a3 = addLogBlocks(a0, a1, a2, a3, q, c0, c1, c2, c3, b, b+lorentzBlock)
 			}
 			if a0 >= cutoff && a1 >= cutoff && a2 >= cutoff && a3 >= cutoff {
 				break
 			}
 		}
 		if i+panelStride > m {
-			for ; i < m; i++ {
-				qv := q[i]
-				a0 += math.Log1p(math.Abs(qv - c0[i]))
-				a1 += math.Log1p(math.Abs(qv - c1[i]))
-				a2 += math.Log1p(math.Abs(qv - c2[i]))
-				a3 += math.Log1p(math.Abs(qv - c3[i]))
+			for ; i < m; i += lorentzBlock {
+				a0, a1, a2, a3 = addLogBlocks(a0, a1, a2, a3, q, c0, c1, c2, c3, i, min(i+lorentzBlock, m))
 			}
 		}
 		out[k], out[k+1], out[k+2], out[k+3] = a0, a1, a2, a3
@@ -309,6 +347,24 @@ func panelSumLog1pAbsUpTo(q []float64, panel [][]float64, cutoff float64, out []
 	for ; k < len(panel); k++ {
 		out[k] = sumLog1pAbsUpTo(q, panel[k], cutoff)
 	}
+}
+
+// addLogBlocks adds block [b, j) of four candidates to their running sums:
+// the four products are fused over the shared query element, then each
+// lane takes addLogBlock's log-or-fallback step.
+func addLogBlocks(a0, a1, a2, a3 float64, q, c0, c1, c2, c3 []float64, b, j int) (float64, float64, float64, float64) {
+	q = q[b:j]
+	n := len(q)
+	c0, c1, c2, c3 = c0[b:j][:n], c1[b:j][:n], c2[b:j][:n], c3[b:j][:n]
+	p0, p1, p2, p3 := 1.0, 1.0, 1.0, 1.0
+	for e, qv := range q {
+		p0 *= 1 + math.Abs(qv-c0[e])
+		p1 *= 1 + math.Abs(qv-c1[e])
+		p2 *= 1 + math.Abs(qv-c2[e])
+		p3 *= 1 + math.Abs(qv-c3[e])
+	}
+	return addLogBlock(a0, p0, q, c0), addLogBlock(a1, p1, q, c1),
+		addLogBlock(a2, p2, q, c2), addLogBlock(a3, p3, q, c3)
 }
 
 // panelMaxAbsUpTo is the fused 4-lane L_inf kernel (Chebyshev).

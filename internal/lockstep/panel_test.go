@@ -1,10 +1,13 @@
 package lockstep
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"sort"
 	"testing"
+
+	"repro/internal/measure"
 )
 
 // panels returns the six panel-capable lock-step measures.
@@ -39,7 +42,7 @@ func randPanel(rng *rand.Rand, count, m int) ([]float64, [][]float64) {
 // and lengths that exercise the stride loop and its remainder.
 func TestPanelBitwiseScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	for _, m := range []int{0, 1, 5, 63, 64, 65, 129} {
+	for _, m := range []int{0, 1, 5, 15, 16, 17, 63, 64, 65, 129, 256} {
 		for _, count := range []int{0, 1, 3, 4, 5, 9} {
 			q, panel := randPanel(rng, count, m)
 			for _, p := range panels() {
@@ -156,6 +159,192 @@ func TestScalarUpToContract(t *testing.T) {
 			t.Fatalf("%s: self distance %v != %v", p.Name(), self, want)
 		}
 	}
+}
+
+// log1pLoop is Lorentzian term by term, the math.Log1p loop its block
+// kernels replace.
+func log1pLoop(x, y []float64) float64 {
+	var s float64
+	for i := range x {
+		s += math.Log1p(math.Abs(x[i] - y[i]))
+	}
+	return s
+}
+
+// closeRel reports whether a and b are the same bits or finite and within
+// tol of each other, relative to the larger magnitude.
+func closeRel(a, b, tol float64) bool {
+	if sameBits(a, b) {
+		return true
+	}
+	d := math.Abs(a - b)
+	return !math.IsInf(d, 0) && d <= tol*math.Max(math.Abs(a), math.Abs(b))
+}
+
+// TestLorentzianBlocks checks the block kernel against log1pLoop at
+// lengths around the block and stride boundaries. A pair whose every block
+// falls back to Log1p (products below lorentzMin, or overflowing) must
+// match it bitwise; any other pair within 1e-12 relative. A one-point
+// block cannot overflow, so the 1e200 pair falls back entirely only where
+// no block has a single point.
+func TestLorentzianBlocks(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	lz := Lorentzian()
+	gauss := func(m int, scale float64) []float64 {
+		s := make([]float64, m)
+		for i := range s {
+			s[i] = scale * rng.NormFloat64()
+		}
+		return s
+	}
+	for _, m := range []int{1, 15, 16, 17, 63, 64, 65, 129, 256, 4096} {
+		x := gauss(m, 1)
+		near := make([]float64, m)
+		alternating := make([]float64, m)
+		for i := range x {
+			near[i] = x[i] + 1e-9*rng.NormFloat64()
+			alternating[i] = x[i] + rng.NormFloat64()
+			if i/lorentzBlock%2 == 0 {
+				alternating[i] = near[i]
+			}
+		}
+		cases := []struct {
+			name    string
+			x, y    []float64
+			bitwise bool
+		}{
+			{"near-duplicate", x, near, true},
+			{"tiny", gauss(m, 1e-8), gauss(m, 1e-8), true},
+			{"overflow", gauss(m, 1e200), gauss(m, 1e200), m%lorentzBlock != 1},
+			{"gaussian", x, gauss(m, 1), false},
+			{"alternating", x, alternating, false},
+		}
+		for _, c := range cases {
+			got, want := lz.Distance(c.x, c.y), log1pLoop(c.x, c.y)
+			if (c.bitwise && !sameBits(got, want)) || !closeRel(got, want, 1e-12) {
+				t.Fatalf("m=%d %s: block kernel %v, Log1p loop %v", m, c.name, got, want)
+			}
+		}
+
+		y := gauss(m, 1)
+		for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+			xb := append([]float64(nil), x...)
+			xb[m/2] = bad
+			if got, want := lz.Distance(xb, y), log1pLoop(xb, y); !sameBits(got, bad) || !sameBits(want, bad) {
+				t.Fatalf("m=%d %v at %d: block kernel %v, Log1p loop %v", m, bad, m/2, got, want)
+			}
+		}
+
+		// Cutoffs inside the second and third stride: DistanceUpTo returns
+		// the running sum at the first stride end that reaches the cutoff
+		// (the whole distance past the last full stride), inside [cutoff, d].
+		if m < 2*panelStride {
+			continue
+		}
+		d := lz.Distance(x, y)
+		end := func(k int) float64 {
+			if k*panelStride > m {
+				return d
+			}
+			return lz.Distance(x[:k*panelStride], y[:k*panelStride])
+		}
+		for k := 2; k <= 3; k++ {
+			cutoff := (end(k-1) + end(k)) / 2
+			if v := lz.DistanceUpTo(x, y, cutoff); !sameBits(v, end(k)) || v < cutoff || v > d {
+				t.Fatalf("m=%d cutoff=%v in stride %d: DistanceUpTo %v, want %v in [cutoff, %v]", m, cutoff, k, v, end(k), d)
+			}
+		}
+	}
+}
+
+// upToHolds reports whether v, returned for cutoff by an UpTo call on a
+// pair at distance d, keeps the EarlyAbandoning contract, NaN ranking as
+// +Inf the way the search engines rank it.
+func upToHolds(v, d, cutoff float64) bool {
+	if d < cutoff {
+		return sameBits(v, d)
+	}
+	v, d = measure.Sanitize(v), measure.Sanitize(d)
+	return cutoff <= v && v <= d
+}
+
+// FuzzPanelKernels decodes its input into one query and five candidates of
+// one length (little-endian float64s, at most 1024 points each) and checks
+// the six panel measures: Distance, DistanceUpTo at +Inf and
+// PanelDistances agree bitwise, PanelDistancesUpTo keeps the
+// EarlyAbandoning contract at the smallest candidate distance, and
+// Lorentzian stays within 1e-12 relative of the Log1p loop.
+func FuzzPanelKernels(f *testing.F) {
+	const series, maxLen = 6, 1024
+	encode := func(vals []float64) []byte {
+		b := make([]byte, 8*len(vals))
+		for i, v := range vals {
+			binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
+		}
+		return b
+	}
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), 1e200, 1e-300}
+	rng := rand.New(rand.NewSource(53))
+	for _, m := range []int{1, 16, 17, 64, 65} {
+		vals := make([]float64, series*m)
+		for i := range vals {
+			vals[i] = rng.NormFloat64()
+		}
+		f.Add(encode(vals))
+		// One special value per series, at a position that moves with it.
+		for k := 0; k < series; k++ {
+			vals[k*m+(5*k)%m] = specials[k+1]
+		}
+		vals[0] = specials[0]
+		f.Add(encode(vals))
+		for i := range vals {
+			vals[i] = specials[i%len(specials)]
+		}
+		f.Add(encode(vals))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m := min(len(data)/(8*series), maxLen)
+		vals := make([]float64, series*m)
+		for i := range vals {
+			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+		}
+		q := vals[:m]
+		cands := make([][]float64, series-1)
+		for k := range cands {
+			cands[k] = vals[(k+1)*m : (k+2)*m]
+		}
+		exact := make([]float64, len(cands))
+		out := make([]float64, len(cands))
+		for _, p := range panels() {
+			if !p.PanelDistances(q, cands, out) {
+				t.Fatalf("%s: declined a uniform panel", p.Name())
+			}
+			cutoff := math.Inf(1)
+			for k, c := range cands {
+				d := p.Distance(q, c)
+				if u := p.DistanceUpTo(q, c, math.Inf(1)); !sameBits(u, d) || !sameBits(out[k], d) {
+					t.Fatalf("%s k=%d: Distance %v, DistanceUpTo(+Inf) %v, PanelDistances %v", p.Name(), k, d, u, out[k])
+				}
+				if p.Name() == "lorentzian" {
+					if want := log1pLoop(q, c); !closeRel(d, want, 1e-12) {
+						t.Fatalf("lorentzian k=%d: %v, Log1p loop %v", k, d, want)
+					}
+				}
+				exact[k] = d
+				if d < cutoff {
+					cutoff = d
+				}
+			}
+			if !p.PanelDistancesUpTo(q, cands, cutoff, out) {
+				t.Fatalf("%s: UpTo declined a uniform panel", p.Name())
+			}
+			for k := range cands {
+				if !upToHolds(out[k], exact[k], cutoff) {
+					t.Fatalf("%s k=%d cutoff=%v: PanelDistancesUpTo %v, distance %v", p.Name(), k, cutoff, out[k], exact[k])
+				}
+			}
+		}
+	})
 }
 
 func BenchmarkHotloopsPanelPerPair(b *testing.B) {

@@ -16,7 +16,11 @@ import (
 //     perform the same floating-point operations in the same order (plain
 //     lock-step loops, rolling-row DPs versus full-matrix DPs). The only
 //     divergence admitted is compiler instruction fusion, so the bar is one
-//     part in 1e12, relative.
+//     part in 1e12, relative. Lorentzian is the one lock-step exception:
+//     its kernel takes one math.Log of the product of each 16-point
+//     block's (1+|d|) factors where the reference sums 16 math.Log1p
+//     terms, which keeps it within 31*2^-53/ln(1+2^-6), about 2.2e-13,
+//     relative (DESIGN.md §13).
 //   - TolLogSpace: log-space or product-form kernel recursions (GAK, KDTW),
 //     where exp/log rounding compounds across O(m^2) cells.
 //   - TolFFT: measures computed through the FFT cross-correlation versus
