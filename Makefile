@@ -32,9 +32,11 @@ race: check-race
 # corpus snapshot builder plus its LRU cache, the ANN engine's parallel
 # embed/build plus its shared-index concurrent Queriers, and the
 # multivariate layer's parallel 1-NN classifier plus its shared
-# row/channel scratch pools.
+# row/channel scratch pools, and the dataset and normalization layers: a
+# TSV split's rows parse on par workers, and eval.Normalize maps a
+# dataset's series through the normalizers on them.
 check-race:
-	GOMAXPROCS=4 $(GO) test -race ./internal/par ./internal/eval ./internal/search ./internal/fft ./internal/kernel ./internal/embedding ./internal/elastic ./internal/lockstep ./internal/profile ./internal/index ./internal/corpus ./internal/ann ./internal/multivariate
+	GOMAXPROCS=4 $(GO) test -race ./internal/par ./internal/eval ./internal/search ./internal/fft ./internal/kernel ./internal/embedding ./internal/elastic ./internal/lockstep ./internal/profile ./internal/index ./internal/corpus ./internal/ann ./internal/multivariate ./internal/dataset ./internal/norm
 
 # Differential oracle harness under the race detector: every measure
 # against its reference implementation plus both search engines against
@@ -63,8 +65,9 @@ determinism:
 	GOMAXPROCS=4 $(GO) test -count=1 -run Oracle ./internal/oracle
 
 # Native fuzzing, 15 s per target. The UCR and multivariate TSV parsers
-# may not panic, and every input they accept must keep its integral labels
-# and round-trip through the writers to the same bits. The six lock-step
+# may not panic, must return the values, labels and error text of their
+# Scanner-based test references, and every input they accept must keep
+# its integral labels and round-trip through the writers to the same bits. The six lock-step
 # panel kernels must give the same bits through Distance, DistanceUpTo and
 # PanelDistances, keep the early-abandoning contract, and Lorentzian must
 # stay within 1e-12 of its Log1p loop. The seed corpora alone already run

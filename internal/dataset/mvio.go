@@ -14,85 +14,94 @@ package dataset
 
 import (
 	"bufio"
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
 
 	"repro/internal/multivariate"
 )
 
-// ReadMVTSV parses one multivariate split in the wide layout.
+// ReadMVTSV parses one multivariate split in the wide layout. Like ReadTSV
+// it reads the reader whole and names the first bad line.
 func ReadMVTSV(r io.Reader) (series []multivariate.Series, labels []int, err error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(nil, maxLineBytes)
-	sc.Split(scanLinesAnyEnding)
-	line := 0
-	channels := -1
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		sep := "\t"
-		if !strings.Contains(text, "\t") {
-			sep = ","
-		}
-		fields := strings.Split(text, sep)
-		for len(fields) > 0 && strings.TrimSpace(fields[len(fields)-1]) == "" {
-			fields = fields[:len(fields)-1]
-		}
-		if len(fields) < 2 {
-			return nil, nil, fmt.Errorf("dataset: line %d: need a label and a channel count", line)
-		}
-		label, err := parseLabel(fields[0])
-		if err != nil {
-			return nil, nil, fmt.Errorf("dataset: line %d: %v", line, err)
-		}
-		d, err := strconv.Atoi(strings.TrimSpace(fields[1]))
-		if err != nil || d < 1 {
-			return nil, nil, fmt.Errorf("dataset: line %d: bad channel count %q", line, fields[1])
-		}
-		if channels == -1 {
-			channels = d
-		} else if d != channels {
-			return nil, nil, fmt.Errorf("dataset: line %d: channel count %d, want %d (all rows must agree)", line, d, channels)
-		}
-		values := fields[2:]
-		if len(values) == 0 {
-			return nil, nil, fmt.Errorf("dataset: line %d: no values after the channel count", line)
-		}
-		if len(values)%d != 0 {
-			return nil, nil, fmt.Errorf("dataset: line %d: %d values not divisible by %d channels", line, len(values), d)
-		}
-		n := len(values) / d
-		s := make(multivariate.Series, n)
-		for t := 0; t < n; t++ {
-			s[t] = make([]float64, d)
-			for c := 0; c < d; c++ {
-				f := strings.TrimSpace(values[t*d+c])
-				if f == "" || strings.EqualFold(f, "nan") {
-					s[t][c] = math.NaN()
-					continue
-				}
-				v, err := strconv.ParseFloat(f, 64)
-				if err != nil {
-					return nil, nil, fmt.Errorf("dataset: line %d: bad value %q: %v", line, f, err)
-				}
-				s[t][c] = v
-			}
-		}
-		series = append(series, s)
-		labels = append(labels, label)
+	var buf bytes.Buffer
+	_, readErr := io.Copy(&buf, r)
+	series, labels, err = parseMVTSV(buf.Bytes())
+	if err == nil && readErr != nil {
+		return nil, nil, fmt.Errorf("dataset: scan: %v", readErr)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, nil, fmt.Errorf("dataset: scan: %v", err)
+	return series, labels, err
+}
+
+// parseMVTSV is ReadMVTSV over one buffer. Rows parse independently; the
+// channel counts are compared with the first row's afterwards, in line
+// order, between a row's checks up to its channel count and the checks
+// after it, so the error is the one a row-by-row reader meets first.
+func parseMVTSV(data []byte) ([]multivariate.Series, []int, error) {
+	rows, splitErr := splitRows(data)
+	if len(rows) == 0 {
+		return nil, nil, splitErr
+	}
+	series := make([]multivariate.Series, len(rows))
+	labels := make([]int, len(rows))
+	channels := make([]int, len(rows)) // 0 where a row failed before its count
+	errs := parseRows(len(rows), func(i int) (err error) {
+		series[i], labels[i], channels[i], err = parseMVSeries(rows[i].text)
+		return err
+	})
+	for i, d := range channels {
+		switch {
+		case d == 0:
+			return nil, nil, rowError(rows[i], errs[i])
+		case d != channels[0]:
+			return nil, nil, rowError(rows[i], fmt.Errorf("channel count %d, want %d (all rows must agree)", d, channels[0]))
+		case errs[i] != nil:
+			return nil, nil, rowError(rows[i], errs[i])
+		}
+	}
+	if splitErr != nil {
+		return nil, nil, splitErr
 	}
 	return series, labels, nil
+}
+
+// parseMVSeries parses one row of the wide layout. It returns the row's
+// channel count once it has parsed it, also with an error from a later
+// check.
+func parseMVSeries(text []byte) (s multivariate.Series, label, d int, err error) {
+	f := newFields(text)
+	if f.n < 2 {
+		return nil, 0, 0, errors.New("need a label and a channel count")
+	}
+	if label, err = parseLabel(f.next()); err != nil {
+		return nil, 0, 0, err
+	}
+	field := f.next()
+	d, err = strconv.Atoi(string(bytes.TrimSpace(field)))
+	if err != nil || d < 1 {
+		return nil, 0, 0, fmt.Errorf("bad channel count %q", field)
+	}
+	if f.n == 0 {
+		return nil, 0, d, errors.New("no values after the channel count")
+	}
+	if f.n%d != 0 {
+		return nil, 0, d, fmt.Errorf("%d values not divisible by %d channels", f.n, d)
+	}
+	values := make([]float64, f.n)
+	for i := range values {
+		if values[i], _, err = parseValue(f.next()); err != nil {
+			return nil, 0, d, err
+		}
+	}
+	s = make(multivariate.Series, len(values)/d)
+	for t := range s {
+		s[t] = values[t*d : (t+1)*d : (t+1)*d]
+	}
+	return s, label, d, nil
 }
 
 // WriteMVTSV writes multivariate series in the wide layout ReadMVTSV
@@ -114,24 +123,16 @@ func WriteMVTSV(w io.Writer, series []multivariate.Series, labels []int) error {
 		}
 	}
 	bw := bufio.NewWriter(w)
+	var line []byte
 	for i, s := range series {
-		if _, err := fmt.Fprintf(bw, "%d\t%d", labels[i], s.Channels()); err != nil {
-			return err
-		}
+		line = strconv.AppendInt(line[:0], int64(labels[i]), 10)
+		line = strconv.AppendInt(append(line, '\t'), int64(s.Channels()), 10)
 		for t := range s {
 			for _, v := range s[t] {
-				var field string
-				if math.IsNaN(v) {
-					field = "NaN"
-				} else {
-					field = strconv.FormatFloat(v, 'g', -1, 64)
-				}
-				if _, err := bw.WriteString("\t" + field); err != nil {
-					return err
-				}
+				line = appendValue(append(line, '\t'), v)
 			}
 		}
-		if err := bw.WriteByte('\n'); err != nil {
+		if _, err := bw.Write(append(line, '\n')); err != nil {
 			return err
 		}
 	}
@@ -144,13 +145,11 @@ func WriteMVTSV(w io.Writer, series []multivariate.Series, labels []int) error {
 // applied. The two splits must agree on channel count.
 func LoadMVUCR(dir, name string) (*multivariate.Dataset, error) {
 	load := func(split string) ([]multivariate.Series, []int, error) {
-		path := filepath.Join(dir, name, fmt.Sprintf("%s_%s.tsv", name, split))
-		f, err := os.Open(path)
+		data, err := os.ReadFile(filepath.Join(dir, name, fmt.Sprintf("%s_%s.tsv", name, split)))
 		if err != nil {
 			return nil, nil, err
 		}
-		defer f.Close()
-		return ReadMVTSV(f)
+		return parseMVTSV(data)
 	}
 	train, trainLabels, err := load("TRAIN")
 	if err != nil {

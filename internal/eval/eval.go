@@ -297,6 +297,9 @@ func TuneSupervisedDetailedCtx(ctx context.Context, g Grid, train [][]float64, l
 
 // Normalize applies the normalizer to every series of both splits,
 // returning a new dataset; a nil normalizer returns the input unchanged.
+// The series map over par workers, so n is called from several goroutines
+// at once; each series is normalized on its own, so every output is the
+// serial map's.
 func Normalize(d *dataset.Dataset, n norm.Normalizer) *dataset.Dataset {
 	if n == nil {
 		return d
@@ -308,12 +311,14 @@ func Normalize(d *dataset.Dataset, n norm.Normalizer) *dataset.Dataset {
 		Test:        make([][]float64, len(d.Test)),
 		TestLabels:  d.TestLabels,
 	}
-	for i, s := range d.Train {
-		out.Train[i] = n.Normalize(s)
-	}
-	for i, s := range d.Test {
-		out.Test[i] = n.Normalize(s)
-	}
+	nTrain, total := len(d.Train), len(d.Train)+len(d.Test)
+	par.For(total, par.Workers(total), func(i int) {
+		if i < nTrain {
+			out.Train[i] = n.Normalize(d.Train[i])
+		} else {
+			out.Test[i-nTrain] = n.Normalize(d.Test[i-nTrain])
+		}
+	})
 	return out
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/dataset"
@@ -208,6 +209,73 @@ func TestNormalizeAppliesToBothSplits(t *testing.T) {
 	if Normalize(d, nil) != d {
 		t.Fatal("nil normalizer must return the dataset unchanged")
 	}
+}
+
+// TestNormalizeWorkerCountInvariant: Normalize maps the series over par
+// workers, and each of norm.All()'s normalizers must give the same bits at
+// GOMAXPROCS 1 and 4, equal to calling it on each series in turn, and
+// leave the input dataset untouched. The dataset holds a constant series
+// and NaN, ±Inf and -0.
+func TestNormalizeWorkerCountInvariant(t *testing.T) {
+	d := dataset.Generate(dataset.Config{
+		Name: "Norm", Family: dataset.FamilyHarmonic, Length: 37,
+		NumClasses: 3, TrainSize: 32, TestSize: 16, Seed: 5, NoiseSigma: 0.3,
+	})
+	d.Train[1] = make([]float64, len(d.Train[1]))
+	d.Train[2][3] = math.NaN()
+	d.Test[0][0], d.Test[0][1], d.Test[0][2] = math.Inf(1), math.Inf(-1), math.Copysign(0, -1)
+	in := d.Clone()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, n := range norm.All() {
+		var outs [2]*dataset.Dataset
+		for i, procs := range []int{1, 4} {
+			runtime.GOMAXPROCS(procs)
+			outs[i] = Normalize(d, n)
+		}
+		for si, split := range []struct{ in, one, four [][]float64 }{
+			{d.Train, outs[0].Train, outs[1].Train},
+			{d.Test, outs[0].Test, outs[1].Test},
+		} {
+			for i, x := range split.in {
+				want := n.Normalize(x)
+				if !bitsEqual(split.one[i], want) || !bitsEqual(split.four[i], want) {
+					t.Fatalf("%s: split %d series %d differs across worker counts", n.Name(), si, i)
+				}
+			}
+		}
+		if !sameDataset(d, in) {
+			t.Fatalf("%s: Normalize changed its input", n.Name())
+		}
+	}
+}
+
+func bitsEqual(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameDataset(a, b *dataset.Dataset) bool {
+	if len(a.Train) != len(b.Train) || len(a.Test) != len(b.Test) {
+		return false
+	}
+	for i := range a.Train {
+		if !bitsEqual(a.Train[i], b.Train[i]) || a.TrainLabels[i] != b.TrainLabels[i] {
+			return false
+		}
+	}
+	for i := range a.Test {
+		if !bitsEqual(a.Test[i], b.Test[i]) || a.TestLabels[i] != b.TestLabels[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func TestTestAccuracyBeatsChanceOnStructuredData(t *testing.T) {

@@ -6,12 +6,15 @@ package norm
 
 import (
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"repro/internal/measure"
 )
 
-// Normalizer transforms a single series; it never mutates its input.
+// Normalizer transforms a single series; it never mutates its input. It
+// must be safe for concurrent use: eval.Normalize maps it over a dataset's
+// series on several goroutines.
 type Normalizer interface {
 	Name() string
 	Normalize(x []float64) []float64
@@ -157,14 +160,74 @@ func MedianNorm() Normalizer {
 	}}
 }
 
+// median returns the middle element, or the mean of the middle two, of x
+// in the order slices.Sort gives a copy of it: NaNs first, then ascending.
+// It selects them in its copy instead of sorting it, which returns the
+// same float.
 func median(x []float64) float64 {
 	s := append([]float64(nil), x...)
-	sort.Float64s(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
+	nan := 0 // NaNs moved to the front, where the sort puts them
+	for i, v := range s {
+		if v != v {
+			s[i], s[nan] = s[nan], v
+			nan++
+		}
 	}
-	return (s[n/2-1] + s[n/2]) / 2
+	hi := len(s) / 2
+	rest, k := s[nan:], hi-nan // s[hi] is rest[k] when k >= 0
+	if k >= 0 {
+		selectNth(rest, k)
+	}
+	if len(s)%2 == 1 {
+		return s[hi]
+	}
+	lo := s[hi-1]
+	if k >= 1 {
+		lo = rest[0]
+		for _, v := range rest[1:k] {
+			if v > lo {
+				lo = v
+			}
+		}
+	}
+	return (lo + s[hi]) / 2
+}
+
+// selectNth reorders a, which holds no NaN, so that a[k] is the element an
+// ascending sort puts there and no element before it is larger: a
+// quickselect with a median-of-three pivot that sorts a short range, or
+// one left after 2·log₂(len(a)) rounds, so adversarial input stays
+// O(n log n).
+func selectNth(a []float64, k int) {
+	lo, hi := 0, len(a)-1
+	for rounds := 2 * bits.Len(uint(len(a))); hi-lo > 16 && rounds > 0; rounds-- {
+		x, y, z := a[lo], a[lo+(hi-lo)/2], a[hi]
+		p := max(min(x, y), min(max(x, y), z)) // the median of the three
+		i, j := lo, hi
+		for i <= j {
+			for a[i] < p {
+				i++
+			}
+			for p < a[j] {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i++
+				j--
+			}
+		}
+		// a[lo..j] <= p, a[i..hi] >= p, and everything between equals p.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
+	slices.Sort(a[lo : hi+1])
 }
 
 // UnitLength scales the series to unit Euclidean norm (Eq. 6); a zero

@@ -3,6 +3,7 @@ package norm
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -129,6 +130,63 @@ func TestMedianNorm(t *testing.T) {
 	out = MedianNorm().Normalize([]float64{-1, 0, 1})
 	if out[0] != -1 || out[2] != 1 {
 		t.Fatalf("zero-median mediannorm = %v", out)
+	}
+}
+
+// sortMedianNorm is MedianNorm with the median taken from a sorted copy,
+// as it was before median selected it.
+func sortMedianNorm(x []float64) []float64 {
+	out := make([]float64, len(x))
+	if len(x) == 0 {
+		return out
+	}
+	s := append([]float64(nil), x...)
+	sort.Float64s(s)
+	n := len(s)
+	med := s[n/2]
+	if n%2 == 0 {
+		med = (s[n/2-1] + s[n/2]) / 2
+	}
+	if med == 0 {
+		copy(out, x)
+		return out
+	}
+	for i, v := range x {
+		out[i] = v / med
+	}
+	return out
+}
+
+// TestMedianNormMatchesSort requires MedianNorm to return the sort-based
+// reference's bits on every length from 1 to 64, odd and even, over
+// series mixing NaN, ±0, ±Inf, duplicates and ordinary values, and to
+// leave its input untouched.
+func TestMedianNormMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	specials := []float64{math.NaN(), 0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 1, -1, 2}
+	mn := MedianNorm()
+	for n := 1; n <= 64; n++ {
+		for trial := 0; trial < 200; trial++ {
+			x := make([]float64, n)
+			special := rng.Float64() // share of special values and duplicates
+			for i := range x {
+				if rng.Float64() < special {
+					x[i] = specials[rng.Intn(len(specials))]
+				} else {
+					x[i] = rng.NormFloat64() * 10
+				}
+			}
+			in := append([]float64(nil), x...)
+			got, want := mn.Normalize(x), sortMedianNorm(x)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("n=%d, x=%v: MedianNorm[%d] = %v, reference %v", n, x, i, got[i], want[i])
+				}
+				if math.Float64bits(x[i]) != math.Float64bits(in[i]) {
+					t.Fatalf("n=%d: MedianNorm changed its input at %d", n, i)
+				}
+			}
+		}
 	}
 }
 

@@ -66,7 +66,9 @@ type Measure = measure.Measure
 // when building full dissimilarity matrices.
 type StatefulMeasure = measure.Stateful
 
-// Normalizer transforms a single series as a preprocessing step.
+// Normalizer transforms a single series as a preprocessing step. It must
+// be safe for concurrent use: a dataset's series are normalized in
+// parallel.
 type Normalizer = norm.Normalizer
 
 // Dataset is a class-labelled dataset with a fixed train/test split.
@@ -390,14 +392,18 @@ func OneNN(e [][]float64, testLabels, trainLabels []int) float64 {
 func LeaveOneOut(w [][]float64, labels []int) float64 { return eval.LeaveOneOut(w, labels) }
 
 // TestAccuracy evaluates a fixed measure on a dataset under a normalizer
-// (nil = data as stored).
+// (nil = data as stored). The dataset's series are normalized in parallel,
+// so n must be safe for concurrent use: a normalizer that keeps state
+// between calls, such as a reused scratch buffer, races.
 func TestAccuracy(m Measure, d *Dataset, n Normalizer) float64 {
 	acc, _ := eval.TestAccuracyCtx(context.Background(), m, d, n)
 	return acc
 }
 
 // SupervisedAccuracy tunes the grid by leave-one-out on the training split
-// and reports test accuracy with the selected candidate.
+// and reports test accuracy with the selected candidate. As in
+// TestAccuracy, n is called from several goroutines at once and must be
+// safe for concurrent use.
 func SupervisedAccuracy(g Grid, d *Dataset, n Normalizer) (float64, Measure) {
 	acc, chosen, _ := eval.SupervisedAccuracyCtx(context.Background(), g, d, n)
 	return acc, chosen
