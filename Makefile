@@ -70,12 +70,20 @@ determinism:
 # its integral labels and round-trip through the writers to the same bits. The six lock-step
 # panel kernels must give the same bits through Distance, DistanceUpTo and
 # PanelDistances, keep the early-abandoning contract, and Lorentzian must
-# stay within 1e-12 of its Log1p loop. The seed corpora alone already run
-# under `go test ./...`.
+# stay within 1e-12 of its Log1p loop. Every cross-correlation route of
+# internal/fft must stay within a length-scaled tolerance of direct sums,
+# and the plan and sliding routes must give CrossCorrelation's bits. The
+# seed corpora alone already run under `go test ./...`.
+# -fuzzminimizetime bounds the minimization of each new interesting input
+# to 100 runs. Go's default is 60 s, longer than -fuzztime: minimizing one
+# large input could take the whole budget ("0 execs/sec" in the log), and
+# the target then reported PASS having barely fuzzed. FuzzPanelKernels
+# passed that way while the bounded runs found a failure within 5 s.
 fuzz:
-	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzReadTSV$$' -fuzztime 15s
-	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzReadMVTSV$$' -fuzztime 15s
-	$(GO) test ./internal/lockstep -run '^$$' -fuzz '^FuzzPanelKernels$$' -fuzztime 15s
+	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzReadTSV$$' -fuzztime 15s -fuzzminimizetime 100x
+	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzReadMVTSV$$' -fuzztime 15s -fuzzminimizetime 100x
+	$(GO) test ./internal/lockstep -run '^$$' -fuzz '^FuzzPanelKernels$$' -fuzztime 15s -fuzzminimizetime 100x
+	$(GO) test ./internal/fft -run '^$$' -fuzz '^FuzzCrossCorrelation$$' -fuzztime 15s -fuzzminimizetime 100x
 
 # Smoke-run every benchmark once, then measure the grid tuning benchmarks
 # (per-candidate loop vs grid engine), the square SINK matrix and the

@@ -1,12 +1,23 @@
-// Package fft implements the fast Fourier transform for complex and real
-// sequences of arbitrary length, together with the FFT-based
-// cross-correlation primitive used by the sliding distance measures and the
-// SINK kernel.
+// Package fft implements the real-input FFT kernel behind every
+// cross-correlation and convolution of real series — the sliding distance
+// measures, the SINK kernel, k-Shape's SBD and the matrix-profile engines'
+// sliding dot products — on an iterative radix-2 complex core, together
+// with complex transforms of arbitrary length.
 //
-// Power-of-two lengths use an iterative radix-2 Cooley-Tukey transform;
-// other lengths fall back to Bluestein's chirp-z algorithm, which reduces an
-// arbitrary-length DFT to a power-of-two circular convolution. Both paths
-// are O(n log n).
+// A real series zero-padded to a power of two m >= 2 is transformed as one
+// m/2-point complex FFT of its even and odd samples packed into real and
+// imaginary parts, which is then split into the m/2+1 bins of its
+// Hermitian spectrum. The inverse merges a Hermitian half spectrum into
+// one m/2-point complex FFT whose real parts are the even output samples
+// and whose imaginary parts are the odd ones. Every cross-correlation
+// route runs the same steps (spectrum product, merge, half-length inverse,
+// unwrap) at the same padded length, so the routes agree bitwise.
+//
+// The radix-2 core reads its twiddle factors from a table cached once per
+// direction (see twiddles). Complex transforms of other lengths use
+// Bluestein's chirp-z algorithm, which reduces an arbitrary-length DFT to a
+// power-of-two circular convolution; no cross-correlation route needs it.
+// Both are O(n log n).
 package fft
 
 import (
@@ -14,6 +25,7 @@ import (
 	"math"
 	"math/cmplx"
 	"sync"
+	"sync/atomic"
 )
 
 // IsPowerOfTwo reports whether n is a positive power of two.
@@ -69,6 +81,63 @@ func transform(x []complex128, inverse bool) {
 	}
 }
 
+// twiddleTable[0] (forward) and twiddleTable[1] (inverse) hold the twiddle
+// factors of every radix-2 stage up to the largest size transformed so
+// far. The stage that combines blocks of 2h points sits at [h-1, 2h-1),
+// its entry k being wl^k for wl = exp(∓2πi/(2h)). The entries are the
+// serial w *= wl chain's values, not exact roots of unity, so the complex
+// Forward and Inverse give the bits they gave when each block ran that
+// chain itself. A stage does not depend on the transform size, so the
+// table for size n is a prefix of the table for 2n: a table grows by
+// doubling under twiddleMu and is published atomically, and readers take
+// no lock. It holds n-1 factors for the largest size n, no more than one
+// buffer of that transform.
+var (
+	twiddleTable [2]atomic.Pointer[[]complex128]
+	twiddleMu    sync.Mutex
+)
+
+// twiddles returns the n-1 cached twiddle factors of a radix-2 transform
+// of power-of-two size n in the given direction, filling the table on
+// first use of a size.
+func twiddles(n int, inverse bool) []complex128 {
+	d := 0
+	if inverse {
+		d = 1
+	}
+	if t := twiddleTable[d].Load(); t != nil && len(*t) >= n-1 {
+		return (*t)[:n-1]
+	}
+	twiddleMu.Lock()
+	defer twiddleMu.Unlock()
+	var t []complex128
+	if p := twiddleTable[d].Load(); p != nil {
+		t = *p
+	}
+	if len(t) < n-1 {
+		sign := -1.0
+		if inverse {
+			sign = 1.0
+		}
+		grown := make([]complex128, n-1)
+		copy(grown, t)
+		for half := len(t) + 1; half < n; half <<= 1 {
+			length := 2 * half
+			ang := sign * 2 * math.Pi / float64(length)
+			wl := cmplx.Exp(complex(0, ang))
+			w := complex(1, 0)
+			stage := grown[half-1 : length-1]
+			for k := range stage {
+				stage[k] = w
+				w *= wl
+			}
+		}
+		t = grown
+		twiddleTable[d].Store(&t)
+	}
+	return t[:n-1]
+}
+
 // radix2 performs an unnormalized iterative radix-2 transform in place.
 // len(x) must be a power of two.
 func radix2(x []complex128, inverse bool) {
@@ -84,22 +153,17 @@ func radix2(x []complex128, inverse bool) {
 		}
 		j |= bit
 	}
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
-	for length := 2; length <= n; length <<= 1 {
-		ang := sign * 2 * math.Pi / float64(length)
-		wl := cmplx.Exp(complex(0, ang))
-		for start := 0; start < n; start += length {
-			w := complex(1, 0)
-			half := length / 2
-			for k := 0; k < half; k++ {
-				u := x[start+k]
-				v := x[start+k+half] * w
-				x[start+k] = u + v
-				x[start+k+half] = u - v
-				w *= wl
+	tw := twiddles(n, inverse)
+	for half := 1; half < n; half <<= 1 {
+		w := tw[half-1 : 2*half-1]
+		for start := 0; start < n; start += 2 * half {
+			lo := x[start : start+half][:len(w)]
+			hi := x[start+half : start+2*half][:len(w)]
+			for k, wk := range w {
+				u := lo[k]
+				v := hi[k] * wk
+				lo[k] = u + v
+				hi[k] = u - v
 			}
 		}
 	}
@@ -144,17 +208,124 @@ func bluestein(x []complex128, inverse bool) {
 	}
 }
 
-// ForwardRealPadded computes the DFT of x zero-padded to length n.
-// It panics if n < len(x).
-func ForwardRealPadded(x []float64, n int) []complex128 {
-	if n < len(x) {
-		panic(fmt.Sprintf("fft: pad length %d < input length %d", n, len(x)))
+//
+// ---- the real-input kernel ----
+//
+
+// paddedLen is the transform length of a linear correlation or
+// convolution of n >= 1 output samples: the next power of two, and at
+// least 2 so the half-length transform has a point.
+func paddedLen(n int) int {
+	return max(2, NextPowerOfTwo(n))
+}
+
+// realSpectrum writes the m/2+1 spectrum bins of x zero-padded to the
+// power of two m >= 2 (len(x) <= m) into dst: the even and odd samples
+// packed as one m/2-point complex series, its forward FFT, then the split
+// of each bin pair (k, m/2-k) into the two bins of the real spectrum.
+func realSpectrum(x []float64, m int, dst []complex128) {
+	h := m / 2
+	dst = dst[:h+1]
+	z := dst[:h]
+	j := 0
+	for ; 2*j+1 < len(x); j++ {
+		z[j] = complex(x[2*j], x[2*j+1])
 	}
-	c := make([]complex128, n)
-	for i, v := range x {
-		c[i] = complex(v, 0)
+	if 2*j < len(x) {
+		z[j] = complex(x[2*j], 0)
+		j++
 	}
-	return Forward(c)
+	clear(z[j:])
+	radix2(z, false)
+
+	// With Z the packed transform, E[k] = (Z[k] + conj Z[h-k])/2 is the
+	// spectrum of the even samples and O[k] = (Z[k] - conj Z[h-k])/2i that
+	// of the odd ones; X[k] = E[k] + W^k O[k] and X[h-k] = conj(E[k] -
+	// W^k O[k]) for W = exp(-2πi/m), the last stage of the size-m table.
+	w := twiddles(m, false)[h-1:]
+	z0 := dst[0]
+	dst[0] = complex(real(z0)+imag(z0), 0)
+	dst[h] = complex(real(z0)-imag(z0), 0)
+	for k := 1; k < h-k; k++ {
+		a, b := dst[k], cmplx.Conj(dst[h-k])
+		s, d := a+b, a-b
+		t := w[k] * complex(imag(d), -real(d))
+		e, f := s+t, s-t
+		dst[k] = complex(0.5*real(e), 0.5*imag(e))
+		dst[h-k] = complex(0.5*real(f), -0.5*imag(f))
+	}
+	if h >= 2 {
+		dst[h/2] = cmplx.Conj(dst[h/2])
+	}
+}
+
+// correlate runs the shared steps of every cross-correlation route on the
+// m/2+1-bin spectra a and b of two real series padded to m: the product
+// a·conj(b), its merge into one m/2-point complex spectrum written to z
+// (len m/2, which may alias a or b), and the unnormalized half-length
+// inverse FFT of z. Afterwards real(z[j]) and imag(z[j]) hold m times the
+// circular correlation at shifts 2j and 2j+1 (see unpack).
+func correlate(a, b, z []complex128) {
+	h := len(z)
+	a, b = a[:h+1], b[:h+1]
+	// With P = a·conj(b), the m-point inverse of P has even samples from
+	// P[k] + P[k+h] and odd samples from W^-k (P[k] - P[k+h]), W^-1 =
+	// exp(2πi/m), and P[k+h] = conj P[h-k]: z[k] = S + iW^-k D for
+	// S = P[k] + conj P[h-k], D = P[k] - conj P[h-k], and z[h-k] = conj(S -
+	// iW^-k D). Bins 0 and h are real.
+	w := twiddles(2*h, true)[h-1:]
+	p0 := real(a[0]) * real(b[0])
+	ph := real(a[h]) * real(b[h])
+	for k := 1; k < h-k; k++ {
+		pk := a[k] * cmplx.Conj(b[k])
+		pj := cmplx.Conj(a[h-k] * cmplx.Conj(b[h-k]))
+		s, d := pk+pj, pk-pj
+		t := w[k] * d
+		t = complex(-imag(t), real(t))
+		z[k] = s + t
+		z[h-k] = cmplx.Conj(s - t)
+	}
+	if h >= 2 {
+		p := a[h/2] * cmplx.Conj(b[h/2])
+		z[h/2] = complex(2*real(p), -2*imag(p))
+	}
+	z[0] = complex(p0+ph, p0-ph)
+	radix2(z, true)
+}
+
+// unpack writes samples lo, lo+1, ... of the correlation that correlate
+// left in z, scaled by 1/m, into dst: sample 2j is real(z[j]) and sample
+// 2j+1 is imag(z[j]).
+func unpack(dst []float64, z []complex128, lo int) {
+	if len(dst) == 0 {
+		return
+	}
+	scale := 1 / float64(2*len(z))
+	i := 0
+	if lo&1 == 1 {
+		dst[0] = imag(z[lo>>1]) * scale
+		i = 1
+	}
+	src := z[(lo+i)>>1:]
+	for ; i+1 < len(dst); i += 2 {
+		c := src[0]
+		dst[i] = real(c) * scale
+		dst[i+1] = imag(c) * scale
+		src = src[1:]
+	}
+	if i < len(dst) {
+		dst[i] = real(src[0]) * scale
+	}
+}
+
+// unwrapShifts writes the shifts -neg..pos-1 of the circular correlation
+// correlate left in z into dst[:neg+pos] and returns it: the negative
+// shifts wrap to the tail of the m-point sequence.
+func unwrapShifts(dst []float64, z []complex128, neg, pos int) []float64 {
+	dst = dst[:neg+pos]
+	unpack(dst[:neg], z, 2*len(z)-neg)
+	unpack(dst[neg:], z, 0)
+	return dst
 }
 
 // CrossCorrelation returns the full cross-correlation sequence of x and y,
@@ -164,31 +335,27 @@ func ForwardRealPadded(x []float64, n int) []complex128 {
 //	cc[k] = sum_i x[i] * y[i-s]
 //
 // so the zero shift (aligned series) sits at index len(y)-1. The computation
-// uses zero-padded FFTs and runs in O(n log n).
+// uses the zero-padded real-input kernel and runs in O(n log n).
 func CrossCorrelation(x, y []float64) []float64 {
-	n := len(x) + len(y) - 1
 	if len(x) == 0 || len(y) == 0 {
 		return nil
 	}
-	m := NextPowerOfTwo(n)
-	fx := ForwardRealPadded(x, m)
-	fy := ForwardRealPadded(y, m)
-	for i := range fx {
-		fx[i] *= cmplx.Conj(fy[i])
-	}
-	Inverse(fx)
-	// fx now holds correlations at shifts 0..len(x)-1 followed (wrapped) by
-	// negative shifts -(len(y)-1)..-1 at the tail of the length-m buffer.
-	out := make([]float64, n)
-	ly := len(y)
-	for s := -(ly - 1); s < len(x); s++ {
-		idx := s
-		if idx < 0 {
-			idx += m
-		}
-		out[s+ly-1] = real(fx[idx])
-	}
-	return out
+	n := len(x) + len(y) - 1
+	m := paddedLen(n)
+	fx, fy := halfSpectra(x, y, m)
+	correlate(fx, fy, fx[:m/2])
+	return unwrapShifts(make([]float64, n), fx[:m/2], len(y)-1, len(x))
+}
+
+// halfSpectra returns the m/2+1-bin spectra of x and y padded to m, in one
+// allocation.
+func halfSpectra(x, y []float64, m int) (fx, fy []complex128) {
+	h := m / 2
+	buf := make([]complex128, 2*(h+1))
+	fx, fy = buf[:h+1], buf[h+1:]
+	realSpectrum(x, m, fx)
+	realSpectrum(y, m, fy)
+	return fx, fy
 }
 
 // CrossCorrelationNaive computes the same sequence as CrossCorrelation by
@@ -214,35 +381,33 @@ func CrossCorrelationNaive(x, y []float64) []float64 {
 }
 
 // Convolve returns the linear convolution of x and y, of length
-// len(x)+len(y)-1, computed via FFT.
+// len(x)+len(y)-1, computed with the cross-correlation kernel: the
+// correlation of x against the series whose spectrum is conj of y's.
 func Convolve(x, y []float64) []float64 {
 	if len(x) == 0 || len(y) == 0 {
 		return nil
 	}
 	n := len(x) + len(y) - 1
-	m := NextPowerOfTwo(n)
-	fx := ForwardRealPadded(x, m)
-	fy := ForwardRealPadded(y, m)
-	for i := range fx {
-		fx[i] *= fy[i]
+	m := paddedLen(n)
+	fx, fy := halfSpectra(x, y, m)
+	for i := range fy {
+		fy[i] = cmplx.Conj(fy[i])
 	}
-	Inverse(fx)
+	correlate(fx, fy, fx[:m/2])
 	out := make([]float64, n)
-	for i := range out {
-		out[i] = real(fx[i])
-	}
+	unpack(out, fx[:m/2], 0)
 	return out
 }
 
-// SlidingPlan caches the padded forward transform of a long series for
+// SlidingPlan caches the padded half spectrum of a long series for
 // repeated sliding-dot-product scans with fixed-length queries — the access
 // pattern of MASS and the matrix-profile engines, where one series is
-// scanned by many windows. Construction costs one forward FFT of the
+// scanned by many windows. Construction costs one forward transform of the
 // series; each scan then costs one forward transform of the query plus one
 // inverse, instead of re-transforming the series every time.
 type SlidingPlan struct {
 	n, w, m int
-	freq    []complex128
+	freq    []complex128 // m/2+1 bins
 }
 
 // NewSlidingPlan builds the plan for series t and query length w,
@@ -261,19 +426,13 @@ func (p *SlidingPlan) Reset(t []float64, w int) {
 	if w < 1 || w > n {
 		panic(fmt.Sprintf("fft: sliding window %d out of range for series length %d", w, n))
 	}
-	m := NextPowerOfTwo(n + w - 1)
+	m := paddedLen(n + w - 1)
 	p.n, p.w, p.m = n, w, m
-	if cap(p.freq) < m {
-		p.freq = make([]complex128, m)
+	if cap(p.freq) < m/2+1 {
+		p.freq = make([]complex128, m/2+1)
 	}
-	p.freq = p.freq[:m]
-	for i := n; i < m; i++ {
-		p.freq[i] = 0
-	}
-	for i, v := range t {
-		p.freq[i] = complex(v, 0)
-	}
-	Forward(p.freq)
+	p.freq = p.freq[:m/2+1]
+	realSpectrum(t, m, p.freq)
 }
 
 // Len returns the planned series length.
@@ -282,72 +441,66 @@ func (p *SlidingPlan) Len() int { return p.n }
 // Window returns the planned query length.
 func (p *SlidingPlan) Window() int { return p.w }
 
-// PaddedLen returns the padded FFT length; callers sizing SlidingDots
-// scratch buffers use it.
+// PaddedLen returns the padded transform length m; SlidingDots scratch
+// holds one half spectrum, PaddedLen()/2+1 values.
 func (p *SlidingPlan) PaddedLen() int { return p.m }
 
 // SlidingDots writes the sliding dot products of q (len = Window) against
 // every window of the planned series t — dst[s] = dot(q, t[s:s+w]) for
-// s in [0, n-w] — into dst (cap >= n-w+1), using buf (len >= PaddedLen) as
-// FFT scratch, and returns dst[:n-w+1]. The padded length and operation
-// order match CrossCorrelation(t, q) at the non-negative shifts exactly,
-// so the two routes produce bitwise-identical dot products and callers can
-// swap freely between them.
+// s in [0, n-w] — into dst (cap >= n-w+1), using buf (cap >=
+// PaddedLen()/2+1, the query's half spectrum) as scratch, and returns
+// dst[:n-w+1]. The padded length
+// and the steps match CrossCorrelation(t, q) at the non-negative shifts
+// exactly, so the two routes produce bitwise-identical dot products and
+// callers can swap freely between them.
 func (p *SlidingPlan) SlidingDots(q, dst []float64, buf []complex128) []float64 {
 	if len(q) != p.w {
 		panic(fmt.Sprintf("fft: sliding plan window %d, got query length %d", p.w, len(q)))
 	}
-	buf = buf[:p.m]
-	for i := p.w; i < p.m; i++ {
-		buf[i] = 0
-	}
-	for i, v := range q {
-		buf[i] = complex(v, 0)
-	}
-	Forward(buf)
-	for i := range buf {
-		buf[i] = p.freq[i] * cmplx.Conj(buf[i])
-	}
-	Inverse(buf)
-	out := p.n - p.w + 1
-	dst = dst[:out]
-	for s := 0; s < out; s++ {
-		dst[s] = real(buf[s])
-	}
+	h := p.m / 2
+	buf = buf[:h+1]
+	realSpectrum(q, p.m, buf)
+	correlate(p.freq, buf, buf[:h])
+	dst = dst[:p.n-p.w+1]
+	unpack(dst, buf[:h], 0)
 	return dst
 }
 
-// Plan caches the forward transform of a fixed-length reference signal so
-// repeated cross-correlations against many query series reuse the padded
-// FFT buffer size. It is the prepared state of the sliding measures, of
-// SINK and of k-Shape's shape extraction.
+// Plan caches the half spectrum of a fixed-length reference signal so
+// repeated cross-correlations against many query series skip its forward
+// transform. It is the prepared state of the sliding measures, of SINK and
+// of k-Shape's shape extraction.
 type Plan struct {
-	n    int // series length
-	m    int // padded FFT length, power of two
-	freq []complex128
+	n    int          // series length
+	m    int          // padded transform length, a power of two >= 2
+	freq []complex128 // m/2+1 bins
 }
 
-// NewPlan precomputes the padded FFT of x for cross-correlations against
-// series of the same length. The empty series gets an empty plan whose
-// cross-correlations are the empty sequence, matching CrossCorrelation.
+// NewPlan precomputes the padded half spectrum of x for cross-correlations
+// against series of the same length. The empty series gets an empty plan
+// whose cross-correlations are the empty sequence, matching
+// CrossCorrelation.
 func NewPlan(x []float64) *Plan {
 	n := len(x)
 	if n == 0 {
 		return &Plan{}
 	}
-	m := NextPowerOfTwo(2*n - 1)
-	return &Plan{n: n, m: m, freq: ForwardRealPadded(x, m)}
+	m := paddedLen(2*n - 1)
+	freq := make([]complex128, m/2+1)
+	realSpectrum(x, m, freq)
+	return &Plan{n: n, m: m, freq: freq}
 }
 
 // Len returns the series length the plan was built for.
 func (p *Plan) Len() int { return p.n }
 
-// PaddedLen returns the padded FFT length of the plan's spectrum (0 for the
-// empty plan). Callers sizing scratch buffers for CrossCorrelateTo use it.
+// PaddedLen returns the padded transform length m of the plan (0 for the
+// empty plan). CrossCorrelateTo scratch holds the half-length transform,
+// PaddedLen()/2 values.
 func (p *Plan) PaddedLen() int { return p.m }
 
 // CrossCorrelate computes the full cross-correlation sequence of the planned
-// series x against y (len(y) must equal the plan length), equivalent to
+// series x against y (len(y) must equal the plan length), bitwise equal to
 // CrossCorrelation(x, y).
 func (p *Plan) CrossCorrelate(y []float64) []float64 {
 	if len(y) != p.n {
@@ -356,29 +509,19 @@ func (p *Plan) CrossCorrelate(y []float64) []float64 {
 	if p.n == 0 {
 		return nil
 	}
-	fy := ForwardRealPadded(y, p.m)
-	for i := range fy {
-		fy[i] = p.freq[i] * cmplx.Conj(fy[i])
-	}
-	Inverse(fy)
-	n := 2*p.n - 1
-	out := make([]float64, n)
-	for s := -(p.n - 1); s < p.n; s++ {
-		idx := s
-		if idx < 0 {
-			idx += p.m
-		}
-		out[s+p.n-1] = real(fy[idx])
-	}
-	return out
+	h := p.m / 2
+	fy := make([]complex128, h+1)
+	realSpectrum(y, p.m, fy)
+	correlate(p.freq, fy, fy[:h])
+	return unwrapShifts(make([]float64, 2*p.n-1), fy[:h], p.n-1, p.n)
 }
 
 // CrossCorrelateTo computes the cross-correlation sequence between two
 // planned series (both plans must share the same length) without further
-// forward transforms: one pointwise spectrum product, one inverse
-// transform, one shift unwrap. It writes the sequence into dst (cap >=
-// 2n-1) using buf (cap >= PaddedLen) as FFT scratch and returns dst[:2n-1];
-// the empty plan returns dst[:0].
+// forward transforms: one spectrum product and merge, one half-length
+// inverse transform, one shift unwrap. It writes the sequence into dst
+// (cap >= 2n-1) using buf (cap >= PaddedLen()/2) as scratch and returns
+// dst[:2n-1]; the empty plan returns dst[:0].
 func (p *Plan) CrossCorrelateTo(q *Plan, dst []float64, buf []complex128) []float64 {
 	if q.n != p.n {
 		panic(fmt.Sprintf("fft: plan lengths differ: %d vs %d", p.n, q.n))
@@ -386,24 +529,13 @@ func (p *Plan) CrossCorrelateTo(q *Plan, dst []float64, buf []complex128) []floa
 	if p.n == 0 {
 		return dst[:0]
 	}
-	buf = buf[:p.m]
-	for i := range buf {
-		buf[i] = p.freq[i] * cmplx.Conj(q.freq[i])
-	}
-	Inverse(buf)
-	dst = dst[:2*p.n-1]
-	for s := -(p.n - 1); s < p.n; s++ {
-		idx := s
-		if idx < 0 {
-			idx += p.m
-		}
-		dst[s+p.n-1] = real(buf[idx])
-	}
-	return dst
+	z := buf[:p.m/2]
+	correlate(p.freq, q.freq, z)
+	return unwrapShifts(dst, z, p.n-1, p.n)
 }
 
-// ccScratch is the working set of one pooled cross-correlation: the padded
-// complex FFT buffer and the 2n-1 output sequence.
+// ccScratch is the working set of one pooled cross-correlation: the
+// half-length complex transform buffer and the 2n-1 output sequence.
 type ccScratch struct {
 	buf []complex128
 	cc  []float64
@@ -425,8 +557,8 @@ func (p *Plan) CrossCorrelateReduce(q *Plan, reduce func(cc []float64) float64) 
 	// The empty plan needs no scratch: its sequence is empty, and 2n-1
 	// would be negative.
 	if p.n > 0 {
-		if cap(sc.buf) < p.m {
-			sc.buf = make([]complex128, p.m)
+		if cap(sc.buf) < p.m/2 {
+			sc.buf = make([]complex128, p.m/2)
 		}
 		if cap(sc.cc) < 2*p.n-1 {
 			sc.cc = make([]float64, 2*p.n-1)

@@ -260,7 +260,7 @@ func TestPlanMatchesDirect(t *testing.T) {
 		}
 	}
 	q := NewPlan(y)
-	got2 := p.CrossCorrelateTo(q, make([]float64, 2*n-1), make([]complex128, p.PaddedLen()))
+	got2 := p.CrossCorrelateTo(q, make([]float64, 2*n-1), make([]complex128, p.PaddedLen()/2))
 	for k := range want {
 		if !approxEq(got2[k], want[k], 1e-8) {
 			t.Fatalf("plan-plan cc[%d] = %g, want %g", k, got2[k], want[k])
@@ -314,11 +314,12 @@ func TestCrossCorrelateToBitwiseAndAllocFree(t *testing.T) {
 			y[i] = rng.NormFloat64()
 		}
 		p, q := NewPlan(x), NewPlan(y)
-		if p.PaddedLen() != NextPowerOfTwo(2*n-1) {
-			t.Fatalf("n=%d: PaddedLen = %d, want %d", n, p.PaddedLen(), NextPowerOfTwo(2*n-1))
+		// The half-length transform needs a point, so n = 1 pads to 2.
+		if want := max(2, NextPowerOfTwo(2*n-1)); p.PaddedLen() != want {
+			t.Fatalf("n=%d: PaddedLen = %d, want %d", n, p.PaddedLen(), want)
 		}
 		dst := make([]float64, 2*n-1)
-		buf := make([]complex128, p.PaddedLen())
+		buf := make([]complex128, p.PaddedLen()/2)
 		want := append([]float64(nil), p.CrossCorrelateTo(q, dst, buf)...)
 		var got []float64
 		p.CrossCorrelateReduce(q, func(cc []float64) float64 {
@@ -427,4 +428,149 @@ func TestCrossCorrelateReduceConcurrent(t *testing.T) {
 			}
 		}
 	}
+}
+
+// chainRadix2 is the radix-2 transform as it was before the twiddle
+// cache, kept verbatim as the reference: every block rebuilds its twiddles
+// through the serial w *= wl chain the cache stores.
+func chainRadix2(x []complex128, inverse bool) {
+	n := len(x)
+	// Bit-reversal permutation.
+	for i, j := 0, 0; i < n; i++ {
+		if i < j {
+			x[i], x[j] = x[j], x[i]
+		}
+		bit := n >> 1
+		for ; j&bit != 0; bit >>= 1 {
+			j ^= bit
+		}
+		j |= bit
+	}
+	sign := -1.0
+	if inverse {
+		sign = 1.0
+	}
+	for length := 2; length <= n; length <<= 1 {
+		ang := sign * 2 * math.Pi / float64(length)
+		wl := cmplx.Exp(complex(0, ang))
+		for start := 0; start < n; start += length {
+			w := complex(1, 0)
+			half := length / 2
+			for k := 0; k < half; k++ {
+				u := x[start+k]
+				v := x[start+k+half] * w
+				x[start+k] = u + v
+				x[start+k+half] = u - v
+				w *= wl
+			}
+		}
+	}
+}
+
+// chainTransform is transform at power-of-two sizes over chainRadix2.
+func chainTransform(x []complex128, inverse bool) []complex128 {
+	x = append([]complex128(nil), x...)
+	n := len(x)
+	if n <= 1 {
+		return x
+	}
+	chainRadix2(x, inverse)
+	if inverse {
+		scale := 1 / float64(n)
+		for i := range x {
+			x[i] *= complex(scale, 0)
+		}
+	}
+	return x
+}
+
+// sameComplexBits compares two transforms part by part: equal bits, or
+// NaN in both. A NaN's sign and payload may differ, since the compiled
+// butterfly may order its commutative operands differently.
+func sameComplexBits(a, b []complex128) int {
+	same := func(u, v float64) bool {
+		return math.Float64bits(u) == math.Float64bits(v) || (math.IsNaN(u) && math.IsNaN(v))
+	}
+	for i := range a {
+		if !same(real(a[i]), real(b[i])) || !same(imag(a[i]), imag(b[i])) {
+			return i
+		}
+	}
+	return -1
+}
+
+// specialComplex returns n random values with ±0 and ±Inf mixed in.
+func specialComplex(rng *rand.Rand, n int) []complex128 {
+	specials := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1)}
+	x := randComplex(rng, n)
+	for i := range x {
+		re, im := real(x[i]), imag(x[i])
+		if rng.Intn(8) == 0 {
+			re = specials[rng.Intn(len(specials))]
+		}
+		if rng.Intn(8) == 0 {
+			im = specials[rng.Intn(len(specials))]
+		}
+		x[i] = complex(re, im)
+	}
+	return x
+}
+
+// TestTwiddleCacheKeepsChainBits requires Forward and Inverse on the
+// cached twiddles to give the chain reference's bits at every power-of-two
+// size from 1 to 8192, on random input and on input with ±0 and ±Inf
+// mixed in (whose transforms hold NaNs, compared by position).
+func TestTwiddleCacheKeepsChainBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for n := 1; n <= 8192; n <<= 1 {
+		for _, x := range [][]complex128{randComplex(rng, n), specialComplex(rng, n)} {
+			for _, inverse := range []bool{false, true} {
+				want := chainTransform(x, inverse)
+				got := append([]complex128(nil), x...)
+				transform(got, inverse)
+				if i := sameComplexBits(got, want); i >= 0 {
+					t.Fatalf("n=%d inverse=%v: [%d] = %v, chain reference %v", n, inverse, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestTwiddleCacheConcurrentFill empties the twiddle cache and races its
+// first fill: goroutines transform sizes in different orders, so tables
+// grow under concurrent readers (make check-race runs this under -race),
+// and every result must keep the chain reference's bits.
+func TestTwiddleCacheConcurrentFill(t *testing.T) {
+	for i := range twiddleTable {
+		twiddleTable[i].Store(nil)
+	}
+	rng := rand.New(rand.NewSource(14))
+	sizes := []int{2, 4096, 16, 256, 1, 8192, 64, 1024, 8, 512}
+	inputs := make([][]complex128, len(sizes))
+	want := make([][2][]complex128, len(sizes))
+	for i, n := range sizes {
+		inputs[i] = specialComplex(rng, n)
+		want[i] = [2][]complex128{chainTransform(inputs[i], false), chainTransform(inputs[i], true)}
+	}
+	const goroutines = 4
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range sizes {
+				i := (k + 3*g) % len(sizes)
+				for d, inverse := range []bool{false, true} {
+					got := append([]complex128(nil), inputs[i]...)
+					transform(got, inverse)
+					if j := sameComplexBits(got, want[i][d]); j >= 0 {
+						t.Errorf("goroutine %d n=%d inverse=%v: [%d] = %v, chain reference %v",
+							g, sizes[i], inverse, j, got[j], want[i][d][j])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

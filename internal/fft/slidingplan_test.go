@@ -27,7 +27,7 @@ func TestSlidingPlanMatchesCrossCorrelation(t *testing.T) {
 			}
 			cc := CrossCorrelation(series, q)
 			dst := make([]float64, n-w+1)
-			buf := make([]complex128, p.PaddedLen())
+			buf := make([]complex128, p.PaddedLen()/2+1)
 			got := p.SlidingDots(q, dst, buf)
 			if len(got) != n-w+1 {
 				t.Fatalf("n=%d w=%d: got %d dots, want %d", n, w, len(got), n-w+1)
@@ -60,7 +60,7 @@ func TestSlidingPlanReset(t *testing.T) {
 	p.Reset(small, 4)
 	q := series(4)
 	dst := make([]float64, 16)
-	buf := make([]complex128, p.PaddedLen())
+	buf := make([]complex128, p.PaddedLen()/2+1)
 	got := p.SlidingDots(q, dst, buf)
 	for s := range got {
 		var want float64
@@ -96,5 +96,5 @@ func TestSlidingPlanPanics(t *testing.T) {
 			t.Error("SlidingDots with wrong query length did not panic")
 		}
 	}()
-	p.SlidingDots([]float64{1, 2, 3}, make([]float64, 3), make([]complex128, p.PaddedLen()))
+	p.SlidingDots([]float64{1, 2, 3}, make([]float64, 3), make([]complex128, p.PaddedLen()/2+1))
 }

@@ -45,12 +45,12 @@ func freshBufferDistance(s SINK, x, y []float64) float64 {
 			ss += e * e
 		}
 		p, norm := fft.NewPlan(v), math.Sqrt(ss)
-		cc := p.CrossCorrelateTo(p, make([]float64, max(2*len(v)-1, 0)), make([]complex128, p.PaddedLen()))
+		cc := p.CrossCorrelateTo(p, make([]float64, max(2*len(v)-1, 0)), make([]complex128, p.PaddedLen()/2))
 		return p, norm, s.sumExp(cc, norm*norm)
 	}
 	px, nx, sx := prep(x)
 	py, ny, sy := prep(y)
-	cc := px.CrossCorrelateTo(py, make([]float64, max(2*len(x)-1, 0)), make([]complex128, px.PaddedLen()))
+	cc := px.CrossCorrelateTo(py, make([]float64, max(2*len(x)-1, 0)), make([]complex128, px.PaddedLen()/2))
 	return normalized(s.sumExp(cc, nx*ny), sx, sy)
 }
 

@@ -254,7 +254,7 @@ func Run(ctx context.Context, series [][]float64, cfg Config) (Result, error) {
 	if m > 0 {
 		ccBuf = make([]float64, 2*m-1)
 	}
-	fftBuf := make([]complex128, seriesPlans[0].PaddedLen())
+	fftBuf := make([]complex128, seriesPlans[0].PaddedLen()/2)
 
 	res := Result{Labels: labels, Centroids: centroids}
 	for iter := 1; iter <= maxIter; iter++ {

@@ -25,7 +25,9 @@ import (
 // group only when ALL four lanes have reached the cutoff. An abandoned
 // lane's output is its partial accumulation: at least the cutoff (the test
 // just passed) and at most the final distance (the accumulators are
-// monotone non-decreasing), exactly the EarlyAbandoning contract. Cosine's
+// monotone non-decreasing), exactly the EarlyAbandoning contract. A +Inf
+// cutoff abandons nothing (see abandonAt), so a partial value that
+// overflows to +Inf still reads a later NaN, as Distance does. Cosine's
 // accumulators are not monotone, so it always computes exact values and
 // ignores the cutoff.
 
@@ -112,10 +114,24 @@ func (p Panel) PanelDistancesUpTo(q []float64, panel [][]float64, cutoff float64
 
 func ident(v float64) float64 { return v }
 
+// abandonAt returns the value the stride checks compare partial results
+// against with >=. A +Inf cutoff abandons nothing, so it becomes NaN, which
+// no comparison reaches: otherwise a partial value that overflows to +Inf
+// would abandon at +Inf >= +Inf before a later NaN is read, and
+// DistanceUpTo(+Inf) and PanelDistances would return +Inf where Distance
+// returns NaN.
+func abandonAt(cutoff float64) float64 {
+	if cutoff > math.MaxFloat64 {
+		return math.NaN()
+	}
+	return cutoff
+}
+
 // sumSqUpTo accumulates sum (x-y)^2 with stride cutoff checks on
 // finish(partial); finish is Sqrt for Euclidean and identity for
 // SquaredEuclidean, so the check compares in the measure's own units.
 func sumSqUpTo(x, y []float64, cutoff float64, finish func(float64) float64) float64 {
+	cutoff = abandonAt(cutoff)
 	var s float64
 	m := len(x)
 	i := 0
@@ -136,6 +152,7 @@ func sumSqUpTo(x, y []float64, cutoff float64, finish func(float64) float64) flo
 }
 
 func sumAbsUpTo(x, y []float64, cutoff float64) float64 {
+	cutoff = abandonAt(cutoff)
 	var s float64
 	m := len(x)
 	i := 0
@@ -156,6 +173,7 @@ func sumAbsUpTo(x, y []float64, cutoff float64) float64 {
 // sumLog1pAbsUpTo is Lorentzian's kernel: blocks of lorentzBlock points
 // tile each stride, the tail takes whole blocks and one shorter last one.
 func sumLog1pAbsUpTo(x, y []float64, cutoff float64) float64 {
+	cutoff = abandonAt(cutoff)
 	var s float64
 	m := len(x)
 	i := 0
@@ -200,6 +218,7 @@ func addLogBlock(s, p float64, x, y []float64) float64 {
 }
 
 func maxAbsUpTo(x, y []float64, cutoff float64) float64 {
+	cutoff = abandonAt(cutoff)
 	var s float64
 	m := len(x)
 	i := 0
@@ -238,9 +257,10 @@ func cosineDist(x, y []float64) float64 {
 
 // panelSumSqUpTo is the fused 4-lane sum-of-squares kernel (Euclidean and
 // SquaredEuclidean). PanelDistances reuses it with cutoff = +Inf: the
-// checks never fire (NaN and finite partials both compare false) and the
-// accumulation is bitwise the same.
+// checks never fire (see abandonAt) and the accumulation is bitwise the
+// same.
 func panelSumSqUpTo(q []float64, panel [][]float64, cutoff float64, out []float64, finish func(float64) float64) {
+	cutoff = abandonAt(cutoff)
 	m := len(q)
 	k := 0
 	for ; k+4 <= len(panel); k += 4 {
@@ -285,6 +305,7 @@ func panelSumSqUpTo(q []float64, panel [][]float64, cutoff float64, out []float6
 
 // panelSumAbsUpTo is the fused 4-lane L1 kernel (Manhattan).
 func panelSumAbsUpTo(q []float64, panel [][]float64, cutoff float64, out []float64) {
+	cutoff = abandonAt(cutoff)
 	m := len(q)
 	k := 0
 	for ; k+4 <= len(panel); k += 4 {
@@ -323,6 +344,7 @@ func panelSumAbsUpTo(q []float64, panel [][]float64, cutoff float64, out []float
 // the blocks of sumLog1pAbsUpTo, one product per lane per block, so every
 // lane's value is bitwise the scalar kernel's.
 func panelSumLog1pAbsUpTo(q []float64, panel [][]float64, cutoff float64, out []float64) {
+	cutoff = abandonAt(cutoff)
 	m := len(q)
 	k := 0
 	for ; k+4 <= len(panel); k += 4 {
@@ -369,6 +391,7 @@ func addLogBlocks(a0, a1, a2, a3 float64, q, c0, c1, c2, c3 []float64, b, j int)
 
 // panelMaxAbsUpTo is the fused 4-lane L_inf kernel (Chebyshev).
 func panelMaxAbsUpTo(q []float64, panel [][]float64, cutoff float64, out []float64) {
+	cutoff = abandonAt(cutoff)
 	m := len(q)
 	k := 0
 	for ; k+4 <= len(panel); k += 4 {

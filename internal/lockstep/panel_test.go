@@ -61,7 +61,11 @@ func TestPanelBitwiseScalar(t *testing.T) {
 }
 
 // TestPanelBitwiseNonFinite: the bitwise contract holds through NaN and
-// Inf values too — the kernels run the same ops as the scalar loops.
+// Inf values too — the kernels run the same ops as the scalar loops, and
+// DistanceUpTo at a +Inf cutoff abandons nothing, so it returns Distance
+// even when a partial value overflows to +Inf before a later NaN.
+// Lorentzian also stays within 1e-12 of its Log1p loop, NaN and Inf
+// included.
 func TestPanelBitwiseNonFinite(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	q, panel := randPanel(rng, 6, 80)
@@ -69,14 +73,45 @@ func TestPanelBitwiseNonFinite(t *testing.T) {
 	panel[1][0] = math.Inf(1)
 	panel[4][79] = math.Inf(-1)
 	panel[5][10] = math.NaN()
-	for _, p := range panels() {
-		out := make([]float64, len(panel))
-		if !p.PanelDistances(q, panel, out) {
-			t.Fatalf("%s: declined", p.Name())
-		}
-		for k := range panel {
-			if want := p.Distance(q, panel[k]); !sameBits(out[k], want) {
-				t.Fatalf("%s k=%d: panel %v != scalar %v", p.Name(), k, out[k], want)
+	// overflow pairs: q's first term alone reaches +Inf inside the first
+	// 64-point stride, and the candidates' NaN sits just past it.
+	overflow := func(q0 float64) ([]float64, [][]float64) {
+		q := make([]float64, 65)
+		q[0] = q0
+		c := make([]float64, 65)
+		c[64] = math.NaN()
+		return q, [][]float64{c, c, c, c, c}
+	}
+	bigQ, nanPanel := overflow(1e200)
+	infQ, _ := overflow(math.Inf(1))
+	cases := []struct {
+		name  string
+		q     []float64
+		panel [][]float64
+	}{
+		{"poisoned", q, panel},
+		{"square-overflow", bigQ, nanPanel},
+		{"inf-then-nan", infQ, nanPanel},
+	}
+	for _, tc := range cases {
+		for _, p := range panels() {
+			out := make([]float64, len(tc.panel))
+			if !p.PanelDistances(tc.q, tc.panel, out) {
+				t.Fatalf("%s %s: declined", tc.name, p.Name())
+			}
+			for k, c := range tc.panel {
+				want := p.Distance(tc.q, c)
+				if !sameBits(out[k], want) {
+					t.Fatalf("%s %s k=%d: panel %v != scalar %v", tc.name, p.Name(), k, out[k], want)
+				}
+				if u := p.DistanceUpTo(tc.q, c, math.Inf(1)); !sameBits(u, want) {
+					t.Fatalf("%s %s k=%d: DistanceUpTo(+Inf) %v != Distance %v", tc.name, p.Name(), k, u, want)
+				}
+				if p.Name() == "lorentzian" {
+					if ref := log1pLoop(tc.q, c); !closeRel(want, ref, 1e-12) {
+						t.Fatalf("%s lorentzian k=%d: %v, Log1p loop %v", tc.name, k, want, ref)
+					}
+				}
 			}
 		}
 	}

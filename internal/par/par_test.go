@@ -232,8 +232,9 @@ func TestForShardCtxPanicStopsDispatch(t *testing.T) {
 	func() {
 		defer func() { _ = recover() }()
 		_ = ForShardCtx(context.Background(), n, workers, func(_, i int) {
-			ran.Add(1)
-			if ran.Load() == 1 {
+			// Add's result, not a later Load: two workers that both
+			// increment before either loads would otherwise both miss 1.
+			if ran.Add(1) == 1 {
 				panic("stop")
 			}
 		})

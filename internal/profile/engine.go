@@ -164,8 +164,8 @@ func (e *Engine) planSeed(b []float64, w int, sa, sb *WindowStats) bool {
 		return false
 	}
 	e.planB.Reset(b, w)
-	if cap(e.cbuf) < e.planB.PaddedLen() {
-		e.cbuf = make([]complex128, e.planB.PaddedLen())
+	if cap(e.cbuf) < e.planB.PaddedLen()/2+1 {
+		e.cbuf = make([]complex128, e.planB.PaddedLen()/2+1)
 	}
 	return true
 }
@@ -227,10 +227,10 @@ func (e *Engine) join(ctx context.Context, a, b []float64, w int, self bool, res
 		e.planB.SlidingDots(b[:w], e.col0, e.cbuf)
 	case fftSeed:
 		e.planA.Reset(a, w)
-		if cap(e.cbuf) < e.planA.PaddedLen() {
-			e.cbuf = make([]complex128, e.planA.PaddedLen())
+		if cap(e.cbuf) < e.planA.PaddedLen()/2+1 {
+			e.cbuf = make([]complex128, e.planA.PaddedLen()/2+1)
 		}
-		e.planA.SlidingDots(b[:w], e.col0, e.cbuf[:e.planA.PaddedLen()])
+		e.planA.SlidingDots(b[:w], e.col0, e.cbuf[:e.planA.PaddedLen()/2+1])
 	default:
 		for i := 0; i < rows; i++ {
 			e.col0[i] = m.InitCross(a, b, i, 0, w)
@@ -253,10 +253,10 @@ func (e *Engine) join(ctx context.Context, a, b []float64, w int, self bool, res
 		ws.cross = resizeFloat(ws.cross, cols)
 		ws.dist = resizeFloat(ws.dist, cols)
 		if fftSeed {
-			if cap(ws.cbuf) < e.planB.PaddedLen() {
-				ws.cbuf = make([]complex128, e.planB.PaddedLen())
+			if cap(ws.cbuf) < e.planB.PaddedLen()/2+1 {
+				ws.cbuf = make([]complex128, e.planB.PaddedLen()/2+1)
 			}
-			ws.cbuf = ws.cbuf[:e.planB.PaddedLen()]
+			ws.cbuf = ws.cbuf[:e.planB.PaddedLen()/2+1]
 		}
 	}
 
