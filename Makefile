@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: fmt build test vet race check-race oracle oracle-long determinism fuzz bench bench-compare perf golden smoke check
+.PHONY: fmt build test vet race check-race oracle oracle-long determinism smoke-counts fuzz bench bench-compare perf golden smoke check
 
 # Fail when gofmt would reformat any Go file: gofmt -l prints the name of
 # every such file. Hidden directories (.git, tsperf's .bench_build caches)
@@ -63,6 +63,19 @@ determinism:
 	GOMAXPROCS=1 $(GO) test -count=1 -run Oracle ./internal/oracle
 	GOMAXPROCS=2 $(GO) test -count=1 -run Oracle ./internal/oracle
 	GOMAXPROCS=4 $(GO) test -count=1 -run Oracle ./internal/oracle
+
+# Work-count gate: the tsperf benchmark's smoke run on one worker, where
+# the grid runs its rows in order and every work count is fixed. The
+# workload headers (less their wall time) and every metric counted in
+# `count` units except go.gc_cycles, which follows the collector's pacing,
+# must equal testdata/smoke_counts.golden. A change that alters the work a
+# workload does re-records the golden by sending the same pipeline's
+# output to that file instead of diff.
+smoke-counts:
+	@out="$$(GOMAXPROCS=1 $(GO) run ./cmd/tsperf -scale smoke -seed 3 -seconds 0 -trace 1)" || exit 1; \
+	printf '%s\n' "$$out" | \
+	awk '/^== /{sub(/ wall=[^ ]*$$/, ""); print; next} $$3 == "count" && $$1 != "go.gc_cycles" {print $$1, $$2}' | \
+	diff -u testdata/smoke_counts.golden -
 
 # Native fuzzing, 15 s per target. The UCR and multivariate TSV parsers
 # may not panic, must return the values, labels and error text of their
@@ -150,4 +163,4 @@ smoke:
 # CI entry point: everything that must be green before merging. Perf-
 # sensitive changes should additionally run `make bench-compare` against
 # the committed BENCH_* baselines (see the bench-compare target above).
-check: fmt build vet test check-race oracle oracle-long determinism
+check: fmt build vet test check-race oracle oracle-long determinism smoke-counts

@@ -49,43 +49,36 @@ type Entry struct {
 var registry = buildRegistry()
 
 func buildRegistry() map[string]Entry {
+	grids := map[string]eval.Grid{}
+	for _, g := range eval.Grids() {
+		grids[g.Name] = g
+	}
 	r := map[string]Entry{}
-	add := func(e Entry) {
-		if _, dup := r[e.Name]; dup {
-			panic(fmt.Sprintf("core: duplicate registry entry %q", e.Name))
+	add := func(c Category, name string, m measure.Measure) {
+		name = baseName(name)
+		if _, dup := r[name]; dup {
+			panic(fmt.Sprintf("core: duplicate registry entry %q", name))
 		}
-		r[e.Name] = e
+		r[name] = Entry{Name: name, Category: c, Measure: m, Grid: grids[name]}
 	}
-	// Lock-step: every measure of the survey inventory, parameter-free
-	// except Minkowski.
-	for _, m := range lockstep.All() {
-		name := baseName(m.Name())
-		e := Entry{Name: name, Category: LockStep, Measure: m}
-		if name == "minkowski" {
-			e.Grid = eval.MinkowskiGrid()
+	// Each package's All list holds its default instances; the elastic and
+	// kernel ones are the unsupervised rows of Tables 5 and 6.
+	for _, cat := range []struct {
+		c  Category
+		ms []measure.Measure
+	}{
+		{LockStep, lockstep.All()},
+		{Sliding, sliding.All()},
+		{Elastic, elastic.All()},
+		{Kernel, kernel.All()},
+	} {
+		for _, m := range cat.ms {
+			add(cat.c, m.Name(), m)
 		}
-		add(e)
 	}
-	// Sliding.
-	for _, m := range sliding.All() {
-		add(Entry{Name: m.Name(), Category: Sliding, Measure: m})
-	}
-	// Elastic: default instances from the unsupervised rows of Table 5.
-	add(Entry{Name: "dtw", Category: Elastic, Measure: elastic.DTW{DeltaPercent: 10}, Grid: eval.DTWGrid()})
-	add(Entry{Name: "lcss", Category: Elastic, Measure: elastic.LCSS{DeltaPercent: 5, Epsilon: 0.2}, Grid: eval.LCSSGrid()})
-	add(Entry{Name: "edr", Category: Elastic, Measure: elastic.EDR{Epsilon: 0.1}, Grid: eval.EDRGrid()})
-	add(Entry{Name: "erp", Category: Elastic, Measure: elastic.ERP{G: 0}, Grid: eval.ERPGrid()})
-	add(Entry{Name: "msm", Category: Elastic, Measure: elastic.MSM{C: 0.5}, Grid: eval.MSMGrid()})
-	add(Entry{Name: "twe", Category: Elastic, Measure: elastic.TWE{Lambda: 1, Nu: 0.0001}, Grid: eval.TWEGrid()})
-	add(Entry{Name: "swale", Category: Elastic, Measure: elastic.Swale{Epsilon: 0.2, P: 5, R: 1}, Grid: eval.SwaleGrid()})
-	// Kernels: defaults from the unsupervised rows of Table 6.
-	add(Entry{Name: "rbf", Category: Kernel, Measure: kernel.RBF{Gamma: 2}, Grid: eval.RBFGrid()})
-	add(Entry{Name: "sink", Category: Kernel, Measure: kernel.SINK{Gamma: 5}, Grid: eval.SINKGrid()})
-	add(Entry{Name: "gak", Category: Kernel, Measure: kernel.GAK{Sigma: 0.1}, Grid: eval.GAKGrid()})
-	add(Entry{Name: "kdtw", Category: Kernel, Measure: kernel.KDTW{Gamma: 0.125}, Grid: eval.KDTWGrid()})
-	// Embeddings: measures require fitting; registered without an instance.
-	for _, name := range []string{"grail", "rws", "spiral", "sidl"} {
-		add(Entry{Name: name, Category: Embedding})
+	// Embeddings require fitting; they are registered without an instance.
+	for _, e := range embedding.All(0) {
+		add(Embedding, e.Name(), nil)
 	}
 	return r
 }
@@ -102,19 +95,9 @@ func baseName(name string) string {
 func Lookup(name string) (Entry, error) {
 	e, ok := registry[strings.ToLower(name)]
 	if !ok {
-		return Entry{}, fmt.Errorf("core: unknown measure %q (see Names())", name)
+		return Entry{}, fmt.Errorf("core: unknown measure %q", name)
 	}
 	return e, nil
-}
-
-// Names returns all registered base names, sorted.
-func Names() []string {
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // ByCategory returns the entries of one category, sorted by name.
@@ -137,16 +120,10 @@ func Categories() []Category {
 // NewEmbedder instantiates an embedding measure's embedder by name at the
 // paper's recommended parameters, with the given seed.
 func NewEmbedder(name string, seed int64) (embedding.Embedder, error) {
-	switch strings.ToLower(name) {
-	case "grail":
-		return &embedding.GRAIL{Gamma: 5, Seed: seed}, nil
-	case "rws":
-		return &embedding.RWS{Gamma: 1, DMax: 25, Seed: seed}, nil
-	case "spiral":
-		return &embedding.SPIRAL{Seed: seed}, nil
-	case "sidl":
-		return &embedding.SIDL{Lambda: 0.1, R: 0.25, Seed: seed}, nil
-	default:
-		return nil, fmt.Errorf("core: unknown embedding %q", name)
+	for _, e := range embedding.All(seed) {
+		if baseName(e.Name()) == strings.ToLower(name) {
+			return e, nil
+		}
 	}
+	return nil, fmt.Errorf("core: unknown embedding %q", name)
 }

@@ -19,7 +19,7 @@ func TestRegistryCardinalitiesMatchTable1(t *testing.T) {
 			t.Errorf("category %s has %d entries, want %d", c, got, n)
 		}
 	}
-	if got := len(Names()); got != 72 {
+	if got := len(registry); got != 72 {
 		t.Errorf("total registry size %d, want 72", got)
 	}
 }

@@ -20,7 +20,7 @@ type Key struct {
 
 // CacheStats counts cache activity since construction.
 type CacheStats struct {
-	Hits      int64 // Get / GetOrBuildCtx served from the cache
+	Hits      int64 // GetOrBuildCtx calls served from the cache
 	Misses    int64 // lookups that found nothing
 	Evictions int64 // entries dropped by the size bound
 	Builds    int64 // successful GetOrBuildCtx builder runs
@@ -28,8 +28,8 @@ type CacheStats struct {
 
 // Cache is a size-bounded LRU for snapshots and derived results (tuned
 // parameters, index structures) keyed by corpus content. It is safe for
-// concurrent use; GetOrBuildCtx additionally deduplicates concurrent
-// builds of the same key so a thundering herd prepares a corpus once.
+// concurrent use, and GetOrBuildCtx deduplicates concurrent builds of the
+// same key so a thundering herd prepares a corpus once.
 type Cache struct {
 	mu       sync.Mutex
 	capacity int
@@ -70,28 +70,8 @@ func NewCache(capacity int) *Cache {
 	}
 }
 
-// Get returns the cached value for k, marking it most recently used.
-func (c *Cache) Get(k Key) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[k]; ok {
-		c.ll.MoveToFront(el)
-		c.stats.Hits++
-		return el.Value.(*cacheEntry).val, true
-	}
-	c.stats.Misses++
-	return nil, false
-}
-
-// Put inserts (or refreshes) k, evicting the least recently used entry
-// when the bound is exceeded.
-func (c *Cache) Put(k Key, v any) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.put(k, v)
-}
-
-// put is Put with c.mu held.
+// put inserts (or refreshes) k with c.mu held, evicting the least recently
+// used entries beyond the capacity.
 func (c *Cache) put(k Key, v any) {
 	if el, ok := c.items[k]; ok {
 		el.Value.(*cacheEntry).val = v
@@ -105,24 +85,6 @@ func (c *Cache) put(k Key, v any) {
 		delete(c.items, oldest.Value.(*cacheEntry).key)
 		c.stats.Evictions++
 	}
-}
-
-// Len returns the number of resident entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
-// Keys returns the resident keys from most to least recently used.
-func (c *Cache) Keys() []Key {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]Key, 0, c.ll.Len())
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*cacheEntry).key)
-	}
-	return out
 }
 
 // Stats returns a copy of the activity counters.
@@ -139,7 +101,9 @@ func (c *Cache) Stats() CacheStats {
 // call retries — except a context error, which belongs to the winner's
 // ctx: a waiter whose own ctx is live retries instead, building or joining
 // the next build. A panicking build releases k, fails its waiters, and
-// panics on the winner's goroutine.
+// panics on the winner's goroutine. A built value enters as the most
+// recently used entry, evicting the least recently used ones beyond the
+// capacity.
 func (c *Cache) GetOrBuildCtx(ctx context.Context, k Key, build func(ctx context.Context) (any, error)) (any, error) {
 	for {
 		c.mu.Lock()

@@ -16,53 +16,58 @@ func key(i int) corpus.Key {
 	return corpus.Key{FP: corpus.Fingerprint{Count: i, Points: i, Hash: uint64(i)}, Measure: "m", Band: "b"}
 }
 
+// put builds v under k unless k is resident.
+func put(c *corpus.Cache, k corpus.Key, v any) {
+	c.GetOrBuildCtx(context.Background(), k, func(context.Context) (any, error) { return v, nil })
+}
+
+// errMiss is the probe build's error; errors are not cached, so a probe
+// leaves the cache's entries and their order as it found them on a miss.
+var errMiss = errors.New("miss")
+
+// get returns k's resident value, promoting it as any hit does.
+func get(c *corpus.Cache, k corpus.Key) (any, bool) {
+	v, err := c.GetOrBuildCtx(context.Background(), k, func(context.Context) (any, error) { return nil, errMiss })
+	return v, err == nil
+}
+
 func TestCacheLRUEviction(t *testing.T) {
 	c := corpus.NewCache(3)
 	for i := 1; i <= 4; i++ {
-		c.Put(key(i), i)
+		put(c, key(i), i)
 	}
-	if _, ok := c.Get(key(1)); ok {
+	if _, ok := get(c, key(1)); ok {
 		t.Fatalf("oldest entry survived eviction")
-	}
-	keys := c.Keys()
-	if len(keys) != 3 || keys[0] != key(4) || keys[2] != key(2) {
-		t.Fatalf("MRU order wrong: %v", keys)
 	}
 	if st := c.Stats(); st.Evictions != 1 {
 		t.Fatalf("evictions = %d, want 1", st.Evictions)
+	}
+	// Resident from least to most recently used: 2, 3, 4, so each new
+	// entry evicts them in that order.
+	for want := 2; want <= 4; want++ {
+		put(c, key(10+want), 0)
+		if _, ok := get(c, key(want)); ok {
+			t.Fatalf("entry %d survived as the least recently used", want)
+		}
 	}
 }
 
 func TestCacheGetPromotes(t *testing.T) {
 	c := corpus.NewCache(2)
-	c.Put(key(1), 1)
-	c.Put(key(2), 2)
-	if _, ok := c.Get(key(1)); !ok {
+	put(c, key(1), 1)
+	put(c, key(2), 2)
+	if _, ok := get(c, key(1)); !ok {
 		t.Fatalf("entry 1 missing")
 	}
-	c.Put(key(3), 3) // must evict 2, not the just-touched 1
-	if _, ok := c.Get(key(2)); ok {
+	put(c, key(3), 3) // must evict 2, not the just-touched 1
+	if _, ok := get(c, key(2)); ok {
 		t.Fatalf("recently-used entry evicted instead of LRU")
 	}
-	if v, ok := c.Get(key(1)); !ok || v.(int) != 1 {
+	if v, ok := get(c, key(1)); !ok || v.(int) != 1 {
 		t.Fatalf("promoted entry lost: %v %v", v, ok)
 	}
-}
-
-func TestCachePutRefreshes(t *testing.T) {
-	c := corpus.NewCache(2)
-	c.Put(key(1), 1)
-	c.Put(key(2), 2)
-	c.Put(key(1), 10) // refresh, no growth
-	if c.Len() != 2 {
-		t.Fatalf("len = %d after refresh, want 2", c.Len())
-	}
-	if v, _ := c.Get(key(1)); v.(int) != 10 {
-		t.Fatalf("refresh kept stale value %v", v)
-	}
-	c.Put(key(3), 3) // 1 was refreshed to MRU; 2 must go
-	if _, ok := c.Get(key(2)); ok {
-		t.Fatalf("refresh did not promote entry 1")
+	if st := c.Stats(); st.Hits != 2 || st.Misses != 4 || st.Builds != 3 || st.Evictions != 1 {
+		t.Fatalf("stats = %+v, want 2 hits, 4 misses, 3 builds, 1 eviction", st)
 	}
 }
 
@@ -72,13 +77,16 @@ func TestCacheKeysDoNotAliasAcrossContent(t *testing.T) {
 	a := corpus.FingerprintOf(testSeries(20, 8, 32))
 	b := corpus.FingerprintOf(testSeries(21, 8, 32))
 	c := corpus.NewCache(4)
-	c.Put(corpus.Key{FP: a, Measure: "dtw", Band: "tuned"}, "A")
-	c.Put(corpus.Key{FP: b, Measure: "dtw", Band: "tuned"}, "B")
-	if c.Len() != 2 {
-		t.Fatalf("same-shape corpora collapsed to one entry")
+	put(c, corpus.Key{FP: a, Measure: "dtw", Band: "tuned"}, "A")
+	put(c, corpus.Key{FP: b, Measure: "dtw", Band: "tuned"}, "B")
+	if st := c.Stats(); st.Builds != 2 {
+		t.Fatalf("same-shape corpora collapsed to one entry: %d builds", st.Builds)
 	}
-	if v, _ := c.Get(corpus.Key{FP: a, Measure: "dtw", Band: "tuned"}); v.(string) != "A" {
+	if v, _ := get(c, corpus.Key{FP: a, Measure: "dtw", Band: "tuned"}); v.(string) != "A" {
 		t.Fatalf("wrong value for corpus A: %v", v)
+	}
+	if v, _ := get(c, corpus.Key{FP: b, Measure: "dtw", Band: "tuned"}); v.(string) != "B" {
+		t.Fatalf("wrong value for corpus B: %v", v)
 	}
 }
 
@@ -130,7 +138,7 @@ func TestGetOrBuildErrorNotCached(t *testing.T) {
 	if _, err := c.GetOrBuildCtx(context.Background(), key(1), build); !errors.Is(err, boom) {
 		t.Fatalf("first call: %v, want boom", err)
 	}
-	if c.Len() != 0 {
+	if _, ok := get(c, key(1)); ok {
 		t.Fatalf("error was cached")
 	}
 	v, err := c.GetOrBuildCtx(context.Background(), key(1), build)

@@ -193,12 +193,6 @@ func BuildCtx(ctx context.Context, series [][]float64, opts Options) (*Snapshot,
 	return s, nil
 }
 
-// Series returns the snapshot's backing series. Callers must not mutate.
-func (s *Snapshot) Series() [][]float64 { return s.series }
-
-// Len returns the number of series.
-func (s *Snapshot) Len() int { return len(s.series) }
-
 // Fingerprint returns the content fingerprint computed at build time.
 func (s *Snapshot) Fingerprint() Fingerprint { return s.fp }
 

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/eval"
+	"repro/internal/kernel"
 	"repro/internal/lockstep"
 	"repro/internal/measure"
 	"repro/internal/norm"
@@ -188,7 +189,7 @@ func Figure7Ctx(ctx context.Context, opts Options, rep run.Reporter) (Ranking, e
 // 7. It honors cancellation and reports per-combo progress.
 func Figure8Ctx(ctx context.Context, opts Options, rep run.Reporter) (Ranking, error) {
 	opts = opts.Defaults()
-	ms := unsupervisedKernels()[:3] // KDTW, GAK, SINK
+	ms := kernel.All()[:3] // KDTW, GAK, SINK
 	ms = append(ms, unsupervisedElastic()[:3]...)
 	var thunks []comboThunk
 	for _, m := range ms {

@@ -160,21 +160,12 @@ func Table5Ctx(ctx context.Context, opts Options, rep run.Reporter) (Table, erro
 	return BuildTable("Table 5: elastic measures vs NCCc", combos, baseline, opts.WilcoxonAlpha, true), nil
 }
 
-// unsupervisedKernels returns the fixed-parameter kernel rows of Table 6.
-func unsupervisedKernels() []measure.Measure {
-	return []measure.Measure{
-		kernel.KDTW{Gamma: 0.125},
-		kernel.GAK{Sigma: 0.1},
-		kernel.SINK{Gamma: 5},
-		kernel.RBF{Gamma: 2},
-	}
-}
-
 // Table6Ctx reproduces Table 6: the 4 kernel functions against NCCc under
-// both protocols. It honors cancellation and reports per-combo progress.
+// both protocols, the fixed rows at kernel.All's unsupervised parameters.
+// It honors cancellation and reports per-combo progress.
 func Table6Ctx(ctx context.Context, opts Options, rep run.Reporter) (Table, error) {
 	opts = opts.Defaults()
-	total := 1 + len(eval.KernelGrids()) + len(unsupervisedKernels())
+	total := 1 + len(eval.KernelGrids()) + len(kernel.All())
 	task := run.NewTask(rep, "table6", "combos", total)
 	baseline, err := EvaluateComboCtx(ctx, opts.Archive, sliding.SBD(), nil)
 	if err != nil {
@@ -191,7 +182,7 @@ func Table6Ctx(ctx context.Context, opts Options, rep run.Reporter) (Table, erro
 		combos = append(combos, c)
 		task.Step(c.Measure + "/" + c.Scaling)
 	}
-	for _, m := range unsupervisedKernels() {
+	for _, m := range kernel.All() {
 		c, err := EvaluateComboCtx(ctx, opts.Archive, m, nil)
 		if err != nil {
 			return Table{}, err
@@ -230,18 +221,13 @@ func EvaluateEmbeddingCtx(ctx context.Context, archive []*dataset.Dataset, build
 	return c, nil
 }
 
-// Table7Ctx reproduces Table 7: the 4 embedding measures (fixed-length-100
-// representations compared with ED) against NCCc. It honors cancellation
-// and reports per-combo progress.
+// Table7Ctx reproduces Table 7: the 4 embedding measures of embedding.All
+// (fixed-length-100 representations compared with ED) against NCCc. It
+// honors cancellation and reports per-combo progress.
 func Table7Ctx(ctx context.Context, opts Options, rep run.Reporter) (Table, error) {
 	opts = opts.Defaults()
-	builders := []func(seed int64) embedding.Embedder{
-		func(seed int64) embedding.Embedder { return &embedding.GRAIL{Gamma: 5, Seed: seed} },
-		func(seed int64) embedding.Embedder { return &embedding.RWS{Gamma: 1, DMax: 25, Seed: seed} },
-		func(seed int64) embedding.Embedder { return &embedding.SPIRAL{Seed: seed} },
-		func(seed int64) embedding.Embedder { return &embedding.SIDL{Lambda: 0.1, R: 0.25, Seed: seed} },
-	}
-	task := run.NewTask(rep, "table7", "combos", 1+len(builders))
+	n := len(embedding.All(0))
+	task := run.NewTask(rep, "table7", "combos", 1+n)
 	baseline, err := EvaluateComboCtx(ctx, opts.Archive, sliding.SBD(), nil)
 	if err != nil {
 		return Table{}, err
@@ -249,8 +235,9 @@ func Table7Ctx(ctx context.Context, opts Options, rep run.Reporter) (Table, erro
 	baseline.Scaling = "-"
 	task.Step(baseline.Measure)
 	var combos []Combo
-	for _, b := range builders {
-		c, err := EvaluateEmbeddingCtx(ctx, opts.Archive, b)
+	for i := 0; i < n; i++ {
+		build := func(seed int64) embedding.Embedder { return embedding.All(seed)[i] }
+		c, err := EvaluateEmbeddingCtx(ctx, opts.Archive, build)
 		if err != nil {
 			return Table{}, err
 		}

@@ -1,8 +1,7 @@
 // Package fft implements the real-input FFT kernel behind every
-// cross-correlation and convolution of real series — the sliding distance
-// measures, the SINK kernel, k-Shape's SBD and the matrix-profile engines'
-// sliding dot products — on an iterative radix-2 complex core, together
-// with complex transforms of arbitrary length.
+// cross-correlation of real series — the sliding distance measures, the
+// SINK kernel, k-Shape's SBD and the matrix-profile engines' sliding dot
+// products — on an iterative radix-2 complex core.
 //
 // A real series zero-padded to a power of two m >= 2 is transformed as one
 // m/2-point complex FFT of its even and odd samples packed into real and
@@ -14,10 +13,7 @@
 // unwrap) at the same padded length, so the routes agree bitwise.
 //
 // The radix-2 core reads its twiddle factors from a table cached once per
-// direction (see twiddles). Complex transforms of other lengths use
-// Bluestein's chirp-z algorithm, which reduces an arbitrary-length DFT to a
-// power-of-two circular convolution; no cross-correlation route needs it.
-// Both are O(n log n).
+// direction (see twiddles). Every transform is O(n log n).
 package fft
 
 import (
@@ -49,49 +45,17 @@ func NextPowerOfTwo(n int) int {
 	return p
 }
 
-// Forward computes the in-place forward DFT of x and returns x.
-// The transform is unnormalized: Inverse(Forward(x)) == x.
-func Forward(x []complex128) []complex128 {
-	transform(x, false)
-	return x
-}
-
-// Inverse computes the in-place inverse DFT of x (including the 1/n
-// normalization) and returns x.
-func Inverse(x []complex128) []complex128 {
-	transform(x, true)
-	return x
-}
-
-func transform(x []complex128, inverse bool) {
-	n := len(x)
-	if n <= 1 {
-		return
-	}
-	if IsPowerOfTwo(n) {
-		radix2(x, inverse)
-	} else {
-		bluestein(x, inverse)
-	}
-	if inverse {
-		scale := 1 / float64(n)
-		for i := range x {
-			x[i] *= complex(scale, 0)
-		}
-	}
-}
-
 // twiddleTable[0] (forward) and twiddleTable[1] (inverse) hold the twiddle
 // factors of every radix-2 stage up to the largest size transformed so
 // far. The stage that combines blocks of 2h points sits at [h-1, 2h-1),
 // its entry k being wl^k for wl = exp(∓2πi/(2h)). The entries are the
-// serial w *= wl chain's values, not exact roots of unity, so the complex
-// Forward and Inverse give the bits they gave when each block ran that
-// chain itself. A stage does not depend on the transform size, so the
-// table for size n is a prefix of the table for 2n: a table grows by
-// doubling under twiddleMu and is published atomically, and readers take
-// no lock. It holds n-1 factors for the largest size n, no more than one
-// buffer of that transform.
+// serial w *= wl chain's values, not exact roots of unity, so radix2, and
+// with it every route of the real-input kernel, keeps the bits it had when
+// each block ran that chain itself. A stage does not depend on the
+// transform size, so the table for size n is a prefix of the table for 2n:
+// a table grows by doubling under twiddleMu and is published atomically,
+// and readers take no lock. It holds n-1 factors for the largest size n,
+// no more than one buffer of that transform.
 var (
 	twiddleTable [2]atomic.Pointer[[]complex128]
 	twiddleMu    sync.Mutex
@@ -166,45 +130,6 @@ func radix2(x []complex128, inverse bool) {
 				hi[k] = u - v
 			}
 		}
-	}
-}
-
-// bluestein computes an unnormalized DFT of arbitrary length via the
-// chirp-z transform, using a power-of-two convolution internally.
-func bluestein(x []complex128, inverse bool) {
-	n := len(x)
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
-	// Chirp factors w[k] = exp(sign * i * pi * k^2 / n). Compute k^2 mod 2n
-	// to keep the argument small and the twiddles accurate for large k.
-	w := make([]complex128, n)
-	m2 := 2 * n
-	for k := 0; k < n; k++ {
-		sq := (k * k) % m2
-		w[k] = cmplx.Exp(complex(0, sign*math.Pi*float64(sq)/float64(n)))
-	}
-	m := NextPowerOfTwo(2*n - 1)
-	a := make([]complex128, m)
-	b := make([]complex128, m)
-	for k := 0; k < n; k++ {
-		a[k] = x[k] * w[k]
-		bk := cmplx.Conj(w[k])
-		b[k] = bk
-		if k > 0 {
-			b[m-k] = bk
-		}
-	}
-	radix2(a, false)
-	radix2(b, false)
-	for i := range a {
-		a[i] *= b[i]
-	}
-	radix2(a, true)
-	invm := 1 / float64(m)
-	for k := 0; k < n; k++ {
-		x[k] = a[k] * complex(invm, 0) * w[k]
 	}
 }
 
@@ -380,42 +305,16 @@ func CrossCorrelationNaive(x, y []float64) []float64 {
 	return out
 }
 
-// Convolve returns the linear convolution of x and y, of length
-// len(x)+len(y)-1, computed with the cross-correlation kernel: the
-// correlation of x against the series whose spectrum is conj of y's.
-func Convolve(x, y []float64) []float64 {
-	if len(x) == 0 || len(y) == 0 {
-		return nil
-	}
-	n := len(x) + len(y) - 1
-	m := paddedLen(n)
-	fx, fy := halfSpectra(x, y, m)
-	for i := range fy {
-		fy[i] = cmplx.Conj(fy[i])
-	}
-	correlate(fx, fy, fx[:m/2])
-	out := make([]float64, n)
-	unpack(out, fx[:m/2], 0)
-	return out
-}
-
 // SlidingPlan caches the padded half spectrum of a long series for
 // repeated sliding-dot-product scans with fixed-length queries — the access
 // pattern of MASS and the matrix-profile engines, where one series is
-// scanned by many windows. Construction costs one forward transform of the
+// scanned by many windows. Reset costs one forward transform of the
 // series; each scan then costs one forward transform of the query plus one
-// inverse, instead of re-transforming the series every time.
+// inverse, instead of re-transforming the series every time. The zero
+// value is ready for Reset.
 type SlidingPlan struct {
 	n, w, m int
 	freq    []complex128 // m/2+1 bins
-}
-
-// NewSlidingPlan builds the plan for series t and query length w,
-// 1 <= w <= len(t).
-func NewSlidingPlan(t []float64, w int) *SlidingPlan {
-	p := &SlidingPlan{}
-	p.Reset(t, w)
-	return p
 }
 
 // Reset re-targets the plan (the zero value included) at a new series and
@@ -434,12 +333,6 @@ func (p *SlidingPlan) Reset(t []float64, w int) {
 	p.freq = p.freq[:m/2+1]
 	realSpectrum(t, m, p.freq)
 }
-
-// Len returns the planned series length.
-func (p *SlidingPlan) Len() int { return p.n }
-
-// Window returns the planned query length.
-func (p *SlidingPlan) Window() int { return p.w }
 
 // PaddedLen returns the padded transform length m; SlidingDots scratch
 // holds one half spectrum, PaddedLen()/2+1 values.

@@ -20,7 +20,8 @@ func TestSlidingPlanMatchesCrossCorrelation(t *testing.T) {
 			if w > n {
 				continue
 			}
-			p := NewSlidingPlan(series, w)
+			var p SlidingPlan
+			p.Reset(series, w)
 			q := make([]float64, w)
 			for i := range q {
 				q[i] = rng.NormFloat64()
@@ -71,8 +72,8 @@ func TestSlidingPlanReset(t *testing.T) {
 			t.Errorf("after Reset, shift %d: got %v want %v", s, got[s], want)
 		}
 	}
-	if p.Len() != 16 || p.Window() != 4 {
-		t.Errorf("Len/Window = %d/%d, want 16/4", p.Len(), p.Window())
+	if len(got) != 13 {
+		t.Errorf("after Reset, %d dots, want 13", len(got))
 	}
 }
 
@@ -84,13 +85,15 @@ func TestSlidingPlanPanics(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("NewSlidingPlan(len %d, w %d) did not panic", tc.n, tc.w)
+					t.Errorf("Reset(len %d, w %d) did not panic", tc.n, tc.w)
 				}
 			}()
-			NewSlidingPlan(make([]float64, tc.n), tc.w)
+			var p SlidingPlan
+			p.Reset(make([]float64, tc.n), tc.w)
 		}()
 	}
-	p := NewSlidingPlan([]float64{1, 2, 3, 4}, 2)
+	var p SlidingPlan
+	p.Reset([]float64{1, 2, 3, 4}, 2)
 	defer func() {
 		if recover() == nil {
 			t.Error("SlidingDots with wrong query length did not panic")

@@ -25,7 +25,6 @@ type ISAX struct {
 	m        int       // series length
 	breaks   []float64 // 2^isaxBits - 1 breakpoints at maximum cardinality
 	series   [][]float64
-	paas     [][]float64
 	words    [][]int // full-cardinality symbols per indexed series
 	root     *isaxNode
 	size     int
@@ -105,7 +104,6 @@ func (ix *ISAX) Insert(x []float64) {
 	}
 	id := len(ix.series)
 	ix.series = append(ix.series, x)
-	ix.paas = append(ix.paas, PAA(x, ix.segments))
 	ix.words = append(ix.words, ix.word(x))
 	ix.insert(ix.root, id)
 	ix.size++
@@ -172,35 +170,26 @@ func (ix *ISAX) splitLeaf(n *isaxNode) {
 }
 
 // minDistNode returns the iSAX MINDIST lower bound between a query's PAA
-// coefficients and every series whose word lies under the node's prefix.
+// coefficients and every series whose word lies under the node's prefix:
+// per segment, the gap from the query's coefficient to the prefix's
+// breakpoint region (see segmentBound).
 func (ix *ISAX) minDistNode(paa []float64, n *isaxNode) float64 {
-	var sum float64
-	for s := 0; s < ix.segments; s++ {
+	return segmentBound(ix.m, ix.segments, func(s int) float64 {
 		if n.bits[s] == 0 {
-			continue // unconstrained segment contributes nothing
+			return 0 // unconstrained segment contributes nothing
 		}
 		width := isaxBits - n.bits[s]
 		loSym := n.sym[s] << width
 		hiSym := ((n.sym[s] + 1) << width) - 1
-		lo := math.Inf(-1)
-		if loSym > 0 {
-			lo = ix.breaks[loSym-1]
-		}
-		hi := math.Inf(1)
-		if hiSym < len(ix.breaks) {
-			hi = ix.breaks[hiSym]
-		}
 		v := paa[s]
-		switch {
-		case v < lo:
-			d := lo - v
-			sum += d * d
-		case v > hi:
-			d := v - hi
-			sum += d * d
+		if loSym > 0 && v < ix.breaks[loSym-1] {
+			return ix.breaks[loSym-1] - v
 		}
-	}
-	return math.Sqrt(float64(ix.m) / float64(ix.segments) * sum)
+		if hiSym < len(ix.breaks) && v > ix.breaks[hiSym] {
+			return v - ix.breaks[hiSym]
+		}
+		return 0
+	})
 }
 
 // ApproxNN descends to the leaf matching the query's word and returns the

@@ -188,3 +188,65 @@ func TestISAXDeepSplitStillValid(t *testing.T) {
 		t.Fatalf("NN on duplicate-heavy index = (%d, %g)", best, dist)
 	}
 }
+
+// TestRaggedSegmentBounds: when the length m is not a multiple of the
+// segment count, PAA's segments hold floor(m/s) or ceil(m/s) points, and
+// SAX MINDIST and iSAX's node bound must weight each segment by its point
+// count. A uniform m/s weight overestimates the short segments: MINDIST
+// then exceeds ED, and iSAX's exact search prunes the node holding the
+// true nearest neighbour.
+func TestRaggedSegmentBounds(t *testing.T) {
+	ed := lockstep.Euclidean()
+	// m = 3, 2 segments: PAA averages points {0, 1} and keeps point 2. The
+	// nearest reference differs from q by 1 in point 2 alone; the decoy
+	// shares q's word at distance 1.05. With capacity 1 the two land in
+	// leaves split on segment 1's sign, so the nearest one's node lies
+	// 0.9 from q's coefficient -0.9: its bound is 0.9, but sqrt(1.5)*0.9 =
+	// 1.10 under the uniform weight, which pruned it behind the decoy.
+	q := []float64{0.5, 0.5, -0.9}
+	e := 1.05 / math.Sqrt2
+	nearest := []float64{0.5, 0.5, 0.1}
+	ix := NewISAX(3, 2, 1)
+	ix.Insert([]float64{0.5 + e, 0.5 - e, -0.9})
+	ix.Insert(nearest)
+	if best, d, _ := ix.NN(q); best != 1 || math.Abs(d-ed.Distance(q, nearest)) > 1e-12 {
+		t.Errorf("m=3 segments=2: iSAX NN = (%d, %v), want (1, %v)", best, d, ed.Distance(q, nearest))
+	}
+
+	rng := rand.New(rand.NewSource(21))
+	for _, shape := range []struct{ m, s int }{{3, 2}, {5, 3}, {7, 4}, {10, 4}} {
+		sax := NewSAX(shape.s, 16)
+		nnWrong, saxOver := 0, 0
+		for trial := 0; trial < 100; trial++ {
+			q := dataset.ZNormalize(randSeries(rng, shape.m))
+			ix := NewISAX(shape.m, shape.s, 1)
+			refs := make([][]float64, 50+rng.Intn(101))
+			want := math.Inf(1)
+			for i := range refs {
+				r := make([]float64, shape.m)
+				for j := range r {
+					r[j] = q[j] + 0.1*rng.NormFloat64()
+				}
+				refs[i] = r
+				ix.Insert(r)
+				want = math.Min(want, ed.Distance(q, r))
+			}
+			if _, got, _ := ix.NN(q); math.Abs(got-want) > 1e-12 {
+				nnWrong++
+			}
+			// MINDIST against independent series, which differ by whole
+			// symbols.
+			wq := sax.Symbolize(q)
+			for k := 0; k < 10; k++ {
+				y := dataset.ZNormalize(randSeries(rng, shape.m))
+				if sax.MinDist(wq, sax.Symbolize(y), shape.m) > ed.Distance(q, y) {
+					saxOver++
+				}
+			}
+		}
+		if nnWrong > 0 || saxOver > 0 {
+			t.Errorf("m=%d segments=%d: iSAX NN missed the nearest distance in %d of 100 searches; SAX MINDIST exceeded ED on %d of 1000 pairs",
+				shape.m, shape.s, nnWrong, saxOver)
+		}
+	}
+}

@@ -55,31 +55,39 @@ func PAA(x []float64, segments int) []float64 {
 }
 
 // LBPAA returns the PAA lower bound of the Euclidean distance between two
-// series given their PAA coefficients and the original length m. Each
-// coefficient difference is weighted by its segment's exact point count:
-// Cauchy-Schwarz gives sum_{i in seg}(x_i-y_i)^2 >= n_seg*(a_seg-b_seg)^2
-// per segment, so sqrt(sum n_seg*(a_seg-b_seg)^2) <= ED. When m divides
-// evenly this is the classic sqrt(m/s * sum (a_i-b_i)^2); with ragged
-// segments the uniform m/s weight would overestimate the short segments'
-// contribution and break the bound. It panics on length mismatch.
+// series given their PAA coefficients and the original length m (see
+// segmentBound). It panics on length mismatch.
 func LBPAA(a, b []float64, m int) float64 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("index: PAA length mismatch %d vs %d", len(a), len(b)))
 	}
-	s := len(a)
+	return segmentBound(m, len(a), func(seg int) float64 { return a[seg] - b[seg] })
+}
+
+// segmentBound turns per-segment gaps into a lower bound of the Euclidean
+// distance between two series x and y of length m whose PAA has s
+// segments. gap(seg) may not exceed |a_seg - b_seg|, the difference of
+// their PAA coefficients: LBPAA passes that difference, SAX and iSAX the
+// distance between the coefficients' breakpoint regions. Each squared gap
+// is weighted by its segment's exact point count: Cauchy-Schwarz gives
+// sum_{i in seg}(x_i-y_i)^2 >= n_seg*(a_seg-b_seg)^2 per segment, so
+// sqrt(sum n_seg*gap(seg)^2) <= ED. When m divides evenly this is the
+// classic sqrt(m/s * sum gap^2); with ragged segments the uniform m/s
+// weight would overestimate the short segments' contribution and break
+// the bound.
+func segmentBound(m, s int, gap func(seg int) float64) float64 {
+	var sum float64
 	if m%s == 0 {
-		var sum float64
-		for i := range a {
-			d := a[i] - b[i]
+		for seg := 0; seg < s; seg++ {
+			d := gap(seg)
 			sum += d * d
 		}
 		return math.Sqrt(float64(m) / float64(s) * sum)
 	}
 	// Segment seg holds the points i with i*s/m == seg, i.e. the integers
 	// in [seg*m/s, (seg+1)*m/s) — mirroring PAA's general path exactly.
-	var sum float64
-	for seg := range a {
-		d := a[seg] - b[seg]
+	for seg := 0; seg < s; seg++ {
+		d := gap(seg)
 		lo := (seg*m + s - 1) / s
 		hi := ((seg+1)*m + s - 1) / s
 		sum += float64(hi-lo) * d * d

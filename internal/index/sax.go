@@ -75,18 +75,14 @@ func (s *SAX) Symbolize(x []float64) []int {
 // MinDist returns the SAX MINDIST lower bound of the Euclidean distance
 // between the original series of two SAX words (both of original length
 // m): sqrt(m/segments * sum cellDist^2), where cellDist is the gap between
-// the breakpoint regions of differing symbols. MINDIST never exceeds the
-// true z-normalized ED.
+// the breakpoint regions of differing symbols, with each segment weighted
+// by its point count when m is not a multiple of the word length (see
+// segmentBound). MINDIST never exceeds the true z-normalized ED.
 func (s *SAX) MinDist(a, b []int, m int) float64 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("index: SAX word lengths %d vs %d", len(a), len(b)))
 	}
-	var sum float64
-	for i := range a {
-		d := s.cellDist(a[i], b[i])
-		sum += d * d
-	}
-	return math.Sqrt(float64(m) / float64(len(a)) * sum)
+	return segmentBound(m, len(a), func(i int) float64 { return s.cellDist(a[i], b[i]) })
 }
 
 // cellDist is the minimum distance between two symbol regions: zero for

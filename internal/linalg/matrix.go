@@ -1,12 +1,12 @@
 // Package linalg provides the small dense linear-algebra kernel needed by
 // the embedding measures: a row-major matrix type, basic products, and a
-// cyclic Jacobi eigensolver for symmetric matrices (used for the Nyström
-// approximation in GRAIL and the landmark MDS in SPIRAL).
+// Householder + QL eigensolver for symmetric matrices (used for the
+// Nyström approximation in GRAIL and the landmark MDS in SPIRAL), with
+// cyclic Jacobi kept as its cross-check.
 package linalg
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/par"
 )
@@ -23,22 +23,6 @@ func NewMatrix(rows, cols int) *Matrix {
 		panic(fmt.Sprintf("linalg: negative dimension %dx%d", rows, cols))
 	}
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
-}
-
-// FromRows builds a matrix from a slice of equal-length rows, copying data.
-func FromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0)
-	}
-	c := len(rows[0])
-	m := NewMatrix(len(rows), c)
-	for i, r := range rows {
-		if len(r) != c {
-			panic(fmt.Sprintf("linalg: ragged rows: row %d has %d cols, want %d", i, len(r), c))
-		}
-		copy(m.Data[i*c:(i+1)*c], r)
-	}
-	return m
 }
 
 // At returns element (i, j).
@@ -62,13 +46,6 @@ func (m *Matrix) Clone() *Matrix {
 // so both the row-major reads and the column-major writes stay on cached
 // lines instead of striding a full row apart.
 const transposeTile = 32
-
-// Transpose returns a new matrix that is the transpose of m.
-func (m *Matrix) Transpose() *Matrix {
-	t := NewMatrix(m.Cols, m.Rows)
-	m.TransposeTo(t)
-	return t
-}
 
 // TransposeTo writes the transpose of m into dst, which must already be
 // shaped Cols x Rows; it allows reusing a destination across calls in hot
@@ -106,13 +83,6 @@ const (
 	mulBlockK = 128
 	mulBlockJ = 128
 )
-
-// Mul returns the matrix product a*b.
-func Mul(a, b *Matrix) *Matrix {
-	out := NewMatrix(a.Rows, b.Cols)
-	MulTo(out, a, b)
-	return out
-}
 
 // MulTo computes the matrix product a*b into dst (shaped a.Rows x b.Cols),
 // overwriting it. The kernel is the classic ikj accumulation with cache
@@ -157,13 +127,6 @@ func MulTo(dst, a, b *Matrix) {
 			}
 		}
 	}
-}
-
-// MulVec returns the matrix-vector product m*v.
-func (m *Matrix) MulVec(v []float64) []float64 {
-	out := make([]float64, m.Rows)
-	m.MulVecTo(out, v)
-	return out
 }
 
 // MulVecTo computes m*v into dst (len m.Rows), overwriting it, so repeated
@@ -238,21 +201,6 @@ func SymRankK(a *Matrix) *Matrix {
 	return out
 }
 
-// IsSymmetric reports whether m is square and symmetric within tol.
-func (m *Matrix) IsSymmetric(tol float64) bool {
-	if m.Rows != m.Cols {
-		return false
-	}
-	for i := 0; i < m.Rows; i++ {
-		for j := i + 1; j < m.Cols; j++ {
-			if math.Abs(m.At(i, j)-m.At(j, i)) > tol {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // Dot returns the inner product of two equal-length vectors.
 func Dot(x, y []float64) float64 {
 	if len(x) != len(y) {
@@ -263,13 +211,4 @@ func Dot(x, y []float64) float64 {
 		s += x[i] * y[i]
 	}
 	return s
-}
-
-// Norm2 returns the Euclidean norm of x.
-func Norm2(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }

@@ -126,22 +126,26 @@ type EarlyAbandoning interface {
 	DistanceUpTo(x, y Series, cutoff float64) float64
 }
 
-// checkChannels panics when the two series disagree on channel count —
-// every multivariate measure rejects that — and returns the shared count.
-// An empty series carries no channel count and is compatible with any
-// counterpart. Lengths are deliberately not checked here: the dependent
-// elastic measures run an m-by-n DP over unequal-length pairs.
+// checkChannels panics when any time step of either series disagrees with
+// the others on channel count — every multivariate measure rejects that,
+// and the measures index every step by the first one's count — and returns
+// the shared count. An empty series carries no channel count and is
+// compatible with any counterpart. Lengths are deliberately not checked
+// here: the dependent elastic measures run an m-by-n DP over
+// unequal-length pairs.
 func checkChannels(x, y Series) int {
+	d := x.Channels()
 	if len(x) == 0 {
-		return y.Channels()
+		d = y.Channels()
 	}
-	if len(y) == 0 {
-		return x.Channels()
+	for _, s := range [2]Series{x, y} {
+		for _, step := range s {
+			if len(step) != d {
+				panic(fmt.Sprintf("multivariate: channel mismatch %d vs %d", d, len(step)))
+			}
+		}
 	}
-	if x.Channels() != y.Channels() {
-		panic(fmt.Sprintf("multivariate: channel mismatch %d vs %d", x.Channels(), y.Channels()))
-	}
-	return x.Channels()
+	return d
 }
 
 // checkLockstep is checkChannels plus the equal-length requirement of the

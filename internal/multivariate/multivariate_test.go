@@ -2,8 +2,10 @@ package multivariate
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/lockstep"
@@ -185,6 +187,46 @@ func TestMismatchPanics(t *testing.T) {
 			}()
 			Euclidean{}.Distance(pair[0], pair[1])
 		}()
+	}
+}
+
+// TestRaggedStepsPanic: a series whose time steps hold different channel
+// counts gets the channel-mismatch panic from every measure, on either
+// side. The measures read every step by one channel count, so they would
+// otherwise compute over a subset of the channels or index out of range.
+func TestRaggedStepsPanic(t *testing.T) {
+	good := Series{{1, 2, 3, 4}, {1, 2, 3, 4}}
+	ragged := []Series{{{1, 2, 3, 9}, {1, 2, 3}}, {{1, 2, 3, 9}, {1, 2, 3, 4, 5}}}
+	measures := []Measure{
+		Euclidean{},
+		DTWDependent{DeltaPercent: 10},
+		ERPDependent{G: 0},
+		MSMDependent{C: 0.5},
+		SoftDTW{Gamma: 1},
+		DTWIndependent{DeltaPercent: 10},
+		Independent{Base: lockstep.Manhattan()},
+		MaskedEuclidean(0.5),
+	}
+	panicOf := func(f func()) (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		f()
+		return ""
+	}
+	for _, m := range measures {
+		for _, r := range ragged {
+			for _, pair := range [][2]Series{{r, good}, {good, r}} {
+				x, y := pair[0], pair[1]
+				calls := map[string]func(){"Distance": func() { m.Distance(x, y) }}
+				if ea, ok := m.(EarlyAbandoning); ok {
+					calls["DistanceUpTo"] = func() { ea.DistanceUpTo(x, y, math.Inf(1)) }
+				}
+				for name, call := range calls {
+					if msg := panicOf(call); !strings.Contains(msg, "channel mismatch") {
+						t.Errorf("%s.%s(%v, %v): panic %q, want a channel mismatch", m.Name(), name, x, y, msg)
+					}
+				}
+			}
+		}
 	}
 }
 

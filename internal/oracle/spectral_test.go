@@ -73,7 +73,10 @@ func TestOracleEigenSolver(t *testing.T) {
 			for i := 0; i < n; i++ {
 				d.Set(i, i, qlVals[i])
 			}
-			rec := linalg.Mul(linalg.Mul(qlVecs, d), qlVecs.Transpose())
+			vd, vt, rec := linalg.NewMatrix(n, n), linalg.NewMatrix(n, n), linalg.NewMatrix(n, n)
+			linalg.MulTo(vd, qlVecs, d)
+			qlVecs.TransposeTo(vt)
+			linalg.MulTo(rec, vd, vt)
 			for i := range rec.Data {
 				if math.Abs(rec.Data[i]-a.Data[i]) > 1e-9*scale {
 					t.Fatalf("seed %d trial %d (n=%d kind=%d): reconstruction off at flat %d: %v vs %v",

@@ -73,13 +73,6 @@ type Reporter interface {
 	Event(Event)
 }
 
-// Emit sends e to rep, tolerating a nil reporter.
-func Emit(rep Reporter, e Event) {
-	if rep != nil {
-		rep.Event(e)
-	}
-}
-
 // Task is the driver-side helper that stamps events with the experiment
 // name and unit, counts completed units, and emits the
 // Started/Progress/Completed sequence. A Task constructed with a nil

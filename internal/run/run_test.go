@@ -120,7 +120,6 @@ func TestTaskNilReporterIsSafe(t *testing.T) {
 	task := NewTask(nil, "x", "units", 3)
 	task.Step("one")
 	task.Done()
-	Emit(nil, Event{})
 }
 
 func TestProgressPrinterOutput(t *testing.T) {

@@ -149,11 +149,12 @@ func tunePerCandidate(g eval.Grid, train [][]float64, labels []int) (int, float6
 }
 
 // BenchmarkGridTuning compares supervised grid tuning per candidate (the
-// previous TuneSupervised path) against the one-pass grid engine, on the
-// two grid families the engine's optimizations target: the DTW band grid
-// (warm-start pruning + envelope reuse) and the SINK gamma grid (shared
-// FFT preparation). Both paths select identical candidates; see
-// TestTuneSupervisedMatchesNaiveSelection.
+// previous TuneSupervised path) against the one-pass grid engine on the DTW
+// band grid, whose warm-start pruning and envelope reuse the engine
+// targets; both paths select identical candidates (see
+// TestTuneSupervisedMatchesNaiveSelection). sink/engine times the engine
+// on the SINK gamma grid, whose candidates each run the prepared SINK
+// path: per candidate or in the engine, the work is the same.
 func BenchmarkGridTuning(b *testing.B) {
 	d := benchDataset()
 	sinkTrain := d.Train[:40]
@@ -170,13 +171,6 @@ func BenchmarkGridTuning(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			eval.TuneSupervisedCtx(context.Background(), g, d.Train, d.TrainLabels, nil)
-		}
-	})
-	b.Run("sink/percandidate", func(b *testing.B) {
-		g := eval.SINKGrid()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tunePerCandidate(g, sinkTrain, sinkLabels)
 		}
 	})
 	b.Run("sink/engine", func(b *testing.B) {

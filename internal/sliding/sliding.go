@@ -163,21 +163,3 @@ func SBD() *Measure { return New(NCCc) }
 func All() []measure.Measure {
 	return []measure.Measure{New(NCC), New(NCCb), New(NCCu), New(NCCc)}
 }
-
-// DistanceNaive computes the same dissimilarity by the direct O(m^2)
-// sliding sum; it backs the correctness tests and the FFT ablation bench.
-func (m *Measure) DistanceNaive(x, y []float64) float64 {
-	measure.CheckSameLength(x, y)
-	cc := fft.CrossCorrelationNaive(x, y)
-	var nx, ny float64
-	if m.variant == NCCc {
-		for _, v := range x {
-			nx += v * v
-		}
-		for _, v := range y {
-			ny += v * v
-		}
-		nx, ny = math.Sqrt(nx), math.Sqrt(ny)
-	}
-	return m.fromCC(cc, len(x), nx, ny)
-}

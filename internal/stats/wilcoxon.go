@@ -128,11 +128,3 @@ func tieCorrection(abs []float64) float64 {
 	}
 	return c
 }
-
-// SignificantlyBetter reports whether x is better than y with statistical
-// significance at the given alpha (e.g. 0.05 for the paper's 95% level):
-// the two-sided test rejects equality and x has the larger rank sum.
-func SignificantlyBetter(x, y []float64, alpha float64) bool {
-	r := Wilcoxon(x, y)
-	return r.PValue < alpha && r.WPlus > r.WMinus
-}
