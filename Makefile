@@ -49,13 +49,41 @@ oracle:
 oracle-long:
 	$(GO) test ./internal/oracle -run Oracle -oracle.long
 
+# The tsperf smoke run whose work counts smoke-counts and determinism pin,
+# and the awk program that keeps its workload headers, less their wall
+# time and with GOMAXPROCS=N read as GOMAXPROCS=1, and every metric
+# counted in `count` units except go.gc_cycles, which follows the
+# collector's pacing.
+SMOKE_RUN = $(GO) run ./cmd/tsperf -scale smoke -seed 3 -seconds 0 -trace 1
+SMOKE_AWK = /^== /{sub(/ wall=[^ ]*$$/, ""); sub(/GOMAXPROCS=[0-9]+/, "GOMAXPROCS=1"); print; next} $$3 == "count" && $$1 != "go.gc_cycles" {print $$1, $$2}
+
+# Reads testdata/smoke_counts.golden, then SMOKE_AWK's output of a run on
+# more than one worker. There the grid splits its rows among workers, and
+# the incumbents a worker has seen decide whether the LB cascade, the
+# pair-matrix bound or a DTW distance settles a pair, so grid.lb_pruned,
+# grid.pair_lb, grid.full_dist and elastic.dtw.full_dist move between
+# runs. Every other line must equal the golden, and in each workload
+# grid.pairs must equal grid.lb_pruned + grid.pair_lb + grid.full_dist.
+SMOKE_SPLIT_AWK = \
+	function sum() { if (pairs != lb + plb + fd) { print head ": grid.pairs " pairs " != " lb " + " plb " + " fd; bad = 1 }; pairs = lb = plb = fd = 0 }; \
+	NR == FNR { want[FNR] = $$0; n = FNR; next }; \
+	{ got++ }; \
+	/^== / { sum(); head = $$0 }; \
+	$$1 == "grid.pairs" { pairs = $$2 }; \
+	$$1 == "grid.lb_pruned" { lb = $$2 }; \
+	$$1 == "grid.pair_lb" { plb = $$2 }; \
+	$$1 == "grid.full_dist" { fd = $$2 }; \
+	$$1 !~ /^(grid\.(lb_pruned|pair_lb|full_dist)|elastic\.dtw\.full_dist)$$/ && $$0 != want[FNR] { print "line " FNR ": \"" $$0 "\", golden \"" want[FNR] "\""; bad = 1 }; \
+	END { sum(); if (got != n) { print got + 0 " lines, golden " n; bad = 1 }; exit bad }
+
 # Worker-count determinism gate: the golden experiment outputs and the
 # oracle's fixed seed schedule must pass unchanged on one, two and four
 # workers (two is the benchmark host's core count). Wavefront DPs,
 # lock-step panels, the prepared matrix rows and GRAIL's landmark Gram,
 # the VP-tree build, the grid and pruned search engines and STOMP blocks
 # all promise results that do not depend on the worker count. -count=1
-# bypasses the test cache, which does not key on GOMAXPROCS.
+# bypasses the test cache, which does not key on GOMAXPROCS. The smoke
+# work counts must hold on two and four workers as SMOKE_SPLIT_AWK checks.
 determinism:
 	GOMAXPROCS=1 $(GO) test -count=1 -run TestGoldenExperimentOutputs ./cmd/tsbench
 	GOMAXPROCS=2 $(GO) test -count=1 -run TestGoldenExperimentOutputs ./cmd/tsbench
@@ -63,26 +91,28 @@ determinism:
 	GOMAXPROCS=1 $(GO) test -count=1 -run Oracle ./internal/oracle
 	GOMAXPROCS=2 $(GO) test -count=1 -run Oracle ./internal/oracle
 	GOMAXPROCS=4 $(GO) test -count=1 -run Oracle ./internal/oracle
+	@for p in 2 4; do \
+		out="$$(GOMAXPROCS=$$p $(SMOKE_RUN))" || exit 1; \
+		printf '%s\n' "$$out" | awk '$(SMOKE_AWK)' | awk '$(SMOKE_SPLIT_AWK)' testdata/smoke_counts.golden - || \
+		{ echo "smoke work counts differ at GOMAXPROCS=$$p"; exit 1; }; \
+	done
 
 # Work-count gate: the tsperf benchmark's smoke run on one worker, where
-# the grid runs its rows in order and every work count is fixed. The
-# workload headers (less their wall time) and every metric counted in
-# `count` units except go.gc_cycles, which follows the collector's pacing,
-# must equal testdata/smoke_counts.golden. A change that alters the work a
-# workload does re-records the golden by sending the same pipeline's
-# output to that file instead of diff.
+# the grid runs its rows in order and every work count is fixed. SMOKE_AWK's
+# output must equal testdata/smoke_counts.golden. A change that alters the
+# work a workload does re-records the golden by sending the same
+# pipeline's output to that file instead of diff.
 smoke-counts:
-	@out="$$(GOMAXPROCS=1 $(GO) run ./cmd/tsperf -scale smoke -seed 3 -seconds 0 -trace 1)" || exit 1; \
-	printf '%s\n' "$$out" | \
-	awk '/^== /{sub(/ wall=[^ ]*$$/, ""); print; next} $$3 == "count" && $$1 != "go.gc_cycles" {print $$1, $$2}' | \
-	diff -u testdata/smoke_counts.golden -
+	@out="$$(GOMAXPROCS=1 $(SMOKE_RUN))" || exit 1; \
+	printf '%s\n' "$$out" | awk '$(SMOKE_AWK)' | diff -u testdata/smoke_counts.golden -
 
 # Native fuzzing, 15 s per target. The UCR and multivariate TSV parsers
 # may not panic, must return the values, labels and error text of their
 # Scanner-based test references, and every input they accept must keep
 # its integral labels and round-trip through the writers to the same bits. The six lock-step
-# panel kernels must give the same bits through Distance, DistanceUpTo and
-# PanelDistances, keep the early-abandoning contract, and Lorentzian must
+# panel kernels must give the same bits through Distance, and through
+# DistanceUpTo and PanelDistancesUpTo at a +Inf cutoff, keep the
+# early-abandoning contract, and Lorentzian must
 # stay within 1e-12 of its Log1p loop. Every cross-correlation route of
 # internal/fft must stay within a length-scaled tolerance of direct sums,
 # and the plan and sliding routes must give CrossCorrelation's bits. The

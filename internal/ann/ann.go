@@ -196,11 +196,7 @@ type Querier struct {
 
 // NewQuerier returns a query handle for concurrent use.
 func (ix *Index) NewQuerier() *Querier {
-	qr := &Querier{ix: ix}
-	if ix.lb != nil && len(ix.refs) > 0 {
-		qr.cq = ix.lb.NewBoundContext(len(ix.refs[0]))
-	}
-	return qr
+	return &Querier{ix: ix}
 }
 
 // OneNN returns the approximate nearest neighbor of q: the best of the
@@ -263,8 +259,8 @@ func (qr *Querier) rerank(q []float64, cands []int, k int, stats *Stats) []index
 	if ix.stateful != nil {
 		pq = ix.stateful.Prepare(q)
 	}
-	if qr.cq != nil {
-		qr.cq.Fill(q)
+	if ix.lb != nil {
+		qr.cq = ix.lb.FillBound(qr.cq, q)
 	}
 	h := make(index.KNNHeap, 0, k)
 	for _, i := range cands {

@@ -173,11 +173,9 @@ func TestBuildPreparedAdoptsState(t *testing.T) {
 	cfg := Config{Candidates: 12, Seed: 11}
 	own := build(t, refs, m, cfg)
 
-	lb := measure.LowerBounded(m)
 	bounds := make([]measure.BoundContext, len(refs))
 	for i, r := range refs {
-		bounds[i] = lb.NewBoundContext(len(r))
-		bounds[i].Fill(r)
+		bounds[i] = m.FillBound(nil, r)
 	}
 	adopted, err := BuildCtx(context.Background(), refs, m, cfg, measure.Prepared{Bounds: bounds})
 	if err != nil {

@@ -88,9 +88,6 @@ func BenchmarkANNPrunedScanN2048(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		q := qs[i%len(qs)]
 		qr := Querier{ix: ix}
-		if ix.lb != nil {
-			qr.cq = ix.lb.NewBoundContext(len(q))
-		}
 		all := make([]int, n)
 		for j := range all {
 			all[j] = j

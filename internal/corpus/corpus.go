@@ -136,11 +136,12 @@ type Hits struct {
 func (h Hits) Total() int64 { return h.Prepared + h.Bounds }
 
 // Snapshot is an immutable prepared view of one corpus. All stored state
-// is read-only after Build returns: engines must never Fill, Rebind, or
-// otherwise mutate snapshot-owned contexts or states (the grid engine's
-// envelope arena, which rebinds contexts in place, therefore never adopts
-// snapshot-owned ones). The hit counters are the only mutable fields and
-// are updated atomically.
+// is read-only after Build returns: engines must never pass
+// snapshot-owned contexts to FillBound or otherwise mutate them or the
+// prepared states (the grid engine, which refills the bound contexts of
+// finished candidates in place, therefore never reuses snapshot-owned
+// ones). The hit counters are the only mutable fields and are updated
+// atomically.
 type Snapshot struct {
 	series [][]float64
 	fp     Fingerprint
@@ -219,8 +220,8 @@ func (s *Snapshot) Covers(series [][]float64) bool {
 // Prepared when the snapshot holds none (a nil snapshot holds none). State
 // is never substituted across names: it may depend on every parameter of
 // the measure. The returned state is read-only: bound contexts may be
-// passed to LowerBound but never Fill'd or rebound. Each returned slice
-// counts one hit per series.
+// passed to LowerBound but never to FillBound. Each returned slice counts
+// one hit per series.
 func (s *Snapshot) State(m measure.Measure) measure.Prepared {
 	if s == nil {
 		return measure.Prepared{}

@@ -9,43 +9,35 @@ import "repro/internal/measure"
 // DTW's early-abandoning DistanceUpTo.
 
 // dtwContext is DTW's measure.BoundContext: the Lemire min/max envelope of
-// a series for the band width WindowSize(DeltaPercent, m), plus the
-// monotonic-deque scratch needed to refill it without allocating.
+// a series for the band's half-width, plus the monotonic-deque scratch
+// needed to refill it without allocating.
 type dtwContext struct {
-	deltaPercent int
-	w            int // absolute half-width for the current length
 	upper, lower []float64
 	maxDq, minDq []int
 }
 
-// NewBoundContext implements measure.LowerBounded.
-func (d DTW) NewBoundContext(m int) measure.BoundContext {
-	c := &dtwContext{deltaPercent: d.DeltaPercent}
-	c.grow(m)
-	return c
-}
-
-func (c *dtwContext) grow(m int) {
-	c.w = WindowSize(c.deltaPercent, m)
-	if cap(c.upper) < m {
-		c.upper = make([]float64, m)
-		c.lower = make([]float64, m)
-		c.maxDq = make([]int, m)
-		c.minDq = make([]int, m)
+// FillBound implements measure.LowerBounded. A context filled by any DTW
+// band is retargeted to this band and refilled in place, allocation-free
+// when its buffers already hold len(x); nil or another measure's context
+// gets fresh buffers.
+func (d DTW) FillBound(c measure.BoundContext, x []float64) measure.BoundContext {
+	dc, ok := c.(*dtwContext)
+	if !ok {
+		dc = &dtwContext{}
 	}
-	c.upper = c.upper[:m]
-	c.lower = c.lower[:m]
-	c.maxDq = c.maxDq[:m]
-	c.minDq = c.minDq[:m]
-}
-
-// Fill implements measure.BoundContext: allocation-free when len(x)
-// matches the current buffer length.
-func (c *dtwContext) Fill(x []float64) {
-	if len(x) != len(c.upper) {
-		c.grow(len(x))
+	m := len(x)
+	if cap(dc.upper) < m {
+		dc.upper = make([]float64, m)
+		dc.lower = make([]float64, m)
+		dc.maxDq = make([]int, m)
+		dc.minDq = make([]int, m)
 	}
-	fillEnvelope(c.upper, c.lower, x, c.w, c.maxDq, c.minDq)
+	dc.upper = dc.upper[:m]
+	dc.lower = dc.lower[:m]
+	dc.maxDq = dc.maxDq[:m]
+	dc.minDq = dc.minDq[:m]
+	fillEnvelope(dc.upper, dc.lower, x, WindowSize(d.DeltaPercent, m), dc.maxDq, dc.minDq)
+	return dc
 }
 
 // fillEnvelope computes the running min/max envelope of y over windows
@@ -102,9 +94,9 @@ func envelope(y []float64, w int) (upper, lower []float64) {
 //  3. the reversed LB_Keogh of y against x's envelope.
 //
 // The bounds are combined by max (their index sets overlap, so they cannot
-// be summed). cx and cy must be contexts produced by NewBoundContext and
-// filled with x and y respectively. Like Distance, it panics when x and y
-// differ in length.
+// be summed). cx and cy must be contexts FillBound filled for x and y
+// under this band. Like Distance, it panics when x and y differ in
+// length.
 func (d DTW) LowerBound(x, y []float64, cx, cy measure.BoundContext, cutoff float64) float64 {
 	measure.CheckSameLength(x, y)
 	m := len(x)

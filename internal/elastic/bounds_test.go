@@ -182,10 +182,7 @@ func TestLowerBoundNeverExceedsDistance(t *testing.T) {
 		x := randomSeries(int64(trial*2+500), m)
 		y := randomSeries(int64(trial*2+501), m)
 		d := DTW{DeltaPercent: []int{0, 3, 10, 100}[trial%4]}
-		cx := d.NewBoundContext(m)
-		cy := d.NewBoundContext(m)
-		cx.Fill(x)
-		cy.Fill(y)
+		cx, cy := d.FillBound(nil, x), d.FillBound(nil, y)
 		exact := d.Distance(x, y)
 		for _, cutoff := range []float64{math.Inf(1), exact, exact / 2, exact * 2} {
 			lb := d.LowerBound(x, y, cx, cy, cutoff)
@@ -199,33 +196,88 @@ func TestLowerBoundNeverExceedsDistance(t *testing.T) {
 func TestLowerBoundIdenticalSeriesIsZero(t *testing.T) {
 	x := randomSeries(3, 64)
 	d := DTW{DeltaPercent: 10}
-	cx := d.NewBoundContext(len(x))
-	cx.Fill(x)
+	cx := d.FillBound(nil, x)
 	if lb := d.LowerBound(x, x, cx, cx, math.Inf(1)); lb != 0 {
 		t.Fatalf("LowerBound(x, x) = %g, want 0", lb)
 	}
 }
 
+// TestBoundContextRefillAcrossLengths fills a context under each band,
+// then refills it under every band for a series of the same, a longer and
+// a shorter length: FillBound must reuse the context, which must then hold
+// a fresh context's envelope and give its LowerBound, bit for bit.
 func TestBoundContextRefillAcrossLengths(t *testing.T) {
+	bands := []int{0, 3, 10, 100}
+	const filled = 64
+	for _, from := range bands {
+		for _, to := range bands {
+			for _, m := range []int{filled, 2 * filled, filled / 2} {
+				d := DTW{DeltaPercent: to}
+				x, y := randomSeries(int64(m+to), m), randomSeries(int64(m+to+1), m)
+				c := DTW{DeltaPercent: from}.FillBound(nil, randomSeries(int64(from), filled))
+				got, want := d.FillBound(c, x), d.FillBound(nil, x)
+				if got != c {
+					t.Fatalf("band %d -> %d, length %d: FillBound did not reuse the context", from, to, m)
+				}
+				g, w := got.(*dtwContext), want.(*dtwContext)
+				if !sameBits(g.upper, w.upper) || !sameBits(g.lower, w.lower) {
+					t.Fatalf("band %d -> %d, length %d: refilled envelope differs from a fresh one", from, to, m)
+				}
+				cy := d.FillBound(nil, y)
+				a, b := d.LowerBound(x, y, got, cy, math.Inf(1)), d.LowerBound(x, y, want, cy, math.Inf(1))
+				if math.Float64bits(a) != math.Float64bits(b) {
+					t.Fatalf("band %d -> %d, length %d: LowerBound %v on the refilled context, %v on a fresh one",
+						from, to, m, a, b)
+				}
+			}
+		}
+	}
+}
+
+// TestFillBoundIgnoresForeignContext checks that a context FillBound did
+// not make gets fresh buffers, filled as from nil.
+func TestFillBoundIgnoresForeignContext(t *testing.T) {
 	d := DTW{DeltaPercent: 10}
-	c := d.NewBoundContext(32)
-	short := randomSeries(5, 32)
-	long := randomSeries(6, 128)
-	c.Fill(long) // must grow
-	wantU, wantL := envelope(long, WindowSize(10, 128))
-	ctx := c.(*dtwContext)
-	for i := range long {
-		if ctx.upper[i] != wantU[i] || ctx.lower[i] != wantL[i] {
-			t.Fatalf("grown context envelope mismatch at %d", i)
+	x := randomSeries(8, 48)
+	wantU, wantL := envelope(x, WindowSize(10, len(x)))
+	for _, c := range []measure.BoundContext{nil, 42, make([]float64, 48), &struct{ upper []float64 }{}} {
+		dc, ok := d.FillBound(c, x).(*dtwContext)
+		if !ok {
+			t.Fatalf("FillBound(%T) did not return a DTW context", c)
+		}
+		if !sameBits(dc.upper, wantU) || !sameBits(dc.lower, wantL) {
+			t.Fatalf("FillBound(%T) envelope differs from a fresh one", c)
 		}
 	}
-	c.Fill(short) // must shrink back
-	wantU, wantL = envelope(short, WindowSize(10, 32))
-	for i := range short {
-		if ctx.upper[i] != wantU[i] || ctx.lower[i] != wantL[i] {
-			t.Fatalf("shrunk context envelope mismatch at %d", i)
+}
+
+// TestFillBoundAllocFree pins the in-place refill: a context refilled for
+// a series no longer than its buffers, under any band, allocates nothing.
+func TestFillBoundAllocFree(t *testing.T) {
+	x, y := randomSeries(9, 96), randomSeries(10, 96)
+	c := DTW{DeltaPercent: 3}.FillBound(nil, y)
+	for _, tc := range []struct {
+		name string
+		x    []float64
+	}{{"same length", x}, {"shorter", x[:40]}} {
+		d := DTW{DeltaPercent: 10}
+		if n := testing.AllocsPerRun(50, func() { c = d.FillBound(c, tc.x) }); n != 0 {
+			t.Errorf("%s: FillBound allocates %v per refill, want 0", tc.name, n)
 		}
 	}
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestElasticMeasuresDeclareSymmetry(t *testing.T) {

@@ -3,8 +3,7 @@ package elastic
 import "repro/internal/measure"
 
 // This file declares the band/threshold nesting of the elastic grids
-// (measure.NestedBounds) and DTW's envelope-buffer sharing
-// (measure.BoundSharing), both consumed by the grid tuning engine in
+// (measure.NestedBounds), consumed by the grid tuning engine in
 // internal/search.
 //
 // Nesting proofs (sketched; DESIGN.md has the full argument):
@@ -47,23 +46,4 @@ func (l LCSS) DominatedBy(other measure.Measure) bool {
 func (e EDR) DominatedBy(other measure.Measure) bool {
 	o, ok := other.(EDR)
 	return ok && o.Epsilon <= e.Epsilon
-}
-
-// SharesBounds implements measure.BoundSharing: every DTW band uses the
-// same context shape (a Lemire envelope plus deque scratch), so contexts
-// can be rebound across the band grid.
-func (d DTW) SharesBounds(other measure.Measure) bool {
-	_, ok := other.(DTW)
-	return ok
-}
-
-// RebindBoundContext implements measure.BoundSharing: it retargets a
-// context built by another DTW band to this band and refills the envelope,
-// reusing the existing buffers (allocation-free when lengths match).
-func (d DTW) RebindBoundContext(c measure.BoundContext, x []float64) measure.BoundContext {
-	dc := c.(*dtwContext)
-	dc.deltaPercent = d.DeltaPercent
-	dc.grow(len(x))
-	dc.Fill(x)
-	return dc
 }

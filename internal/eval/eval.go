@@ -20,6 +20,7 @@ package eval
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"repro/internal/corpus"
@@ -61,10 +62,11 @@ func MatrixCtx(ctx context.Context, m measure.Measure, queries, refs [][]float64
 	workers := par.Workers(n)
 
 	// Batched panel fast path: a PanelEvaluator fills each matrix row in one
-	// call over the whole reference panel, bitwise-identical to the per-pair
-	// loop by the contract; only the NaN sanitization stays on this side. If
-	// any row declines (ragged lengths), the whole matrix falls through to
-	// the generic paths below and every row is recomputed per-pair.
+	// call over the whole reference panel at a +Inf cutoff, bitwise-identical
+	// to the per-pair loop by the contract; only the NaN sanitization stays
+	// on this side. If any row declines (ragged lengths), the whole matrix
+	// falls through to the generic paths below and every row is recomputed
+	// per-pair.
 	if pe, ok := m.(measure.PanelEvaluator); ok {
 		var declined atomic.Bool
 		if err := par.ForCtx(ctx, n, workers, func(i int) {
@@ -72,7 +74,7 @@ func MatrixCtx(ctx context.Context, m measure.Measure, queries, refs [][]float64
 				return
 			}
 			row := e[i]
-			if !pe.PanelDistances(queries[i], refs, row) {
+			if !pe.PanelDistancesUpTo(queries[i], refs, math.Inf(1), row) {
 				declined.Store(true)
 				return
 			}
@@ -258,16 +260,16 @@ type Grid struct {
 // accuracy on the training split, together with that accuracy and the
 // engine's sweep statistics (preparations, warm-start pruning, wave
 // structure). The whole grid is scored in one pass of the tuning engine
-// (search.LeaveOneOutGridCtx), which reuses one envelope arena across DTW
-// bands, bounds every candidate a bottom candidate covers by that
-// candidate's exact pair matrix, and warm-starts nested candidates from
-// each other's results; the selection — including the grid-order
-// tie-break — is identical to running each candidate independently. snap
-// is optional: when it covers train it feeds the engine's per-series
-// state, and GridStats.PrepSnapshot reports how many states it served. On
-// a non-nil error the selection is meaningless (the sweep stopped
-// mid-grid) and only the error should be consulted. It panics on an empty
-// grid.
+// (search.LeaveOneOutGridCtx), which refills finished DTW bands'
+// envelopes for later bands, bounds every candidate a bottom candidate
+// covers by that candidate's exact pair matrix, and warm-starts nested
+// candidates from each other's results; the selection — including the
+// grid-order tie-break — is identical to running each candidate
+// independently. snap is optional: when it covers train it feeds the
+// engine's per-series state, and GridStats.PrepSnapshot reports how many
+// states it served. On a non-nil error the selection is meaningless (the
+// sweep stopped mid-grid) and only the error should be consulted. It
+// panics on an empty grid.
 func TuneSupervisedCtx(ctx context.Context, g Grid, train [][]float64, labels []int, snap *corpus.Snapshot) (measure.Measure, float64, search.GridStats, error) {
 	if len(g.Candidates) == 0 {
 		panic(fmt.Sprintf("eval: empty grid %q", g.Name))

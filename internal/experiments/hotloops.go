@@ -133,7 +133,7 @@ func HotloopsAblationCtx(ctx context.Context, opts Options, rep run.Reporter) ([
 		start = time.Now()
 		ok := true
 		for rep := 0; rep < hotloopReps; rep++ {
-			ok = ok && k.pe.PanelDistances(q, panel, batched)
+			ok = ok && k.pe.PanelDistancesUpTo(q, panel, math.Inf(1), batched)
 		}
 		fastDur := time.Since(start)
 		agree := ok

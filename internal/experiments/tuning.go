@@ -39,7 +39,7 @@ func (r TuningRow) Speedup() float64 {
 // TuningAblationCtx quantifies what the grid engine buys over tuning each
 // candidate independently, on four grid families chosen to isolate the
 // engine's optimizations: MSM (no declared grid structure — the engine's
-// overhead floor), DTW (warm-start chain, envelope arena, and the
+// overhead floor), DTW (warm-start chain, envelope reuse, and the
 // pair-matrix bound), LCSS (pair-matrix pruning for a measure with no
 // lower bounds of its own), and SINK (a stateful sweep with no declared
 // grid structure: prepared scans in one pooled dispatch). It honors

@@ -24,11 +24,6 @@ import (
 	"sync/atomic"
 )
 
-// IsPowerOfTwo reports whether n is a positive power of two.
-func IsPowerOfTwo(n int) bool {
-	return n > 0 && n&(n-1) == 0
-}
-
 // NextPowerOfTwo returns the smallest power of two >= n. It panics if n is
 // not positive or the result would overflow an int.
 func NextPowerOfTwo(n int) int {

@@ -38,15 +38,6 @@ func randComplex(rng *rand.Rand, n int) []complex128 {
 	return x
 }
 
-func TestIsPowerOfTwo(t *testing.T) {
-	cases := map[int]bool{1: true, 2: true, 3: false, 4: true, 6: false, 1024: true, 0: false, -4: false}
-	for n, want := range cases {
-		if got := IsPowerOfTwo(n); got != want {
-			t.Errorf("IsPowerOfTwo(%d) = %v, want %v", n, got, want)
-		}
-	}
-}
-
 func TestNextPowerOfTwo(t *testing.T) {
 	cases := map[int]int{1: 1, 2: 2, 3: 4, 5: 8, 17: 32, 1024: 1024, 1025: 2048}
 	for n, want := range cases {

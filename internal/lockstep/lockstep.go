@@ -42,9 +42,6 @@ func Euclidean() Panel {
 		distUpTo: func(x, y []float64, cutoff float64) float64 {
 			return sumSqUpTo(x, y, cutoff, math.Sqrt)
 		},
-		panelAll: func(q []float64, panel [][]float64, out []float64) {
-			panelSumSqUpTo(q, panel, math.Inf(1), out, math.Sqrt)
-		},
 		panelUpTo: func(q []float64, panel [][]float64, cutoff float64, out []float64) {
 			panelSumSqUpTo(q, panel, cutoff, out, math.Sqrt)
 		},
@@ -62,10 +59,7 @@ func Manhattan() Panel {
 			}
 			return s
 		},
-		distUpTo: sumAbsUpTo,
-		panelAll: func(q []float64, panel [][]float64, out []float64) {
-			panelSumAbsUpTo(q, panel, math.Inf(1), out)
-		},
+		distUpTo:  sumAbsUpTo,
 		panelUpTo: panelSumAbsUpTo,
 	}
 }
@@ -95,10 +89,7 @@ func Chebyshev() Panel {
 			}
 			return m
 		},
-		distUpTo: maxAbsUpTo,
-		panelAll: func(q []float64, panel [][]float64, out []float64) {
-			panelMaxAbsUpTo(q, panel, math.Inf(1), out)
-		},
+		distUpTo:  maxAbsUpTo,
 		panelUpTo: panelMaxAbsUpTo,
 	}
 }
@@ -176,10 +167,7 @@ func Lorentzian() Panel {
 		dist: func(x, y []float64) float64 {
 			return sumLog1pAbsUpTo(x, y, math.Inf(1))
 		},
-		distUpTo: sumLog1pAbsUpTo,
-		panelAll: func(q []float64, panel [][]float64, out []float64) {
-			panelSumLog1pAbsUpTo(q, panel, math.Inf(1), out)
-		},
+		distUpTo:  sumLog1pAbsUpTo,
 		panelUpTo: panelSumLog1pAbsUpTo,
 	}
 }
@@ -310,10 +298,7 @@ func Cosine() Panel {
 		distUpTo: func(x, y []float64, _ float64) float64 {
 			return cosineDist(x, y)
 		},
-		panelAll: panelCosine,
-		panelUpTo: func(q []float64, panel [][]float64, _ float64, out []float64) {
-			panelCosine(q, panel, out)
-		},
+		panelUpTo: panelCosine,
 	}
 }
 
@@ -443,9 +428,6 @@ func SquaredEuclidean() Panel {
 		},
 		distUpTo: func(x, y []float64, cutoff float64) float64 {
 			return sumSqUpTo(x, y, cutoff, ident)
-		},
-		panelAll: func(q []float64, panel [][]float64, out []float64) {
-			panelSumSqUpTo(q, panel, math.Inf(1), out, ident)
 		},
 		panelUpTo: func(q []float64, panel [][]float64, cutoff float64, out []float64) {
 			panelSumSqUpTo(q, panel, cutoff, out, ident)

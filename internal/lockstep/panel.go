@@ -59,7 +59,6 @@ type Panel struct {
 	name      string
 	dist      func(x, y []float64) float64
 	distUpTo  func(x, y []float64, cutoff float64) float64
-	panelAll  func(q []float64, panel [][]float64, out []float64)
 	panelUpTo func(q []float64, panel [][]float64, cutoff float64, out []float64)
 }
 
@@ -90,15 +89,6 @@ func panelAccepts(q []float64, panel [][]float64) bool {
 	return true
 }
 
-// PanelDistances implements measure.PanelEvaluator.
-func (p Panel) PanelDistances(q []float64, panel [][]float64, out []float64) bool {
-	if !panelAccepts(q, panel) {
-		return false
-	}
-	p.panelAll(q, panel, out)
-	return true
-}
-
 // PanelDistancesUpTo implements measure.PanelEvaluator.
 func (p Panel) PanelDistancesUpTo(q []float64, panel [][]float64, cutoff float64, out []float64) bool {
 	if !panelAccepts(q, panel) {
@@ -118,8 +108,8 @@ func ident(v float64) float64 { return v }
 // against with >=. A +Inf cutoff abandons nothing, so it becomes NaN, which
 // no comparison reaches: otherwise a partial value that overflows to +Inf
 // would abandon at +Inf >= +Inf before a later NaN is read, and
-// DistanceUpTo(+Inf) and PanelDistances would return +Inf where Distance
-// returns NaN.
+// DistanceUpTo(+Inf) and PanelDistancesUpTo(+Inf) would return +Inf where
+// Distance returns NaN.
 func abandonAt(cutoff float64) float64 {
 	if cutoff > math.MaxFloat64 {
 		return math.NaN()
@@ -256,9 +246,8 @@ func cosineDist(x, y []float64) float64 {
 //
 
 // panelSumSqUpTo is the fused 4-lane sum-of-squares kernel (Euclidean and
-// SquaredEuclidean). PanelDistances reuses it with cutoff = +Inf: the
-// checks never fire (see abandonAt) and the accumulation is bitwise the
-// same.
+// SquaredEuclidean). At cutoff = +Inf the checks never fire (see
+// abandonAt) and the accumulation is bitwise the scalar Distance's.
 func panelSumSqUpTo(q []float64, panel [][]float64, cutoff float64, out []float64, finish func(float64) float64) {
 	cutoff = abandonAt(cutoff)
 	m := len(q)
@@ -448,7 +437,7 @@ func panelMaxAbsUpTo(q []float64, panel [][]float64, cutoff float64, out []float
 // accumulators are not monotone in the number of terms, so there is no
 // UpTo variant: the cutoff is ignored and exact values are returned, which
 // trivially satisfies the PanelDistancesUpTo contract.
-func panelCosine(q []float64, panel [][]float64, out []float64) {
+func panelCosine(q []float64, panel [][]float64, _ float64, out []float64) {
 	m := len(q)
 	var xx float64
 	for _, v := range q {

@@ -37,8 +37,8 @@ func randPanel(rng *rand.Rand, count, m int) ([]float64, [][]float64) {
 	return q, panel
 }
 
-// TestPanelBitwiseScalar: PanelDistances must match per-pair Distance
-// bitwise across panel sizes that exercise the 4-lane groups and the tail,
+// TestPanelBitwiseScalar: PanelDistancesUpTo at a +Inf cutoff must match
+// per-pair Distance bitwise across panel sizes that exercise the 4-lane groups and the tail,
 // and lengths that exercise the stride loop and its remainder.
 func TestPanelBitwiseScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
@@ -47,7 +47,7 @@ func TestPanelBitwiseScalar(t *testing.T) {
 			q, panel := randPanel(rng, count, m)
 			for _, p := range panels() {
 				out := make([]float64, count)
-				if !p.PanelDistances(q, panel, out) {
+				if !p.PanelDistancesUpTo(q, panel, math.Inf(1), out) {
 					t.Fatalf("%s m=%d count=%d: declined uniform panel", p.Name(), m, count)
 				}
 				for k := range panel {
@@ -96,7 +96,7 @@ func TestPanelBitwiseNonFinite(t *testing.T) {
 	for _, tc := range cases {
 		for _, p := range panels() {
 			out := make([]float64, len(tc.panel))
-			if !p.PanelDistances(tc.q, tc.panel, out) {
+			if !p.PanelDistancesUpTo(tc.q, tc.panel, math.Inf(1), out) {
 				t.Fatalf("%s %s: declined", tc.name, p.Name())
 			}
 			for k, c := range tc.panel {
@@ -153,19 +153,18 @@ func TestPanelUpToContract(t *testing.T) {
 	}
 }
 
-// TestPanelDeclinesRagged: a candidate of a different length makes both
-// panel calls decline without touching out.
+// TestPanelDeclinesRagged: a candidate of a different length makes the
+// panel call decline at any cutoff.
 func TestPanelDeclinesRagged(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	q, panel := randPanel(rng, 5, 40)
 	panel[3] = panel[3][:39]
 	for _, p := range panels() {
 		out := make([]float64, len(panel))
-		if p.PanelDistances(q, panel, out) {
-			t.Fatalf("%s: accepted ragged panel", p.Name())
-		}
-		if p.PanelDistancesUpTo(q, panel, 1.0, out) {
-			t.Fatalf("%s: UpTo accepted ragged panel", p.Name())
+		for _, cutoff := range []float64{math.Inf(1), 1} {
+			if p.PanelDistancesUpTo(q, panel, cutoff, out) {
+				t.Fatalf("%s: accepted a ragged panel at cutoff %v", p.Name(), cutoff)
+			}
 		}
 	}
 }
@@ -305,9 +304,9 @@ func upToHolds(v, d, cutoff float64) bool {
 
 // FuzzPanelKernels decodes its input into one query and five candidates of
 // one length (little-endian float64s, at most 1024 points each) and checks
-// the six panel measures: Distance, DistanceUpTo at +Inf and
-// PanelDistances agree bitwise, PanelDistancesUpTo keeps the
-// EarlyAbandoning contract at the smallest candidate distance, and
+// the six panel measures: Distance, DistanceUpTo and PanelDistancesUpTo
+// at +Inf agree bitwise, PanelDistancesUpTo keeps the EarlyAbandoning
+// contract at the smallest candidate distance, and
 // Lorentzian stays within 1e-12 relative of the Log1p loop.
 func FuzzPanelKernels(f *testing.F) {
 	const series, maxLen = 6, 1024
@@ -351,14 +350,14 @@ func FuzzPanelKernels(f *testing.F) {
 		exact := make([]float64, len(cands))
 		out := make([]float64, len(cands))
 		for _, p := range panels() {
-			if !p.PanelDistances(q, cands, out) {
+			if !p.PanelDistancesUpTo(q, cands, math.Inf(1), out) {
 				t.Fatalf("%s: declined a uniform panel", p.Name())
 			}
 			cutoff := math.Inf(1)
 			for k, c := range cands {
 				d := p.Distance(q, c)
 				if u := p.DistanceUpTo(q, c, math.Inf(1)); !sameBits(u, d) || !sameBits(out[k], d) {
-					t.Fatalf("%s k=%d: Distance %v, DistanceUpTo(+Inf) %v, PanelDistances %v", p.Name(), k, d, u, out[k])
+					t.Fatalf("%s k=%d: Distance %v, DistanceUpTo(+Inf) %v, PanelDistancesUpTo(+Inf) %v", p.Name(), k, d, u, out[k])
 				}
 				if p.Name() == "lorentzian" {
 					if want := log1pLoop(q, c); !closeRel(d, want, 1e-12) {
@@ -406,7 +405,7 @@ func BenchmarkHotloopsPanelBatched(b *testing.B) {
 			out := make([]float64, len(panel))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if !p.PanelDistances(q, panel, out) {
+				if !p.PanelDistancesUpTo(q, panel, math.Inf(1), out) {
 					b.Fatal("declined")
 				}
 			}

@@ -8,11 +8,12 @@
 // cross-correlations) are exposed in negated or 1-s form so that a single
 // nearest-neighbor implementation serves all five categories of the paper.
 //
-// Beside Measure the package declares seven optional interfaces the
+// Beside Measure the package declares six optional interfaces the
 // evaluation, search and snapshot engines check for: Stateful, Symmetric,
-// EarlyAbandoning, LowerBounded (over BoundContext), PanelEvaluator,
-// NestedBounds and BoundSharing. PrepareCtx builds the per-series state of
-// LowerBounded and Stateful measures for a set of series, as a Prepared.
+// EarlyAbandoning, LowerBounded (over an opaque BoundContext),
+// PanelEvaluator and NestedBounds. PrepareCtx builds the per-series state
+// of LowerBounded and Stateful measures for a set of series, as a
+// Prepared.
 package measure
 
 import (
@@ -83,24 +84,25 @@ type EarlyAbandoning interface {
 }
 
 // BoundContext is reusable per-series state backing a measure's lower
-// bounds (envelopes, cached extrema, scratch deques). Contexts are not
-// safe for concurrent use; the search engine keeps one per worker for
-// queries and one per reference series, filled once.
-type BoundContext interface {
-	// Fill recomputes the context for x. Implementations must be
-	// allocation-free when len(x) matches the length the context currently
-	// holds buffers for, and may grow the buffers otherwise.
-	Fill(x []float64)
-}
+// bounds (envelopes, cached extrema, scratch deques). It is opaque: only
+// the measure that filled it reads it. Contexts are not safe for
+// concurrent use; the search engine keeps one per worker for queries and
+// one per reference series, filled once.
+type BoundContext = any
 
 // LowerBounded is an optional fast path for pruned nearest-neighbor
 // search: measures that admit cheap lower bounds (LB_Kim, LB_Keogh, ...)
 // expose them through a cascade evaluated against a best-so-far cutoff.
 type LowerBounded interface {
 	Measure
-	// NewBoundContext allocates a context for series of length m.
-	NewBoundContext(m int) BoundContext
-	// LowerBound returns a value <= Distance(x, y), given filled contexts
+	// FillBound returns a context filled for x. A context of the measure's
+	// own kind, filled under any of its parameters and for any length, is
+	// retargeted to this measure and refilled in place, allocation-free
+	// when its buffers already hold len(x); a nil or foreign c gets fresh
+	// buffers. The grid engine relies on the in-place case to sweep a
+	// parameter grid on one set of buffers.
+	FillBound(c BoundContext, x []float64) BoundContext
+	// LowerBound returns a value <= Distance(x, y), given contexts filled
 	// for both series. Implementations run their bound cascade from
 	// cheapest to tightest and may stop early once the bound reaches
 	// cutoff; every returned value must still be a valid lower bound.
@@ -111,24 +113,22 @@ type LowerBounded interface {
 // the search and evaluation layers hand one query and a whole panel of
 // candidate series to the engine in a single call, letting it fuse
 // per-candidate accumulators, hoist bounds checks, and unroll across
-// candidates. The contract is bitwise: on success out[k] must hold exactly
-// the value the per-pair Distance would produce, before NaN sanitization —
-// the caller sanitizes. A false return
-// means the engine declined (e.g. a candidate's length differs from the
-// query's) and the caller must fall back to the per-pair path; out content
-// is then unspecified and will be overwritten.
+// candidates. The contract is bitwise: at a +Inf cutoff out[k] must hold
+// exactly the value the per-pair Distance would produce, before NaN
+// sanitization — the caller sanitizes. A false return means the engine
+// declined (e.g. a candidate's length differs from the query's) and the
+// caller must fall back to the per-pair path; out content is then
+// unspecified and will be overwritten.
 type PanelEvaluator interface {
 	Measure
-	// PanelDistances fills out[k] = Distance(q, panel[k]) for every k in
-	// [0, len(panel)), returning false to decline. len(out) must be at
-	// least len(panel).
-	PanelDistances(q []float64, panel [][]float64, out []float64) bool
-	// PanelDistancesUpTo is PanelDistances under a shared best-so-far
-	// cutoff, applying the EarlyAbandoning contract per candidate: out[k]
-	// equals Distance(q, panel[k]) exactly whenever that value is < cutoff,
-	// and is otherwise some v with cutoff <= v <= Distance(q, panel[k]), so
-	// the caller can both reject the candidate and reuse v as a certified
-	// lower bound.
+	// PanelDistancesUpTo fills out[k] for every k in [0, len(panel)) under
+	// a shared best-so-far cutoff, returning false to decline. len(out)
+	// must be at least len(panel). It applies the EarlyAbandoning contract
+	// per candidate: out[k] equals Distance(q, panel[k]) exactly whenever
+	// that value is < cutoff, and is otherwise some v with cutoff <= v <=
+	// Distance(q, panel[k]), so the caller can both reject the candidate
+	// and reuse v as a certified lower bound. A +Inf cutoff abandons
+	// nothing: out[k] is Distance(q, panel[k]) bit for bit, NaN included.
 	PanelDistancesUpTo(q []float64, panel [][]float64, cutoff float64, out []float64) bool
 }
 
@@ -148,27 +148,13 @@ type NestedBounds interface {
 	DominatedBy(other Measure) bool
 }
 
-// BoundSharing extends LowerBounded for grid sweeps: bound contexts
-// allocated for one candidate can be rebound — buffers reused, contents
-// refilled — to another candidate of the same family, so a parameter sweep
-// allocates envelopes once instead of once per candidate.
-type BoundSharing interface {
-	LowerBounded
-	// SharesBounds reports whether contexts created by other's
-	// NewBoundContext can be rebound to this measure.
-	SharesBounds(other Measure) bool
-	// RebindBoundContext adapts c (created by a SharesBounds candidate) to
-	// this measure and refills it for x, reusing c's buffers. It returns c.
-	RebindBoundContext(c BoundContext, x []float64) BoundContext
-}
-
 // Prepared is the per-series state of one measure over one set of series:
 // Bounds[i] is series i's filled bound context when the measure is
 // LowerBounded, States[i] its prepared state when it is Stateful. A slice
 // is nil when the measure does not implement the interface. A shared
 // Prepared (a corpus snapshot's) is read-only: engines pass its contexts
 // to LowerBound and its states to PreparedDistance, and only the engine
-// that built a Prepared may rebind its contexts.
+// that built a Prepared may refill its contexts.
 type Prepared struct {
 	Bounds []BoundContext
 	States []any
@@ -185,9 +171,7 @@ func PrepareCtx(ctx context.Context, m Measure, series [][]float64) (Prepared, e
 	if lb, ok := m.(LowerBounded); ok {
 		p.Bounds = make([]BoundContext, n)
 		if err := par.ForCtx(ctx, n, par.Workers(n), func(i int) {
-			c := lb.NewBoundContext(len(series[i]))
-			c.Fill(series[i])
-			p.Bounds[i] = c
+			p.Bounds[i] = lb.FillBound(nil, series[i])
 		}); err != nil {
 			return Prepared{}, err
 		}

@@ -186,17 +186,25 @@ func CheckPair(r *Report, p Pair, in Input) {
 		})
 	}
 
-	// LowerBounded: the cascade must never exceed the true distance.
+	// LowerBounded: the cascade must never exceed the true distance, and
+	// contexts FillBound refills in place after filling them for a longer,
+	// a shorter or the other series must give fresh contexts' bound bitwise.
 	if lb, ok := p.M.(measure.LowerBounded); ok && wellBehaved {
 		r.Checks++
 		call(r, name, in.Name, "LowerBound", func() {
-			cx := lb.NewBoundContext(len(in.X))
-			cy := lb.NewBoundContext(len(in.Y))
-			cx.Fill(in.X)
-			cy.Fill(in.Y)
+			cx, cy := lb.FillBound(nil, in.X), lb.FillBound(nil, in.Y)
 			sd := measure.Sanitize(got)
-			if v := lb.LowerBound(in.X, in.Y, cx, cy, math.Inf(1)); v > sd {
+			v := lb.LowerBound(in.X, in.Y, cx, cy, math.Inf(1))
+			if v > sd {
 				r.add(name, in.Name, "lowerbound", "LowerBound=%v > Distance=%v", v, sd)
+			}
+			longer := append(append([]float64(nil), in.X...), in.Y...)
+			for _, used := range [][2][]float64{{longer, in.X[:len(in.X)/2]}, {in.Y, in.X}} {
+				rx := lb.FillBound(lb.FillBound(nil, used[0]), in.X)
+				ry := lb.FillBound(lb.FillBound(nil, used[1]), in.Y)
+				if w := lb.LowerBound(in.X, in.Y, rx, ry, math.Inf(1)); !sameValue(w, v) {
+					r.add(name, in.Name, "lowerbound", "refilled contexts give %v, fresh ones %v", w, v)
+				}
 			}
 		})
 	}
@@ -313,10 +321,7 @@ func CheckPanicsOnMismatch(r *Report, m measure.Measure) {
 	if lb, ok := m.(measure.LowerBounded); ok {
 		r.Checks++
 		bound := func(a, b []float64) {
-			ca, cb := lb.NewBoundContext(len(a)), lb.NewBoundContext(len(b))
-			ca.Fill(a)
-			cb.Fill(b)
-			lb.LowerBound(a, b, ca, cb, 0)
+			lb.LowerBound(a, b, lb.FillBound(nil, a), lb.FillBound(nil, b), 0)
 		}
 		mustPanic("LowerBound", x, y, bound)
 		mustPanic("LowerBound", y, x, bound)
@@ -324,10 +329,10 @@ func CheckPanicsOnMismatch(r *Report, m measure.Measure) {
 }
 
 // CheckPanel runs the batched panel route differential for one
-// PanelEvaluator: PanelDistances against per-pair Distance bitwise,
-// PanelDistancesUpTo under the per-candidate early-abandoning contract
-// (exact below the cutoff, a certified value in [cutoff, distance] at or
-// above it), and the ragged-length decline rule.
+// PanelEvaluator: PanelDistancesUpTo at a +Inf cutoff against per-pair
+// Distance bitwise, at finite cutoffs under the per-candidate
+// early-abandoning contract (exact below the cutoff, a certified value in
+// [cutoff, distance] at or above it), and the ragged-length decline rule.
 func CheckPanel(r *Report, pe measure.PanelEvaluator, q []float64, panel [][]float64, input string) {
 	name := pe.Name()
 	exact := make([]float64, len(panel))
@@ -340,9 +345,9 @@ func CheckPanel(r *Report, pe measure.PanelEvaluator, q []float64, panel [][]flo
 	}
 
 	r.Checks++
-	call(r, name, input, "PanelDistances", func() {
+	call(r, name, input, "PanelDistancesUpTo(+Inf)", func() {
 		out := make([]float64, len(panel))
-		if !pe.PanelDistances(q, panel, out) {
+		if !pe.PanelDistancesUpTo(q, panel, math.Inf(1), out) {
 			r.add(name, input, "panel", "declined a uniform-length panel")
 			return
 		}
@@ -357,9 +362,9 @@ func CheckPanel(r *Report, pe measure.PanelEvaluator, q []float64, panel [][]flo
 
 	r.Checks++
 	call(r, name, input, "PanelDistancesUpTo", func() {
-		// +Inf must reproduce the exact values; 0 and a finite exact
-		// distance place real cutoffs inside the panel's value range.
-		cutoffs := []float64{math.Inf(1), 0}
+		// 0 and a finite exact distance place real cutoffs inside the
+		// panel's value range.
+		cutoffs := []float64{0}
 		for _, d := range exact {
 			if !math.IsNaN(d) && !math.IsInf(d, 0) {
 				cutoffs = append(cutoffs, d)
@@ -396,15 +401,14 @@ func CheckPanel(r *Report, pe measure.PanelEvaluator, q []float64, panel [][]flo
 	// Ragged panels must be declined, not evaluated or panicked on.
 	if len(panel) >= 2 && len(q) > 0 {
 		r.Checks++
-		call(r, name, input, "PanelDistances(ragged)", func() {
+		call(r, name, input, "PanelDistancesUpTo(ragged)", func() {
 			ragged := append([][]float64(nil), panel...)
 			ragged[len(ragged)-1] = ragged[len(ragged)-1][:len(q)-1]
 			out := make([]float64, len(ragged))
-			if pe.PanelDistances(q, ragged, out) {
-				r.add(name, input, "panel", "accepted a ragged panel")
-			}
-			if pe.PanelDistancesUpTo(q, ragged, 1, out) {
-				r.add(name, input, "panel", "UpTo accepted a ragged panel")
+			for _, cutoff := range []float64{math.Inf(1), 1} {
+				if pe.PanelDistancesUpTo(q, ragged, cutoff, out) {
+					r.add(name, input, "panel", "accepted a ragged panel at cutoff %v", cutoff)
+				}
 			}
 		})
 	}

@@ -3,8 +3,6 @@ package search
 import (
 	"context"
 	"math"
-	"sync"
-
 	"time"
 
 	"repro/internal/corpus"
@@ -17,13 +15,14 @@ import (
 // independent leave-one-out scan per candidate. It is also the only
 // leave-one-out path: LeaveOneOut is the engine over a single candidate.
 // Each candidate gets its own per-series state (Stateful preparations or
-// bound contexts) as a measure.Prepared: a covering snapshot's, else a
-// rebound arena entry (below), else measure.PrepareCtx's. Three
+// bound contexts) as a measure.Prepared: a covering snapshot's, else
+// refilled free bound contexts (below), else measure.PrepareCtx's. Three
 // optimizations stack:
 //
-//  1. Envelope arena. Candidates declaring measure.BoundSharing (DTW
-//     bands) rebind one arena of envelope buffers across the sweep instead
-//     of allocating per candidate.
+//  1. Bound-context reuse. A halved LowerBounded candidate (a DTW band)
+//     refills, through FillBound, the bound contexts an earlier wave's
+//     candidate finished with, so a sweep over a band grid allocates only
+//     the envelopes its widest wave holds at once.
 //
 //  2. Warm-start pruning. Candidates declaring measure.NestedBounds are
 //     linked to a dominating candidate evaluated earlier (e.g. the
@@ -106,8 +105,8 @@ type tuneIndex struct {
 
 	// snap optionally serves per-series state instead of building it
 	// inline; nil unless the snapshot covers train. Snapshot state is
-	// read-only: it is never rebound, refilled, or donated to the bound
-	// arena.
+	// read-only: it is never refilled or put on the free list of bound
+	// contexts.
 	snap *corpus.Snapshot
 }
 
@@ -290,9 +289,9 @@ func (ti *tuneIndex) evaluate(ctx context.Context) (GridResult, error) {
 		st.Waves++ // the pair-matrix phase
 	}
 
-	arena := &boundArena{}
+	var free [][]measure.BoundContext // bound contexts of finished candidates
 	for _, wave := range waves {
-		if err := ti.evaluateWave(ctx, wave, arena, res.PerCandidate, st); err != nil {
+		if err := ti.evaluateWave(ctx, wave, &free, res.PerCandidate, st); err != nil {
 			return res, err
 		}
 	}
@@ -357,43 +356,6 @@ func (ti *tuneIndex) evaluateBottom(ctx context.Context, r *Result, st *GridStat
 	return nil
 }
 
-// boundArena recycles bound-context slices across BoundSharing candidates:
-// one sweep over a DTW band grid allocates envelopes once.
-type boundArena struct {
-	mu      sync.Mutex
-	entries []*arenaEntry
-}
-
-type arenaEntry struct {
-	owner measure.Measure // candidate whose parameters last filled ctxs
-	ctxs  []measure.BoundContext
-	inUse bool
-}
-
-// checkout hands a compatible free entry to m, or reports none.
-func (a *boundArena) checkout(m measure.BoundSharing) *arenaEntry {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for _, e := range a.entries {
-		if !e.inUse && m.SharesBounds(e.owner) {
-			e.inUse = true
-			return e
-		}
-	}
-	return nil
-}
-
-// checkin registers (or releases) an entry after its candidate completed.
-func (a *boundArena) checkin(e *arenaEntry, owner measure.Measure, fresh bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	e.owner = owner
-	e.inUse = false
-	if fresh {
-		a.entries = append(a.entries, e)
-	}
-}
-
 // candEval is one candidate's in-flight state during a wave.
 type candEval struct {
 	k      int // candidate index in the grid
@@ -407,9 +369,10 @@ type candEval struct {
 	// ix holds the candidate's fast paths and per-series state: the
 	// Querier's index on the scan path, the bound contexts
 	// (ix.state.Bounds) of the pair scan on the halved path.
-	ix    *Index
-	entry *arenaEntry // non-nil when ix.state.Bounds came from the arena
-	bs    measure.BoundSharing
+	ix *Index
+	// reuse marks ix.state.Bounds as the engine's own, to go on the free
+	// list once the wave is merged.
+	reuse bool
 }
 
 // looLocal is one worker's private view of one halved candidate: row
@@ -427,7 +390,7 @@ type looLocal struct {
 // cancellation the wave's candidates are left as zero Results (partial
 // worker-local scans are never merged — a half-scanned row would not be
 // exact) and the context error is returned.
-func (ti *tuneIndex) evaluateWave(ctx context.Context, wave []int, arena *boundArena, out []Result, st *GridStats) error {
+func (ti *tuneIndex) evaluateWave(ctx context.Context, wave []int, free *[][]measure.BoundContext, out []Result, st *GridStats) error {
 	n := len(ti.train)
 	evals := make([]*candEval, len(wave))
 	for w, k := range wave {
@@ -438,7 +401,7 @@ func (ti *tuneIndex) evaluateWave(ctx context.Context, wave []int, arena *boundA
 		if ti.pairD != nil && ti.covered[k] {
 			ce.pairD, ce.finite = ti.pairD, ti.finite
 		}
-		if err := ti.prepare(ctx, ce, arena, st); err != nil {
+		if err := ti.prepare(ctx, ce, free, st); err != nil {
 			clearWave(evals[:w], out)
 			return err
 		}
@@ -509,7 +472,7 @@ func (ti *tuneIndex) evaluateWave(ctx context.Context, wave []int, arena *boundA
 	}
 
 	// Finalize: merge halved locals (with cold repair of unresolved primed
-	// rows), gather counters, release arena entries.
+	// rows), gather counters, free the candidates' bound contexts.
 	for w, ce := range evals {
 		r := &out[ce.k]
 		st.Rows += int64(n)
@@ -531,37 +494,33 @@ func (ti *tuneIndex) evaluateWave(ctx context.Context, wave []int, arena *boundA
 				}
 			}
 		}
-		if ce.entry != nil {
-			arena.checkin(ce.entry, ce.m, false)
-		} else if ce.bs != nil {
-			arena.checkin(&arenaEntry{ctxs: ce.ix.state.Bounds}, ce.m, true)
+		if ce.reuse {
+			*free = append(*free, ce.ix.state.Bounds)
 		}
 	}
 	return nil
 }
 
 // prepare gives ce its per-series state: the snapshot's when it holds
-// state for the candidate, else a free arena entry rebound in place when
-// the candidate takes the halved path and declares BoundSharing, else
-// measure.PrepareCtx's. Snapshot state is read-only, so it never enters
-// the arena, where a later candidate would rebind it.
-func (ti *tuneIndex) prepare(ctx context.Context, ce *candEval, arena *boundArena, st *GridStats) error {
+// state for the candidate, else, for a halved LowerBounded candidate, the
+// last free bound contexts refilled through FillBound, else
+// measure.PrepareCtx's. prepare and the wave's merge, which frees a
+// halved candidate's contexts, run on the sweep's goroutine. Snapshot
+// state is read-only, so it never goes on the free list, where a later
+// candidate would refill it.
+func (ti *tuneIndex) prepare(ctx context.Context, ce *candEval, free *[][]measure.BoundContext, st *GridStats) error {
 	n := len(ti.train)
 	state := ti.snap.State(ce.m)
 	if state.Bounds != nil || state.States != nil {
 		st.PrepSnapshot += int64(n)
 	} else {
-		if ce.halved {
-			ce.bs, _ = ce.m.(measure.BoundSharing)
-		}
-		if ce.bs != nil {
-			ce.entry = arena.checkout(ce.bs)
-		}
+		lb, ok := ce.m.(measure.LowerBounded)
+		ce.reuse = ok && ce.halved
 		var err error
-		if ce.entry != nil {
-			state.Bounds = ce.entry.ctxs
+		if k := len(*free) - 1; ce.reuse && k >= 0 {
+			state.Bounds, *free = (*free)[k], (*free)[:k]
 			err = par.ForCtx(ctx, n, par.Workers(n), func(i int) {
-				state.Bounds[i] = ce.bs.RebindBoundContext(state.Bounds[i], ti.train[i])
+				state.Bounds[i] = lb.FillBound(state.Bounds[i], ti.train[i])
 			})
 		} else {
 			state, err = measure.PrepareCtx(ctx, ce.m, ti.train)

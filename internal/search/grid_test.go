@@ -188,11 +188,6 @@ func (c panelCounter) Name() string { return c.pe.Name() }
 
 func (c panelCounter) Distance(x, y []float64) float64 { return c.pe.Distance(x, y) }
 
-func (c panelCounter) PanelDistances(q []float64, panel [][]float64, out []float64) bool {
-	c.calls.Add(1)
-	return c.pe.PanelDistances(q, panel, out)
-}
-
 func (c panelCounter) PanelDistancesUpTo(q []float64, panel [][]float64, cutoff float64, out []float64) bool {
 	c.calls.Add(1)
 	return c.pe.PanelDistancesUpTo(q, panel, cutoff, out)

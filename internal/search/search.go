@@ -87,16 +87,17 @@ type Index struct {
 const panelChunk = 32
 
 // newIndex wires m's fast paths over refs and their state: the lower-bound
-// cascade when the measure is LowerBounded, otherwise a Stateful measure's
-// prepared fast path, otherwise plain Distance calls (batched through the
-// panel kernels and early abandoning when available). state must be m's
-// measure.Prepared over refs.
+// cascade when the measure is LowerBounded, otherwise the panel kernels of
+// a PanelEvaluator, otherwise a Stateful measure's prepared fast path,
+// otherwise plain Distance calls; early abandoning whenever available.
+// state must be m's measure.Prepared over refs.
 func newIndex(m measure.Measure, refs [][]float64, state measure.Prepared) *Index {
 	ix := &Index{m: m, refs: refs, state: state}
 	ix.ea, _ = m.(measure.EarlyAbandoning)
-	ix.pe, _ = m.(measure.PanelEvaluator)
 	if lb, ok := m.(measure.LowerBounded); ok {
 		ix.lb = lb
+	} else if pe, ok := m.(measure.PanelEvaluator); ok {
+		ix.pe = pe
 	} else if sm, ok := m.(measure.Stateful); ok {
 		ix.sm = sm
 	}
@@ -117,10 +118,7 @@ type Querier struct {
 // Querier returns a fresh query handle for the index.
 func (ix *Index) Querier() *Querier {
 	q := &Querier{ix: ix}
-	if ix.lb != nil && len(ix.refs) > 0 {
-		q.qctx = ix.lb.NewBoundContext(len(ix.refs[0]))
-	}
-	if ix.lb == nil && ix.pe != nil {
+	if ix.pe != nil {
 		q.pout = make([]float64, panelChunk)
 	}
 	return q
@@ -129,126 +127,81 @@ func (ix *Index) Querier() *Querier {
 // Query returns the index of the nearest reference to x and its sanitized
 // distance, or (-1, +Inf) when the index is empty. Ties resolve to the
 // lowest reference index, exactly as exhaustive evaluation does. Steady
-// state is allocation-free for LowerBounded measures.
+// state is allocation-free for LowerBounded measures and on the panel
+// path.
 func (q *Querier) Query(x []float64) (best int, dist float64) {
 	return q.search(x, -1)
 }
 
 // search scans the references, skipping index skip (for leave-one-out).
+// A PanelEvaluator's references go through the panel kernels panelChunk
+// at a time, with the best-so-far at chunk entry as the shared cutoff.
+// Results stay exact: a non-exact (abandoned) out value is >= the chunk
+// cutoff >= the current incumbent, so it fails the strict update, while
+// any candidate that could improve the incumbent has true distance < the
+// entry cutoff and therefore an exact out value. A declined (ragged)
+// chunk runs the per-pair loop instead, with the same results.
 func (q *Querier) search(x []float64, skip int) (int, float64) {
 	ix := q.ix
 	best, bestDist := -1, math.Inf(1)
 	if len(ix.refs) == 0 {
 		return best, bestDist
 	}
+	var px any
 	switch {
 	case ix.lb != nil:
-		q.qctx.Fill(x)
-		for j, r := range ix.refs {
-			if j == skip {
-				continue
-			}
-			q.Stats.Pairs++
-			if best >= 0 {
-				if lbv := ix.lb.LowerBound(x, r, q.qctx, ix.state.Bounds[j], bestDist); lbv >= bestDist {
-					q.Stats.LBPruned++
-					continue
-				}
-			}
-			q.Stats.FullDist++
-			var d float64
-			if ix.ea != nil {
-				d = measure.Sanitize(ix.ea.DistanceUpTo(x, r, bestDist))
-			} else {
-				d = measure.Sanitize(ix.m.Distance(x, r))
-			}
-			if best == -1 || d < bestDist {
-				best, bestDist = j, d
-			}
-		}
-	case ix.pe != nil:
-		// Batched panel scan: candidates are evaluated panelChunk at a time
-		// with the best-so-far at chunk entry as the shared cutoff. Results
-		// stay exact: a non-exact (abandoned) out value is >= the chunk
-		// cutoff >= the current incumbent, so it fails the strict update,
-		// while any candidate that could improve the incumbent has true
-		// distance < the entry cutoff and therefore an exact out value.
-		// Ascending order and strict < reproduce lowest-index tie-breaking.
-		for start := 0; start < len(ix.refs); start += panelChunk {
-			end := start + panelChunk
-			if end > len(ix.refs) {
-				end = len(ix.refs)
-			}
-			chunk := ix.refs[start:end]
-			counted := int64(len(chunk))
-			if skip >= start && skip < end {
-				counted--
-			}
-			q.Stats.Pairs += counted
-			q.Stats.FullDist += counted
-			ok := false
-			if best >= 0 {
-				ok = ix.pe.PanelDistancesUpTo(x, chunk, bestDist, q.pout)
-			} else {
-				ok = ix.pe.PanelDistances(x, chunk, q.pout)
-			}
-			if !ok {
-				// Declined (ragged chunk): per-pair fallback, same results.
-				for j := start; j < end; j++ {
-					if j == skip {
-						continue
-					}
-					var d float64
-					if ix.ea != nil && best >= 0 {
-						d = measure.Sanitize(ix.ea.DistanceUpTo(x, ix.refs[j], bestDist))
-					} else {
-						d = measure.Sanitize(ix.m.Distance(x, ix.refs[j]))
-					}
-					if best == -1 || d < bestDist {
-						best, bestDist = j, d
-					}
-				}
-				continue
-			}
-			for j := start; j < end; j++ {
-				if j == skip {
-					continue
-				}
-				d := measure.Sanitize(q.pout[j-start])
-				if best == -1 || d < bestDist {
-					best, bestDist = j, d
-				}
-			}
-		}
+		q.qctx = ix.lb.FillBound(q.qctx, x)
 	case ix.sm != nil:
-		px := ix.sm.Prepare(x)
-		for j := range ix.refs {
-			if j == skip {
-				continue
+		px = ix.sm.Prepare(x)
+	case ix.pe != nil:
+		for lo := 0; lo < len(ix.refs); lo += panelChunk {
+			hi := min(lo+panelChunk, len(ix.refs))
+			out := q.pout[:hi-lo]
+			if !ix.pe.PanelDistancesUpTo(x, ix.refs[lo:hi], bestDist, out) {
+				out = nil
 			}
-			q.Stats.Pairs++
-			q.Stats.FullDist++
-			d := measure.Sanitize(ix.sm.PreparedDistance(px, ix.state.States[j]))
-			if best == -1 || d < bestDist {
-				best, bestDist = j, d
+			best, bestDist = q.scan(x, nil, out, lo, hi, skip, best, bestDist)
+		}
+		return best, bestDist
+	}
+	return q.scan(x, px, nil, 0, len(ix.refs), skip, best, bestDist)
+}
+
+// scan is the 1-NN pair loop over references [lo, hi), skipping skip, from
+// the incumbent (best, bestDist). A pair's distance comes from out[j-lo]
+// when out holds a panel chunk's values, from the prepared states when the
+// measure is Stateful (px is the query's), else from DistanceUpTo or
+// Distance; a LowerBounded measure first tries its cascade against the
+// incumbent. Ascending order and strict < reproduce lowest-index
+// tie-breaking.
+func (q *Querier) scan(x []float64, px any, out []float64, lo, hi, skip, best int, bestDist float64) (int, float64) {
+	ix := q.ix
+	for j := lo; j < hi; j++ {
+		if j == skip {
+			continue
+		}
+		r := ix.refs[j]
+		q.Stats.Pairs++
+		if ix.lb != nil && best >= 0 {
+			if lbv := ix.lb.LowerBound(x, r, q.qctx, ix.state.Bounds[j], bestDist); lbv >= bestDist {
+				q.Stats.LBPruned++
+				continue
 			}
 		}
-	default:
-		for j, r := range ix.refs {
-			if j == skip {
-				continue
-			}
-			q.Stats.Pairs++
-			q.Stats.FullDist++
-			var d float64
-			if ix.ea != nil {
-				d = measure.Sanitize(ix.ea.DistanceUpTo(x, r, bestDist))
-			} else {
-				d = measure.Sanitize(ix.m.Distance(x, r))
-			}
-			if best == -1 || d < bestDist {
-				best, bestDist = j, d
-			}
+		q.Stats.FullDist++
+		var d float64
+		switch {
+		case out != nil:
+			d = out[j-lo]
+		case ix.sm != nil:
+			d = ix.sm.PreparedDistance(px, ix.state.States[j])
+		case ix.ea != nil:
+			d = ix.ea.DistanceUpTo(x, r, bestDist)
+		default:
+			d = ix.m.Distance(x, r)
+		}
+		if d = measure.Sanitize(d); best == -1 || d < bestDist {
+			best, bestDist = j, d
 		}
 	}
 	return best, bestDist

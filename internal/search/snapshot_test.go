@@ -38,7 +38,7 @@ func snapshotFor(series [][]float64, ms ...measure.Measure) *corpus.Snapshot {
 // for every Table-4 grid, the snapshot-backed tuning engine must report
 // bit-identical per-candidate neighbors and distances to both the inline
 // engine and the naive per-candidate loop. Any contamination of the
-// snapshot's shared state (a rebound envelope, a candidate state drifting
+// snapshot's shared state (a refilled envelope, a candidate state drifting
 // from Prepare) fails here.
 func TestGridSnapshotMatchesInline(t *testing.T) {
 	archive := dataset.GenerateArchive(dataset.ArchiveOptions{
