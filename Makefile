@@ -44,7 +44,7 @@ check-race:
 oracle:
 	$(GO) test -race -run Oracle ./internal/oracle
 
-# Extended fuzzing campaign (32 seeds, about 18 s on two cores); part of
+# Extended fuzzing campaign (32 seeds, about 32 s on two cores); part of
 # make check, since some contract breaks show only at a few of its seeds.
 oracle-long:
 	$(GO) test ./internal/oracle -run Oracle -oracle.long

@@ -21,6 +21,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/embedding"
 	"repro/internal/index"
@@ -186,13 +187,17 @@ func (ix *Index) Candidates() int { return ix.cfg.candidates(len(ix.refs)) }
 // Transform maps a query into the index's embedding space.
 func (ix *Index) Transform(q []float64) []float64 { return ix.embedder.Transform(q) }
 
-// Querier runs approximate queries against one Index. It owns mutable
-// per-query scratch (the query-side bound context), so each goroutine
-// needs its own; Queriers are cheap to create.
+// Querier runs approximate queries against one Index. Each query takes
+// its query-side bound context from boundPool and returns it, so a
+// Querier holds no scratch of its own and is cheap to create.
 type Querier struct {
 	ix *Index
-	cq measure.BoundContext
 }
+
+// boundPool recycles query-side bound contexts across queries and
+// Queriers: FillBound refills a context of its own kind in place, so a
+// warm re-rank allocates no envelope.
+var boundPool sync.Pool
 
 // NewQuerier returns a query handle for concurrent use.
 func (ix *Index) NewQuerier() *Querier {
@@ -259,14 +264,16 @@ func (qr *Querier) rerank(q []float64, cands []int, k int, stats *Stats) []index
 	if ix.stateful != nil {
 		pq = ix.stateful.Prepare(q)
 	}
+	var cq measure.BoundContext
 	if ix.lb != nil {
-		qr.cq = ix.lb.FillBound(qr.cq, q)
+		cq = ix.lb.FillBound(boundPool.Get(), q)
+		defer boundPool.Put(cq)
 	}
 	h := make(index.KNNHeap, 0, k)
 	for _, i := range cands {
 		cutoff := h.Cutoff(k)
 		if ix.lb != nil && ix.state.Bounds != nil && cutoff < math.Inf(1) {
-			if lb := ix.lb.LowerBound(q, ix.refs[i], qr.cq, ix.state.Bounds[i], cutoff); lb >= cutoff {
+			if lb := ix.lb.LowerBound(q, ix.refs[i], cq, ix.state.Bounds[i], cutoff); lb >= cutoff {
 				stats.LBPruned++
 				continue
 			}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/dataset"
+	"repro/internal/elastic"
 	"repro/internal/eval"
 	"repro/internal/kernel"
 	"repro/internal/measure"
@@ -41,6 +42,16 @@ func BenchmarkSnapshotQuery(b *testing.B) {
 	b.Run("onenn-sink/warm", func(b *testing.B) {
 		d := benchDataset(128, 8)
 		m := kernel.SINK{Gamma: 5}
+		query := d.Test[:1]
+		snap := build(b, d.Train, corpus.Options{Measures: []measure.Measure{m}})
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			search.OneNNSnapshotCtx(context.Background(), m, query, d.Train, snap)
+		}
+	})
+	b.Run("onenn-dtw/warm", func(b *testing.B) {
+		d := benchDataset(1024, 8)
+		m := elastic.DTW{DeltaPercent: 10}
 		query := d.Test[:1]
 		snap := build(b, d.Train, corpus.Options{Measures: []measure.Measure{m}})
 		b.ResetTimer()

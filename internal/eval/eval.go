@@ -21,7 +21,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"repro/internal/corpus"
 	"repro/internal/dataset"
@@ -64,29 +63,21 @@ func MatrixCtx(ctx context.Context, m measure.Measure, queries, refs [][]float64
 	// Batched panel fast path: a PanelEvaluator fills each matrix row in one
 	// call over the whole reference panel at a +Inf cutoff, bitwise-identical
 	// to the per-pair loop by the contract; only the NaN sanitization stays
-	// on this side. If any row declines (ragged lengths), the whole matrix
-	// falls through to the generic paths below and every row is recomputed
-	// per-pair.
+	// on this side. A panel declines only a reference of another length,
+	// and the row then panics as the per-pair Distance would.
 	if pe, ok := m.(measure.PanelEvaluator); ok {
-		var declined atomic.Bool
-		if err := par.ForCtx(ctx, n, workers, func(i int) {
-			if declined.Load() {
-				return
-			}
+		err := par.ForCtx(ctx, n, workers, func(i int) {
 			row := e[i]
 			if !pe.PanelDistancesUpTo(queries[i], refs, math.Inf(1), row) {
-				declined.Store(true)
-				return
+				for _, r := range refs {
+					measure.CheckSameLength(queries[i], r)
+				}
 			}
 			for j, v := range row {
 				row[j] = measure.Sanitize(v)
 			}
-		}); err != nil {
-			return e, err
-		}
-		if !declined.Load() {
-			return e, nil
-		}
+		})
+		return e, err
 	}
 
 	// Resolve the per-cell kernel once, outside the row loops: the Stateful

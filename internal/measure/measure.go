@@ -115,20 +115,21 @@ type LowerBounded interface {
 // per-candidate accumulators, hoist bounds checks, and unroll across
 // candidates. The contract is bitwise: at a +Inf cutoff out[k] must hold
 // exactly the value the per-pair Distance would produce, before NaN
-// sanitization — the caller sanitizes. A false return means the engine
-// declined (e.g. a candidate's length differs from the query's) and the
-// caller must fall back to the per-pair path; out content is then
-// unspecified and will be overwritten.
+// sanitization — the caller sanitizes. A false return means a candidate's
+// length differs from the query's, the one input the engine declines; out
+// content is then unspecified, and the callers panic as the per-pair
+// Distance does on that input.
 type PanelEvaluator interface {
 	Measure
 	// PanelDistancesUpTo fills out[k] for every k in [0, len(panel)) under
-	// a shared best-so-far cutoff, returning false to decline. len(out)
-	// must be at least len(panel). It applies the EarlyAbandoning contract
-	// per candidate: out[k] equals Distance(q, panel[k]) exactly whenever
-	// that value is < cutoff, and is otherwise some v with cutoff <= v <=
-	// Distance(q, panel[k]), so the caller can both reject the candidate
-	// and reuse v as a certified lower bound. A +Inf cutoff abandons
-	// nothing: out[k] is Distance(q, panel[k]) bit for bit, NaN included.
+	// a shared best-so-far cutoff, returning false on a length mismatch.
+	// len(out) must be at least len(panel). It applies the EarlyAbandoning
+	// contract per candidate: out[k] equals Distance(q, panel[k]) exactly
+	// whenever that value is < cutoff, and is otherwise some v with cutoff
+	// <= v <= Distance(q, panel[k]), so the caller can both reject the
+	// candidate and reuse v as a certified lower bound. A +Inf cutoff
+	// abandons nothing: out[k] is Distance(q, panel[k]) bit for bit, NaN
+	// included.
 	PanelDistancesUpTo(q []float64, panel [][]float64, cutoff float64, out []float64) bool
 }
 

@@ -415,28 +415,45 @@ func CheckPanel(r *Report, pe measure.PanelEvaluator, q []float64, panel [][]flo
 }
 
 // CheckEngines runs the third differential route: the pruned search engine
-// against exhaustive matrix evaluation, for both 1-NN (queries vs refs)
-// and leave-one-out over refs. Neighbors must match exactly — including
-// ties — and so must the reported distances.
+// against exhaustive matrix evaluation, for 1-NN (queries vs refs, as one
+// batch and each query alone, whose blocks take the engine's lone-query
+// dispatch) and leave-one-out over refs. Neighbors must match exactly —
+// including ties — and so must the reported distances.
 func CheckEngines(r *Report, m measure.Measure, queries, refs [][]float64) {
+	checkOneNN(r, m, queries, refs)
+	checkLeaveOneOut(r, m, refs)
+}
+
+// checkOneNN is CheckEngines' 1-NN half.
+func checkOneNN(r *Report, m measure.Measure, queries, refs [][]float64) {
 	name := m.Name()
 	call(r, name, "engine", "OneNN", func() {
 		r.Checks++
-		got, _ := search.OneNNCtx(context.Background(), m, queries, refs)
 		e := eval.Matrix(m, queries, refs)
 		want := eval.Neighbors(e)
-		for i := range want {
-			if got.Indices[i] != want[i] {
-				r.add(name, fmt.Sprintf("onenn/query=%d", i), "engine",
-					"pruned neighbor %d, matrix neighbor %d", got.Indices[i], want[i])
-				continue
-			}
-			if want[i] >= 0 && !sameValue(got.Distances[i], e[i][want[i]]) {
-				r.add(name, fmt.Sprintf("onenn/query=%d", i), "engine",
-					"pruned distance %v, matrix distance %v", got.Distances[i], e[i][want[i]])
+		check := func(route string, i, got int, gotDist float64) {
+			if got != want[i] {
+				r.add(name, fmt.Sprintf("%s/query=%d", route, i), "engine",
+					"pruned neighbor %d, matrix neighbor %d", got, want[i])
+			} else if want[i] >= 0 && !sameValue(gotDist, e[i][want[i]]) {
+				r.add(name, fmt.Sprintf("%s/query=%d", route, i), "engine",
+					"pruned distance %v, matrix distance %v", gotDist, e[i][want[i]])
 			}
 		}
+		got, _ := search.OneNNCtx(context.Background(), m, queries, refs)
+		for i := range want {
+			check("onenn", i, got.Indices[i], got.Distances[i])
+		}
+		for i := range queries {
+			one, _ := search.OneNNCtx(context.Background(), m, queries[i:i+1], refs)
+			check("onenn-lone", i, one.Indices[0], one.Distances[0])
+		}
 	})
+}
+
+// checkLeaveOneOut is CheckEngines' leave-one-out half.
+func checkLeaveOneOut(r *Report, m measure.Measure, refs [][]float64) {
+	name := m.Name()
 	call(r, name, "engine", "LeaveOneOut", func() {
 		r.Checks++
 		got := search.LeaveOneOut(m, refs)
@@ -470,6 +487,21 @@ func poisonSets(queries, refs [][]float64) (pq, pr [][]float64) {
 	pq[0] = plant(pq[0], 7, math.NaN())
 	pq[2] = plant(pq[2], 1, math.Inf(1))
 	return pq, pr
+}
+
+// unpaired is a lower-bounded, early-abandoning measure stripped of its
+// other interfaces: without Symmetric, leave-one-out scans every row in
+// full, through the 1-NN scan with the row excluded.
+type unpaired struct {
+	lowerBounded
+}
+
+// Name implements measure.Measure.
+func (u unpaired) Name() string { return "unpaired(" + u.lowerBounded.Name() + ")" }
+
+type lowerBounded interface {
+	measure.LowerBounded
+	measure.EarlyAbandoning
 }
 
 // Fuzz drives the full harness for one seed: every registry pair against
@@ -530,6 +562,23 @@ func Fuzz(seed int64) *Report {
 		CheckEngines(r, p.M, queries, refs)
 		CheckEngines(r, p.M, pqueries, prefs)
 		CheckEngines(r, p.M, nqueries, nrefs)
+	}
+	// Multi-block route: references spanning three of the engine's scan
+	// blocks, with ties across block boundaries, so block merges and the
+	// lone-query dispatch face exhaustive evaluation for every measure.
+	// Leave-one-out runs for DTW with its symmetry hidden, which takes the
+	// per-row scan, whose seed must skip the excluded row; the halved
+	// scans have no blocks and the small sets above cover them.
+	bqueries, brefs := blockSets(seed)
+	bpqueries, bprefs := blockPoison(bqueries, brefs)
+	for _, p := range pairs {
+		checkOneNN(r, p.M, bqueries, brefs)
+		checkOneNN(r, p.M, bpqueries, bprefs)
+	}
+	for _, band := range []int{10, 100} {
+		m := unpaired{elastic.DTW{DeltaPercent: band}}
+		CheckEngines(r, m, bqueries, brefs)
+		CheckEngines(r, m, bpqueries, bprefs)
 	}
 
 	// Snapshot route: snapshot-backed search/eval must be bitwise identical

@@ -117,6 +117,63 @@ func EngineSets(seed int64, positive bool) (queries, refs [][]float64) {
 	return queries, refs
 }
 
+// engineBlock is the block length of the search engine's 1-NN scan: a
+// lone query's references are scanned in blocks of this many, all
+// starting from one seed incumbent.
+const engineBlock = 64
+
+// blockSets builds the engine differential's multi-block sets: 2 blocks
+// plus 9 references, so that one query's scan spans three blocks. Values
+// are small integers, so distinct series tie in distance and an abandoned
+// distance can land exactly on the incumbent's. Exact duplicates sit on
+// both sides of each block boundary (63 and 64, 127 and 128, and 2, 66
+// and 130 across all three), and the queries copy 64 and 130. The last
+// query is +Inf at one point, as is reference 70 (in the second block,
+// so a seed there has lower-index rivals): every DTW distance of that
+// query is +Inf or NaN, yet reference 70's lower bound is finite.
+// Reference 0 is +Inf at another point, so every DTW distance of its
+// leave-one-out row is +Inf and its own lower bound against itself is 0:
+// a seed at the excluded row would answer with that row.
+func blockSets(seed int64) (queries, refs [][]float64) {
+	rng := rand.New(rand.NewSource(seed ^ 0xb10c))
+	const n, m, inf, inf0 = 2*engineBlock + 9, 16, 5, 9
+	gen := func() []float64 {
+		s := make([]float64, m)
+		for i := range s {
+			s[i] = float64(rng.Intn(7) - 3)
+		}
+		return s
+	}
+	refs = make([][]float64, n)
+	for i := range refs {
+		refs[i] = gen()
+	}
+	for _, dup := range [][2]int{{63, 64}, {127, 128}, {2, 66}, {2, 130}} {
+		refs[dup[1]] = append([]float64(nil), refs[dup[0]]...)
+	}
+	refs[70][inf] = math.Inf(1)
+	refs[0][inf0] = math.Inf(1)
+	queries = [][]float64{gen(), gen(), append([]float64(nil), refs[64]...),
+		append([]float64(nil), refs[130]...), constant(m, 1), gen()}
+	queries[len(queries)-1][inf] = math.Inf(1)
+	return queries, refs
+}
+
+// blockPoison returns copies of blockSets' sets with NaN, +Inf and -Inf
+// planted in a reference of each block and in the first query.
+func blockPoison(queries, refs [][]float64) (pq, pr [][]float64) {
+	pq = append([][]float64(nil), queries...)
+	pr = append([][]float64(nil), refs...)
+	plant := func(s []float64, at int, v float64) []float64 {
+		return poison(append([]float64(nil), s...), at, v)
+	}
+	pr[1] = plant(pr[1], 3, math.NaN())
+	pr[65] = plant(pr[65], 12, math.Inf(1))
+	pr[129] = plant(pr[129], 0, math.Inf(-1))
+	pq[0] = plant(pq[0], 7, math.NaN())
+	return pq, pr
+}
+
 func randn(rng *rand.Rand, n int, scale float64) []float64 {
 	s := make([]float64, n)
 	for i := range s {

@@ -4,8 +4,10 @@ package search_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
+	"repro/internal/corpus"
 	"repro/internal/elastic"
 	"repro/internal/lockstep"
 	"repro/internal/measure"
@@ -35,5 +37,36 @@ func TestQueryAllocFree(t *testing.T) {
 		}); n != 0 {
 			t.Errorf("%s: a warm Query allocates %v per call, want 0", m.Name(), n)
 		}
+	}
+}
+
+// TestLoneQueryBytes pins what a warm lone DTW query over a snapshot
+// allocates at two workers: the snapshot holds the references' envelopes
+// and the query's bound context comes from a pool, so only the result, the
+// index and the block dispatch allocate, well under the 4 KB envelope a
+// fresh query context would cost at length 128.
+func TestLoneQueryBytes(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const calls, limit = 100, 2048
+	refs := randomSet(73, 16*search.ScanBlock, 128)
+	query := randomSet(74, 1, 128)
+	m := elastic.DTW{DeltaPercent: 10}
+	snap := buildSnapshot(refs, corpus.Options{Measures: []measure.Measure{m}})
+	run := func() {
+		if _, err := search.OneNNSnapshotCtx(context.Background(), m, query, refs, snap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	if b := (after.TotalAlloc - before.TotalAlloc) / calls; b > limit {
+		t.Errorf("a warm lone DTW query allocates %d B, want at most %d", b, limit)
+	} else {
+		t.Logf("a warm lone DTW query allocates %d B", b)
 	}
 }

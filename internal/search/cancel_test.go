@@ -144,7 +144,8 @@ func TestLeaveOneOutCtxCancelsPromptly(t *testing.T) {
 // approximate searches share: queries go to par.Workers(queries) workers
 // in chunks of queries/(workers*8) through internal/par, each worker
 // finishes at most the one chunk it holds, and one query runs at most
-// perQuery distances.
+// perQuery distances. A lone 1-NN query dispatches its blocks the same
+// way, each block running at most search.ScanBlock distances.
 func queryCancelBound(queries, perQuery, procs int) int64 {
 	workers := min(procs, queries)
 	chunk := max(queries/(workers*8), 1)
@@ -154,31 +155,42 @@ func queryCancelBound(queries, perQuery, procs int) int64 {
 // TestOneNNSnapshotCtxCancelsPromptly cancels a snapshot-served 1-NN
 // search from inside its fifth distance, at one and four workers: the
 // error is context.Canceled and the work that still runs once the cancel
-// has returned stays within one dispatch chunk per worker, each query
-// scanning every reference.
+// has returned stays within one dispatch chunk per worker. A batch's
+// chunks are queries, each scanning every reference; a lone query's are
+// blocks of search.ScanBlock references, over sixteen blocks here.
 func TestOneNNSnapshotCtxCancelsPromptly(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	train := cancelTrain()
+	lone := randomSet(31, 16*search.ScanBlock, 24)
 	const trigger = 5
-	for _, procs := range []int{1, 4} {
-		runtime.GOMAXPROCS(procs)
-		ctx, cancel := context.WithCancel(context.Background())
-		var calls, atCancel atomic.Int64
-		m := cancellingMeasure{calls: &calls, trigger: trigger, cancel: cancel, atCancel: &atCancel}
-		snap, err := corpus.BuildCtx(context.Background(), train, corpus.Options{Measures: []measure.Measure{m}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = search.OneNNSnapshotCtx(ctx, m, train, train, snap)
-		cancel()
-		if err != context.Canceled {
-			t.Fatalf("procs=%d: err = %v, want context.Canceled", procs, err)
-		}
-		limit := queryCancelBound(len(train), len(train), procs)
-		got := calls.Load()
-		if after := got - atCancel.Load(); got < trigger || after > limit {
-			t.Errorf("procs=%d: cancelled 1-NN search ran %d distance calls, %d after the cancel returned, want at least %d and at most %d after",
-				procs, got, after, trigger, limit)
+	for _, tc := range []struct {
+		name           string
+		queries, refs  [][]float64
+		items, perItem int // dispatch items, and the distances one runs
+	}{
+		{"batch", train, train, len(train), len(train)},
+		{"lone", lone[:1], lone, len(lone) / search.ScanBlock, search.ScanBlock},
+	} {
+		for _, procs := range []int{1, 4} {
+			runtime.GOMAXPROCS(procs)
+			ctx, cancel := context.WithCancel(context.Background())
+			var calls, atCancel atomic.Int64
+			m := cancellingMeasure{calls: &calls, trigger: trigger, cancel: cancel, atCancel: &atCancel}
+			snap, err := corpus.BuildCtx(context.Background(), tc.refs, corpus.Options{Measures: []measure.Measure{m}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = search.OneNNSnapshotCtx(ctx, m, tc.queries, tc.refs, snap)
+			cancel()
+			if err != context.Canceled {
+				t.Fatalf("%s, procs=%d: err = %v, want context.Canceled", tc.name, procs, err)
+			}
+			limit := queryCancelBound(tc.items, tc.perItem, procs)
+			got := calls.Load()
+			if after := got - atCancel.Load(); got < trigger || after > limit {
+				t.Errorf("%s, procs=%d: cancelled 1-NN search ran %d distance calls, %d after the cancel returned, want at least %d and at most %d after",
+					tc.name, procs, got, after, trigger, limit)
+			}
 		}
 	}
 }

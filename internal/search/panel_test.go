@@ -10,7 +10,7 @@ import (
 	"repro/internal/measure"
 )
 
-// Exactness tests for the PanelEvaluator dispatch in Querier.search: the
+// Exactness tests for the PanelEvaluator dispatch in Querier.block: the
 // chunked panel scan with best-so-far cutoffs must reproduce brute-force
 // per-pair evaluation bitwise, including lowest-index tie-breaking.
 

@@ -35,9 +35,13 @@ func NewIndexSnapshotCtx(ctx context.Context, m measure.Measure, refs [][]float6
 
 // OneNNSnapshotCtx finds, in parallel, the nearest reference of every
 // query — the matrix-free replacement for eval.Matrix + argmin — serving
-// per-reference state from the optional snapshot. Neighbors, distances,
-// and tie-breaks are identical to exhaustive evaluation. A cancelled
-// search stops within one dispatch chunk per worker and returns ctx.Err()
+// per-reference state from the optional snapshot. Several queries spread
+// over workers; a lone query spreads its blocks of references over them,
+// each block starting from the seed, so a single request uses every core.
+// Neighbors, distances, tie-breaks and work counts do not depend on the
+// worker count, and the first three are identical to exhaustive
+// evaluation. A cancelled search stops within one dispatch chunk (of
+// queries, or of a lone query's blocks) per worker and returns ctx.Err()
 // alongside the partial Result.
 func OneNNSnapshotCtx(ctx context.Context, m measure.Measure, queries, refs [][]float64, snap *corpus.Snapshot) (Result, error) {
 	ix, err := NewIndexSnapshotCtx(ctx, m, refs, snap)
