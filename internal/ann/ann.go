@@ -27,7 +27,6 @@ import (
 	"repro/internal/index"
 	"repro/internal/lockstep"
 	"repro/internal/measure"
-	"repro/internal/par"
 )
 
 // Neighbor re-exports the index package's k-NN result type: a reference
@@ -124,12 +123,14 @@ type Index struct {
 	state    measure.Prepared
 }
 
-// BuildCtx fits the GRAIL embedder on the corpus, transforms every
-// series in parallel, and indexes the representations; ctx is observed by
-// the fit, the transform fan-out, the tree build and the exact re-rank
-// state's preparation. st is that state when the caller already holds it
-// (a corpus snapshot's measure.Prepared for m); its zero value prepares
-// it here through measure.PrepareCtx. A non-zero st must hold one entry
+// BuildCtx fits the GRAIL embedder on the corpus and embeds every series
+// in one pass (embedding.GRAIL.FitTransformCtx: the landmark Gram comes
+// from the landmark rows of the corpus's kernel matrix, so no landmark
+// pair is computed twice), and indexes the representations; ctx is
+// observed by the fit, its row and projection fan-outs, the tree build
+// and the exact re-rank state's preparation. st is that state when the
+// caller already holds it (a corpus snapshot's measure.Prepared for m);
+// its zero value prepares it here through measure.PrepareCtx. A non-zero st must hold one entry
 // per reference in each non-nil slice. An empty corpus builds an empty
 // index whose searches return no neighbors.
 func BuildCtx(ctx context.Context, refs [][]float64, m measure.Measure, cfg Config, st measure.Prepared) (*Index, error) {
@@ -152,15 +153,11 @@ func BuildCtx(ctx context.Context, refs [][]float64, m measure.Measure, cfg Conf
 		dim = len(refs)
 	}
 	ix.embedder = &embedding.GRAIL{Gamma: cfg.gamma(), Dim: dim, Seed: cfg.Seed}
-	if err := ix.embedder.FitCtx(ctx, refs); err != nil {
+	reps, err := ix.embedder.FitTransformCtx(ctx, refs)
+	if err != nil {
 		return nil, err
 	}
-	ix.reps = make([][]float64, len(refs))
-	if err := par.ForCtx(ctx, len(refs), par.Workers(len(refs)), func(i int) {
-		ix.reps[i] = ix.embedder.Transform(refs[i])
-	}); err != nil {
-		return nil, err
-	}
+	ix.reps = reps
 	tree, err := index.NewVPTreeCtx(ctx, ix.reps, lockstep.Euclidean(), cfg.Seed)
 	if err != nil {
 		return nil, err

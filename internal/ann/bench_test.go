@@ -43,6 +43,26 @@ func benchSetup(b *testing.B) {
 	b.ReportAllocs()
 }
 
+// BenchmarkANNBuildN256 measures one index build in ingest-churn's shape:
+// 256 series of length 128, DTW with a 10% band as the exact measure, and
+// a re-rank budget of 64. Each iteration fits GRAIL, embeds and indexes
+// the corpus, and prepares the DTW bound contexts, the cost a snapshot
+// build pays per new corpus.
+func BenchmarkANNBuildN256(b *testing.B) {
+	d := dataset.Generate(dataset.Config{
+		Name: "ann-build", Family: dataset.FamilyHarmonic,
+		Length: benchLen, NumClasses: 8, TrainSize: 256, TestSize: 8,
+		Seed: 3, NoiseSigma: 0.2, ShiftFrac: 0.05,
+	})
+	m := elastic.DTW{DeltaPercent: 10}
+	cfg := Config{Seed: 2, Candidates: 64}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		build(b, d.Train, m, cfg)
+	}
+}
+
 // BenchmarkANNWarmQueryN2048 measures one warm approximate 1-NN query
 // against the prebuilt index (the snapshot steady state: the build cost
 // is paid once, outside the loop).

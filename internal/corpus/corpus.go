@@ -20,10 +20,10 @@
 // not cover the series at hand) prepares everything inline.
 //
 // Snapshots are identified by a content Fingerprint (series count, total
-// points, FNV-1a hash over lengths and raw float bits) so the Cache in
-// this package can key snapshots and tuned-parameter results by corpus
-// content rather than by pointer identity, surviving reloads of the same
-// data across experiments and, later, across server requests.
+// points, a word-at-a-time hash over lengths and raw float bits) so the
+// Cache in this package can key snapshots and tuned-parameter results by
+// corpus content rather than by pointer identity, surviving reloads of the
+// same data across experiments and, later, across server requests.
 package corpus
 
 import (
@@ -38,15 +38,16 @@ import (
 )
 
 // Fingerprint identifies corpus content: cheap structural fields plus an
-// order-dependent FNV-1a hash over every series' length and raw float64
-// bit patterns. Two corpora with equal fingerprints hold bitwise-equal
-// series in the same order (up to hash collision); same-shape corpora with
-// different values hash differently, so cache keys built from fingerprints
-// do not alias across datasets of identical dimensions.
+// order-dependent hash that folds every series' length and raw float64 bit
+// patterns into its state a 64-bit word at a time (mixWord). Two corpora
+// with equal fingerprints hold bitwise-equal series in the same order (up
+// to hash collision); same-shape corpora with different values hash
+// differently, so cache keys built from fingerprints do not alias across
+// datasets of identical dimensions.
 type Fingerprint struct {
 	Count  int    // number of series
 	Points int    // total number of values across all series
-	Hash   uint64 // FNV-1a over lengths and float bits, in series order
+	Hash   uint64 // mixWord over lengths and float bits, in series order
 }
 
 func (f Fingerprint) String() string {
@@ -54,28 +55,28 @@ func (f Fingerprint) String() string {
 }
 
 const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
+	hashOffset = 14695981039346656037 // FNV-1a's 64-bit offset basis
+	hashMul    = 0x9e3779b97f4a7c15   // odd: 2^64 over the golden ratio
 )
 
-// fnvU64 folds one 64-bit word into an FNV-1a state byte by byte.
-func fnvU64(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= fnvPrime
-		v >>= 8
-	}
-	return h
+// mixWord folds the word v into the hash state h in one step: xor, then a
+// multiply that carries every bit upwards, then an xor-shift that moves the
+// high half down. Each step is a bijection of h, so a change to any one
+// word changes the hash. Without the shift a flip of bit 63 (a float's
+// sign) would leave the multiply as a flip of bit 63 alone, and the next
+// word's flip would cancel it: {x, y} and {-x, -y} would collide.
+func mixWord(h, v uint64) uint64 {
+	h = (h ^ v) * hashMul
+	return h ^ h>>32
 }
 
 // hashSeries hashes one series: its length followed by the raw bit
 // pattern of every value (so -0, NaN payloads, and infinities all
 // distinguish content exactly as bitwise comparison would).
 func hashSeries(x []float64) uint64 {
-	h := uint64(fnvOffset)
-	h = fnvU64(h, uint64(len(x)))
+	h := mixWord(hashOffset, uint64(len(x)))
 	for _, v := range x {
-		h = fnvU64(h, math.Float64bits(v))
+		h = mixWord(h, math.Float64bits(v))
 	}
 	return h
 }
@@ -89,11 +90,10 @@ func FingerprintOf(series [][]float64) Fingerprint {
 	par.For(len(series), par.Workers(len(series)), func(i int) {
 		hashes[i] = hashSeries(series[i])
 	})
-	h := uint64(fnvOffset)
-	h = fnvU64(h, uint64(len(series)))
+	h := mixWord(hashOffset, uint64(len(series)))
 	for i, hi := range hashes {
 		fp.Points += len(series[i])
-		h = fnvU64(h, hi)
+		h = mixWord(h, hi)
 	}
 	fp.Hash = h
 	return fp

@@ -82,6 +82,42 @@ func TestFingerprintDistinguishesBitPatterns(t *testing.T) {
 	}
 }
 
+// TestFingerprintSeesEveryBit flips each bit of each value of a corpus in
+// turn, and negates the whole corpus: every such change must move the
+// fingerprint. A word-at-a-time hash whose multiply only carries bits
+// upwards lets sign flips cancel in pairs, so the negated corpus, and
+// {x, y} against {-x, -y}, would collide.
+func TestFingerprintSeesEveryBit(t *testing.T) {
+	series := testSeries(5, 4, 6)
+	base := corpus.FingerprintOf(series)
+	for i := range series {
+		for j := range series[i] {
+			v := series[i][j]
+			for b := 0; b < 64; b++ {
+				series[i][j] = math.Float64frombits(math.Float64bits(v) ^ 1<<b)
+				if fp := corpus.FingerprintOf(series); fp == base {
+					t.Fatalf("flipping bit %d of series %d value %d keeps fingerprint %v", b, i, j, fp)
+				}
+			}
+			series[i][j] = v
+		}
+	}
+	negated := make([][]float64, len(series))
+	for i, x := range series {
+		negated[i] = make([]float64, len(x))
+		for j, v := range x {
+			negated[i][j] = -v
+		}
+	}
+	if fp := corpus.FingerprintOf(negated); fp == base {
+		t.Fatalf("negated corpus keeps fingerprint %v", fp)
+	}
+	pair := [][]float64{{1.5, -2.25}}
+	if a, b := corpus.FingerprintOf(pair), corpus.FingerprintOf([][]float64{{-1.5, 2.25}}); a == b {
+		t.Fatalf("{x, y} and {-x, -y} share fingerprint %v", a)
+	}
+}
+
 func TestCovers(t *testing.T) {
 	series := testSeries(5, 4, 8)
 	s := build(t, series, corpus.Options{})

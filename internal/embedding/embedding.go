@@ -135,18 +135,24 @@ func kshapeLandmarks(ctx context.Context, train [][]float64, count int, seed int
 	return out, nil
 }
 
-// sampleLandmarks picks count distinct training series deterministically.
+// sampleLandmarks picks count distinct training series deterministically:
+// the series at sampleIndices(len(train), count, seed).
 func sampleLandmarks(train [][]float64, count int, seed int64) [][]float64 {
-	if count > len(train) {
-		count = len(train)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	idx := rng.Perm(len(train))[:count]
-	out := make([][]float64, count)
+	idx := sampleIndices(len(train), count, seed)
+	out := make([][]float64, len(idx))
 	for i, j := range idx {
 		out[i] = train[j]
 	}
 	return out
+}
+
+// sampleIndices returns min(count, n) distinct indices below n, drawn
+// deterministically from seed.
+func sampleIndices(n, count int, seed int64) []int {
+	if count > n {
+		count = n
+	}
+	return rand.New(rand.NewSource(seed)).Perm(n)[:count]
 }
 
 //
@@ -158,7 +164,9 @@ func sampleLandmarks(train [][]float64, count int, seed int64) [][]float64 {
 // from the training set (k-Shape centroids when KShapeLandmarks is set,
 // matching the original GRAIL; uniform sampling otherwise), the landmark
 // Gram matrix is eigendecomposed, and each series is embedded as
-// k(x, landmarks) * U * Lambda^{-1/2}.
+// k(x, landmarks) * U * Lambda^{-1/2}. FitCtx builds the Gram from the
+// landmark pairs; FitTransformCtx, which also embeds every training series,
+// reads it from the landmark rows of the training kernel matrix instead.
 type GRAIL struct {
 	Gamma float64 // SINK kernel parameter (Table 4's grid)
 	Dim   int     // representation length; 0 means DefaultDim
@@ -239,10 +247,95 @@ func (g *GRAIL) FitCtx(ctx context.Context, train [][]float64) error {
 	}); err != nil {
 		return err
 	}
+	g.sink, g.landmarks, g.basis, g.fitted = sink, states, nystromBasis(w), true
+	return nil
+}
+
+// FitTransformCtx fits g on train and returns the representation of every
+// training series, in order: the fitted state and the representations are
+// bitwise those of FitCtx followed by Transform of each series. Sampled
+// landmarks are training series, so their Gram is already in the landmark
+// rows of the training kernel matrix K(train, landmarks): the landmarks are
+// prepared once, every series' kernel row is filled in parallel (a
+// landmark's row reuses its prepared state), and the Gram's upper triangle
+// is read from the landmark rows, which saves the d(d-1)/2 Gram pairs and
+// d preparations of the two calls. With KShapeLandmarks it makes the two
+// calls. ctx is observed as by FitCtx and by the row and projection
+// fan-outs; a failed fit returns ctx.Err() and leaves the embedder
+// unfitted.
+func (g *GRAIL) FitTransformCtx(ctx context.Context, train [][]float64) ([][]float64, error) {
+	if len(train) == 0 {
+		panic("embedding: GRAIL.Fit with empty training set")
+	}
+	n := len(train)
+	reps := make([][]float64, n)
+	if g.KShapeLandmarks {
+		if err := g.FitCtx(ctx, train); err != nil {
+			return nil, err
+		}
+		if err := par.ForCtx(ctx, n, par.Workers(n), func(i int) {
+			reps[i] = g.Transform(train[i])
+		}); err != nil {
+			g.fitted = false
+			return nil, err
+		}
+		return reps, nil
+	}
+	g.fitted = false
+	sink := kernel.SINK{Gamma: g.Gamma}
+	idx := sampleIndices(n, g.dim(), g.Seed)
+	d := len(idx)
+	landmarks := make([][]float64, d)
+	slot := make([]int, n) // landmark number + 1 of each training series, 0 for none
+	for l, i := range idx {
+		landmarks[l] = train[i]
+		slot[i] = l + 1
+	}
+	prep, err := measure.PrepareCtx(ctx, sink, landmarks)
+	if err != nil {
+		return nil, err
+	}
+	states := prep.States
+	rows := make([][]float64, n)
+	if err := par.ForCtx(ctx, n, par.Workers(n), func(i int) {
+		var px any
+		if l := slot[i]; l > 0 {
+			px = states[l-1]
+		} else {
+			px = sink.Prepare(train[i])
+		}
+		rows[i] = kernelRow(sink, px, states)
+	}); err != nil {
+		return nil, err
+	}
+	// FitCtx's Gram: unit diagonal and, above it, the pair kernel with the
+	// lower-numbered landmark first, which is that landmark's row.
+	w := linalg.NewMatrix(d, d)
+	for i := 0; i < d; i++ {
+		w.Set(i, i, 1)
+		row := rows[idx[i]]
+		for j := i + 1; j < d; j++ {
+			w.Set(i, j, row[j])
+			w.Set(j, i, row[j])
+		}
+	}
+	basis := nystromBasis(w)
+	if err := par.ForCtx(ctx, n, par.Workers(n), func(i int) {
+		reps[i] = project(rows[i], basis)
+	}); err != nil {
+		return nil, err
+	}
+	g.sink, g.landmarks, g.basis, g.fitted = sink, states, basis, true
+	return reps, nil
+}
+
+// nystromBasis eigendecomposes the landmark Gram w and returns the basis
+// columns U_j / sqrt(lambda_j) for the positive spectrum. The negated
+// guard keeps NaN eigenvalues (degenerate landmark input) in the dropped
+// null space instead of leaking NaN into every projection.
+func nystromBasis(w *linalg.Matrix) *linalg.Matrix {
+	d := w.Rows
 	vals, vecs := linalg.EigenSym(w)
-	// Basis columns U_j / sqrt(lambda_j) for the positive spectrum. The
-	// negated guard keeps NaN eigenvalues (degenerate landmark input) in
-	// the dropped null space instead of leaking NaN into every projection.
 	basis := linalg.NewMatrix(d, d)
 	for j := 0; j < d; j++ {
 		if !(vals[j] > 1e-10) {
@@ -253,8 +346,33 @@ func (g *GRAIL) FitCtx(ctx context.Context, train [][]float64) error {
 			basis.Set(r, j, vecs.At(r, j)*inv)
 		}
 	}
-	g.sink, g.landmarks, g.basis, g.fitted = sink, states, basis, true
-	return nil
+	return basis
+}
+
+// kernelRow returns the normalized SINK kernel between the prepared series
+// px and each prepared landmark, px first.
+func kernelRow(sink kernel.SINK, px any, landmarks []any) []float64 {
+	e := make([]float64, len(landmarks))
+	for i, pl := range landmarks {
+		e[i] = 1 - sink.PreparedDistance(px, pl)
+	}
+	return e
+}
+
+// project returns the representation e * basis of a series whose kernel
+// row is e (row vector times matrix).
+func project(e []float64, basis *linalg.Matrix) []float64 {
+	z := make([]float64, basis.Cols)
+	for r, ev := range e {
+		if ev == 0 {
+			continue
+		}
+		row := basis.Row(r)
+		for c, bv := range row {
+			z[c] += ev * bv
+		}
+	}
+	return z
 }
 
 // Transform implements Embedder.
@@ -262,23 +380,7 @@ func (g *GRAIL) Transform(x []float64) []float64 {
 	if !g.fitted {
 		panic("embedding: GRAIL.Transform before Fit")
 	}
-	px := g.sink.Prepare(x)
-	e := make([]float64, len(g.landmarks))
-	for i, pl := range g.landmarks {
-		e[i] = 1 - g.sink.PreparedDistance(px, pl)
-	}
-	// z = e * basis (row vector times matrix).
-	z := make([]float64, g.basis.Cols)
-	for r, ev := range e {
-		if ev == 0 {
-			continue
-		}
-		row := g.basis.Row(r)
-		for c, bv := range row {
-			z[c] += ev * bv
-		}
-	}
-	return z
+	return project(kernelRow(g.sink, g.sink.Prepare(x), g.landmarks), g.basis)
 }
 
 //

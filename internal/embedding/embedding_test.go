@@ -447,6 +447,37 @@ func TestGRAILKShapeFitCancelled(t *testing.T) {
 	}
 }
 
+// TestGRAILFitTransformCancelled cancels a fused fit of a fitted GRAIL at
+// each context check an uncancelled fused fit makes (the landmark
+// preparation, the row fill and the projection; with k-Shape landmarks,
+// k-Shape's iterations and the transforms too): every cancelled fit must
+// return context.Canceled and no representations, and leave the embedder
+// unfitted.
+func TestGRAILFitTransformCancelled(t *testing.T) {
+	train := trainSet(rand.New(rand.NewSource(44)), 40, 32)
+	for _, kshape := range []bool{false, true} {
+		full := newCancelAfter(math.MaxInt64)
+		if _, err := (&GRAIL{Gamma: 5, Dim: 8, Seed: 1, KShapeLandmarks: kshape}).FitTransformCtx(full, train); err != nil {
+			t.Fatal(err)
+		}
+		checks := full.calls.Load()
+		if checks < 3 {
+			t.Fatalf("k-Shape %v: uncancelled fused fit checked ctx %d times, want one per phase at least", kshape, checks)
+		}
+		for at := int64(1); at <= checks; at++ {
+			g := &GRAIL{Gamma: 5, Dim: 8, Seed: 1, KShapeLandmarks: kshape}
+			g.Fit(train)
+			reps, err := g.FitTransformCtx(newCancelAfter(at), train)
+			if err != context.Canceled || reps != nil {
+				t.Fatalf("k-Shape %v, cancel at check %d of %d: %d reps, err = %v, want none and context.Canceled", kshape, at, checks, len(reps), err)
+			}
+			if !transformPanics(g, train[0]) {
+				t.Errorf("k-Shape %v, cancel at check %d of %d: GRAIL transforms after a cancelled fused fit", kshape, at, checks)
+			}
+		}
+	}
+}
+
 // TestSPIRALCancelledRefitLeavesUnfitted is the SPIRAL analogue: a
 // cancelled refit must not leave it fitted with no landmarks.
 func TestSPIRALCancelledRefitLeavesUnfitted(t *testing.T) {

@@ -1,6 +1,7 @@
 package embedding
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -214,6 +215,66 @@ func TestGRAILFitBitwiseSerialGram(t *testing.T) {
 				if math.Float64bits(got[c]) != math.Float64bits(want[c]) {
 					t.Fatalf("dim %d query %d: rep[%d] = %v, serial Gram %v", dim, qi, c, got[c], want[c])
 				}
+			}
+		}
+	}
+}
+
+// sameBits reports whether two vectors hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestGRAILFitTransformBitwise pins the fused fit: FitTransformCtx must
+// return bitwise Transform's representation of every training series and
+// leave bitwise FitCtx's fitted state (basis, and landmark states that
+// embed new queries identically), with sampled landmarks at n = 10, 64, 100
+// and 256 (Dim above n included, degenerate series among the landmarks
+// candidates) and with k-Shape landmarks.
+func TestGRAILFitTransformBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	for _, c := range []struct {
+		n, dim int
+		kshape bool
+	}{{10, 64, false}, {64, 64, false}, {100, 12, false}, {256, 64, false}, {40, 6, true}} {
+		train := trainSet(rng, c.n, 48)
+		train[1] = make([]float64, 48)
+		for j := range train[2] {
+			train[2][j] = -1.5
+		}
+		train[3][5] = math.NaN()
+		queries := append(trainSet(rng, 4, 48), train[1], train[3])
+		fused := &GRAIL{Gamma: 3, Dim: c.dim, Seed: 8, KShapeLandmarks: c.kshape}
+		reps, err := fused.FitTransformCtx(context.Background(), train)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sep := &GRAIL{Gamma: 3, Dim: c.dim, Seed: 8, KShapeLandmarks: c.kshape}
+		if err := sep.FitCtx(context.Background(), train); err != nil {
+			t.Fatal(err)
+		}
+		if len(reps) != c.n {
+			t.Fatalf("n %d: %d representations", c.n, len(reps))
+		}
+		for i, x := range train {
+			if want := sep.Transform(x); !sameBits(reps[i], want) {
+				t.Fatalf("n %d dim %d k-Shape %v: rep %d = %v, FitCtx+Transform %v", c.n, c.dim, c.kshape, i, reps[i], want)
+			}
+		}
+		if !sameBits(fused.basis.Data, sep.basis.Data) {
+			t.Fatalf("n %d dim %d k-Shape %v: fused basis differs from FitCtx's", c.n, c.dim, c.kshape)
+		}
+		for qi, q := range queries {
+			if got, want := fused.Transform(q), sep.Transform(q); !sameBits(got, want) {
+				t.Fatalf("n %d dim %d k-Shape %v: query %d = %v, FitCtx's %v", c.n, c.dim, c.kshape, qi, got, want)
 			}
 		}
 	}

@@ -11,6 +11,7 @@ package kernel
 import (
 	"fmt"
 	"math"
+	"math/big"
 
 	"repro/internal/fft"
 	"repro/internal/measure"
@@ -107,17 +108,77 @@ func (s SINK) PreparedDistance(px, py any) float64 {
 }
 
 // sumExp evaluates sum_w exp(gamma * cc_w / den) with a zero-denominator
-// guard (zero series: every coefficient defined as 0).
+// guard (zero series: every coefficient defined as 0). Each argument is
+// gamma * cc_w / den as written: a hoisted gamma/den rounds it differently
+// and overflows once den is subnormal (DESIGN.md §11). The exponential is
+// the table method below, inline: each term is within 2 ulp of math.Exp of
+// the same argument, and since every term is positive, the sum's relative
+// error is at most the worst term's. Arguments that are NaN, ±Inf or
+// beyond ±expMaxArg go to math.Exp, so overflow, underflow and NaN behave
+// as math.Exp's.
 func (s SINK) sumExp(cc []float64, den float64) float64 {
 	var sum float64
 	if den == 0 {
 		return float64(len(cc)) // exp(0) per shift
 	}
 	for _, v := range cc {
-		sum += math.Exp(s.Gamma * v / den)
+		a := s.Gamma * v / den
+		if !(math.Abs(a) <= expMaxArg) {
+			sum += math.Exp(a)
+			continue
+		}
+		// a = (k*expN + j)*ln2/expN + r with |r| <= ln2/(2*expN), so
+		// exp(a) = 2^k * 2^(j/expN) * exp(r). Adding expShift rounds
+		// a*expN/ln2 to the integer k*expN + j held in kd's low mantissa
+		// bits; kd*expLn2HiN is exact, so r is a's residue to one rounding.
+		kd := a*expInvLn2N + expShift
+		ki := math.Float64bits(kd)
+		kd -= expShift
+		r := a - kd*expLn2HiN - kd*expLn2LoN
+		// 2^(j/expN) from the table, with k added to its exponent field:
+		// shifting ki-j left by 52-expBits moves k*expN to k<<52 and
+		// pushes expShift's bits out of the word.
+		j := ki % expN
+		scale := math.Float64frombits(expTable[j] + (ki-j)<<(52-expBits))
+		// exp(r)-1 to degree 4: the truncation is below
+		// (ln2/(2*expN))^5/5! < 4e-17, relative.
+		r2 := r * r
+		sum += scale + scale*(r+r2*(0.5+r*(1.0/6)+r2*(1.0/24)))
 	}
 	return sum
 }
+
+// The table exponential of sumExp. expMaxArg keeps every result and every
+// 2^k scale a normal float64 (e^±708 is about 3e307 and 3.3e-308);
+// expLn2Hi is ln 2 to 32 significant bits, so kd*expLn2HiN is exact for
+// |kd| < 2^21, and expLn2LoN is the rest of ln 2/expN, rounded once.
+const (
+	expBits    = 8
+	expN       = 1 << expBits
+	expMaxArg  = 708
+	expShift   = 0x1.8p52
+	expInvLn2N = expN / math.Ln2
+	expLn2Hi   = 0x1.62e42feep-1
+	expLn2HiN  = expLn2Hi / expN
+	expLn2LoN  = (math.Ln2 - expLn2Hi) / expN
+)
+
+// expTable holds the bits of 2^(j/expN) for j = 0..expN-1, each rounded
+// once from a 128-bit value: 2^(1/expN) is expBits square roots of 2, and
+// entry j its j-th power.
+var expTable = func() (t [expN]uint64) {
+	step := new(big.Float).SetPrec(128).SetInt64(2)
+	for i := 0; i < expBits; i++ {
+		step.Sqrt(step)
+	}
+	p := new(big.Float).SetPrec(128).SetInt64(1)
+	for j := range t {
+		f, _ := p.Float64()
+		t[j] = math.Float64bits(f)
+		p.Mul(p, step)
+	}
+	return t
+}()
 
 // Distance implements measure.Measure.
 func (s SINK) Distance(x, y []float64) float64 {

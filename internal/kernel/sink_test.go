@@ -39,6 +39,12 @@ func sameValue(a, b float64) bool {
 // cross-correlation buffers for every call, the reference the pooled
 // kernel must reproduce bit for bit.
 func freshBufferDistance(s SINK, x, y []float64) float64 {
+	return pairDistance(x, y, s.sumExp)
+}
+
+// pairDistance is SINK's pair arithmetic in fresh buffers with sum as the
+// reduction of each cross-correlation sequence.
+func pairDistance(x, y []float64, sum func(cc []float64, den float64) float64) float64 {
 	prep := func(v []float64) (*fft.Plan, float64, float64) {
 		var ss float64
 		for _, e := range v {
@@ -46,12 +52,134 @@ func freshBufferDistance(s SINK, x, y []float64) float64 {
 		}
 		p, norm := fft.NewPlan(v), math.Sqrt(ss)
 		cc := p.CrossCorrelateTo(p, make([]float64, max(2*len(v)-1, 0)), make([]complex128, p.PaddedLen()/2))
-		return p, norm, s.sumExp(cc, norm*norm)
+		return p, norm, sum(cc, norm*norm)
 	}
 	px, nx, sx := prep(x)
 	py, ny, sy := prep(y)
 	cc := px.CrossCorrelateTo(py, make([]float64, max(2*len(x)-1, 0)), make([]complex128, px.PaddedLen()/2))
-	return normalized(s.sumExp(cc, nx*ny), sx, sy)
+	return normalized(sum(cc, nx*ny), sx, sy)
+}
+
+// mathExpSum is SINK's sum with one math.Exp per term, over the same
+// arguments in the same order: the reference sumExp's table exponential is
+// measured against.
+func mathExpSum(gamma float64) func(cc []float64, den float64) float64 {
+	return func(cc []float64, den float64) float64 {
+		if den == 0 {
+			return float64(len(cc))
+		}
+		var sum float64
+		for _, v := range cc {
+			sum += math.Exp(gamma * v / den)
+		}
+		return sum
+	}
+}
+
+// sinkExpULP is sumExp's stated per-term bound: each term is within this
+// many ulp of math.Exp of the same argument (DESIGN.md §11).
+const sinkExpULP = 2
+
+// sinkDistanceTol bounds how far a SINK distance may move from the
+// math.Exp loop's. Each of the pair's three sums is within a relative
+// 2*sinkExpULP*2^-53 of that loop's, before the two loops' own additions
+// round apart, and the distance 1 - kxy/sqrt(kxx*kyy) compounds three
+// sums; 9,000 random pairs moved by at most 2.5*2^-52.
+const sinkDistanceTol = 8 * 0x1p-52
+
+// expULPs returns how many float64 steps separate two positive finite
+// values: their bit patterns are ordered as the values are.
+func expULPs(a, b float64) int64 {
+	d := int64(math.Float64bits(a)) - int64(math.Float64bits(b))
+	if d < 0 {
+		d = -d
+	}
+	return d
+}
+
+// TestSINKExpWithinBound sweeps sumExp's table exponential over its whole
+// range, |a| <= 708 in steps of 2^-10, plus a million random arguments in
+// SINK's usual |a| <= 20, one term at a time (gamma 1 and den 1 keep the
+// argument exact): each term must be within sinkExpULP of math.Exp. The
+// arguments that fall back to math.Exp, and exp(±0) = 1, must be its bits.
+func TestSINKExpWithinBound(t *testing.T) {
+	s := SINK{Gamma: 1}
+	term := []float64{0}
+	check := func(a float64) {
+		term[0] = a
+		got, want := s.sumExp(term, 1), math.Exp(a)
+		if d := expULPs(got, want); d > sinkExpULP {
+			t.Fatalf("exp(%v) = %v, math.Exp %v: %d ulp apart, bound %d", a, got, want, d, sinkExpULP)
+		}
+	}
+	for a := -float64(expMaxArg); a <= expMaxArg; a += 0x1p-10 {
+		check(a)
+	}
+	rng := rand.New(rand.NewSource(29))
+	for i := 0; i < 1_000_000; i++ {
+		check(40*rng.Float64() - 20)
+	}
+	for _, a := range []float64{
+		0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+		math.Nextafter(expMaxArg, 1000), -math.Nextafter(expMaxArg, 1000),
+		709, 709.78, 709.79, 710, 1000, math.MaxFloat64,
+		-709, -720, -745, -745.2, -746, -1000, -math.MaxFloat64,
+	} {
+		term[0] = a
+		got, want := s.sumExp(term, 1), math.Exp(a)
+		if !sameValue(got, want) || math.Signbit(got) != math.Signbit(want) {
+			t.Errorf("exp(%v) = %v, want math.Exp's %v", a, got, want)
+		}
+	}
+}
+
+// TestSINKMatchesMathExpSum compares SINK distances with the math.Exp
+// loop's at gamma 1 and 20, the ends of the SINK grid, and the default 5,
+// on random pairs of lengths 1 to 200, half of them near neighbours.
+func TestSINKMatchesMathExpSum(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	for _, gamma := range []float64{1, 5, 20} {
+		s, ref := SINK{Gamma: gamma}, mathExpSum(gamma)
+		for i := 0; i < 1000; i++ {
+			n := 1 + rng.Intn(200)
+			x, y := randSeries(rng, n), randSeries(rng, n)
+			if i%2 == 0 {
+				for j := range y {
+					y[j] = x[j] + 0.1*y[j]
+				}
+			}
+			got, want := s.Distance(x, y), pairDistance(x, y, ref)
+			if math.Abs(got-want) > sinkDistanceTol {
+				t.Fatalf("gamma %g n %d: d = %v, math.Exp loop %v", gamma, n, got, want)
+			}
+		}
+	}
+}
+
+// TestSINKTinyNorms scales series by 1e-150 to 1e-162, where the product
+// of two norms goes subnormal and then underflows: the distances must stay
+// within sinkDistanceTol of the math.Exp loop's. Hoisting gamma/den out of
+// sumExp's loop unguarded fails here: from about 1e-155 gamma/den
+// overflows to +Inf, and d(x, y) and d(x, x) jump to 1.
+func TestSINKTinyNorms(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, gamma := range []float64{1, 5, 20} {
+		s, ref := SINK{Gamma: gamma}, mathExpSum(gamma)
+		for e := 150; e <= 162; e++ {
+			scale := math.Pow(10, -float64(e))
+			x, y := randSeries(rng, 64), randSeries(rng, 64)
+			for j := range x {
+				x[j] *= scale
+				y[j] *= scale
+			}
+			for _, p := range [][2][]float64{{x, y}, {y, x}, {x, x}} {
+				got, want := s.Distance(p[0], p[1]), pairDistance(p[0], p[1], ref)
+				if !(math.Abs(got-want) <= sinkDistanceTol) {
+					t.Fatalf("gamma %g scale 1e-%d: d = %v, math.Exp loop %v", gamma, e, got, want)
+				}
+			}
+		}
+	}
 }
 
 // TestSINKDegenerateSeries checks the pooled prepared kernel against the

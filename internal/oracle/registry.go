@@ -25,6 +25,11 @@ import (
 //     where exp/log rounding compounds across O(m^2) cells.
 //   - TolFFT: measures computed through the FFT cross-correlation versus
 //     the direct O(m^2) sliding sums — error grows with transform length.
+//     SINK also exponentiates each lag with a table method within 2 ulp
+//     of the reference's math.Exp; its terms are positive, so each kernel
+//     sum moves by at most that relative amount, far inside the tier
+//     (DESIGN.md §11). SINK is checked at gamma 1 and 20, the ends of
+//     eval.SINKGrid, and at the paper's default 5.
 const (
 	TolExact    = 1e-12
 	TolLogSpace = 1e-9
@@ -250,7 +255,9 @@ func Pairs() []Pair {
 
 		// Kernel measures.
 		{M: kernel.RBF{Gamma: 2}, Ref: refRBF(2), Tol: TolExact},
+		{M: kernel.SINK{Gamma: 1}, Ref: refSINK(1), Tol: TolFFT, FiniteOnly: true},
 		{M: kernel.SINK{Gamma: 5}, Ref: refSINK(5), Tol: TolFFT, FiniteOnly: true},
+		{M: kernel.SINK{Gamma: 20}, Ref: refSINK(20), Tol: TolFFT, FiniteOnly: true},
 		{M: kernel.GAK{Sigma: 0.1}, Ref: refGAK(0.1), Tol: TolLogSpace, FiniteOnly: true},
 		{M: kernel.KDTW{Gamma: 0.125}, Ref: refKDTW(0.125), Tol: TolLogSpace, FiniteOnly: true},
 	}
