@@ -115,8 +115,12 @@ smoke-counts:
 # early-abandoning contract, and Lorentzian must
 # stay within 1e-12 of its Log1p loop. Every cross-correlation route of
 # internal/fft must stay within a length-scaled tolerance of direct sums,
-# and the plan and sliding routes must give CrossCorrelation's bits. The
-# seed corpora alone already run under `go test ./...`.
+# and the plan and sliding routes must give CrossCorrelation's bits. Every
+# elastic row function must give the same bits on the serial DP at a NaN
+# cutoff and on the 4-cell-block wavefront, agree with Distance after
+# sanitization and keep the early-abandoning contract at the fuzzed cutoff,
+# and DTW must match a plain comparison-chain DP. The seed corpora alone
+# already run under `go test ./...`.
 # -fuzzminimizetime bounds the minimization of each new interesting input
 # to 100 runs. Go's default is 60 s, longer than -fuzztime: minimizing one
 # large input could take the whole budget ("0 execs/sec" in the log), and
@@ -127,6 +131,7 @@ fuzz:
 	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzReadMVTSV$$' -fuzztime 15s -fuzzminimizetime 100x
 	$(GO) test ./internal/lockstep -run '^$$' -fuzz '^FuzzPanelKernels$$' -fuzztime 15s -fuzzminimizetime 100x
 	$(GO) test ./internal/fft -run '^$$' -fuzz '^FuzzCrossCorrelation$$' -fuzztime 15s -fuzzminimizetime 100x
+	$(GO) test ./internal/elastic -run '^$$' -fuzz '^FuzzElasticDP$$' -fuzztime 15s -fuzzminimizetime 100x
 
 # Smoke-run every benchmark once, then measure the grid tuning benchmarks
 # (per-candidate loop vs grid engine), the square SINK matrix and the
@@ -146,7 +151,9 @@ bench:
 	$(GO) test -bench BenchmarkMultivariate -count=3 -benchmem ./internal/multivariate | $(GO) run ./cmd/benchjson -o BENCH_multivariate.json
 
 # Re-measure every committed BENCH_* baseline and fail (benchstat-style)
-# when any benchmark's ns/op regressed by more than 35%. Run after changes
+# when any benchmark's ns/op regressed by more than 35%, or when a work
+# metric a benchmark reports (a unit not under ns/, such as the DP cells
+# per distance of BenchmarkHotloops{DTW,MSM}UpTo) differs at all. Run after changes
 # to the hot loops or engines; `make bench` refreshes the baselines when a
 # change is intentional. The threshold reflects the measured noise floor
 # of these multi-second, low-iteration benchmarks on shared machines:

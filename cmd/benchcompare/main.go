@@ -1,11 +1,16 @@
 // Command benchcompare diffs two benchjson files (see cmd/benchjson) in
 // the style of benchstat: one line per benchmark with the old and new
-// ns/op and the delta. It exits non-zero when any benchmark present in
-// both files slowed down by more than -threshold percent, so it can gate
-// CI on the committed BENCH_* baselines.
+// ns/op and the delta, then one indented line per b.ReportMetric value
+// with both values. It exits non-zero when any benchmark present in both
+// files slowed down by more than -threshold percent, or when a work
+// metric of such a benchmark differs at all, so it can gate CI on the
+// committed BENCH_* baselines. A work metric is one whose unit does not
+// start with "ns/", such as DP cells per distance (cells/dist): it counts
+// what the code computes, which the host's speed cannot move. Timing
+// metrics (ns/dist) are reported only.
 //
-// Benchmarks present in only one file are reported but never fail the
-// comparison — renames and additions are not regressions.
+// Benchmarks and metrics present in only one file are reported but never
+// fail the comparison — renames and additions are not regressions.
 //
 // Usage:
 //
@@ -18,26 +23,71 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 )
 
 // Record mirrors cmd/benchjson's output schema.
 type Record struct {
-	Name        string  `json:"name"`
-	Iterations  int64   `json:"iterations"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
-	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
+	Name        string             `json:"name"`
+	Iterations  int64              `json:"iterations"`
+	NsPerOp     float64            `json:"ns_per_op"`
+	BytesPerOp  int64              `json:"bytes_per_op,omitempty"`
+	AllocsPerOp int64              `json:"allocs_per_op,omitempty"`
+	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }
 
 // Row is one comparison line. Delta is the relative ns/op change in
 // percent (positive = slower); Missing marks benchmarks present in only
-// one of the two files.
+// one of the two files. Metrics compares the reported metrics of a
+// benchmark present in both, by unit.
 type Row struct {
 	Name     string
 	Old, New float64 // ns/op; 0 when Missing
 	Delta    float64
 	Missing  string // "" | "old" | "new"
+	Metrics  []Metric
+}
+
+// Metric is one b.ReportMetric unit of a benchmark present in both files.
+type Metric struct {
+	Unit     string
+	Old, New float64 // 0 when Missing
+	Missing  string  // "" | "old" | "new"
+}
+
+// Work reports whether the metric counts work rather than time: its unit
+// does not start with "ns/".
+func (m Metric) Work() bool { return !strings.HasPrefix(m.Unit, "ns/") }
+
+// Changed reports whether the metric is a work metric present in both
+// files with different values.
+func (m Metric) Changed() bool { return m.Missing == "" && m.Work() && m.Old != m.New }
+
+// compareMetrics joins two benchmarks' metrics by unit, in unit order.
+func compareMetrics(old, new map[string]float64) []Metric {
+	units := make([]string, 0, len(old)+len(new))
+	for u := range old {
+		units = append(units, u)
+	}
+	for u := range new {
+		if _, ok := old[u]; !ok {
+			units = append(units, u)
+		}
+	}
+	sort.Strings(units)
+	ms := make([]Metric, len(units))
+	for k, u := range units {
+		o, inOld := old[u]
+		n, inNew := new[u]
+		ms[k] = Metric{Unit: u, Old: o, New: n}
+		if !inNew {
+			ms[k].Missing = "new"
+		} else if !inOld {
+			ms[k].Missing = "old"
+		}
+	}
+	return ms
 }
 
 // Compare joins the two record sets by name, preserving the old file's
@@ -56,7 +106,7 @@ func Compare(old, new []Record) []Row {
 			rows = append(rows, Row{Name: o.Name, Old: o.NsPerOp, Missing: "new"})
 			continue
 		}
-		row := Row{Name: o.Name, Old: o.NsPerOp, New: n.NsPerOp}
+		row := Row{Name: o.Name, Old: o.NsPerOp, New: n.NsPerOp, Metrics: compareMetrics(o.Metrics, n.Metrics)}
 		if o.NsPerOp > 0 {
 			row.Delta = (n.NsPerOp - o.NsPerOp) / o.NsPerOp * 100
 		}
@@ -82,6 +132,20 @@ func Regressions(rows []Row, threshold float64) []Row {
 	return out
 }
 
+// WorkChanges returns the rows with a changed work metric.
+func WorkChanges(rows []Row) []Row {
+	var out []Row
+	for _, r := range rows {
+		for _, m := range r.Metrics {
+			if m.Changed() {
+				out = append(out, r)
+				break
+			}
+		}
+	}
+	return out
+}
+
 // Render formats the comparison as an aligned table.
 func Render(rows []Row, threshold float64) string {
 	var b strings.Builder
@@ -98,6 +162,18 @@ func Render(rows []Row, threshold float64) string {
 				flag = "  REGRESSION"
 			}
 			fmt.Fprintf(&b, "%-56s %14.0f %14.0f %+8.2f%%%s\n", r.Name, r.Old, r.New, r.Delta, flag)
+		}
+		for _, m := range r.Metrics {
+			switch {
+			case m.Missing == "new":
+				fmt.Fprintf(&b, "    %-52s %14.6g %14s %9s\n", m.Unit, m.Old, "-", "gone")
+			case m.Missing == "old":
+				fmt.Fprintf(&b, "    %-52s %14s %14.6g %9s\n", m.Unit, "-", m.New, "new")
+			case m.Changed():
+				fmt.Fprintf(&b, "    %-52s %14.6g %14.6g %9s\n", m.Unit, m.Old, m.New, "CHANGED")
+			default:
+				fmt.Fprintf(&b, "    %-52s %14.6g %14.6g\n", m.Unit, m.Old, m.New)
+			}
 		}
 	}
 	return b.String()
@@ -136,8 +212,16 @@ func main() {
 	}
 	rows := Compare(oldRecs, newRecs)
 	os.Stdout.WriteString(Render(rows, *threshold))
+	failed := false
 	if reg := Regressions(rows, *threshold); len(reg) > 0 {
 		fmt.Fprintf(os.Stderr, "benchcompare: %d benchmark(s) regressed beyond %.1f%%\n", len(reg), *threshold)
+		failed = true
+	}
+	if ch := WorkChanges(rows); len(ch) > 0 {
+		fmt.Fprintf(os.Stderr, "benchcompare: %d benchmark(s) changed a work metric\n", len(ch))
+		failed = true
+	}
+	if failed {
 		os.Exit(1)
 	}
 }

@@ -54,3 +54,56 @@ func TestCompareZeroBaseline(t *testing.T) {
 		t.Errorf("zero baseline delta = %v, want 0 (undefined ratios never fail the gate)", rows[0].Delta)
 	}
 }
+
+// TestCompareWorkMetrics: a work metric (unit not under ns/) that differs
+// fails the gate whatever the threshold; equal work metrics, timing
+// metrics and metrics only one file reports never do, and every metric is
+// printed with both values.
+func TestCompareWorkMetrics(t *testing.T) {
+	old := []Record{
+		{Name: "BenchmarkEqual", NsPerOp: 100, Metrics: map[string]float64{"cells/dist": 1591, "cells/full": 0.5228, "ns/dist": 20653}},
+		{Name: "BenchmarkChanged", NsPerOp: 100, Metrics: map[string]float64{"cells/dist": 4826, "ns/dist": 58841}},
+		{Name: "BenchmarkOneSided", NsPerOp: 100, Metrics: map[string]float64{"cells/dist": 462}},
+	}
+	new := []Record{
+		{Name: "BenchmarkEqual", NsPerOp: 40, Metrics: map[string]float64{"cells/dist": 1591, "cells/full": 0.5228, "ns/dist": 6756}},
+		{Name: "BenchmarkChanged", NsPerOp: 100, Metrics: map[string]float64{"cells/dist": 4827, "ns/dist": 58841}},
+		{Name: "BenchmarkOneSided", NsPerOp: 100, Metrics: map[string]float64{"cells/full": 0.58}},
+	}
+	rows := Compare(old, new)
+	want := [][]Metric{
+		{{Unit: "cells/dist", Old: 1591, New: 1591}, {Unit: "cells/full", Old: 0.5228, New: 0.5228}, {Unit: "ns/dist", Old: 20653, New: 6756}},
+		{{Unit: "cells/dist", Old: 4826, New: 4827}, {Unit: "ns/dist", Old: 58841, New: 58841}},
+		{{Unit: "cells/dist", Old: 462, Missing: "new"}, {Unit: "cells/full", New: 0.58, Missing: "old"}},
+	}
+	for k, r := range rows {
+		if len(r.Metrics) != len(want[k]) {
+			t.Fatalf("%s metrics = %+v, want %+v", r.Name, r.Metrics, want[k])
+		}
+		for i, m := range r.Metrics {
+			if m != want[k][i] {
+				t.Errorf("%s metric %d = %+v, want %+v", r.Name, i, m, want[k][i])
+			}
+		}
+	}
+	if ch := WorkChanges(rows); len(ch) != 1 || ch[0].Name != "BenchmarkChanged" {
+		t.Errorf("WorkChanges = %+v, want only BenchmarkChanged", ch)
+	}
+	// A changed timing metric alone never fails; nor does a faster ns/op.
+	if ch := WorkChanges(rows[:1]); len(ch) != 0 {
+		t.Errorf("WorkChanges(equal work, faster timing) = %+v, want none", ch)
+	}
+	if reg := Regressions(rows, 35); len(reg) != 0 {
+		t.Errorf("Regressions = %+v, want none", reg)
+	}
+
+	out := Render(rows, 35)
+	for _, line := range []string{"cells/dist", "4826", "4827", "CHANGED", "20653", "6756", "gone", "new"} {
+		if !strings.Contains(out, line) {
+			t.Errorf("render lacks %q:\n%s", line, out)
+		}
+	}
+	if n := strings.Count(out, "CHANGED"); n != 1 {
+		t.Errorf("render flags %d metrics CHANGED, want 1:\n%s", n, out)
+	}
+}

@@ -160,10 +160,10 @@ func liveSpan(row []float64, a, b int, cutoff float64) (first, last int, ok bool
 // wavefrontMinSpan is the band width in cells (the full width when
 // unbanded) from which Distance takes the blocked route on a multi-core
 // machine: more than two default 256-cell blocks. Measured with
-// BenchmarkHotloops on two cores (DESIGN.md §13): unbanded MSM wins blocked
-// from about 450 cells up, by a third at 767 and 1023 cells; DTW with a
-// 10% band wins serial at 205 and 409 cells (n=1024, 2048), ties at 513
-// (n=2560) and wins blocked at 819 (n=4096).
+// BenchmarkHotloops on two cores (DESIGN.md §13): unbanded MSM ties at 447
+// cells and wins blocked from 511 up, by a third at 767 and 1023 cells;
+// DTW with a 10% band wins serial at 205 and 409 cells (n=1024, 2048),
+// ties at 513 (n=2560) and wins blocked at 819 (n=4096).
 const wavefrontMinSpan = 2*256 + 1
 
 // distance is the Distance route: blocked when the band spans

@@ -63,60 +63,65 @@ func scanUpTo(q []float64, refs [][]float64, upTo func(x, y []float64, cutoff fl
 }
 
 // scanCells returns the DP cells that the 1-NN scan of q over refs
-// computes per distance, and the cells of one unpruned DP.
-func scanCells[K Recurrence](dp func(x, y []float64) DP[K], q []float64, refs [][]float64) (perDist, full float64) {
-	var cells, fullCells int64
+// computes in all, and the cells of one unpruned DP.
+func scanCells[K Recurrence](dp func(x, y []float64) DP[K], q []float64, refs [][]float64) (cells, full int64) {
 	scanUpTo(q, refs, func(x, y []float64, cutoff float64) float64 {
 		return counted(dp(x, y), &cells).Serial(cutoff)
 	})
-	counted(dp(q, refs[0]), &fullCells).Serial(math.NaN())
-	return float64(cells) / float64(len(refs)), float64(fullCells)
+	counted(dp(q, refs[0]), &full).Serial(math.NaN())
+	return cells, full
 }
 
 // TestSerialPrunesCells: under a 1-NN scan's best-so-far cutoffs the
-// pruned DP computes fewer cells than the full one and finds the nearest
-// distance bitwise.
+// pruned DP computes exactly the pinned number of cells, fewer than the
+// full DPs, and finds the nearest distance bitwise. The totals are the
+// pruning rule's work: a row function or driver change that computes a
+// different span changes them.
 func TestSerialPrunesCells(t *testing.T) {
 	q, refs := nnScan(64, 16)
-	check := func(name string, perDist, full float64, m interface {
+	check := func(name string, cells, full, want int64, m interface {
 		Distance(x, y []float64) float64
 		DistanceUpTo(x, y []float64, cutoff float64) float64
 	}) {
 		t.Helper()
-		want := math.Inf(1)
+		nearest := math.Inf(1)
 		for _, r := range refs {
-			want = min(want, m.Distance(q, r))
+			nearest = min(nearest, m.Distance(q, r))
 		}
-		if got := scanUpTo(q, refs, m.DistanceUpTo); math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("%s: pruned scan found %v, exhaustive %v", name, got, want)
+		if got := scanUpTo(q, refs, m.DistanceUpTo); math.Float64bits(got) != math.Float64bits(nearest) {
+			t.Errorf("%s: pruned scan found %v, exhaustive %v", name, got, nearest)
 		}
-		if !(perDist < full) {
-			t.Errorf("%s: %.0f cells per distance, full DP %.0f", name, perDist, full)
+		if cells != want {
+			t.Errorf("%s: scan computed %d cells, want %d", name, cells, want)
 		}
-		t.Logf("%s: %.0f of %.0f cells per distance", name, perDist, full)
+		if !(cells < full*int64(len(refs))) {
+			t.Errorf("%s: %d cells, %d full DPs of %d", name, cells, len(refs), full)
+		}
+		t.Logf("%s: %d cells, %.0f of %d per distance", name, cells, float64(cells)/float64(len(refs)), full)
 	}
 	msm, dtw, twe, erp := MSM{C: 0.5}, DTW{DeltaPercent: 10}, TWE{Lambda: 1, Nu: 0.0001}, ERP{}
 	cells, full := scanCells(msm.dp, q, refs)
-	check("msm", cells, full, msm)
+	check("msm", cells, full, 20390, msm)
 	cells, full = scanCells(dtw.dp, q, refs)
-	check("dtw", cells, full, dtw)
+	check("dtw", cells, full, 7391, dtw)
 	cells, full = scanCells(twe.dp, q, refs)
-	check("twe", cells, full, twe)
+	check("twe", cells, full, 21652, twe)
 	cells, full = scanCells(erp.dp, q, refs)
-	check("erp", cells, full, erp)
+	check("erp", cells, full, 20497, erp)
 }
 
 // benchScan times the 1-NN scan through upTo and reports the DP cells a
 // distance computes, counted once outside the timer, against the full DP.
-func benchScan(b *testing.B, q []float64, refs [][]float64, cells, full float64, upTo func(x, y []float64, cutoff float64) float64) {
+func benchScan(b *testing.B, q []float64, refs [][]float64, cells, full int64, upTo func(x, y []float64, cutoff float64) float64) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		scanUpTo(q, refs, upTo)
 	}
+	perDist := float64(cells) / float64(len(refs))
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(refs)), "ns/dist")
-	b.ReportMetric(cells, "cells/dist")
-	b.ReportMetric(cells/full, "cells/full")
+	b.ReportMetric(perDist, "cells/dist")
+	b.ReportMetric(perDist/float64(full), "cells/full")
 }
 
 // BenchmarkHotloopsMSMUpTo and BenchmarkHotloopsDTWUpTo run a 1-NN scan

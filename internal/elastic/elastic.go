@@ -82,20 +82,47 @@ type dtwRows struct {
 	x, y []float64
 }
 
+// Row carries the diagonal and the deletion (the cell it just wrote) in
+// registers, so no cell waits on reloading the value its predecessor
+// stored, and reads rows re-sliced to the segment's length, so no cell
+// pays a bounds check.
 func (r dtwRows) Row(i, j0, j1 int, prev, cur []float64) {
 	xi := r.x[i-1]
-	for j := j0; j <= j1; j++ {
-		k := j - j0 + 1
-		c := xi - r.y[j-1]
-		best := prev[k-1] // diagonal
-		if prev[k] < best {
-			best = prev[k] // insertion
-		}
-		if cur[k-1] < best {
-			best = cur[k-1] // deletion
-		}
-		cur[k] = c*c + best
+	y := r.y[j0-1 : j1]
+	up, out := prev[1:][:len(y)], cur[1:][:len(y)]
+	diag, left := prev[0], cur[0]
+	for k, yj := range y {
+		c := xi - yj
+		u := up[k]
+		left = c*c + MinDTW(diag, u, left)
+		out[k] = left
+		diag = u
 	}
+}
+
+// MinDTW returns the least of a DTW cell's diagonal, insertion and
+// deletion predecessors: bitwise the comparison chain
+//
+//	best := diag
+//	if ins < best { best = ins }
+//	if del < best { best = del }
+//
+// on DTW's cell domain, which is +0, positive numbers, +Inf and NaNs of
+// either sign (every cost is a square or a sum of squares, the boundary
+// holds 0 and +Inf, and no cell is -0). There the float64 bit patterns
+// order as unsigned integers exactly as the values do, with every NaN
+// above every number, so the minimum is taken on the patterns, which the
+// compiler selects with conditional moves where the float comparisons are
+// branches the predictor misses. The chain keeps a NaN diagonal (a NaN
+// compares false), which the patterns would not; that one case takes a
+// rarely taken branch. Outside the domain (-0 or negative numbers) the
+// result differs from the chain, so WDTW, whose weights may be negative,
+// keeps its chain.
+func MinDTW(diag, ins, del float64) float64 {
+	if diag != diag {
+		return diag
+	}
+	return math.Float64frombits(min(math.Float64bits(diag), math.Float64bits(ins), math.Float64bits(del)))
 }
 
 // LBKeogh returns the LB_Keogh lower bound of DTW(x, y) for a band of
@@ -164,13 +191,18 @@ func (r lcssRows) Boundary(top, left []float64) float64 {
 
 func (r lcssRows) Row(i, j0, j1 int, prev, cur []float64) {
 	xi := r.x[i-1]
-	for j := j0; j <= j1; j++ {
-		k := j - j0 + 1
-		if math.Abs(xi-r.y[j-1]) <= r.Epsilon {
-			cur[k] = prev[k-1] + 1
+	y := r.y[j0-1 : j1]
+	up, out := prev[1:][:len(y)], cur[1:][:len(y)]
+	diag, left := prev[0], cur[0]
+	for k, yj := range y {
+		u := up[k]
+		if math.Abs(xi-yj) <= r.Epsilon {
+			left = diag + 1
 		} else {
-			cur[k] = max(prev[k], cur[k-1])
+			left = max(u, left)
 		}
+		out[k] = left
+		diag = u
 	}
 }
 
@@ -217,20 +249,25 @@ func (r edrRows) Boundary(top, left []float64) float64 {
 
 func (r edrRows) Row(i, j0, j1 int, prev, cur []float64) {
 	xi := r.x[i-1]
-	for j := j0; j <= j1; j++ {
-		k := j - j0 + 1
+	y := r.y[j0-1 : j1]
+	up, out := prev[1:][:len(y)], cur[1:][:len(y)]
+	diag, left := prev[0], cur[0]
+	for k, yj := range y {
+		u := up[k]
 		subCost := 1.0
-		if math.Abs(xi-r.y[j-1]) <= r.Epsilon {
+		if math.Abs(xi-yj) <= r.Epsilon {
 			subCost = 0
 		}
-		best := prev[k-1] + subCost
-		if v := prev[k] + 1; v < best {
+		best := diag + subCost
+		if v := u + 1; v < best {
 			best = v
 		}
-		if v := cur[k-1] + 1; v < best {
+		if v := left + 1; v < best {
 			best = v
 		}
-		cur[k] = best
+		left = best
+		out[k] = left
+		diag = u
 	}
 }
 
@@ -288,13 +325,17 @@ func (r erpRows) Boundary(top, left []float64) float64 {
 func (r erpRows) Row(i, j0, j1 int, prev, cur []float64) {
 	xi := r.x[i-1]
 	gx := math.Abs(xi - r.G)
-	for j := j0; j <= j1; j++ {
-		k := j - j0 + 1
-		yj := r.y[j-1]
-		match := prev[k-1] + math.Abs(xi-yj)
-		gapX := prev[k] + gx
-		gapY := cur[k-1] + math.Abs(yj-r.G)
-		cur[k] = min(match, gapX, gapY)
+	y := r.y[j0-1 : j1]
+	up, out := prev[1:][:len(y)], cur[1:][:len(y)]
+	diag, left := prev[0], cur[0]
+	for k, yj := range y {
+		u := up[k]
+		match := diag + math.Abs(xi-yj)
+		gapX := u + gx
+		gapY := left + math.Abs(yj-r.G)
+		left = min(match, gapX, gapY)
+		out[k] = left
+		diag = u
 	}
 }
 
@@ -366,13 +407,18 @@ func (r msmRows) Boundary(top, left []float64) float64 {
 
 func (r msmRows) Row(i, j0, j1 int, prev, cur []float64) {
 	xi, xim := r.x[i], r.x[i-1]
-	for j := j0; j <= j1; j++ {
-		k := j - j0 + 1
-		yj := r.y[j]
-		move := prev[k-1] + math.Abs(xi-yj)
-		split := prev[k] + r.msmCost(xi, xim, yj)
-		merge := cur[k-1] + r.msmCost(yj, xi, r.y[j-1])
-		cur[k] = min(move, split, merge)
+	yjm := r.y[j0-1]
+	y := r.y[j0 : j1+1]
+	up, out := prev[1:][:len(y)], cur[1:][:len(y)]
+	diag, left := prev[0], cur[0]
+	for k, yj := range y {
+		u := up[k]
+		move := diag + math.Abs(xi-yj)
+		split := u + r.msmCost(xi, xim, yj)
+		merge := left + r.msmCost(yj, xi, yjm)
+		left = min(move, split, merge)
+		out[k] = left
+		diag, yjm = u, yj
 	}
 }
 
@@ -429,21 +475,25 @@ func (r tweRows) Row(i, j0, j1 int, prev, cur []float64) {
 		xim = r.x[i-2]
 	}
 	axd := math.Abs(xi - xim)
-	for j := j0; j <= j1; j++ {
-		k := j - j0 + 1
-		yj := r.y[j-1]
-		yjm := 0.0
-		if j > 1 {
-			yjm = r.y[j-2]
-		}
+	yjm := 0.0 // yp[j-1]: the pad sample when j == 1
+	if j0 > 1 {
+		yjm = r.y[j0-2]
+	}
+	y := r.y[j0-1 : j1]
+	up, out := prev[1:][:len(y)], cur[1:][:len(y)]
+	diag, left := prev[0], cur[0]
+	for k, yj := range y {
+		u := up[k]
 		// Delete in x: advance i only.
-		delA := prev[k] + axd + r.Nu + r.Lambda
+		delA := u + axd + r.Nu + r.Lambda
 		// Delete in y: advance j only.
-		delB := cur[k-1] + math.Abs(yj-yjm) + r.Nu + r.Lambda
+		delB := left + math.Abs(yj-yjm) + r.Nu + r.Lambda
 		// Match: advance both, with stiffness on the time difference.
-		match := prev[k-1] + math.Abs(xi-yj) + math.Abs(xim-yjm) +
-			2*r.Nu*math.Abs(float64(i-j))
-		cur[k] = min(match, delA, delB)
+		match := diag + math.Abs(xi-yj) + math.Abs(xim-yjm) +
+			2*r.Nu*math.Abs(float64(i-(j0+k)))
+		left = min(match, delA, delB)
+		out[k] = left
+		diag, yjm = u, yj
 	}
 }
 
@@ -462,11 +512,13 @@ func (s Swale) Name() string { return fmt.Sprintf("swale[e=%g,p=%g,r=%g]", s.Eps
 // Symmetric implements measure.Symmetric.
 func (s Swale) Symmetric() bool { return true }
 
-// Distance implements measure.Measure.
-func (s Swale) Distance(x, y []float64) float64 {
+func (s Swale) dp(x, y []float64) DP[swaleRows] {
 	measure.CheckSameLength(x, y)
-	return -DP[swaleRows]{R: len(x), C: len(x), Rows: swaleRows{s, x, y}}.Serial(math.Inf(1))
+	return DP[swaleRows]{R: len(x), C: len(x), Rows: swaleRows{s, x, y}}
 }
+
+// Distance implements measure.Measure.
+func (s Swale) Distance(x, y []float64) float64 { return -s.dp(x, y).Serial(math.Inf(1)) }
 
 type swaleRows struct {
 	Swale
@@ -484,13 +536,18 @@ func (r swaleRows) Boundary(top, left []float64) float64 {
 
 func (r swaleRows) Row(i, j0, j1 int, prev, cur []float64) {
 	xi := r.x[i-1]
-	for j := j0; j <= j1; j++ {
-		k := j - j0 + 1
-		if math.Abs(xi-r.y[j-1]) <= r.Epsilon {
-			cur[k] = prev[k-1] + r.R
+	y := r.y[j0-1 : j1]
+	up, out := prev[1:][:len(y)], cur[1:][:len(y)]
+	diag, left := prev[0], cur[0]
+	for k, yj := range y {
+		u := up[k]
+		if math.Abs(xi-yj) <= r.Epsilon {
+			left = diag + r.R
 		} else {
-			cur[k] = max(prev[k], cur[k-1]) - r.P
+			left = max(u, left) - r.P
 		}
+		out[k] = left
+		diag = u
 	}
 }
 

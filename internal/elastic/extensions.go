@@ -91,7 +91,9 @@ func (w WDTW) Name() string { return fmt.Sprintf("wdtw[g=%g]", w.G) }
 func (w WDTW) Symmetric() bool { return true }
 
 // Distance implements measure.Measure.
-func (w WDTW) Distance(x, y []float64) float64 {
+func (w WDTW) Distance(x, y []float64) float64 { return w.dp(x, y).Serial(math.Inf(1)) }
+
+func (w WDTW) dp(x, y []float64) DP[wdtwRows] {
 	measure.CheckSameLength(x, y)
 	m := len(x)
 	wmax := w.WMax
@@ -104,7 +106,7 @@ func (w WDTW) Distance(x, y []float64) float64 {
 	for a := range weights {
 		weights[a] = wmax / (1 + math.Exp(-w.G*(float64(a)-mid)))
 	}
-	return DP[wdtwRows]{R: m, C: m, Rows: wdtwRows{weights: weights, x: x, y: y}}.Serial(math.Inf(1))
+	return DP[wdtwRows]{R: m, C: m, Rows: wdtwRows{weights: weights, x: x, y: y}}
 }
 
 type wdtwRows struct {
@@ -112,23 +114,32 @@ type wdtwRows struct {
 	weights, x, y []float64
 }
 
+// Row keeps its comparison chain rather than MinDTW: a negative WMax
+// makes negative cells, outside the domain where bit patterns order as
+// values.
 func (r wdtwRows) Row(i, j0, j1 int, prev, cur []float64) {
-	for j := j0; j <= j1; j++ {
-		k := j - j0 + 1
-		diff := r.x[i-1] - r.y[j-1]
-		phase := i - j
+	xi := r.x[i-1]
+	y := r.y[j0-1 : j1]
+	up, out := prev[1:][:len(y)], cur[1:][:len(y)]
+	diag, left := prev[0], cur[0]
+	for k, yj := range y {
+		u := up[k]
+		diff := xi - yj
+		phase := i - (j0 + k)
 		if phase < 0 {
 			phase = -phase
 		}
 		c := r.weights[phase] * diff * diff
-		best := prev[k-1]
-		if prev[k] < best {
-			best = prev[k]
+		best := diag
+		if u < best {
+			best = u
 		}
-		if cur[k-1] < best {
-			best = cur[k-1]
+		if left < best {
+			best = left
 		}
-		cur[k] = best + c
+		left = best + c
+		out[k] = left
+		diag = u
 	}
 }
 

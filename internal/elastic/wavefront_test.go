@@ -172,8 +172,8 @@ func TestElasticDistanceAllocFree(t *testing.T) {
 // Benchmarks for the serial-vs-wavefront crossover that sets
 // wavefrontMinSpan; make bench records them into BENCH_hotloops.json. DTW
 // runs a 10% band (205, 409, 513 and 819 cells wide at n=1024, 2048, 2560
-// and 4096); MSM is unbanded (511, 767 and 1023 cells at n=512, 768 and
-// 1024).
+// and 4096); MSM is unbanded (447, 511, 767 and 1023 cells at n=448, 512,
+// 768 and 1024).
 func benchSeries(n int) ([]float64, []float64) {
 	rng := rand.New(rand.NewSource(3))
 	return wfSeries(rng, n), wfSeries(rng, n)
@@ -206,7 +206,7 @@ func BenchmarkHotloopsDTWWavefront(b *testing.B) {
 }
 
 func BenchmarkHotloopsMSMScalar(b *testing.B) {
-	for _, n := range []int{512, 768, 1024} {
+	for _, n := range []int{448, 512, 768, 1024} {
 		x, y := benchSeries(n)
 		p := MSM{C: 0.5}.dp(x, y)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -219,7 +219,7 @@ func BenchmarkHotloopsMSMScalar(b *testing.B) {
 }
 
 func BenchmarkHotloopsMSMWavefront(b *testing.B) {
-	for _, n := range []int{512, 768, 1024} {
+	for _, n := range []int{448, 512, 768, 1024} {
 		x, y := benchSeries(n)
 		m := MSM{C: 0.5}
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

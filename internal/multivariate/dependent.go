@@ -23,6 +23,7 @@ import (
 // points; at d=1 it performs exactly the univariate (x-y)^2.
 func sqDist(a, b []float64) float64 {
 	var s float64
+	b = b[:len(a)]
 	for k := range a {
 		d := a[k] - b[k]
 		s += d * d
@@ -34,6 +35,7 @@ func sqDist(a, b []float64) float64 {
 // exactly math.Abs(x-y).
 func l1Dist(a, b []float64) float64 {
 	var s float64
+	b = b[:len(a)]
 	for k := range a {
 		s += math.Abs(a[k] - b[k])
 	}
@@ -79,19 +81,19 @@ type dtwRows struct {
 	x, y Series
 }
 
+// Row carries its left neighbour and diagonal in registers over re-sliced
+// rows, as the univariate rows do, and picks its minimum with
+// elastic.MinDTW: a sum of squares keeps every cell in its domain.
 func (r dtwRows) Row(i, j0, j1 int, prev, cur []float64) {
 	xi := r.x[i-1]
-	for j := j0; j <= j1; j++ {
-		k := j - j0 + 1
-		c := sqDist(xi, r.y[j-1])
-		best := prev[k-1] // diagonal
-		if prev[k] < best {
-			best = prev[k] // insertion
-		}
-		if cur[k-1] < best {
-			best = cur[k-1] // deletion
-		}
-		cur[k] = c + best
+	y := r.y[j0-1 : j1]
+	up, out := prev[1:][:len(y)], cur[1:][:len(y)]
+	diag, left := prev[0], cur[0]
+	for k, yj := range y {
+		u := up[k]
+		left = sqDist(xi, yj) + elastic.MinDTW(diag, u, left)
+		out[k] = left
+		diag = u
 	}
 }
 
@@ -155,13 +157,17 @@ func (r erpRows) Boundary(top, left []float64) float64 {
 func (r erpRows) Row(i, j0, j1 int, prev, cur []float64) {
 	xi := r.x[i-1]
 	gx := r.gapCost(xi)
-	for j := j0; j <= j1; j++ {
-		k := j - j0 + 1
-		yj := r.y[j-1]
-		match := prev[k-1] + l1Dist(xi, yj)
-		gapX := prev[k] + gx
-		gapY := cur[k-1] + r.gapCost(yj)
-		cur[k] = min(match, gapX, gapY)
+	y := r.y[j0-1 : j1]
+	up, out := prev[1:][:len(y)], cur[1:][:len(y)]
+	diag, left := prev[0], cur[0]
+	for k, yj := range y {
+		u := up[k]
+		match := diag + l1Dist(xi, yj)
+		gapX := u + gx
+		gapY := left + r.gapCost(yj)
+		left = min(match, gapX, gapY)
+		out[k] = left
+		diag = u
 	}
 }
 
@@ -240,12 +246,17 @@ func (r msmRows) Boundary(top, left []float64) float64 {
 
 func (r msmRows) Row(i, j0, j1 int, prev, cur []float64) {
 	xi, xim := r.x[i], r.x[i-1]
-	for j := j0; j <= j1; j++ {
-		k := j - j0 + 1
-		yj := r.y[j]
-		move := prev[k-1] + l1Dist(xi, yj)
-		split := prev[k] + r.msmCost(xi, xim, yj)
-		merge := cur[k-1] + r.msmCost(yj, xi, r.y[j-1])
-		cur[k] = min(move, split, merge)
+	yjm := r.y[j0-1]
+	y := r.y[j0 : j1+1]
+	up, out := prev[1:][:len(y)], cur[1:][:len(y)]
+	diag, left := prev[0], cur[0]
+	for k, yj := range y {
+		u := up[k]
+		move := diag + l1Dist(xi, yj)
+		split := u + r.msmCost(xi, xim, yj)
+		merge := left + r.msmCost(yj, xi, yjm)
+		left = min(move, split, merge)
+		out[k] = left
+		diag, yjm = u, yj
 	}
 }

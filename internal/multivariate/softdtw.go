@@ -77,9 +77,14 @@ type softRows struct {
 
 func (r softRows) Row(i, j0, j1 int, prev, cur []float64) {
 	xi := r.x[i-1]
-	for j := j0; j <= j1; j++ {
-		k := j - j0 + 1
-		cost := sqDist(xi, r.y[j-1])
-		cur[k] = cost + softMin3(prev[k-1], prev[k], cur[k-1], r.gamma)
+	y := r.y[j0-1 : j1]
+	up, out := prev[1:][:len(y)], cur[1:][:len(y)]
+	diag, left := prev[0], cur[0]
+	for k, yj := range y {
+		u := up[k]
+		cost := sqDist(xi, yj)
+		left = cost + softMin3(diag, u, left, r.gamma)
+		out[k] = left
+		diag = u
 	}
 }
